@@ -28,7 +28,6 @@ from bipan.plan import (
     full_disassembly,
     repair_plan,
 )
-from bipan.validate import validate
 
 _USAGE_CODES = {
     "usage",
@@ -122,7 +121,7 @@ def _feasibility_lines(plan: Plan, report) -> list[str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    diags = validate(_load_model(args.model))
+    diags = _load_model(args.model).diagnostics
     if args.format == "json":
         sys.stdout.write(canonical_bytes(diags.to_obj()).decode("utf-8"))
     else:

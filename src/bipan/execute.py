@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from bipan.canon import model_digest
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel
 from bipan.plan import Direction, Plan, PlanStep
@@ -124,7 +123,7 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
     The plan must have been extracted from exactly this model version
     (``digest-mismatch`` otherwise). Step errors are re-raised with their index.
     """
-    digest = model_digest(model)
+    digest = model.digest
     if plan.model_digest != digest:
         raise BiPanError(
             "digest-mismatch",

@@ -37,6 +37,7 @@ from bipan.model import (
     ProductNode,
     SkillEdge,
     SkillNode,
+    check_id,
 )
 from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import Direction, Plan, PlanStep, ResourceRegistry
@@ -75,6 +76,8 @@ def _parse_json(data: bytes) -> Any:
         raise BiPanError(
             "parse-error", f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise BiPanError("parse-error", "document nests too deeply") from exc
 
 
 def _as_dict(value: Any, path: str) -> dict[str, Any]:
@@ -349,7 +352,7 @@ def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
 
 
 def read_instance_file(directory: str | Path, instance_id: str) -> PdtInstance:
-    path = Path(directory) / f"{instance_id}.pdt.json"
+    path = Path(directory) / f"{check_id(instance_id)}.pdt.json"
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -455,10 +458,11 @@ def _parse_internal_element(
     element: ElementTree.Element,
     path: str,
     parent_id: str | None,
-    seen: dict[str, str],
+    seen: set[str],
     products: list[ProductNode],
     explicit: set[str],
-) -> None:
+) -> str:
+    """Append the product one element describes; return the element's path."""
     element_id = element.get("ID")
     name = element.get("Name")
     label = f"'{name}'" if name else "(unnamed)"
@@ -467,7 +471,7 @@ def _parse_internal_element(
         raise BiPanError("xml-parse-error", f"{here}: missing ID attribute")
     if element_id in seen:
         raise BiPanError("duplicate-id", f"{here}: duplicate id '{element_id}'")
-    seen[element_id] = here
+    seen.add(element_id)
 
     kind = ProductKind.ELEMENTARY
     position: tuple[float, float, float] | None = None
@@ -501,8 +505,7 @@ def _parse_internal_element(
             attributes=attributes,
         )
     )
-    for child in _children(element, "InternalElement"):
-        _parse_internal_element(child, here, element_id, seen, products, explicit)
+    return here
 
 
 def import_aml(data: bytes) -> AmlFragment:
@@ -518,15 +521,24 @@ def import_aml(data: bytes) -> AmlFragment:
         )
     products: list[ProductNode] = []
     explicit: set[str] = set()
-    seen: dict[str, str] = {}
+    seen: set[str] = set()
     for lib in root.iter():
         if _local_name(lib.tag) != "SystemUnitClassLib":
             continue
         lib_path = f"CAEXFile/SystemUnitClassLib '{lib.get('Name', '?')}'"
         for suc in _children(lib, "SystemUnitClass"):
             suc_path = f"{lib_path}/SystemUnitClass '{suc.get('Name', '?')}'"
-            for element in _children(suc, "InternalElement"):
-                _parse_internal_element(element, suc_path, None, seen, products, explicit)
+            # Pre-order over an explicit stack: nesting depth is not bounded by
+            # the interpreter's recursion limit.
+            top = reversed(_children(suc, "InternalElement"))
+            stack: list[tuple[ElementTree.Element, str, str | None]] = [
+                (element, suc_path, None) for element in top
+            ]
+            while stack:
+                element, path, parent_id = stack.pop()
+                here = _parse_internal_element(element, path, parent_id, seen, products, explicit)
+                children = _children(element, "InternalElement")
+                stack.extend((child, here, element.get("ID")) for child in reversed(children))
     return AmlFragment(tuple(products), frozenset(explicit))
 
 

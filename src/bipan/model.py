@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 from bipan.errors import BiPanError
+
+if TYPE_CHECKING:
+    from bipan.validate import Diagnostics
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -56,14 +62,18 @@ class FlowRole(Enum):
 
 @dataclass(frozen=True)
 class ProductNode:
-    """A concrete product instance (not a part type; shared types go in ``type_ref``)."""
+    """A concrete product instance (not a part type; shared types go in ``type_ref``).
+
+    ``attributes`` is a read-only copy of the mapping given, so a model's cached
+    digest and diagnostics cannot go stale.
+    """
 
     id: str
     label: str
     kind: ProductKind
     type_ref: str | None = None
     position: tuple[float, float, float] | None = None
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_id(self.id)
@@ -80,7 +90,12 @@ class ProductNode:
                     f"product '{self.id}': position must have exactly three components",
                 )
             object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "attributes", dict(self.attributes))
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
+
+    def __reduce__(self):
+        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
+        fields = (self.id, self.label, self.kind, self.type_ref, self.position)
+        return (ProductNode, (*fields, dict(self.attributes)))
 
     def has_finite_position(self) -> bool:
         return self.position is None or all(math.isfinite(c) for c in self.position)
@@ -142,6 +157,16 @@ class FastensLink:
         object.__setattr__(self, "secures", secures)
 
 
+class _Index(NamedTuple):
+    """Neighbour ids per node: by process (inputs, outputs, skill ids) or by product."""
+
+    inputs: dict[str, tuple[str, ...]]
+    outputs: dict[str, tuple[str, ...]]
+    producers: dict[str, tuple[str, ...]]
+    consumers: dict[str, tuple[str, ...]]
+    skill_ids: dict[str, tuple[str, ...]]
+
+
 def _sorted_unique_nodes(nodes, family: str):
     by_id: dict[str, object] = {}
     for node in nodes:
@@ -157,6 +182,8 @@ class BiPanModel:
 
     Node and edge collections are normalized on construction: sorted by id,
     exact duplicate edges dropped, and all edge endpoints checked to resolve.
+    Derived facts (adjacency, ``digest``, ``diagnostics``) are computed on first
+    use and kept for the life of the value.
     """
 
     id: str
@@ -239,43 +266,48 @@ class BiPanModel:
         return {s.id: s for s in self.skills}
 
     @cached_property
-    def _inputs(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {p.id: [] for p in self.processes}
+    def _index(self) -> _Index:
+        """All five adjacency maps in one pass over the edges.
+
+        Normalization sorts flows by (process, role, product) and skill edges by
+        (process, skill), so every neighbour tuple comes out in ascending id order.
+        """
+        inputs: dict[str, list[str]] = {p.id: [] for p in self.processes}
+        outputs: dict[str, list[str]] = {p.id: [] for p in self.processes}
+        skill_ids: dict[str, list[str]] = {p.id: [] for p in self.processes}
+        producers: dict[str, list[str]] = {p.id: [] for p in self.products}
+        consumers: dict[str, list[str]] = {p.id: [] for p in self.products}
         for f in self.flows:
             if f.role is FlowRole.INPUT:
-                acc[f.process].append(f.product)
-        return {pid: tuple(sorted(v)) for pid, v in acc.items()}
-
-    @cached_property
-    def _outputs(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {p.id: [] for p in self.processes}
-        for f in self.flows:
-            if f.role is FlowRole.OUTPUT:
-                acc[f.process].append(f.product)
-        return {pid: tuple(sorted(v)) for pid, v in acc.items()}
-
-    @cached_property
-    def _producers(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {p.id: [] for p in self.products}
-        for f in self.flows:
-            if f.role is FlowRole.OUTPUT:
-                acc[f.product].append(f.process)
-        return {pid: tuple(sorted(v)) for pid, v in acc.items()}
-
-    @cached_property
-    def _consumers(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {p.id: [] for p in self.products}
-        for f in self.flows:
-            if f.role is FlowRole.INPUT:
-                acc[f.product].append(f.process)
-        return {pid: tuple(sorted(v)) for pid, v in acc.items()}
-
-    @cached_property
-    def _skill_ids(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {p.id: [] for p in self.processes}
+                inputs[f.process].append(f.product)
+                consumers[f.product].append(f.process)
+            else:
+                outputs[f.process].append(f.product)
+                producers[f.product].append(f.process)
         for e in self.skill_edges:
-            acc[e.process].append(e.skill)
-        return {pid: tuple(sorted(v)) for pid, v in acc.items()}
+            skill_ids[e.process].append(e.skill)
+        return _Index(
+            *(
+                {node_id: tuple(ids) for node_id, ids in adjacency.items()}
+                for adjacency in (inputs, outputs, producers, consumers, skill_ids)
+            )
+        )
+
+    # -- facts computed once -------------------------------------------------------
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the canonical model bytes; see :func:`bipan.canon.model_digest`."""
+        from bipan.canon import model_digest  # canon imports this module
+
+        return model_digest(self)
+
+    @cached_property
+    def diagnostics(self) -> Diagnostics:
+        """Validation findings; see :func:`bipan.validate.validate`."""
+        from bipan.validate import validate  # validate imports this module
+
+        return validate(self)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -309,11 +341,11 @@ class BiPanModel:
     def inputs_of(self, process_id: str) -> tuple[str, ...]:
         """Products consumed by a process in assembly direction, ascending id."""
         self.process(process_id)
-        return self._inputs[process_id]
+        return self._index.inputs[process_id]
 
     def outputs_of(self, process_id: str) -> tuple[str, ...]:
         self.process(process_id)
-        return self._outputs[process_id]
+        return self._index.outputs[process_id]
 
     def output_of(self, process_id: str) -> str | None:
         """The process output, or None; the least id if the model is malformed."""
@@ -322,11 +354,11 @@ class BiPanModel:
 
     def producers_of(self, product_id: str) -> tuple[str, ...]:
         self.product(product_id)
-        return self._producers[product_id]
+        return self._index.producers[product_id]
 
     def consumers_of(self, product_id: str) -> tuple[str, ...]:
         self.product(product_id)
-        return self._consumers[product_id]
+        return self._index.consumers[product_id]
 
     def producer_of(self, product_id: str) -> str | None:
         """The process producing this product, or None for leaves.
@@ -343,7 +375,7 @@ class BiPanModel:
 
     def skill_ids_of(self, process_id: str) -> tuple[str, ...]:
         self.process(process_id)
-        return self._skill_ids[process_id]
+        return self._index.skill_ids[process_id]
 
     def skill_labels_of(self, process_id: str) -> tuple[str, ...]:
         """Sorted, de-duplicated labels of the skills linked to a process."""
@@ -354,7 +386,7 @@ class BiPanModel:
 
     def leaf_products(self) -> tuple[str, ...]:
         """Products with no producer, ascending id."""
-        return tuple(p.id for p in self.products if not self._producers[p.id])
+        return tuple(p.id for p in self.products if not self._index.producers[p.id])
 
     def spine(self, product_id: str) -> tuple[str, ...]:
         """Chain of processes from this product's consumer up to the final producer.

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 
-from bipan.canon import model_digest
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel
+from bipan.model import COMPONENT_KINDS, BiPanModel, check_id
 from bipan.plan import Plan, SkillInversion, repair_plan
 from bipan.validate import ensure_valid
 
@@ -61,6 +60,10 @@ class PdtInstance:
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
+        # The id names the twin's file, so it must not carry a path separator.
+        if not self.instance_id:
+            raise BiPanError("empty-id", "instance id must be non-empty")
+        check_id(self.instance_id)
         object.__setattr__(self, "health", dict(self.health))
         last: datetime | None = None
         for event in self.events:
@@ -84,14 +87,12 @@ class PdtInstance:
 
 def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     """Fresh twin: every replaceable component Unknown, event log empty."""
-    if not instance_id:
-        raise BiPanError("empty-id", "instance id must be non-empty")
     ensure_valid(model)
     health = {p.id: Health.UNKNOWN for p in model.products if p.kind in COMPONENT_KINDS}
     return PdtInstance(
         instance_id=instance_id,
         model_id=model.id,
-        model_digest=model_digest(model),
+        model_digest=model.digest,
         health=health,
         events=(),
     )
@@ -133,7 +134,7 @@ def plan_repair_for(
     Returns the updated instance together with the plan (instances are values,
     so the event-carrying copy must be handed back to the caller).
     """
-    digest = model_digest(model)
+    digest = model.digest
     if digest != pdt.model_digest:
         raise BiPanError(
             "digest-mismatch",

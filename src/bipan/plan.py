@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
-from bipan.canon import model_digest
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, ProductKind
 from bipan.validate import ensure_valid
@@ -245,7 +244,7 @@ def assembly_recipe(model: BiPanModel) -> Plan:
     """Forward steps over all processes, in assembly topological order."""
     ensure_valid(model)
     steps = tuple(_forward_step(model, pid) for pid in assembly_order(model))
-    return Plan(model.id, model_digest(model), steps)
+    return Plan(model.id, model.digest, steps)
 
 
 def full_disassembly(model: BiPanModel, inv: SkillInversion | None = None) -> Plan:
@@ -253,7 +252,7 @@ def full_disassembly(model: BiPanModel, inv: SkillInversion | None = None) -> Pl
     ensure_valid(model)
     inv = inv if inv is not None else SkillInversion.default()
     steps = tuple(_reverse_step(model, pid, inv) for pid in reversed(assembly_order(model)))
-    return Plan(model.id, model_digest(model), steps)
+    return Plan(model.id, model.digest, steps)
 
 
 def disassembly_to(
@@ -276,7 +275,7 @@ def disassembly_to(
     root_first = tuple(reversed(spine))
     selected = root_first if mode is DisassemblyMode.EXTRACT else root_first[:-1]
     steps = tuple(_reverse_step(model, pid, inv) for pid in selected)
-    return Plan(model.id, model_digest(model), steps)
+    return Plan(model.id, model.digest, steps)
 
 
 def _swap_skills(model: BiPanModel, site: str, broken: str, inv: SkillInversion) -> tuple[str, ...]:
@@ -357,70 +356,41 @@ def repair_plan(
             )
         used_replacements[replacement] = component
 
-    # Swap site per broken component, and the set of processes strictly above any site.
+    # One spine walk per broken component gives its swap site, the process whose
+    # reversal frees the site's output (None when that output is already topmost),
+    # and every process strictly above the site with its distance from the root.
     sites: dict[str, list[str]] = {}
-    to_reverse: set[str] = set()
+    freed_by: dict[str | None, set[str]] = {}
+    depth: dict[str, int] = {}
     for component in broken_ids:
-        spine = model.spine(component)  # raises detached-node for dangling components
-        sites.setdefault(spine[0], []).append(component)
-        to_reverse.update(spine[1:])
-
-    def depth(process_id: str) -> int:
-        output = model.output_of(process_id)
-        assert output is not None
-        return len(model.spine(output))
-
-    reversal = sorted(to_reverse, key=lambda pid: (depth(pid), pid))
+        site, *above = model.spine(component)  # raises detached-node for dangling components
+        sites.setdefault(site, []).append(component)
+        freed_by.setdefault(above[0] if above else None, set()).add(site)
+        depth.update((pid, d) for d, pid in enumerate(reversed(above)))
+    reversal = sorted(depth, key=lambda pid: (depth[pid], pid))
 
     substitution: dict[str, str] = {}
     steps: list[PlanStep] = []
-    swapped: set[str] = set()
 
-    def emit_swaps_at(site: str) -> None:
-        swapped.add(site)
-        for component in sorted(sites[site]):
-            steps.append(_swap_step(model, site, component, replacements[component], inv))
-            substitution[component] = replacements[component]
+    def emit_swaps_freed_by(process_id: str | None) -> None:
+        for site in sorted(freed_by.get(process_id, ())):
+            for component in sites[site]:
+                steps.append(_swap_step(model, site, component, replacements[component], inv))
+                substitution[component] = replacements[component]
 
     def resolve(ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(substitution.get(i, i) for i in ids))
 
-    # Sites whose output is already topmost (the final product) swap before any reversal.
-    for site in sorted(sites):
-        if not model.spine(model.output_of(site)):
-            emit_swaps_at(site)
-
+    emit_swaps_freed_by(None)
     for process_id in reversal:
-        output = model.output_of(process_id)
-        assert output is not None
-        steps.append(
-            PlanStep(
-                process=process_id,
-                direction=Direction.REVERSE,
-                consumed=(output,),
-                produced=resolve(model.inputs_of(process_id)),
-                required_skills=inv.apply_all(model.skill_labels_of(process_id)),
-            )
-        )
-        freed = set(model.inputs_of(process_id))
-        for site in sorted(sites):
-            if site not in swapped and model.output_of(site) in freed:
-                emit_swaps_at(site)
-
+        step = _reverse_step(model, process_id, inv)
+        steps.append(replace(step, produced=resolve(step.produced)))
+        emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
-        output = model.output_of(process_id)
-        assert output is not None
-        steps.append(
-            PlanStep(
-                process=process_id,
-                direction=Direction.FORWARD,
-                consumed=resolve(model.inputs_of(process_id)),
-                produced=(output,),
-                required_skills=model.skill_labels_of(process_id),
-            )
-        )
+        step = _forward_step(model, process_id)
+        steps.append(replace(step, consumed=resolve(step.consumed)))
 
-    return Plan(model.id, model_digest(model), tuple(steps))
+    return Plan(model.id, model.digest, tuple(steps))
 
 
 def check_feasibility(plan: Plan, registry: ResourceRegistry) -> FeasibilityReport:

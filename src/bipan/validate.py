@@ -303,16 +303,11 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
                 )
             )
             continue
-        members = set(nodes)
-        host = next(
-            (
-                proc.id
-                for proc in model.processes
-                if members <= set(model.inputs_of(proc.id))
-            ),
-            None,
-        )
-        if host is None:
+        # A process with every member as an input is one of the fastener's consumers.
+        if not any(
+            all(host in model.consumers_of(member) for member in link.secures)
+            for host in model.consumers_of(link.fastener)
+        ):
             found.append(
                 _d(
                     "V011",
@@ -339,7 +334,7 @@ def validate(model: BiPanModel) -> Diagnostics:
 
 def ensure_valid(model: BiPanModel) -> None:
     """Raise ``invalid-model`` if validation reports any Error findings."""
-    diags = validate(model)
+    diags = model.diagnostics
     if diags.has_errors:
         codes = sorted({d.code for d in diags.errors})
         raise BiPanError(

@@ -22,14 +22,17 @@ SKILL_POOL = ("manipulation", "screwing", "connecting-cables", "gluing", "riveti
 LEAF_KINDS = (ProductKind.ELEMENTARY, ProductKind.SUB_PRODUCT, ProductKind.FASTENER)
 
 
-def build_random_model(rng: random.Random, max_processes: int = 6) -> BiPanModel:
+def build_random_model(
+    rng: random.Random, max_processes: int = 6, chain: bool = False
+) -> BiPanModel:
     """A random in-tree of processes that always passes validation without errors.
 
     Stays under 50 nodes for max_processes <= 6: at most 6 processes, 6 stage or
-    final outputs, 18 leaves and 5 skills.
+    final outputs, 18 leaves and 5 skills. With ``chain``, the tree is one spine
+    of exactly ``max_processes`` processes, each feeding the next.
     """
-    n_processes = rng.randint(1, max_processes)
-    parent = {i: rng.randrange(i) for i in range(1, n_processes)}
+    n_processes = max_processes if chain else rng.randint(1, max_processes)
+    parent = {i: i - 1 if chain else rng.randrange(i) for i in range(1, n_processes)}
     children: dict[int, list[int]] = {i: [] for i in range(n_processes)}
     for child, par in parent.items():
         children[par].append(child)

@@ -108,6 +108,18 @@ class TestImport:
         assert by_id["cell"].attributes["parent"] == "pack"
         assert by_id["tab"].attributes["parent"] == "cell"
 
+    def test_deep_nesting_keeps_pre_order(self):
+        depth = 3000
+        body = "".join(
+            f'<InternalElement ID="e{i}"><InternalElement ID="s{i}"/>' for i in range(depth)
+        )
+        fragment = io.import_aml(caex(body + "</InternalElement>" * depth))
+        expected = [pid for i in range(depth) for pid in (f"e{i}", f"s{i}")]
+        assert [p.id for p in fragment.products] == expected
+        by_id = {p.id: p for p in fragment.products}
+        assert by_id[f"e{depth - 1}"].attributes["parent"] == f"e{depth - 2}"
+        assert by_id[f"s{depth - 1}"].attributes["parent"] == f"e{depth - 1}"
+
 
 class TestMerge:
     def test_fills_positions_without_touching_topology(self, f1, fixtures_dir):

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,22 @@ def workdir(tmp_path, fixtures_dir):
 
 def model_path(workdir):
     return str(workdir / "f1.bipan.json")
+
+
+def run_cli(args, cwd):
+    """``python -m bipan.cli`` in a fresh interpreter, as a user runs it."""
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "bipan.cli", *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def assert_one_error(result, code):
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {code}: "), result.stderr
 
 
 class TestValidate:
@@ -264,6 +284,42 @@ class TestPdt:
         capsys.readouterr()
         assert main(["pdt", "set-health", "VIN-006", "mod8", "broken", "--dir", d]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
+
+
+class TestHostileInput:
+    def test_deeply_nested_json(self, workdir):
+        (workdir / "deep.json").write_text("[" * 100_000)
+        assert_one_error(run_cli(["validate", "deep.json"], workdir), "parse-error")
+
+    def test_deeply_nested_caex(self, workdir):
+        depth = 3000
+        body = "".join(f'<InternalElement ID="e{i}" Name="n{i}">' for i in range(depth))
+        body += "<InternalElement/>" + "</InternalElement>" * depth
+        (workdir / "deep.aml").write_text(
+            '<CAEXFile><SystemUnitClassLib Name="L"><SystemUnitClass Name="S">'
+            f"{body}</SystemUnitClass></SystemUnitClassLib></CAEXFile>"
+        )
+        result = run_cli(["import-aml", "deep.aml"], workdir)
+        assert_one_error(result, "xml-parse-error")
+        assert result.stderr.rstrip().endswith(
+            f"/InternalElement 'n{depth - 1}'/InternalElement (unnamed): missing ID attribute"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pdt", "new", "../escaped", "../f1.bipan.json", "--dir", "."],
+            ["pdt", "set-health", "../escaped", "mod8", "broken", "--at", T0, "--dir", "."],
+            ["pdt", "log", "../escaped", "--dir", "."],
+        ],
+    )
+    def test_twin_id_cannot_escape_dir(self, workdir, args):
+        twins = workdir / "twins"
+        twins.mkdir()
+        (workdir / "escaped.pdt.json").write_bytes(b"{}")  # what a read would find outside
+        before = sorted(p.name for p in workdir.rglob("*"))
+        assert_one_error(run_cli(args, twins), "invalid-id")
+        assert sorted(p.name for p in workdir.rglob("*")) == before
 
 
 class TestUsage:

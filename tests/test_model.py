@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
 
+from bipan.canon import model_digest
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
@@ -13,6 +16,8 @@ from bipan.model import (
     ProductNode,
     SkillNode,
 )
+from bipan.validate import ensure_valid, validate
+from mutations import MUTANTS
 from strategies import models
 
 
@@ -165,3 +170,42 @@ class TestInvariants:
     def test_model_is_immutable(self, f1):
         with pytest.raises(dataclasses.FrozenInstanceError):
             f1.id = "other"
+
+
+class TestCachedFacts:
+    @given(models())
+    def test_digest_is_model_digest(self, model):
+        assert model.digest == model_digest(model)
+
+    @given(models())
+    def test_diagnostics_is_validate(self, model):
+        assert model.diagnostics == validate(model)
+
+    def test_facts_computed_once(self, f1):
+        assert f1.digest is f1.digest
+        assert f1.diagnostics is f1.diagnostics
+
+    def test_attributes_are_read_only(self, f1):
+        bolts = f1.product("bolts1")
+        with pytest.raises(TypeError):
+            bolts.attributes["skill"] = "welding"
+        assert "skill" not in bolts.attributes
+
+    def test_attributes_copied_from_caller(self):
+        given_attributes = {"skill": "screwing"}
+        node = ProductNode("s", "S", ProductKind.FASTENER, attributes=given_attributes)
+        given_attributes["skill"] = "welding"
+        assert node.attributes == {"skill": "screwing"}
+
+    def test_model_still_pickles(self, f1):
+        f1.digest
+        copied = pickle.loads(pickle.dumps(f1))
+        assert copied == f1 and copied.digest == f1.digest
+        assert copy.deepcopy(f1) == f1
+
+    def test_ensure_valid_raises_on_every_call(self, f1):
+        broken = MUTANTS["V004"][0](f1)
+        for _ in range(3):
+            with pytest.raises(BiPanError) as err:
+                ensure_valid(broken)
+            assert err.value.code == "invalid-model"

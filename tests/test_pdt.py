@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bipan import io
@@ -26,6 +28,12 @@ class TestCreate:
         with pytest.raises(BiPanError) as err:
             create_instance("", f1)
         assert err.value.code == "empty-id"
+
+    @pytest.mark.parametrize("bad", ["../escaped", "a/b", "/abs", "VIN 1"])
+    def test_path_like_id(self, f1, bad):
+        with pytest.raises(BiPanError) as err:
+            create_instance(bad, f1)
+        assert err.value.code == "invalid-id"
 
 
 class TestSetHealth:
@@ -114,6 +122,13 @@ class TestPersistence:
     def test_no_temp_files_left(self, f1, tmp_path):
         io.write_instance_file(create_instance("VIN-002", f1), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["VIN-002.pdt.json"]
+
+    def test_stored_id_is_checked_on_load(self, f1):
+        doc = json.loads(io.save_instance(create_instance("VIN-001", f1)))
+        doc["instance_id"] = "../escaped"
+        with pytest.raises(BiPanError) as err:
+            io.load_instance(json.dumps(doc).encode())
+        assert err.value.code == "invalid-id"
 
     def test_missing_instance(self, tmp_path):
         with pytest.raises(BiPanError) as err:

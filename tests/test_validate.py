@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given
 
 from bipan.canon import canonical_bytes
 from bipan.errors import BiPanError
-from bipan.model import FastensLink, FlowRole, ProductKind, ProductNode
+from bipan.model import FastensLink, FlowEdge, FlowRole, ProductKind, ProductNode
 from bipan.validate import Severity, ensure_valid, validate
 from mutations import MUTANTS, drop_flows
 from strategies import models
@@ -87,6 +88,30 @@ def test_fastens_not_co_inputs(f1):
     bad = dataclasses.replace(f1, fastens=(FastensLink("screws1", frozenset({"mod8"})),))
     diags = validate(bad)
     assert codes_of(diags) == {"V011"}
+
+
+def test_fastens_host_matches_brute_force(f1):
+    # V011's common host is looked for among the fastener's consumers only; it
+    # must agree with a search over every process, including on a model where a
+    # fastener has two consumers.
+    rng = random.Random(11)
+    fasteners = sorted(p.id for p in f1.products if p.kind is ProductKind.FASTENER)
+    doubled = dataclasses.replace(
+        f1, flows=(*f1.flows, FlowEdge("screws1", "p2", FlowRole.INPUT))
+    )
+    outcomes = set()
+    for model in (f1, doubled):
+        for _ in range(200):
+            fastener = rng.choice(fasteners)
+            siblings = model.inputs_of(rng.choice(model.processes).id)
+            pool = sorted({*siblings, *rng.sample([p.id for p in model.products], 2)} - {fastener})
+            link = FastensLink(fastener, frozenset(rng.sample(pool, rng.randint(0, 3))))
+            members = {link.fastener, *link.secures}
+            hosted = any(members <= set(model.inputs_of(p.id)) for p in model.processes)
+            diags = validate(dataclasses.replace(model, fastens=(link,)))
+            assert ("V011" in codes_of(diags)) is not hosted
+            outcomes.add(hosted)
+    assert outcomes == {True, False}
 
 
 def test_fastens_wrong_kind(f1):
