@@ -1,8 +1,9 @@
 """Command-line surface: validate, plan, exec, import-aml, export-dot, pdt.
 
 Exit codes: 0 success, 1 validation errors or an infeasible result, 2 usage or
-parse errors, 3 runtime failures (I/O, digest mismatch, replay failure). Every
-error path prints one machine-parsable line to stderr: ``error: <code>: <detail>``.
+parse errors, 3 runtime failures (I/O, digest mismatch, replay failure); each
+error code's status is in :data:`bipan.errors.EXIT_CODES`. Every error path
+prints one machine-parsable line to stderr: ``error: <code>: <detail>``.
 Payloads go to stdout, diagnostics to stderr, and nothing ever reads the clock:
 twin mutations require an explicit ``--at`` timestamp.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from bipan import io
 from bipan.canon import canonical_bytes
-from bipan.errors import BiPanError
+from bipan.errors import EXIT_CODES, BiPanError
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.model import BiPanModel
 from bipan.pdt import Health, create_instance, plan_repair_for, set_health
@@ -28,41 +29,6 @@ from bipan.plan import (
     full_disassembly,
     repair_plan,
 )
-
-_USAGE_CODES = {
-    "usage",
-    "unreadable",
-    "parse-error",
-    "xml-parse-error",
-    "unsupported-root",
-    "non-numeric-position",
-    "dangling-reference",
-    "duplicate-id",
-    "invalid-id",
-    "invalid-position",
-    "invalid-timestamp",
-    "time-regression",
-    "unknown-node",
-    "unknown-component",
-    "detached-node",
-    "target-is-final",
-    "broken-kind-not-replaceable",
-    "missing-replacement",
-    "replacement-exists",
-    "empty-id",
-    "kind-conflict",
-    "label-conflict",
-}
-_RESULT_CODES = {"invalid-model", "infeasible", "nothing-broken"}
-
-
-def _exit_code_for(code: str) -> int:
-    if code in _USAGE_CODES:
-        return 2
-    if code in _RESULT_CODES:
-        return 1
-    return 3
-
 
 class _UsageError(Exception):
     pass
@@ -132,7 +98,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
               f"({len(diags.errors)} errors, {len(diags.warnings)} warnings)")
     if diags.has_errors:
         print(f"error: invalid-model: {len(diags.errors)} validation errors", file=sys.stderr)
-        return 1
+        return EXIT_CODES["invalid-model"]
     return 0
 
 
@@ -168,7 +134,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             print(f"error: infeasible: missing skills: {', '.join(missing)}", file=sys.stderr)
             if args.out is None:
                 _emit(payload, None)
-            return 1
+            return EXIT_CODES["infeasible"]
 
     if args.out is None:
         _emit(payload, None)
@@ -349,15 +315,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CODES["usage"]
     try:
         return args.func(args)
     except BiPanError as exc:
         print(f"error: {exc.code}: {exc.detail}", file=sys.stderr)
-        return _exit_code_for(exc.code)
+        return EXIT_CODES[exc.code]
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_CODES["io-error"]
 
 
 if __name__ == "__main__":

@@ -19,12 +19,13 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from xml.etree import ElementTree
 
-from bipan.canon import canonical_bytes, model_digest, model_to_obj, product_to_obj
+from bipan.canon import canonical_bytes, model_digest, model_to_obj
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, Trace
 from bipan.model import (
@@ -40,7 +41,7 @@ from bipan.model import (
     check_id,
 )
 from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import Direction, Plan, PlanStep, ResourceRegistry
+from bipan.plan import Direction, Plan, PlanStep, Resource, ResourceRegistry
 
 __all__ = [
     "AmlFragment",
@@ -64,18 +65,36 @@ __all__ = [
 ]
 
 
-# -- structure helpers ---------------------------------------------------------
+# -- field-spec decoders ----------------------------------------------------------
+#
+# A converter takes ``(value, path)`` and returns the decoded value or raises
+# ``parse-error`` naming ``path``. ``_record`` builds a dataclass from a spec of
+# ``field=(converter, default)``: a missing key decodes as its default, and the
+# fields are decoded in spec order, which fixes the error a document with one
+# fault reports.
+
+Converter = Callable[[Any, str], Any]
 
 
 def _parse_json(data: bytes) -> Any:
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        obj = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:
+            # A \ud800-\udfff escape without its pair decodes to a string that no
+            # UTF-8 output (plan, digest, twin file) can hold.
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return obj
     except UnicodeDecodeError as exc:
         raise BiPanError("parse-error", f"document is not UTF-8: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise BiPanError("parse-error", "document escapes an unpaired UTF-16 surrogate") from exc
     except json.JSONDecodeError as exc:
         raise BiPanError(
             "parse-error", f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise BiPanError("parse-error", str(exc)) from exc
     except RecursionError as exc:
         raise BiPanError("parse-error", "document nests too deeply") from exc
 
@@ -92,127 +111,152 @@ def _as_list(value: Any, path: str) -> list[Any]:
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise BiPanError("parse-error", f"{path} must be a string")
     return value
 
 
-def _opt_str(obj: dict[str, Any], key: str, path: str) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    return _as_str(value, f"{path}.{key}")
-
-
 def _str_map(value: Any, path: str) -> dict[str, str]:
     mapping = _as_dict(value, path)
-    for k, v in mapping.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise BiPanError("parse-error", f"{path} must map strings to strings")
+    if not all(isinstance(v, str) for v in mapping.values()):
+        raise BiPanError("parse-error", f"{path} must map strings to strings")
     return dict(mapping)
 
 
-def _enum_value(enum_cls: Any, value: Any, path: str) -> Any:
-    try:
-        return enum_cls(_as_str(value, path))
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_cls)
-        raise BiPanError("parse-error", f"{path}: {value!r} is not one of {allowed}") from None
+def _position(value: Any, path: str) -> tuple[Any, ...]:
+    """Shape and type only; :class:`ProductNode` converts the components to floats."""
+    items = _as_list(value, path)
+    if len(items) != 3 or not all(isinstance(c, (int, float)) for c in items):
+        raise BiPanError("parse-error", f"{path} must be three numbers")
+    return tuple(items)
 
 
-# -- native model format -------------------------------------------------------
+def _optional(convert: Converter) -> Converter:
+    return lambda value, path: None if value is None else convert(value, path)
 
 
-def _product_from_obj(obj: Any, path: str) -> ProductNode:
-    entry = _as_dict(obj, path)
-    position = entry.get("position")
-    if position is not None:
-        items = _as_list(position, f"{path}.position")
-        if len(items) != 3 or not all(isinstance(c, (int, float)) for c in items):
-            raise BiPanError("parse-error", f"{path}.position must be three numbers")
-        position = tuple(float(c) for c in items)
-    return ProductNode(
-        id=_as_str(entry.get("id"), f"{path}.id"),
-        label=_as_str(entry.get("label", ""), f"{path}.label"),
-        kind=_enum_value(ProductKind, entry.get("kind"), f"{path}.kind"),
-        type_ref=_opt_str(entry, "type_ref", path),
-        position=position,
-        attributes=_str_map(entry.get("attributes", {}), f"{path}.attributes"),
+def _enum(enum_cls: Any) -> Converter:
+    members = {member.value: member for member in enum_cls}
+    allowed = ", ".join(members)
+
+    def decode(value: Any, path: str) -> Any:
+        member = members.get(_string(value, path))
+        if member is None:
+            raise BiPanError("parse-error", f"{path}: {value!r} is not one of {allowed}")
+        return member
+
+    return decode
+
+
+def _list_of(convert: Converter) -> Converter:
+    return lambda value, path: tuple(
+        [convert(item, f"{path}[{i}]") for i, item in enumerate(_as_list(value, path))]
     )
 
 
-def model_from_obj(obj: Any) -> BiPanModel:
-    doc = _as_dict(obj, "document")
-    products = tuple(
-        _product_from_obj(entry, f"products[{i}]")
-        for i, entry in enumerate(_as_list(doc.get("products", []), "products"))
-    )
-    processes = tuple(
-        ProcessNode(
-            id=_as_str(_as_dict(e, f"processes[{i}]").get("id"), f"processes[{i}].id"),
-            label=_as_str(_as_dict(e, f"processes[{i}]").get("label", ""), f"processes[{i}].label"),
-        )
-        for i, e in enumerate(_as_list(doc.get("processes", []), "processes"))
-    )
-    skills = tuple(
-        SkillNode(
-            id=_as_str(_as_dict(e, f"skills[{i}]").get("id"), f"skills[{i}].id"),
-            label=_as_str(_as_dict(e, f"skills[{i}]").get("label", ""), f"skills[{i}].label"),
-        )
-        for i, e in enumerate(_as_list(doc.get("skills", []), "skills"))
-    )
-    flows = tuple(
-        FlowEdge(
-            product=_as_str(_as_dict(e, f"flows[{i}]").get("product"), f"flows[{i}].product"),
-            process=_as_str(_as_dict(e, f"flows[{i}]").get("process"), f"flows[{i}].process"),
-            role=_enum_value(FlowRole, _as_dict(e, f"flows[{i}]").get("role"), f"flows[{i}].role"),
-        )
-        for i, e in enumerate(_as_list(doc.get("flows", []), "flows"))
-    )
-    skill_edges = tuple(
-        SkillEdge(
-            process=_as_str(
-                _as_dict(e, f"skill_edges[{i}]").get("process"), f"skill_edges[{i}].process"
-            ),
-            skill=_as_str(_as_dict(e, f"skill_edges[{i}]").get("skill"), f"skill_edges[{i}].skill"),
-        )
-        for i, e in enumerate(_as_list(doc.get("skill_edges", []), "skill_edges"))
-    )
-    fastens = tuple(
-        FastensLink(
-            fastener=_as_str(
-                _as_dict(e, f"fastens[{i}]").get("fastener"), f"fastens[{i}].fastener"
-            ),
-            secures=frozenset(
-                _as_str(s, f"fastens[{i}].secures[{j}]")
-                for j, s in enumerate(_as_list(_as_dict(e, f"fastens[{i}]").get("secures", []),
-                                               f"fastens[{i}].secures"))
-            ),
-        )
-        for i, e in enumerate(_as_list(doc.get("fastens", []), "fastens"))
-    )
-    return BiPanModel(
-        id=_as_str(doc.get("id", ""), "id"),
-        products=products,
-        processes=processes,
-        skills=skills,
-        flows=flows,
-        skill_edges=skill_edges,
-        fastens=fastens,
-    )
+def _map_of(convert: Converter) -> Converter:
+    return lambda value, path: {
+        key: convert(item, f"{path}[{key}]") for key, item in _as_dict(value, path).items()
+    }
+
+
+def _record(cls: Any, **spec: tuple[Converter, Any]) -> Converter:
+    """Converter for a JSON object whose keys are the fields of ``cls``.
+
+    The path ``""`` is the document root: its fields are named bare (``id``,
+    not ``.id``).
+    """
+    fields = tuple((name, convert, default) for name, (convert, default) in spec.items())
+
+    def decode(value: Any, path: str) -> Any:
+        obj = _as_dict(value, path or "document")
+        prefix = f"{path}." if path else ""
+        kwargs = {}
+        for name, convert, default in fields:
+            kwargs[name] = convert(obj.get(name, default), prefix + name)
+        return cls(**kwargs)
+
+    return decode
+
+
+def _records(cls: Any, **spec: tuple[Converter, Any]) -> tuple[Converter, Any]:
+    """Spec entry for an array of ``cls`` records that may be left out."""
+    return (_list_of(_record(cls, **spec)), [])
+
+
+_STR = (_string, None)
+_STRINGS = (_list_of(_string), [])
+_NODE = {"id": _STR, "label": (_string, "")}
+
+_model = _record(
+    BiPanModel,
+    products=_records(
+        ProductNode,
+        position=(_optional(_position), None),
+        **_NODE,
+        kind=(_enum(ProductKind), None),
+        type_ref=(_optional(_string), None),
+        attributes=(_str_map, {}),
+    ),
+    processes=_records(ProcessNode, **_NODE),
+    skills=_records(SkillNode, **_NODE),
+    flows=_records(FlowEdge, product=_STR, process=_STR, role=(_enum(FlowRole), None)),
+    skill_edges=_records(SkillEdge, process=_STR, skill=_STR),
+    fastens=_records(FastensLink, fastener=_STR, secures=_STRINGS),
+    id=(_string, ""),
+)
+
+_step_fields = _record(
+    PlanStep,
+    direction=(_enum(Direction), None),
+    swap_target=(_optional(_string), None),
+    swap_replacement=(_optional(_string), None),
+    process=_STR,
+    consumed=_STRINGS,
+    produced=_STRINGS,
+    required_skills=_STRINGS,
+)
+
+
+def _step(value: Any, path: str) -> PlanStep:
+    step = _step_fields(value, path)
+    if step.direction is Direction.SWAP and None in (step.swap_target, step.swap_replacement):
+        raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
+    return step
+
+
+_plan = _record(
+    Plan, steps=(_list_of(_step), []), model_id=(_string, ""), model_digest=(_string, "")
+)
+
+_instance = _record(
+    PdtInstance,
+    health=(_map_of(_enum(Health)), {}),
+    events=_records(Event, timestamp=_STR, kind=_STR, payload=(_str_map, {})),
+    instance_id=_STR,
+    model_id=(_string, ""),
+    model_digest=(_string, ""),
+)
+
+_state = _record(ExecState, present=_STRINGS, substitutions=(_str_map, {}))
+
+_registry = _record(
+    ResourceRegistry,
+    resources=(_list_of(_record(Resource, id=_STR, skills=_STRINGS)), None),
+)
+
+
+# -- native documents ----------------------------------------------------------------
 
 
 def load_model(data: bytes) -> BiPanModel:
     """Parse and reference-check a model document; structural validation is separate."""
-    return model_from_obj(_parse_json(data))
+    return _model(_parse_json(data), "")
 
 
 def save_model(model: BiPanModel) -> bytes:
     return canonical_bytes(model_to_obj(model))
-
-
-# -- plan format -----------------------------------------------------------------
 
 
 def plan_to_obj(plan: Plan) -> dict[str, Any]:
@@ -232,48 +276,8 @@ def plan_to_obj(plan: Plan) -> dict[str, Any]:
     return {"model_digest": plan.model_digest, "model_id": plan.model_id, "steps": steps}
 
 
-def plan_from_obj(obj: Any) -> Plan:
-    doc = _as_dict(obj, "document")
-    steps = []
-    for i, entry_obj in enumerate(_as_list(doc.get("steps", []), "steps")):
-        path = f"steps[{i}]"
-        entry = _as_dict(entry_obj, path)
-        direction = _enum_value(Direction, entry.get("direction"), f"{path}.direction")
-        swap_target = _opt_str(entry, "swap_target", path)
-        swap_replacement = _opt_str(entry, "swap_replacement", path)
-        if direction is Direction.SWAP and (swap_target is None or swap_replacement is None):
-            raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
-        steps.append(
-            PlanStep(
-                process=_as_str(entry.get("process"), f"{path}.process"),
-                direction=direction,
-                consumed=tuple(
-                    _as_str(c, f"{path}.consumed[{j}]")
-                    for j, c in enumerate(_as_list(entry.get("consumed", []), f"{path}.consumed"))
-                ),
-                produced=tuple(
-                    _as_str(c, f"{path}.produced[{j}]")
-                    for j, c in enumerate(_as_list(entry.get("produced", []), f"{path}.produced"))
-                ),
-                required_skills=tuple(
-                    _as_str(c, f"{path}.required_skills[{j}]")
-                    for j, c in enumerate(
-                        _as_list(entry.get("required_skills", []), f"{path}.required_skills")
-                    )
-                ),
-                swap_target=swap_target,
-                swap_replacement=swap_replacement,
-            )
-        )
-    return Plan(
-        model_id=_as_str(doc.get("model_id", ""), "model_id"),
-        model_digest=_as_str(doc.get("model_digest", ""), "model_digest"),
-        steps=tuple(steps),
-    )
-
-
 def load_plan(data: bytes) -> Plan:
-    return plan_from_obj(_parse_json(data))
+    return _plan(_parse_json(data), "")
 
 
 def save_plan(plan: Plan) -> bytes:
@@ -281,14 +285,12 @@ def save_plan(plan: Plan) -> bytes:
 
 
 def load_registry(data: bytes) -> ResourceRegistry:
-    return ResourceRegistry.from_obj(_parse_json(data))
+    return _registry(_parse_json(data), "")
 
 
 def save_registry(registry: ResourceRegistry) -> bytes:
-    return canonical_bytes(registry.to_obj())
-
-
-# -- twin instance format ---------------------------------------------------------
+    resources = [{"id": r.id, "skills": sorted(r.skills)} for r in registry.resources]
+    return canonical_bytes({"resources": resources})
 
 
 def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
@@ -304,31 +306,8 @@ def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
     }
 
 
-def instance_from_obj(obj: Any) -> PdtInstance:
-    doc = _as_dict(obj, "document")
-    health = {
-        _as_str(k, "health key"): _enum_value(Health, v, f"health[{k}]")
-        for k, v in _as_dict(doc.get("health", {}), "health").items()
-    }
-    events = tuple(
-        Event(
-            timestamp=_as_str(_as_dict(e, f"events[{i}]").get("timestamp"), f"events[{i}].timestamp"),
-            kind=_as_str(_as_dict(e, f"events[{i}]").get("kind"), f"events[{i}].kind"),
-            payload=_str_map(_as_dict(e, f"events[{i}]").get("payload", {}), f"events[{i}].payload"),
-        )
-        for i, e in enumerate(_as_list(doc.get("events", []), "events"))
-    )
-    return PdtInstance(
-        instance_id=_as_str(doc.get("instance_id"), "instance_id"),
-        model_id=_as_str(doc.get("model_id", ""), "model_id"),
-        model_digest=_as_str(doc.get("model_digest", ""), "model_digest"),
-        health=health,
-        events=events,
-    )
-
-
 def load_instance(data: bytes) -> PdtInstance:
-    return instance_from_obj(_parse_json(data))
+    return _instance(_parse_json(data), "")
 
 
 def save_instance(pdt: PdtInstance) -> bytes:
@@ -352,28 +331,26 @@ def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
 
 
 def read_instance_file(directory: str | Path, instance_id: str) -> PdtInstance:
+    """Load ``<instance_id>.pdt.json``; the id stored inside must be ``instance_id``.
+
+    A twin is written back under its stored id, so a file storing another id
+    would overwrite a different twin.
+    """
     path = Path(directory) / f"{check_id(instance_id)}.pdt.json"
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise BiPanError("unreadable", f"{path}: {exc}") from exc
-    return load_instance(data)
-
-
-# -- inventory state / trace -------------------------------------------------------
-
-
-def state_from_obj(obj: Any) -> ExecState:
-    doc = _as_dict(obj, "document")
-    present = frozenset(
-        _as_str(p, f"present[{i}]")
-        for i, p in enumerate(_as_list(doc.get("present", []), "present"))
-    )
-    return ExecState(present, _str_map(doc.get("substitutions", {}), "substitutions"))
+    pdt = load_instance(data)
+    if pdt.instance_id != instance_id:
+        raise BiPanError(
+            "instance-mismatch", f"{path}: stores instance '{pdt.instance_id}', not '{instance_id}'"
+        )
+    return pdt
 
 
 def load_state(data: bytes) -> ExecState:
-    return state_from_obj(_parse_json(data))
+    return _state(_parse_json(data), "")
 
 
 def save_state(state: ExecState) -> bytes:
@@ -403,15 +380,7 @@ class AmlFragment:
     explicit_kinds: frozenset[str] = frozenset()
 
     def to_obj(self, fragment_id: str = "aml-fragment") -> dict[str, Any]:
-        return {
-            "fastens": [],
-            "flows": [],
-            "id": fragment_id,
-            "processes": [],
-            "products": [product_to_obj(p) for p in sorted(self.products, key=lambda p: p.id)],
-            "skill_edges": [],
-            "skills": [],
-        }
+        return model_to_obj(BiPanModel(fragment_id, self.products))
 
 
 def _local_name(tag: str) -> str:
@@ -660,12 +629,18 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
                 f'label="{_dot_escape(node_id)}"];'
             )
         for number, step in enumerate(plan.steps, start=1):
-            if step.direction is Direction.FORWARD:
+            if step.direction is Direction.SWAP:
+                tail, head = step.swap_replacement, step.process
+            elif step.direction is Direction.FORWARD and step.produced:
                 tail, head = step.process, step.produced[0]
-            elif step.direction is Direction.REVERSE:
+            elif step.direction is Direction.REVERSE and step.consumed:
                 tail, head = step.consumed[0], step.process
             else:
-                tail, head = step.swap_replacement, step.process
+                raise BiPanError(
+                    "malformed-step",
+                    f"step {number - 1} ({step.direction.value} '{step.process}') "
+                    "names no item to draw",
+                )
             lines.append(
                 f'  "{tail}" -> "{head}" [color=red, fontcolor=red, '
                 f'label="{number}", penwidth=2.0, constraint=false];'

@@ -80,6 +80,10 @@ class ProductNode:
         if self.position is not None:
             try:
                 pos = tuple(float(c) for c in self.position)
+            except OverflowError as exc:
+                raise BiPanError(
+                    "invalid-position", f"product '{self.id}': position component is too large"
+                ) from exc
             except (TypeError, ValueError) as exc:
                 raise BiPanError(
                     "invalid-position", f"product '{self.id}': position components must be numbers"

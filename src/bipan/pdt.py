@@ -40,12 +40,15 @@ def parse_timestamp(value: str) -> datetime:
 
 @dataclass(frozen=True)
 class Event:
+    """One log entry; ``when`` is ``timestamp`` parsed once, at construction."""
+
     timestamp: str
     kind: str
     payload: dict[str, str] = field(default_factory=dict)
+    when: datetime = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        parse_timestamp(self.timestamp)
+        object.__setattr__(self, "when", parse_timestamp(self.timestamp))
         object.__setattr__(self, "payload", dict(self.payload))
 
 
@@ -65,18 +68,12 @@ class PdtInstance:
             raise BiPanError("empty-id", "instance id must be non-empty")
         check_id(self.instance_id)
         object.__setattr__(self, "health", dict(self.health))
-        last: datetime | None = None
-        for event in self.events:
-            current = parse_timestamp(event.timestamp)
-            if last is not None and current < last:
+        for earlier, event in zip(self.events, self.events[1:]):
+            if event.when < earlier.when:
                 raise BiPanError(
                     "time-regression",
                     f"event log timestamps decrease at {event.timestamp!r}",
                 )
-            last = current
-
-    def last_timestamp(self) -> datetime | None:
-        return parse_timestamp(self.events[-1].timestamp) if self.events else None
 
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))
@@ -98,17 +95,6 @@ def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     )
 
 
-def _append_event(pdt: PdtInstance, timestamp: str, kind: str, payload: dict[str, str]) -> PdtInstance:
-    when = parse_timestamp(timestamp)
-    last = pdt.last_timestamp()
-    if last is not None and when < last:
-        raise BiPanError(
-            "time-regression",
-            f"timestamp {timestamp!r} is earlier than the last event",
-        )
-    return replace(pdt, events=(*pdt.events, Event(timestamp, kind, payload)))
-
-
 def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str) -> PdtInstance:
     """Record a component health observation; always appends to the audit log."""
     if component not in pdt.health:
@@ -116,10 +102,8 @@ def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str)
             "unknown-component",
             f"'{component}' is not a tracked component of instance '{pdt.instance_id}'",
         )
-    updated = replace(pdt, health={**pdt.health, component: health})
-    return _append_event(
-        updated, timestamp, "health-update", {"component": component, "health": health.value}
-    )
+    event = Event(timestamp, "health-update", {"component": component, "health": health.value})
+    return replace(pdt, health={**pdt.health, component: health}, events=(*pdt.events, event))
 
 
 def plan_repair_for(
@@ -150,4 +134,5 @@ def plan_repair_for(
         "replacements": ",".join(f"{b}={replacements[b]}" for b in broken),
         "steps": str(len(plan.steps)),
     }
-    return _append_event(pdt, timestamp, "plan-created", payload), plan
+    event = Event(timestamp, "plan-created", payload)
+    return replace(pdt, events=(*pdt.events, event)), plan

@@ -145,27 +145,6 @@ class ResourceRegistry:
             skills |= res.skills
         return frozenset(skills)
 
-    @classmethod
-    def from_obj(cls, obj: Any) -> ResourceRegistry:
-        if not isinstance(obj, dict) or not isinstance(obj.get("resources"), list):
-            raise BiPanError("parse-error", "registry document must be {\"resources\": [...]}")
-        resources = []
-        for i, entry in enumerate(obj["resources"]):
-            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-                raise BiPanError("parse-error", f"registry resource [{i}] must have a string id")
-            skills = entry.get("skills", [])
-            if not isinstance(skills, list) or not all(isinstance(s, str) for s in skills):
-                raise BiPanError(
-                    "parse-error", f"registry resource '{entry['id']}' skills must be strings"
-                )
-            resources.append(Resource(entry["id"], frozenset(skills)))
-        return cls(tuple(resources))
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "resources": [{"id": r.id, "skills": sorted(r.skills)} for r in self.resources]
-        }
-
 
 @dataclass(frozen=True)
 class StepFeasibility:

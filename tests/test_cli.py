@@ -270,6 +270,22 @@ class TestPdt:
                      "--replace", "mod8=mod8r", "--at", T0, "--dir", d]) == 1
         assert capsys.readouterr().err.startswith("error: nothing-broken:")
 
+    def test_stored_id_must_match_requested_id(self, workdir, capsys):
+        twins = workdir / "twins"
+        twins.mkdir()
+        for instance in ("A", "B"):
+            assert main(["pdt", "new", instance, model_path(workdir), "--dir", str(twins)]) == 0
+        assert main(["pdt", "set-health", "B", "mod8", "broken", "--at", T0, "--dir", str(twins)]) == 0
+        a_file = twins / "A.pdt.json"
+        a_file.write_text(a_file.read_text().replace('"instance_id": "A"', '"instance_id": "B"'))
+        before = {p.name: p.read_bytes() for p in twins.iterdir()}
+        capsys.readouterr()
+        args = ["pdt", "set-health", "A", "mod7", "broken", "--at", T1, "--dir", str(twins)]
+        assert main(args) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: instance-mismatch: "), lines
+        assert {p.name: p.read_bytes() for p in twins.iterdir()} == before
+
     def test_time_regression_exit_2(self, workdir, capsys):
         d = str(workdir)
         main(["pdt", "new", "VIN-005", model_path(workdir), "--dir", d])
@@ -320,6 +336,32 @@ class TestHostileInput:
         before = sorted(p.name for p in workdir.rglob("*"))
         assert_one_error(run_cli(args, twins), "invalid-id")
         assert sorted(p.name for p in workdir.rglob("*")) == before
+
+
+    def test_position_beyond_float_range(self, workdir):
+        big = "1" + "0" * 400
+        (workdir / "big.json").write_text(
+            '{"id": "m", "products": [{"id": "a", "kind": "Final", "label": "A", '
+            f'"position": [{big}, 0, 0]}}]}}'
+        )
+        assert_one_error(run_cli(["validate", "big.json"], workdir), "invalid-position")
+
+    def test_unpaired_surrogate_escape(self, workdir):
+        (workdir / "lone.json").write_text('{"id": "\\ud800"}')
+        assert_one_error(run_cli(["plan", "assemble", "lone.json"], workdir), "parse-error")
+
+    def test_dot_overlay_step_without_items(self, workdir):
+        plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
+        plan["steps"][0]["consumed"] = []
+        (workdir / "bare.plan.json").write_text(json.dumps(plan))
+        result = run_cli(["export-dot", "f1.bipan.json", "--plan", "bare.plan.json"], workdir)
+        assert result.returncode == 3 and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: malformed-step: step 0 (Reverse 'p5')")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_number_beyond_digit_limit(self, workdir):
+        (workdir / "long.json").write_text('{"id": "m", "x": ' + "9" * 5000 + "}")
+        assert_one_error(run_cli(["validate", "long.json"], workdir), "parse-error")
 
 
 class TestUsage:

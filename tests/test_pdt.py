@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bipan import io
+from bipan import io, pdt
 from bipan.errors import BiPanError
 from bipan.pdt import Health, create_instance, parse_timestamp, plan_repair_for, set_health
 from bipan.plan import repair_plan
@@ -74,6 +74,18 @@ class TestSetHealth:
                 set_health(twin, "mod8", Health.BROKEN, bad)
             assert err.value.code == "invalid-timestamp"
         assert parse_timestamp(T2).hour == 9
+
+
+    def test_each_timestamp_is_parsed_once(self, f1, monkeypatch):
+        parsed = []
+        real = pdt.parse_timestamp
+        monkeypatch.setattr(pdt, "parse_timestamp", lambda value: parsed.append(value) or real(value))
+        twin = create_instance("V", f1)
+        for minute in range(40):
+            twin = set_health(twin, "mod8", Health.OK, f"2024-05-01T10:{minute:02d}:00Z")
+        assert len(parsed) == 40
+        io.load_instance(io.save_instance(twin))
+        assert len(parsed) == 80
 
 
 class TestPlanRepair:
