@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 validation errors or an infeasible result, 2 usage or
 parse errors, 3 runtime failures (I/O, digest mismatch, replay failure); each
 error code's status is in :data:`bipan.errors.EXIT_CODES`. Every error path
-prints one machine-parsable line to stderr: ``error: <code>: <detail>``.
-Payloads go to stdout, diagnostics to stderr, and nothing ever reads the clock:
-twin mutations require an explicit ``--at`` timestamp.
+prints one machine-parsable line to stderr, ``error: <code>: <detail>``, with
+line breaks in the detail escaped. Payloads go to stdout, diagnostics to
+stderr, and nothing ever reads the clock: twin mutations require an explicit
+``--at`` timestamp.
 """
 
 from __future__ import annotations
@@ -29,6 +30,20 @@ from bipan.plan import (
     full_disassembly,
     repair_plan,
 )
+
+#: Each character ``str.splitlines`` breaks at, mapped to its escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _one_line(text: str) -> str:
+    return text.translate(_LINE_BREAKS)
+
+
+def _fail(exc: BiPanError) -> int:
+    """Print ``exc`` as the one ``error: <code>: <detail>`` line; return its exit status."""
+    print(f"error: {exc.code}: {_one_line(exc.detail)}", file=sys.stderr)
+    return EXIT_CODES[exc.code]
+
 
 class _UsageError(Exception):
     pass
@@ -97,8 +112,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"{'OK' if not diags.has_errors else 'FAIL'} "
               f"({len(diags.errors)} errors, {len(diags.warnings)} warnings)")
     if diags.has_errors:
-        print(f"error: invalid-model: {len(diags.errors)} validation errors", file=sys.stderr)
-        return EXIT_CODES["invalid-model"]
+        return _fail(BiPanError("invalid-model", f"{len(diags.errors)} validation errors"))
     return 0
 
 
@@ -129,12 +143,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             sys.stdout.write(canonical_bytes(report.to_obj()).decode("utf-8"))
         if not report.feasible:
             for line in _feasibility_lines(plan, report):
-                print(line, file=sys.stderr)
+                print(_one_line(line), file=sys.stderr)
             missing = sorted({s for r in report.per_step for s in r.missing_skills})
-            print(f"error: infeasible: missing skills: {', '.join(missing)}", file=sys.stderr)
+            status = _fail(BiPanError("infeasible", f"missing skills: {', '.join(missing)}"))
             if args.out is None:
                 _emit(payload, None)
-            return EXIT_CODES["infeasible"]
+            return status
 
     if args.out is None:
         _emit(payload, None)
@@ -314,16 +328,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_CODES["usage"]
+        return _fail(BiPanError("usage", str(exc)))
     try:
         return args.func(args)
     except BiPanError as exc:
-        print(f"error: {exc.code}: {exc.detail}", file=sys.stderr)
-        return EXIT_CODES[exc.code]
+        return _fail(exc)
     except OSError as exc:
-        print(f"error: io-error: {exc}", file=sys.stderr)
-        return EXIT_CODES["io-error"]
+        return _fail(BiPanError("io-error", str(exc)))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ records the broken-to-replacement substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from bipan.errors import BiPanError
@@ -44,17 +45,27 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-step state snapshots of one replay; length equals applied steps."""
+    """One replay: its start state, the steps it applied to ``model``, and its end state.
+
+    ``entries``, the state after each step, is replayed from these on first use.
+    """
 
     initial: ExecState
-    entries: tuple[TraceEntry, ...]
+    steps: tuple[PlanStep, ...]
+    final: ExecState
+    model: BiPanModel = field(repr=False, compare=False)
 
-    @property
-    def final(self) -> ExecState:
-        return self.entries[-1].state if self.entries else self.initial
+    @cached_property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        present, substitutions = set(self.initial.present), dict(self.initial.substitutions)
+        entries = []
+        for i, step in enumerate(self.steps):
+            _apply(present, substitutions, step, self.model)
+            entries.append(TraceEntry(i, ExecState(present, substitutions)))
+        return tuple(entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.steps)
 
 
 def initial_inventory(model: BiPanModel) -> ExecState:
@@ -63,62 +74,52 @@ def initial_inventory(model: BiPanModel) -> ExecState:
     return ExecState(frozenset(model.leaf_products()), {})
 
 
-def _apply_exchange(state: ExecState, step: PlanStep) -> ExecState:
-    missing = tuple(c for c in step.consumed if c not in state.present)
-    if missing:
-        raise BiPanError(
-            "missing-input", f"missing inputs: {', '.join(missing)}", missing
-        )
-    remaining = set(state.present) - set(step.consumed)
-    clashes = tuple(p for p in step.produced if p in remaining)
-    if clashes:
-        raise BiPanError(
-            "double-produce", f"already present: {', '.join(clashes)}", clashes
-        )
-    remaining.update(step.produced)
-    return ExecState(frozenset(remaining), state.substitutions)
+def _apply(
+    present: set[str], substitutions: dict[str, str], step: PlanStep, model: BiPanModel
+) -> None:
+    """Check one step against the working set, then apply it in place.
 
-
-def _apply_swap(state: ExecState, step: PlanStep, model: BiPanModel) -> ExecState:
-    if step.swap_target is None or step.swap_replacement is None:
-        raise BiPanError(
-            "malformed-step", f"swap step at '{step.process}' lacks target/replacement ids"
-        )
-    outputs = model.outputs_of(step.process)
-    if len(outputs) != 1:
-        raise BiPanError(
-            "missing-input",
-            f"swap site '{step.process}' has no unique output assembly",
-        )
-    site_output = outputs[0]
-    missing = tuple(
-        item for item in (site_output, step.swap_replacement) if item not in state.present
-    )
+    Raises as :func:`apply_step` does, before changing anything.
+    """
+    if not model.has_process(step.process):
+        raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
+    if step.direction is Direction.SWAP:
+        if step.swap_target is None or step.swap_replacement is None:
+            raise BiPanError(
+                "malformed-step", f"swap step at '{step.process}' lacks target/replacement ids"
+            )
+        outputs = model.outputs_of(step.process)
+        if len(outputs) != 1:
+            raise BiPanError(
+                "missing-input", f"swap site '{step.process}' has no unique output assembly"
+            )
+        consumed, produced = (step.swap_replacement,), (step.swap_target,)
+        # A swap's target must be absent, even when it equals its replacement.
+        needed, reusable = (outputs[0], *consumed), set()
+    else:
+        consumed, produced = step.consumed, step.produced
+        needed, reusable = consumed, set(consumed)
+    missing = tuple(item for item in needed if item not in present)
     if missing:
         raise BiPanError("missing-input", f"missing inputs: {', '.join(missing)}", missing)
-    if step.swap_target in state.present:
-        raise BiPanError(
-            "double-produce", f"already present: {step.swap_target}", (step.swap_target,)
-        )
-    remaining = set(state.present)
-    remaining.discard(step.swap_replacement)
-    remaining.add(step.swap_target)
-    substitutions = dict(state.substitutions)
-    substitutions[step.swap_target] = step.swap_replacement
-    return ExecState(frozenset(remaining), substitutions)
+    clashes = tuple(p for p in produced if p in present and p not in reusable)
+    if clashes:
+        raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
+    present.difference_update(consumed)
+    present.update(produced)
+    if step.direction is Direction.SWAP:
+        substitutions[step.swap_target] = step.swap_replacement
 
 
 def apply_step(state: ExecState, step: PlanStep, model: BiPanModel) -> ExecState:
     """One transition; raises `missing-input`, `double-produce` or `unknown-process`."""
-    if not model.has_process(step.process):
-        raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
-    if step.direction is Direction.SWAP:
-        return _apply_swap(state, step, model)
-    return _apply_exchange(state, step)
+    present, substitutions = set(state.present), dict(state.substitutions)
+    _apply(present, substitutions, step, model)
+    return ExecState(present, substitutions)
 
 
 def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
-    """Fold ``apply_step`` over the plan; fails at the first erroring step.
+    """Apply the plan's steps in order to one working set; fails at the first erroring step.
 
     The plan must have been extracted from exactly this model version
     (``digest-mismatch`` otherwise). Step errors are re-raised with their index.
@@ -130,16 +131,14 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
             f"plan was built for digest {plan.model_digest[:12]}..., "
             f"model '{model.id}' has {digest[:12]}...",
         )
-    entries: list[TraceEntry] = []
-    current = state
+    present, substitutions = set(state.present), dict(state.substitutions)
     for i, step in enumerate(plan.steps):
         try:
-            current = apply_step(current, step, model)
+            _apply(present, substitutions, step, model)
         except BiPanError as exc:
             raise BiPanError(
                 exc.code,
                 f"step {i} ({step.direction.value} '{step.process}'): {exc.detail}",
                 exc.nodes,
             ) from exc
-        entries.append(TraceEntry(i, current))
-    return Trace(state, tuple(entries))
+    return Trace(state, plan.steps, ExecState(present, substitutions), model)

@@ -20,6 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -171,13 +172,7 @@ class _Index(NamedTuple):
     skill_ids: dict[str, tuple[str, ...]]
 
 
-def _sorted_unique_nodes(nodes, family: str):
-    by_id: dict[str, object] = {}
-    for node in nodes:
-        if node.id in by_id:
-            raise BiPanError("duplicate-id", f"duplicate {family} id '{node.id}'")
-        by_id[node.id] = node
-    return tuple(by_id[i] for i in sorted(by_id))
+_FAMILY = {ProductNode: "product", ProcessNode: "process", SkillNode: "skill"}
 
 
 @dataclass(frozen=True)
@@ -197,47 +192,51 @@ class BiPanModel:
     flows: tuple[FlowEdge, ...] = ()
     skill_edges: tuple[SkillEdge, ...] = ()
     fastens: tuple[FastensLink, ...] = ()
+    _nodes: dict[str, ProductNode | ProcessNode | SkillNode] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
-        products = _sorted_unique_nodes(self.products, "product")
-        processes = _sorted_unique_nodes(self.processes, "process")
-        skills = _sorted_unique_nodes(self.skills, "skill")
-
-        seen: dict[str, str] = {}
-        for family, nodes in (("product", products), ("process", processes), ("skill", skills)):
-            for node in nodes:
-                if node.id in seen:
+        # One id -> node map over all families. Duplicates within a family are
+        # reported first, in input order; then the least id a family shares with
+        # an earlier one.
+        nodes = self._nodes
+        shared: list[tuple[int, str, str]] = []
+        for rank, family in enumerate((self.products, self.processes, self.skills)):
+            for node in family:
+                held = nodes.get(node.id)
+                if type(held) is type(node):
                     raise BiPanError(
-                        "duplicate-id",
-                        f"id '{node.id}' used by both a {seen[node.id]} and a {family}",
+                        "duplicate-id", f"duplicate {_FAMILY[type(node)]} id '{node.id}'"
                     )
-                seen[node.id] = family
-
-        product_ids = {p.id for p in products}
-        process_ids = {p.id for p in processes}
-        skill_ids = {s.id for s in skills}
+                if held is not None:
+                    shared.append((rank, node.id, f"id '{node.id}' used by both a "
+                                   f"{_FAMILY[type(held)]} and a {_FAMILY[type(node)]}"))
+                nodes[node.id] = node
+        if shared:
+            raise BiPanError("duplicate-id", min(shared)[2])
 
         for flow in self.flows:
-            if flow.product not in product_ids:
+            if not isinstance(nodes.get(flow.product), ProductNode):
                 raise BiPanError(
                     "dangling-reference", f"flow references unknown product '{flow.product}'"
                 )
-            if flow.process not in process_ids:
+            if not isinstance(nodes.get(flow.process), ProcessNode):
                 raise BiPanError(
                     "dangling-reference", f"flow references unknown process '{flow.process}'"
                 )
         for edge in self.skill_edges:
-            if edge.process not in process_ids:
+            if not isinstance(nodes.get(edge.process), ProcessNode):
                 raise BiPanError(
                     "dangling-reference", f"skill edge references unknown process '{edge.process}'"
                 )
-            if edge.skill not in skill_ids:
+            if not isinstance(nodes.get(edge.skill), SkillNode):
                 raise BiPanError(
                     "dangling-reference", f"skill edge references unknown skill '{edge.skill}'"
                 )
         for link in self.fastens:
             for pid in (link.fastener, *sorted(link.secures)):
-                if pid not in product_ids:
+                if not isinstance(nodes.get(pid), ProductNode):
                     raise BiPanError(
                         "dangling-reference", f"fastens link references unknown product '{pid}'"
                     )
@@ -248,26 +247,15 @@ class BiPanModel:
         skill_edges = tuple(sorted(set(self.skill_edges), key=lambda e: (e.process, e.skill)))
         fastens = tuple(sorted(set(self.fastens), key=lambda l: (l.fastener, sorted(l.secures))))
 
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "processes", processes)
-        object.__setattr__(self, "skills", skills)
+        by_id = attrgetter("id")
+        object.__setattr__(self, "products", tuple(sorted(self.products, key=by_id)))
+        object.__setattr__(self, "processes", tuple(sorted(self.processes, key=by_id)))
+        object.__setattr__(self, "skills", tuple(sorted(self.skills, key=by_id)))
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "skill_edges", skill_edges)
         object.__setattr__(self, "fastens", fastens)
 
     # -- indices -------------------------------------------------------------
-
-    @cached_property
-    def _product_map(self) -> dict[str, ProductNode]:
-        return {p.id: p for p in self.products}
-
-    @cached_property
-    def _process_map(self) -> dict[str, ProcessNode]:
-        return {p.id: p for p in self.processes}
-
-    @cached_property
-    def _skill_map(self) -> dict[str, SkillNode]:
-        return {s.id: s for s in self.skills}
 
     @cached_property
     def _index(self) -> _Index:
@@ -316,29 +304,25 @@ class BiPanModel:
     # -- lookups ---------------------------------------------------------------
 
     def product(self, product_id: str) -> ProductNode:
-        try:
-            return self._product_map[product_id]
-        except KeyError:
-            raise BiPanError("unknown-node", f"no product '{product_id}' in model '{self.id}'") from None
+        node = self._nodes.get(product_id)
+        if not isinstance(node, ProductNode):
+            raise BiPanError("unknown-node", f"no product '{product_id}' in model '{self.id}'")
+        return node
 
     def process(self, process_id: str) -> ProcessNode:
-        try:
-            return self._process_map[process_id]
-        except KeyError:
-            raise BiPanError("unknown-node", f"no process '{process_id}' in model '{self.id}'") from None
+        node = self._nodes.get(process_id)
+        if not isinstance(node, ProcessNode):
+            raise BiPanError("unknown-node", f"no process '{process_id}' in model '{self.id}'")
+        return node
 
     def has_product(self, product_id: str) -> bool:
-        return product_id in self._product_map
+        return isinstance(self._nodes.get(product_id), ProductNode)
 
     def has_process(self, process_id: str) -> bool:
-        return process_id in self._process_map
+        return isinstance(self._nodes.get(process_id), ProcessNode)
 
     def has_node(self, node_id: str) -> bool:
-        return (
-            node_id in self._product_map
-            or node_id in self._process_map
-            or node_id in self._skill_map
-        )
+        return node_id in self._nodes
 
     # -- structural queries ------------------------------------------------------
 
@@ -383,7 +367,7 @@ class BiPanModel:
 
     def skill_labels_of(self, process_id: str) -> tuple[str, ...]:
         """Sorted, de-duplicated labels of the skills linked to a process."""
-        return tuple(sorted({self._skill_map[s].label for s in self.skill_ids_of(process_id)}))
+        return tuple(sorted({self._nodes[s].label for s in self.skill_ids_of(process_id)}))
 
     def final_products(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.products if p.kind is ProductKind.FINAL)

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, ProductKind
+from bipan.model import COMPONENT_KINDS, BiPanModel, ProductKind, check_id
 from bipan.validate import ensure_valid
 
 
@@ -322,7 +322,7 @@ def repair_plan(
             )
         if component not in replacements:
             raise BiPanError("missing-replacement", f"no replacement id for '{component}'")
-        replacement = replacements[component]
+        replacement = check_id(replacements[component])
         if model.has_node(replacement):
             raise BiPanError(
                 "replacement-exists",
@@ -335,17 +335,27 @@ def repair_plan(
             )
         used_replacements[replacement] = component
 
-    # One spine walk per broken component gives its swap site, the process whose
-    # reversal frees the site's output (None when that output is already topmost),
-    # and every process strictly above the site with its distance from the root.
+    # One walk up from each swap site, stopping at the first process an earlier
+    # walk reached, gives the process whose reversal frees the site's output (None
+    # when it is already topmost) and the distance from the root of every process
+    # strictly above a site. Each process is visited once.
     sites: dict[str, list[str]] = {}
+    for component in broken_ids:
+        site = model.consumer_of(component)
+        if site is None:
+            model.spine(component)  # raises detached-node
+        sites.setdefault(site, []).append(component)
     freed_by: dict[str | None, set[str]] = {}
     depth: dict[str, int] = {}
-    for component in broken_ids:
-        site, *above = model.spine(component)  # raises detached-node for dangling components
-        sites.setdefault(site, []).append(component)
-        freed_by.setdefault(above[0] if above else None, set()).add(site)
-        depth.update((pid, d) for d, pid in enumerate(reversed(above)))
+    for site in sites:
+        walk: list[str] = []
+        above = model.consumer_of(model.output_of(site))
+        freed_by.setdefault(above, set()).add(site)
+        while above is not None and above not in depth:
+            walk.append(above)
+            above = model.consumer_of(model.output_of(above))
+        base = 0 if above is None else depth[above] + 1
+        depth.update((pid, base + d) for d, pid in enumerate(reversed(walk)))
     reversal = sorted(depth, key=lambda pid: (depth[pid], pid))
 
     substitution: dict[str, str] = {}

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, FlowRole, ProductKind
+from bipan.model import BiPanModel, ProductKind
 
 
 class Severity(Enum):
@@ -69,16 +69,12 @@ class Diagnostics:
         }
 
 
-def _d(code: str, severity: Severity, nodes: tuple[str, ...], message: str) -> Diagnostic:
-    return Diagnostic(code, severity, nodes, message)
-
-
 def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
     for proc in model.processes:
         outs = model.outputs_of(proc.id)
         if len(outs) != 1:
             found.append(
-                _d(
+                Diagnostic(
                     "V001",
                     Severity.ERROR,
                     (proc.id, *outs),
@@ -86,13 +82,13 @@ def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
                 )
             )
         if not model.inputs_of(proc.id):
-            found.append(
-                _d("V002", Severity.ERROR, (proc.id,), f"process '{proc.id}' has no input products")
-            )
+            found.append(Diagnostic(
+                "V002", Severity.ERROR, (proc.id,), f"process '{proc.id}' has no input products"
+            ))
         if not model.skill_ids_of(proc.id):
-            found.append(
-                _d("V009", Severity.WARNING, (proc.id,), f"process '{proc.id}' has no skill edges")
-            )
+            found.append(Diagnostic(
+                "V009", Severity.WARNING, (proc.id,), f"process '{proc.id}' has no skill edges"
+            ))
 
 
 def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
@@ -110,7 +106,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
             involved.update(consumers)
         if parts:
             found.append(
-                _d(
+                Diagnostic(
                     "V003",
                     Severity.ERROR,
                     (prod.id, *sorted(involved)),
@@ -126,7 +122,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 issues.append("has no producer")
             if issues:
                 found.append(
-                    _d(
+                    Diagnostic(
                         "V005",
                         Severity.ERROR,
                         (prod.id,),
@@ -141,7 +137,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 issues.append("has no consumer")
             if issues:
                 found.append(
-                    _d(
+                    Diagnostic(
                         "V006",
                         Severity.ERROR,
                         (prod.id,),
@@ -150,7 +146,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 )
         elif producers:
             found.append(
-                _d(
+                Diagnostic(
                     "V007",
                     Severity.ERROR,
                     (prod.id, *producers),
@@ -161,7 +157,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
 
         if not prod.has_finite_position():
             found.append(
-                _d(
+                Diagnostic(
                     "V012",
                     Severity.ERROR,
                     (prod.id,),
@@ -175,7 +171,7 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
     if len(finals) != 1:
         listing = f": {', '.join(finals)}" if finals else ""
         found.append(
-            _d(
+            Diagnostic(
                 "V004",
                 Severity.ERROR,
                 finals,
@@ -186,15 +182,9 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
 
 def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
     # Flow graph in assembly direction: input product -> process -> output product.
-    adjacency: dict[str, list[str]] = {p.id: [] for p in model.products}
-    adjacency.update({p.id: [] for p in model.processes})
-    for flow in model.flows:
-        if flow.role is FlowRole.INPUT:
-            adjacency[flow.product].append(flow.process)
-        else:
-            adjacency[flow.process].append(flow.product)
-    for targets in adjacency.values():
-        targets.sort()
+    # The model's neighbour tuples are already in ascending id order.
+    def targets(node: str) -> tuple[str, ...]:
+        return model.consumers_of(node) if model.has_product(node) else model.outputs_of(node)
 
     # Iterative Tarjan SCC.
     index: dict[str, int] = {}
@@ -204,7 +194,7 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
     counter = 0
     sccs: list[list[str]] = []
 
-    for root in sorted(adjacency):
+    for root in sorted([*(p.id for p in model.products), *(p.id for p in model.processes)]):
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]
@@ -216,9 +206,9 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            targets = adjacency[node]
-            for i in range(edge_idx, len(targets)):
-                target = targets[i]
+            edges = targets(node)
+            for i in range(edge_idx, len(edges)):
+                target = edges[i]
                 if target not in index:
                     work.append((node, i + 1))
                     work.append((target, 0))
@@ -244,7 +234,7 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
 
     for component in sorted(sccs):
         found.append(
-            _d(
+            Diagnostic(
                 "V008",
                 Severity.ERROR,
                 tuple(component),
@@ -279,7 +269,7 @@ def _check_reachability(model: BiPanModel, found: list[Diagnostic]) -> None:
     for node_id in all_ids:
         if node_id not in visited:
             found.append(
-                _d(
+                Diagnostic(
                     "V010",
                     Severity.WARNING,
                     (node_id,),
@@ -294,7 +284,7 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
         fastener = model.product(link.fastener)
         if fastener.kind is not ProductKind.FASTENER:
             found.append(
-                _d(
+                Diagnostic(
                     "V011",
                     Severity.ERROR,
                     nodes,
@@ -309,7 +299,7 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
             for host in model.consumers_of(link.fastener)
         ):
             found.append(
-                _d(
+                Diagnostic(
                     "V011",
                     Severity.ERROR,
                     nodes,

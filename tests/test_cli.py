@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -151,6 +152,26 @@ class TestPlan:
 
 
 class TestExec:
+    @pytest.mark.parametrize(
+        "plan, inventory, fmt, sha256",
+        [
+            ("f1_assembly.plan.json", "initial", "human",
+             "5906c1f35788acf65317d9036f3f575947fa1d6cad293be90351943bebe65a77"),
+            ("f1_assembly.plan.json", "initial", "json",
+             "773e3c2f1c7a584cbc8da56f4fcb1621dbf4e1fc48dce9eeda2f2414abdcf387"),
+            ("f1_repair_mod8.plan.json", "final", "human",
+             "c386070461c1615820e9355c47892ccb342a4a2377c8fc7f3ea4b1afb690aab1"),
+            ("f1_repair_mod8.plan.json", "final", "json",
+             "f2703867f52c75221d46ee5fcdbcff3ecbdb185f4bd1539d734b4431bd9d4e7c"),
+        ],
+    )
+    def test_output_bytes_pinned(self, fixtures_dir, capsys, plan, inventory, fmt, sha256):
+        # Recorded from the oracle as it was when it snapshotted the state after every step.
+        argv = ["exec", str(fixtures_dir / plan), str(fixtures_dir / "f1.bipan.json"),
+                "--inventory", inventory, "--format", fmt]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
     def test_assembly_from_initial(self, workdir, capsys):
         plan = workdir / "asm.plan.json"
         main(["plan", "assemble", model_path(workdir), "--out", str(plan)])
@@ -362,6 +383,35 @@ class TestHostileInput:
     def test_number_beyond_digit_limit(self, workdir):
         (workdir / "long.json").write_text('{"id": "m", "x": ' + "9" * 5000 + "}")
         assert_one_error(run_cli(["validate", "long.json"], workdir), "parse-error")
+
+    @pytest.mark.parametrize("replacement", ["\udcff", "a b"])  # the first is the byte 0xff
+    def test_replacement_id_is_checked(self, workdir, replacement):
+        args = ["plan", "repair", "f1.bipan.json", "--broken", "mod8", "--replace", f"mod8={replacement}"]
+        assert_one_error(run_cli(args, workdir), "invalid-id")
+
+    def test_newline_in_twin_health_key(self, workdir):
+        assert run_cli(["pdt", "new", "VIN-1", "f1.bipan.json"], workdir).returncode == 0
+        twin = json.loads((workdir / "VIN-1.pdt.json").read_text())
+        twin["health"] = {"a\nb": 1}
+        (workdir / "VIN-1.pdt.json").write_text(json.dumps(twin))
+        assert_one_error(run_cli(["pdt", "log", "VIN-1"], workdir), "parse-error")
+
+    def test_newline_in_broken_id(self, workdir):
+        args = ["plan", "repair", "f1.bipan.json", "--broken", "a\nb", "--replace", "a=x"]
+        assert_one_error(run_cli(args, workdir), "unknown-node")
+
+    def test_newline_in_missing_skill(self, workdir):
+        model = json.loads((workdir / "f1.bipan.json").read_text())
+        for skill in model["skills"]:
+            if skill["label"] == "screwing":
+                skill["label"] = "screw\ning"
+        (workdir / "f1.bipan.json").write_text(json.dumps(model))
+        args = ["plan", "assemble", "f1.bipan.json", "--registry", "registry_full.json"]
+        result = run_cli(args, workdir)
+        assert result.returncode == 1 and "Traceback" not in result.stderr
+        *missing, error = result.stderr.splitlines()
+        assert error == "error: infeasible: missing skills: screw\\ning"
+        assert missing and all(line.endswith("): missing screw\\ning") for line in missing)
 
 
 class TestUsage:

@@ -4,9 +4,10 @@ Hypothesis mutates each kind of document the CLI reads (model, plan, twin,
 inventory state, registry): it truncates it, nests a value deeply, swaps a
 value for one of another type, writes ``NaN``/``Infinity`` or huge numbers,
 inserts bytes that are not UTF-8, drops a key, or puts an odd id in place of a
-string. Whatever the input, ``bipan`` must exit 0, 1, 2 or 3 without an
-exception escaping ``main``; a failure prints exactly one ``error:`` line whose
-code is in the error table and maps to the exit status.
+string, some holding line breaks. Whatever the input, ``bipan`` must exit 0, 1,
+2 or 3 without an exception escaping ``main``; a failure prints exactly one
+``error:`` line, last on stderr, whose code is in the error table and maps to
+the exit status.
 """
 
 import contextlib
@@ -78,7 +79,8 @@ TARGETS = {
 HOSTILE = [
     "null", "true", "0", "-1", "2.5", "[]", "{}", '""', '"x"', '{"id": "x"}',
     "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "9" * 5000,
-    '"../escaped"', '"a/b"', '"VIN 1"', '"\\u00e9"', '"\\ud800"', '"mod8"', '"VIN-2"',
+    '"../escaped"', '"a/b"', '"VIN 1"', '"a\\nb"', '"a\\r\\nb\\u2028"',
+    '"\\u00e9"', '"\\ud800"', '"mod8"', '"VIN-2"',
     '"' + "x" * 10_000 + '"', "[" * 900 + "]" * 900, "[" * 5000 + "]" * 5000,
 ]
 HOLE = "\x00hole\x00"
@@ -155,5 +157,6 @@ def test_contract_holds_for_mutated_documents(kind, data):
         assert errors == []
     else:
         assert len(errors) == 1, stderr
+        assert stderr.splitlines()[-1] == errors[0], stderr
         code = errors[0].split(": ", 2)[1]
         assert EXIT_CODES.get(code) == status, stderr

@@ -1,13 +1,16 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
 
 from bipan.errors import BiPanError
-from bipan.execute import ExecState, apply_step, initial_inventory, run
-from bipan.plan import Direction, PlanStep, assembly_recipe, full_disassembly, repair_plan
+from bipan.execute import ExecState, TraceEntry, apply_step, initial_inventory, run
+from bipan.model import COMPONENT_KINDS
+from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, full_disassembly, repair_plan
 from mutations import MUTANTS
-from strategies import models
+from strategies import build_random_model, models
+from test_plan_corpus import corpus, planned
 
 F1_LEAVES = (
     "blanket", "bms", "bolts1", "bolts2", "box",
@@ -80,6 +83,17 @@ class TestApplyStep:
             apply_step(initial_inventory(f1), bogus, f1)
         assert err.value.code == "unknown-process"
 
+    def test_swap_onto_its_own_replacement_is_double_produce(self, f1):
+        swap = PlanStep("p2", Direction.SWAP, ("mod8",), ("mod8",), (), "mod8", "mod8")
+        state = ExecState(frozenset({"stage2", "mod8"}), {})
+        with pytest.raises(BiPanError) as err:
+            apply_step(state, swap, f1)
+        assert (err.value.code, err.value.nodes) == ("double-produce", ("mod8",))
+        with pytest.raises(BiPanError) as err:
+            run(Plan(f1.id, f1.digest, (swap,)), state, f1)
+        assert (err.value.code, err.value.nodes) == ("double-produce", ("mod8",))
+        assert err.value.detail.startswith("step 0 (Swap 'p2'): ")
+
     def test_reverse_undoes_forward(self, f1):
         state = initial_inventory(f1)
         for process in ("p1", "p2", "p3"):
@@ -123,6 +137,54 @@ class TestRun:
         trace = run(assembly_recipe(f1), initial_inventory(f1), f1)
         assert [entry.index for entry in trace.entries] == [0, 1, 2, 3, 4]
         assert "stage1" in trace.entries[0].state.present
+
+
+def fold(plan, state, model):
+    """The trace entries ``run`` must give: ``apply_step`` folded over the plan."""
+    entries = []
+    for i, step in enumerate(plan.steps):
+        state = apply_step(state, step, model)
+        entries.append(TraceEntry(i, state))
+    return tuple(entries)
+
+
+def assert_trace_is_fold(plan, start, model):
+    trace = run(plan, start, model)
+    entries = fold(plan, start, model)
+    assert trace.entries == entries
+    assert trace.final == (entries[-1].state if entries else start)
+    assert len(trace) == len(entries)
+
+
+class TestTraceEntries:
+    @given(models())
+    def test_entries_are_the_fold_of_apply_step(self, model):
+        (final,) = model.final_products()
+        assert_trace_is_fold(assembly_recipe(model), initial_inventory(model), model)
+        assert_trace_is_fold(full_disassembly(model), ExecState({final}), model)
+        components = sorted(p.id for p in model.products if p.kind in COMPONENT_KINDS)
+        replacements = {c: f"{c}.new" for c in components}
+        start = ExecState({final, *replacements.values()})
+        assert_trace_is_fold(repair_plan(model, components, replacements), start, model)
+
+    def test_entries_on_the_plan_corpus(self):
+        for model, (_, cases) in zip(corpus(), planned()):
+            for _, plan, start, _ in cases:
+                assert_trace_is_fold(plan, start, model)
+
+    def test_run_builds_few_states(self, monkeypatch):
+        chain = build_random_model(random.Random(7), max_processes=1000, chain=True)
+        plan, start = assembly_recipe(chain), initial_inventory(chain)
+        assert len(plan.steps) == 1000
+        built = []
+        post_init = ExecState.__post_init__
+        monkeypatch.setattr(
+            ExecState, "__post_init__", lambda state: built.append(state) or post_init(state)
+        )
+        trace = run(plan, start, chain)
+        assert len(built) <= 2
+        assert trace.final.present == frozenset(chain.final_products())
+        assert len(trace.entries) == 1000
 
 
 class TestStateInvariants:

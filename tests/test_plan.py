@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
@@ -30,7 +31,7 @@ from bipan.plan import (
 )
 from bipan import io
 from mutations import MUTANTS
-from strategies import models
+from strategies import build_random_model, models
 
 
 def directions(plan):
@@ -227,6 +228,29 @@ class TestRepair:
         with pytest.raises(BiPanError) as err:
             repair_plan(f1, ["ghost"], {"ghost": "g"})
         assert err.value.code == "unknown-node"
+        loose = ProductNode("loose", "Loose", ProductKind.ELEMENTARY)  # unreachable: a warning only
+        detached = dataclasses.replace(f1, products=(*f1.products, loose))
+        with pytest.raises(BiPanError) as err:
+            repair_plan(detached, ["loose"], {"loose": "l"})
+        assert err.value.code == "detached-node"
+        for bad in ("a b", "\udcff", ""):
+            with pytest.raises(BiPanError) as err:
+                repair_plan(f1, ["mod8"], {"mod8": bad})
+            assert err.value.code == "invalid-id"
+
+    def test_walks_are_linear_in_processes(self, monkeypatch):
+        # Every leaf of a 120-process chain broken: one walk per swap site, each
+        # stopping where an earlier one reached, so each process is visited once.
+        chain = build_random_model(random.Random(1000), max_processes=120, chain=True)
+        calls = []
+        consumer_of = BiPanModel.consumer_of
+        monkeypatch.setattr(
+            BiPanModel, "consumer_of", lambda model, pid: calls.append(pid) or consumer_of(model, pid)
+        )
+        leaves = chain.leaf_products()
+        plan = repair_plan(chain, leaves, {leaf: f"{leaf}.r" for leaf in leaves})
+        assert sum(s.direction is Direction.SWAP for s in plan.steps) == len(leaves)
+        assert len(calls) <= len(chain.products) + 2 * len(chain.processes)
 
     def test_fastens_narrow_swap_scope(self, f1):
         bolted = dataclasses.replace(
