@@ -28,7 +28,6 @@ from bipan.plan import (
     PlanStep,
     Resource,
     ResourceRegistry,
-    SkillInversion,
     assembly_recipe,
     check_feasibility,
     disassembly_to,
@@ -62,7 +61,6 @@ __all__ = [
     "ResourceRegistry",
     "Severity",
     "SkillEdge",
-    "SkillInversion",
     "SkillNode",
     "Trace",
     "apply_step",

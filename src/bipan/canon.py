@@ -21,7 +21,7 @@ def product_to_obj(node: ProductNode) -> dict[str, Any]:
     if node.position is not None:
         entry["position"] = list(node.position)
     if node.attributes:
-        entry["attributes"] = dict(sorted(node.attributes.items()))
+        entry["attributes"] = dict(node.attributes)
     return entry
 
 

@@ -54,15 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise BiPanError("unreadable", f"{path}: {exc}") from exc
-
-
 def _load_model(path: str) -> BiPanModel:
-    return io.load_model(_read_bytes(path))
+    return io.load_model(io.read_file(path))
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -137,7 +130,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         _emit(payload, args.out)
 
     if args.registry is not None:
-        registry = io.load_registry(_read_bytes(args.registry))
+        registry = io.load_registry(io.read_file(args.registry))
         report = check_feasibility(plan, registry)
         if args.out is not None:
             sys.stdout.write(canonical_bytes(report.to_obj()).decode("utf-8"))
@@ -156,7 +149,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:
-    plan = io.load_plan(_read_bytes(args.plan))
+    plan = io.load_plan(io.read_file(args.plan))
     model = _load_model(args.model)
     if args.inventory == "initial":
         state = initial_inventory(model)
@@ -164,7 +157,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         finals = model.final_products()
         state = ExecState(frozenset((*finals, *plan.replacement_ids())), {})
     else:
-        state = io.load_state(_read_bytes(args.inventory))
+        state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
         sys.stdout.write(canonical_bytes(io.trace_to_obj(trace)).decode("utf-8"))
@@ -182,7 +175,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_aml(args: argparse.Namespace) -> int:
-    fragment = io.import_aml(_read_bytes(args.aml))
+    fragment = io.import_aml(io.read_file(args.aml))
     if args.merge is not None:
         model = io.merge(fragment, _load_model(args.merge))
         _emit(io.save_model(model), args.out)
@@ -193,7 +186,7 @@ def _cmd_import_aml(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    plan = io.load_plan(_read_bytes(args.plan)) if args.plan is not None else None
+    plan = io.load_plan(io.read_file(args.plan)) if args.plan is not None else None
     _emit(io.export_dot(model, plan).encode("utf-8"), args.out)
     return 0
 
@@ -201,7 +194,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 def _cmd_pdt_new(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     pdt = create_instance(args.instance_id, model)
-    target = Path(args.dir) / pdt.file_name()
+    target = io.instance_path(args.dir, pdt.instance_id)
     if target.exists():
         raise BiPanError("io-error", f"instance file already exists: {target}")
     path = io.write_instance_file(pdt, args.dir)

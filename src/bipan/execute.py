@@ -33,7 +33,7 @@ class ExecState:
     def to_obj(self) -> dict[str, Any]:
         return {
             "present": sorted(self.present),
-            "substitutions": dict(sorted(self.substitutions.items())),
+            "substitutions": dict(self.substitutions),
         }
 
 

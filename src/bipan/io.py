@@ -20,7 +20,7 @@ import math
 import os
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 from xml.etree import ElementTree
@@ -47,6 +47,7 @@ __all__ = [
     "AmlFragment",
     "export_dot",
     "import_aml",
+    "instance_path",
     "load_instance",
     "load_model",
     "load_plan",
@@ -54,6 +55,7 @@ __all__ = [
     "load_state",
     "merge",
     "model_digest",
+    "read_file",
     "read_instance_file",
     "save_instance",
     "save_model",
@@ -74,6 +76,14 @@ __all__ = [
 # fault reports.
 
 Converter = Callable[[Any, str], Any]
+
+
+def read_file(path: str | Path) -> bytes:
+    """The bytes of ``path``; a failed read is ``unreadable``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise BiPanError("unreadable", f"{path}: {exc}") from exc
 
 
 def _parse_json(data: bytes) -> Any:
@@ -296,10 +306,10 @@ def save_registry(registry: ResourceRegistry) -> bytes:
 def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
     return {
         "events": [
-            {"kind": e.kind, "payload": dict(sorted(e.payload.items())), "timestamp": e.timestamp}
+            {"kind": e.kind, "payload": dict(e.payload), "timestamp": e.timestamp}
             for e in pdt.events
         ],
-        "health": {c: h.value for c, h in sorted(pdt.health.items())},
+        "health": {c: h.value for c, h in pdt.health.items()},
         "instance_id": pdt.instance_id,
         "model_digest": pdt.model_digest,
         "model_id": pdt.model_id,
@@ -314,10 +324,14 @@ def save_instance(pdt: PdtInstance) -> bytes:
     return canonical_bytes(instance_to_obj(pdt))
 
 
+def instance_path(directory: str | Path, instance_id: str) -> Path:
+    """``<instance_id>.pdt.json`` in ``directory``; the id is checked, so it cannot leave it."""
+    return Path(directory) / f"{check_id(instance_id)}.pdt.json"
+
+
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
     """Atomic write (temp file + rename) of ``<instance_id>.pdt.json``."""
-    directory = Path(directory)
-    target = directory / pdt.file_name()
+    target = instance_path(directory, pdt.instance_id)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".pdt-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -336,12 +350,8 @@ def read_instance_file(directory: str | Path, instance_id: str) -> PdtInstance:
     A twin is written back under its stored id, so a file storing another id
     would overwrite a different twin.
     """
-    path = Path(directory) / f"{check_id(instance_id)}.pdt.json"
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise BiPanError("unreadable", f"{path}: {exc}") from exc
-    pdt = load_instance(data)
+    path = instance_path(directory, instance_id)
+    pdt = load_instance(read_file(path))
     if pdt.instance_id != instance_id:
         raise BiPanError(
             "instance-mismatch", f"{path}: stores instance '{pdt.instance_id}', not '{instance_id}'"
@@ -531,11 +541,8 @@ def merge(fragment: AmlFragment, model: BiPanModel) -> BiPanModel:
         if frag.label != existing.label:
             label_conflicts.append(frag.id)
             continue
-        merged[frag.id] = ProductNode(
-            id=existing.id,
-            label=existing.label,
-            kind=existing.kind,
-            type_ref=existing.type_ref,
+        merged[frag.id] = replace(
+            existing,
             position=frag.position if frag.position is not None else existing.position,
             attributes={**existing.attributes, **frag.attributes},
         )
@@ -551,15 +558,7 @@ def merge(fragment: AmlFragment, model: BiPanModel) -> BiPanModel:
             f"fragment relabels existing products: {', '.join(label_conflicts)}",
             tuple(label_conflicts),
         )
-    return BiPanModel(
-        id=model.id,
-        products=tuple(merged.values()),
-        processes=model.processes,
-        skills=model.skills,
-        flows=model.flows,
-        skill_edges=model.skill_edges,
-        fastens=model.fastens,
-    )
+    return replace(model, products=tuple(merged.values()))
 
 
 # -- DOT export ------------------------------------------------------------------
@@ -580,42 +579,43 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _dot_node(node_id: str, attrs: str, label: str) -> str:
+    return f'  "{_dot_escape(node_id)}" [{attrs}, label="{_dot_escape(label)}"];'
+
+
+def _dot_edge(tail: str, head: str, attrs: str) -> str:
+    return f'  "{_dot_escape(tail)}" -> "{_dot_escape(head)}" [{attrs}];'
+
+
 def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
-    """Deterministic Graphviz text; a plan overlays one numbered red edge per step."""
+    """Deterministic Graphviz text; a plan overlays one numbered red edge per step.
+
+    Every id and label is quoted and escaped, so no text from a model or plan
+    can end its quotes and add statements.
+    """
     lines = [
         "digraph bipan {",
         "  graph [rankdir=TB];",
         '  node [fontname="Helvetica"];',
     ]
     for product in model.products:
-        lines.append(
-            f'  "{product.id}" [shape=circle, style=filled, '
-            f'fillcolor="{_KIND_FILL[product.kind]}", label="{_dot_escape(product.label)}"];'
-        )
+        attrs = f'shape=circle, style=filled, fillcolor="{_KIND_FILL[product.kind]}"'
+        lines.append(_dot_node(product.id, attrs, product.label))
     for process in model.processes:
-        lines.append(
-            f'  "{process.id}" [shape=box, style=filled, '
-            f'fillcolor="{_PROCESS_FILL}", label="{_dot_escape(process.label)}"];'
-        )
+        attrs = f'shape=box, style=filled, fillcolor="{_PROCESS_FILL}"'
+        lines.append(_dot_node(process.id, attrs, process.label))
     for skill in model.skills:
-        lines.append(
-            f'  "{skill.id}" [shape=box, style="rounded,filled", '
-            f'fillcolor="{_SKILL_FILL}", label="{_dot_escape(skill.label)}"];'
-        )
+        attrs = f'shape=box, style="rounded,filled", fillcolor="{_SKILL_FILL}"'
+        lines.append(_dot_node(skill.id, attrs, skill.label))
     # Open arrow end = assembly direction, full arrow end = disassembly direction.
     for flow in model.flows:
         if flow.role is FlowRole.INPUT:
-            lines.append(
-                f'  "{flow.product}" -> "{flow.process}" '
-                "[dir=both, arrowhead=empty, arrowtail=normal];"
-            )
+            tail, head = flow.product, flow.process
         else:
-            lines.append(
-                f'  "{flow.process}" -> "{flow.product}" '
-                "[dir=both, arrowhead=empty, arrowtail=normal];"
-            )
+            tail, head = flow.process, flow.product
+        lines.append(_dot_edge(tail, head, "dir=both, arrowhead=empty, arrowtail=normal"))
     for edge in model.skill_edges:
-        lines.append(f'  "{edge.process}" -> "{edge.skill}" [style=dashed, color=goldenrod];')
+        lines.append(_dot_edge(edge.process, edge.skill, "style=dashed, color=goldenrod"))
 
     if plan is not None:
         foreign: set[str] = set()
@@ -624,10 +624,7 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
                 if not model.has_node(node_id):
                     foreign.add(node_id)
         for node_id in sorted(foreign):
-            lines.append(
-                f'  "{node_id}" [shape=circle, style=dashed, color=red, '
-                f'label="{_dot_escape(node_id)}"];'
-            )
+            lines.append(_dot_node(node_id, "shape=circle, style=dashed, color=red", node_id))
         for number, step in enumerate(plan.steps, start=1):
             if step.direction is Direction.SWAP:
                 tail, head = step.swap_replacement, step.process
@@ -641,9 +638,7 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
                     f"step {number - 1} ({step.direction.value} '{step.process}') "
                     "names no item to draw",
                 )
-            lines.append(
-                f'  "{tail}" -> "{head}" [color=red, fontcolor=red, '
-                f'label="{number}", penwidth=2.0, constraint=false];'
-            )
+            attrs = f'color=red, fontcolor=red, label="{number}", penwidth=2.0, constraint=false'
+            lines.append(_dot_edge(tail, head, attrs))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -66,7 +66,8 @@ class ProductNode:
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
     ``attributes`` is a read-only copy of the mapping given, so a model's cached
-    digest and diagnostics cannot go stale.
+    digest and diagnostics cannot go stale. A mapping proxy is unhashable, so
+    the hash leaves ``attributes`` out; equality still compares it.
     """
 
     id: str
@@ -74,7 +75,7 @@ class ProductNode:
     kind: ProductKind
     type_ref: str | None = None
     position: tuple[float, float, float] | None = None
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         check_id(self.id)

@@ -9,13 +9,14 @@ reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, check_id
-from bipan.plan import Plan, SkillInversion, repair_plan
+from bipan.plan import DEFAULT_INVERSION, Plan, repair_plan
 from bipan.validate import ensure_valid
 
 
@@ -78,9 +79,6 @@ class PdtInstance:
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))
 
-    def file_name(self) -> str:
-        return f"{self.instance_id}.pdt.json"
-
 
 def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     """Fresh twin: every replaceable component Unknown, event log empty."""
@@ -111,7 +109,7 @@ def plan_repair_for(
     model: BiPanModel,
     replacements: dict[str, str],
     timestamp: str,
-    inv: SkillInversion | None = None,
+    inv: Mapping[str, str] = DEFAULT_INVERSION,
 ) -> tuple[PdtInstance, Plan]:
     """Repair plan for all currently Broken components; logs a plan-created event.
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Any
 
 from bipan.errors import BiPanError
@@ -44,42 +45,18 @@ class DisassemblyMode(Enum):
 
 
 #: Default assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
-DEFAULT_INVERSION: dict[str, str] = {
-    "screwing": "unscrewing",
-    "connecting-cables": "disconnecting-cables",
-    "manipulation": "manipulation",
-}
+#: Read-only, as it is the shared default of every planner's ``inv``; pass ``{}`` for none.
+DEFAULT_INVERSION: Mapping[str, str] = MappingProxyType(
+    {
+        "screwing": "unscrewing",
+        "connecting-cables": "disconnecting-cables",
+        "manipulation": "manipulation",
+    }
+)
 
 
-@dataclass(frozen=True)
-class SkillInversion:
-    """Relabeling of skills when a process runs in disassembly direction."""
-
-    mapping: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
-    @classmethod
-    def default(cls) -> SkillInversion:
-        return cls(dict(DEFAULT_INVERSION))
-
-    @classmethod
-    def identity(cls) -> SkillInversion:
-        return cls({})
-
-    def apply(self, label: str) -> str:
-        return self.mapping.get(label, label)
-
-    def apply_all(self, labels: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted({self.apply(label) for label in labels}))
-
-    def extended_with_inverses(self) -> SkillInversion:
-        """The mapping closed under inverse pairs, making it an involution."""
-        extended = dict(self.mapping)
-        for fwd, rev in self.mapping.items():
-            extended.setdefault(rev, fwd)
-        return SkillInversion(extended)
+def _inverted(labels: Iterable[str], inv: Mapping[str, str]) -> tuple[str, ...]:
+    return tuple(sorted({inv.get(label, label) for label in labels}))
 
 
 @dataclass(frozen=True)
@@ -171,7 +148,10 @@ class FeasibilityReport:
 
 
 def assembly_order(model: BiPanModel) -> tuple[str, ...]:
-    """Topological order of processes in assembly direction, least id first among ready."""
+    """Topological order of processes in assembly direction, least id first among ready.
+
+    Every process is ordered: callers validate first, and V008 rejects every cycle.
+    """
     dependents: dict[str, list[str]] = {p.id: [] for p in model.processes}
     indegree: dict[str, int] = {p.id: 0 for p in model.processes}
     for proc in model.processes:
@@ -190,8 +170,6 @@ def assembly_order(model: BiPanModel) -> tuple[str, ...]:
             indegree[follower] -= 1
             if indegree[follower] == 0:
                 heapq.heappush(ready, follower)
-    if len(order) != len(model.processes):
-        raise BiPanError("invalid-model", f"model '{model.id}' flow graph is cyclic")
     return tuple(order)
 
 
@@ -207,7 +185,7 @@ def _forward_step(model: BiPanModel, process_id: str) -> PlanStep:
     )
 
 
-def _reverse_step(model: BiPanModel, process_id: str, inv: SkillInversion) -> PlanStep:
+def _reverse_step(model: BiPanModel, process_id: str, inv: Mapping[str, str]) -> PlanStep:
     output = model.output_of(process_id)
     assert output is not None
     return PlanStep(
@@ -215,7 +193,7 @@ def _reverse_step(model: BiPanModel, process_id: str, inv: SkillInversion) -> Pl
         direction=Direction.REVERSE,
         consumed=(output,),
         produced=model.inputs_of(process_id),
-        required_skills=inv.apply_all(model.skill_labels_of(process_id)),
+        required_skills=_inverted(model.skill_labels_of(process_id), inv),
     )
 
 
@@ -226,10 +204,9 @@ def assembly_recipe(model: BiPanModel) -> Plan:
     return Plan(model.id, model.digest, steps)
 
 
-def full_disassembly(model: BiPanModel, inv: SkillInversion | None = None) -> Plan:
+def full_disassembly(model: BiPanModel, inv: Mapping[str, str] = DEFAULT_INVERSION) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     ensure_valid(model)
-    inv = inv if inv is not None else SkillInversion.default()
     steps = tuple(_reverse_step(model, pid, inv) for pid in reversed(assembly_order(model)))
     return Plan(model.id, model.digest, steps)
 
@@ -238,7 +215,7 @@ def disassembly_to(
     model: BiPanModel,
     target: str,
     mode: DisassemblyMode,
-    inv: SkillInversion | None = None,
+    inv: Mapping[str, str] = DEFAULT_INVERSION,
 ) -> Plan:
     """Partial disassembly toward one product.
 
@@ -247,7 +224,6 @@ def disassembly_to(
     Extract additionally reverses that process, freeing the target itself.
     """
     ensure_valid(model)
-    inv = inv if inv is not None else SkillInversion.default()
     if model.product(target).kind is ProductKind.FINAL:
         raise BiPanError("target-is-final", f"cannot plan disassembly to final product '{target}'")
     spine = model.spine(target)
@@ -257,7 +233,9 @@ def disassembly_to(
     return Plan(model.id, model.digest, steps)
 
 
-def _swap_skills(model: BiPanModel, site: str, broken: str, inv: SkillInversion) -> tuple[str, ...]:
+def _swap_skills(
+    model: BiPanModel, site: str, broken: str, inv: Mapping[str, str]
+) -> tuple[str, ...]:
     labels = set(model.skill_labels_of(site))
     site_inputs = set(model.inputs_of(site))
     securing = sorted(
@@ -269,7 +247,7 @@ def _swap_skills(model: BiPanModel, site: str, broken: str, inv: SkillInversion)
     )
     if securing:
         scope = {"manipulation"}
-        directional = {label for label in labels if inv.apply(label) != label}
+        directional = {label for label in labels if inv.get(label, label) != label}
         for fastener_id in securing:
             declared = model.product(fastener_id).attributes.get("skill")
             if declared:
@@ -278,11 +256,11 @@ def _swap_skills(model: BiPanModel, site: str, broken: str, inv: SkillInversion)
                 scope |= directional
     else:
         scope = set(labels)
-    return tuple(sorted(scope | {inv.apply(label) for label in scope}))
+    return tuple(sorted(scope | {inv.get(label, label) for label in scope}))
 
 
 def _swap_step(
-    model: BiPanModel, site: str, broken: str, replacement: str, inv: SkillInversion
+    model: BiPanModel, site: str, broken: str, replacement: str, inv: Mapping[str, str]
 ) -> PlanStep:
     return PlanStep(
         process=site,
@@ -299,7 +277,7 @@ def repair_plan(
     model: BiPanModel,
     broken: Iterable[str],
     replacements: Mapping[str, str],
-    inv: SkillInversion | None = None,
+    inv: Mapping[str, str] = DEFAULT_INVERSION,
 ) -> Plan:
     """Single descend/ascend pass replacing every broken component.
 
@@ -309,7 +287,6 @@ def repair_plan(
     produce the broken component as a free, removed item.
     """
     ensure_valid(model)
-    inv = inv if inv is not None else SkillInversion.default()
     broken_ids = sorted(set(broken))
 
     used_replacements: dict[str, str] = {}

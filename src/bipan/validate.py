@@ -24,9 +24,12 @@ class Severity(Enum):
 @dataclass(frozen=True)
 class Diagnostic:
     code: str
-    severity: Severity
     nodes: tuple[str, ...]
     message: str
+
+    @property
+    def severity(self) -> Severity:
+        return Severity.WARNING if self.code in ("V009", "V010") else Severity.ERROR
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,6 @@ class Diagnostics:
     @property
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.items)
-
-    @property
-    def ok(self) -> bool:
-        return not self.items
 
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({d.code for d in self.items}))
@@ -76,19 +75,16 @@ def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V001",
-                    Severity.ERROR,
                     (proc.id, *outs),
                     f"process '{proc.id}' must have exactly one output product (found {len(outs)})",
                 )
             )
         if not model.inputs_of(proc.id):
-            found.append(Diagnostic(
-                "V002", Severity.ERROR, (proc.id,), f"process '{proc.id}' has no input products"
-            ))
+            found.append(
+                Diagnostic("V002", (proc.id,), f"process '{proc.id}' has no input products")
+            )
         if not model.skill_ids_of(proc.id):
-            found.append(Diagnostic(
-                "V009", Severity.WARNING, (proc.id,), f"process '{proc.id}' has no skill edges"
-            ))
+            found.append(Diagnostic("V009", (proc.id,), f"process '{proc.id}' has no skill edges"))
 
 
 def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
@@ -108,7 +104,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V003",
-                    Severity.ERROR,
                     (prod.id, *sorted(involved)),
                     f"product '{prod.id}' has " + " and ".join(parts),
                 )
@@ -124,7 +119,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 found.append(
                     Diagnostic(
                         "V005",
-                        Severity.ERROR,
                         (prod.id,),
                         f"final product '{prod.id}' " + " and ".join(issues),
                     )
@@ -139,7 +133,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 found.append(
                     Diagnostic(
                         "V006",
-                        Severity.ERROR,
                         (prod.id,),
                         f"stage '{prod.id}' " + " and ".join(issues),
                     )
@@ -148,7 +141,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V007",
-                    Severity.ERROR,
                     (prod.id, *producers),
                     f"{prod.kind.value} product '{prod.id}' must not have a producer "
                     f"(produced by '{producers[0]}')",
@@ -159,7 +151,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V012",
-                    Severity.ERROR,
                     (prod.id,),
                     f"product '{prod.id}' has a non-finite position component",
                 )
@@ -173,7 +164,6 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
         found.append(
             Diagnostic(
                 "V004",
-                Severity.ERROR,
                 finals,
                 f"model must contain exactly one Final product (found {len(finals)}{listing})",
             )
@@ -236,7 +226,6 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
         found.append(
             Diagnostic(
                 "V008",
-                Severity.ERROR,
                 tuple(component),
                 "flow graph contains a cycle involving: " + ", ".join(component),
             )
@@ -271,7 +260,6 @@ def _check_reachability(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V010",
-                    Severity.WARNING,
                     (node_id,),
                     f"'{node_id}' is unreachable from the final product",
                 )
@@ -286,7 +274,6 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V011",
-                    Severity.ERROR,
                     nodes,
                     f"fastens link fastener '{link.fastener}' has kind {fastener.kind.value}, "
                     "expected Fastener",
@@ -301,7 +288,6 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V011",
-                    Severity.ERROR,
                     nodes,
                     f"fastens link '{link.fastener}' -> {{{', '.join(sorted(link.secures))}}} "
                     "members are not all inputs of one common process",

@@ -17,7 +17,6 @@ from bipan.plan import (
     DisassemblyMode,
     Resource,
     ResourceRegistry,
-    SkillInversion,
     assembly_recipe,
     check_feasibility,
     disassembly_to,
@@ -152,7 +151,7 @@ def test_6_skill_inversion():
 
     forward = assembly_recipe(model)
     expected = {step.process: step.required_skills for step in forward.steps}
-    identity = full_disassembly(model, SkillInversion.identity())
+    identity = full_disassembly(model, {})
     assert {s.process: s.required_skills for s in identity.steps} == expected
 
 

@@ -85,6 +85,27 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert report == {"items": [], "summary": {"errors": 0, "warnings": 0}}
 
+    @pytest.mark.parametrize(
+        "mutant, status, sha256",
+        [
+            (None, 0, "4b310ab137b5d1b23f9797e85052f8b9424e0cddb12c91d8f5c9215e737c60bb"),
+            ("V001", 1, "5055ff877f7cadafbce727f15bd4d7f1413736099dc9243cd898567a5ebd8699"),
+            ("V002", 1, "bb693b2a9a14845f8889a55cad89da145142eb02fa67af6bcde5900c58c97400"),
+            ("V003", 1, "225f0d5bca5a9e943f5b42d706517f01bc21905435cada2408ba0e10a0698411"),
+            ("V004", 1, "c96def9b130a9bdafc4f20c87e81a00212d9c927ebac3689d54fa36e78e90bd2"),
+            ("V005", 1, "f99671ea01d3165725388f7f95df0380f2705d657e5460b3edfb97d993148b81"),
+            ("V006", 1, "3193b2623ce8f6d13ed3460d8efcde931d891bf55cf33760908b92e07e161a51"),
+            ("V007", 1, "b5541a80793a433ee4459fc67c0b416b2eb695faf577f02beeecf4d9b6180385"),
+            ("V008", 1, "bdf18a015ff4917a87981c6cebaa5db99005a0ffaa409a03ac6776c69e7a2aa4"),
+        ],
+    )
+    def test_json_bytes_pinned(self, workdir, capsys, mutant, status, sha256):
+        # Recorded when each finding passed its severity by hand.
+        model = battery_model() if mutant is None else MUTANTS[mutant][0](battery_model())
+        (workdir / "m.bipan.json").write_bytes(io.save_model(model))
+        assert main(["validate", str(workdir / "m.bipan.json"), "--format", "json"]) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
 
 class TestPlan:
     def test_assemble_to_stdout(self, workdir, capsys):
@@ -379,6 +400,18 @@ class TestHostileInput:
         assert result.returncode == 3 and "Traceback" not in result.stderr
         assert result.stderr.startswith("error: malformed-step: step 0 (Reverse 'p5')")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_dot_overlay_quotes_plan_ids(self, workdir):
+        plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
+        plan["steps"][0]["consumed"] = ['battery" -> "evil']
+        (workdir / "evil.plan.json").write_text(json.dumps(plan))
+        result = run_cli(["export-dot", "f1.bipan.json", "--plan", "evil.plan.json"], workdir)
+        assert result.returncode == 0, result.stderr
+        assert '"battery" -> "evil"' not in result.stdout
+        lines = result.stdout.splitlines()
+        evil = '"battery\\" -> \\"evil"'
+        assert f"  {evil} [shape=circle, style=dashed, color=red, label={evil}];" in lines
+        assert any(line.startswith(f'  {evil} -> "p5" [color=red') for line in lines)
 
     def test_number_beyond_digit_limit(self, workdir):
         (workdir / "long.json").write_text('{"id": "m", "x": ' + "9" * 5000 + "}")

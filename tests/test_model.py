@@ -7,6 +7,7 @@ from hypothesis import given
 
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
+from bipan.fixtures import battery_model
 from bipan.model import (
     BiPanModel,
     FlowEdge,
@@ -196,6 +197,17 @@ class TestCachedFacts:
         node = ProductNode("s", "S", ProductKind.FASTENER, attributes=given_attributes)
         given_attributes["skill"] = "welding"
         assert node.attributes == {"skill": "screwing"}
+
+    def test_equal_models_hash_equal(self):
+        one, two = battery_model(), battery_model()
+        assert one is not two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+
+    def test_products_differing_in_attributes_only(self):
+        plain = ProductNode("s", "S", ProductKind.FASTENER)
+        declared = ProductNode("s", "S", ProductKind.FASTENER, attributes={"skill": "screwing"})
+        assert plain != declared
+        assert len({plain, declared}) == 2
 
     def test_model_still_pickles(self, f1):
         f1.digest

@@ -18,11 +18,11 @@ from bipan.model import (
     SkillNode,
 )
 from bipan.plan import (
+    DEFAULT_INVERSION,
     Direction,
     DisassemblyMode,
     Resource,
     ResourceRegistry,
-    SkillInversion,
     assembly_recipe,
     check_feasibility,
     disassembly_to,
@@ -108,7 +108,7 @@ class TestDisassembly:
         assert p2.consumed == ("stage2",)
 
     def test_identity_inversion_keeps_labels(self, f1):
-        plan = full_disassembly(f1, SkillInversion.identity())
+        plan = full_disassembly(f1, {})
         forward = assembly_recipe(f1)
         by_process = {step.process: step.required_skills for step in forward.steps}
         for step in plan.steps:
@@ -328,26 +328,46 @@ class TestFeasibility:
         assert check_feasibility(assembly_recipe(f1), split).feasible
 
 
+def relabel(inv, label):
+    return inv.get(label, label)
+
+
+def relabel_all(inv, labels):
+    return tuple(sorted({relabel(inv, label) for label in labels}))
+
+
+def with_inverses(inv):
+    """``inv`` closed under inverse pairs, making it an involution."""
+    extended = dict(inv)
+    for fwd, rev in inv.items():
+        extended.setdefault(rev, fwd)
+    return extended
+
+
 class TestInversion:
     def test_default_pairs(self):
-        inv = SkillInversion.default()
-        assert inv.apply("screwing") == "unscrewing"
-        assert inv.apply("connecting-cables") == "disconnecting-cables"
-        assert inv.apply("manipulation") == "manipulation"
-        assert inv.apply("gluing") == "gluing"
+        inv = DEFAULT_INVERSION
+        assert relabel(inv, "screwing") == "unscrewing"
+        assert relabel(inv, "connecting-cables") == "disconnecting-cables"
+        assert relabel(inv, "manipulation") == "manipulation"
+        assert relabel(inv, "gluing") == "gluing"
 
     def test_extended_is_involution(self, f1):
-        ext = SkillInversion.default().extended_with_inverses()
+        ext = with_inverses(DEFAULT_INVERSION)
         labels = {s.label for s in f1.skills} | {"unscrewing", "disconnecting-cables"}
         for label in labels:
-            assert ext.apply(ext.apply(label)) == label
+            assert relabel(ext, relabel(ext, label)) == label
 
     def test_double_inversion_restores_forward_sets(self, f1):
-        ext = SkillInversion.default().extended_with_inverses()
+        ext = with_inverses(DEFAULT_INVERSION)
         forward = assembly_recipe(f1)
         for step in forward.steps:
-            once = ext.apply_all(step.required_skills)
-            assert ext.apply_all(once) == step.required_skills
+            once = relabel_all(ext, step.required_skills)
+            assert relabel_all(ext, once) == step.required_skills
+
+    def test_default_is_read_only(self):
+        with pytest.raises(TypeError):
+            DEFAULT_INVERSION["screwing"] = "gluing"
 
 
 class TestDeterminismAndSoundness:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from hypothesis import given
 from bipan.canon import canonical_bytes
 from bipan.errors import BiPanError
 from bipan.model import FastensLink, FlowEdge, FlowRole, ProductKind, ProductNode
-from bipan.validate import Severity, ensure_valid, validate
+from bipan.validate import Diagnostic, Severity, ensure_valid, validate
 from mutations import MUTANTS, drop_flows
 from strategies import models
 
@@ -150,3 +152,14 @@ def test_ensure_valid_raises_summary(f1):
 @given(models())
 def test_generated_models_have_no_errors(model):
     assert not validate(model).has_errors
+
+
+def test_readme_table_matches():
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Validation codes", 1)[1]
+    rows = re.findall(r"^\| (V\d{3}) \| (error|warning) \|", section, re.MULTILINE)
+    source = (root / "src" / "bipan" / "validate.py").read_text(encoding="utf-8")
+    assert {code for code, _ in rows} == set(re.findall(r'"(V0\d\d)"', source))
+    assert len(rows) == 12
+    for code, severity in rows:
+        assert Diagnostic(code, (), "").severity.value.lower() == severity, code
