@@ -9,8 +9,10 @@ records the broken-to-replacement substitution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any
 
 from bipan.errors import BiPanError
@@ -21,14 +23,22 @@ from bipan.validate import ensure_valid
 
 @dataclass(frozen=True)
 class ExecState:
-    """Free items and topmost assemblies, plus substitutions applied so far."""
+    """Free items and topmost assemblies, plus substitutions applied so far.
+
+    ``substitutions`` is a read-only copy of the mapping given, left out of the
+    hash as ``ProductNode.attributes`` is.
+    """
 
     present: frozenset[str]
-    substitutions: dict[str, str] = field(default_factory=dict)
+    substitutions: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "present", frozenset(self.present))
-        object.__setattr__(self, "substitutions", dict(self.substitutions))
+        object.__setattr__(self, "substitutions", MappingProxyType(dict(self.substitutions)))
+
+    def __reduce__(self):
+        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
+        return (ExecState, (self.present, dict(self.substitutions)))
 
     def to_obj(self) -> dict[str, Any]:
         return {

@@ -260,9 +260,87 @@ _registry = _record(
 # -- native documents ----------------------------------------------------------------
 
 
+_KINDS = {kind.value: kind for kind in ProductKind}
+_ROLES = {role.value: role for role in FlowRole}
+
+
+def _rows(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
+    """The array under ``key``; a row that is not an object fails at its first key lookup."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise ValueError(key)
+    return rows
+
+
+def _label(row: dict[str, Any]) -> str:
+    label = row.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("label")
+    return label
+
+
+def _direct_model(doc: Any) -> BiPanModel:
+    """The model of a well-formed document, built without per-field paths.
+
+    It accepts only what ``_model`` accepts and builds an equal model. Ids are
+    checked by the node and edge constructors, which take only strings. Any
+    fault raises, and :func:`load_model` then decodes the document again with
+    ``_model``, which names it.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("document")
+    products = []
+    for row in _rows(doc, "products"):
+        type_ref, position = row.get("type_ref"), row.get("position")
+        attributes = row.get("attributes", {})
+        if type_ref is not None and not isinstance(type_ref, str):
+            raise ValueError("type_ref")
+        if position is not None:
+            if not isinstance(position, list) or len(position) != 3 or not all(
+                isinstance(c, (int, float)) for c in position
+            ):
+                raise ValueError("position")
+            position = tuple(position)
+        if not isinstance(attributes, dict) or (
+            attributes and not all(isinstance(v, str) for v in attributes.values())
+        ):
+            raise ValueError("attributes")
+        kind = _KINDS[row["kind"]]
+        products.append(ProductNode(row["id"], _label(row), kind, type_ref, position, attributes))
+    fastens = []
+    for row in _rows(doc, "fastens"):
+        secures = row.get("secures", [])
+        if not isinstance(secures, list):
+            raise ValueError("secures")
+        fastens.append(FastensLink(row["fastener"], secures))
+    model_id = doc.get("id", "")
+    if not isinstance(model_id, str):
+        raise ValueError("id")
+    return BiPanModel(
+        model_id,
+        tuple(products),
+        tuple(ProcessNode(row["id"], _label(row)) for row in _rows(doc, "processes")),
+        tuple(SkillNode(row["id"], _label(row)) for row in _rows(doc, "skills")),
+        tuple(
+            FlowEdge(row["product"], row["process"], _ROLES[row["role"]])
+            for row in _rows(doc, "flows")
+        ),
+        tuple(SkillEdge(row["process"], row["skill"]) for row in _rows(doc, "skill_edges")),
+        tuple(fastens),
+    )
+
+
 def load_model(data: bytes) -> BiPanModel:
-    """Parse and reference-check a model document; structural validation is separate."""
-    return _model(_parse_json(data), "")
+    """Parse and reference-check a model document; structural validation is separate.
+
+    A well-formed document is built directly; any other is decoded by the
+    field-spec decoder ``_model``, the one source of every model error.
+    """
+    doc = _parse_json(data)
+    try:
+        return _direct_model(doc)
+    except Exception:  # whatever the fault, ``_model`` reports it, or builds the model
+        return _model(doc, "")
 
 
 def save_model(model: BiPanModel) -> bytes:

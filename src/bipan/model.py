@@ -15,8 +15,7 @@ endpoints); the structural rules beyond that (V-codes) live in
 from __future__ import annotations
 
 import math
-import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -29,12 +28,16 @@ from bipan.errors import BiPanError
 if TYPE_CHECKING:
     from bipan.validate import Diagnostics
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
 
 
 def check_id(value: object) -> str:
-    """Return ``value`` if it is a well-formed node id, else raise ``invalid-id``."""
-    if not isinstance(value, str) or not _ID_RE.fullmatch(value):
+    """Return ``value`` if it is a well-formed node id, else raise ``invalid-id``.
+
+    A well-formed id is a non-empty string over ``[A-Za-z0-9_.-]``. A set test
+    states that as directly as a regex, and runs in about half the time.
+    """
+    if not isinstance(value, str) or not value or not _ID_CHARS.issuperset(value):
         raise BiPanError(
             "invalid-id",
             f"node id {value!r} must be a non-empty string matching [A-Za-z0-9_.-]+",
@@ -176,6 +179,17 @@ class _Index(NamedTuple):
 _FAMILY = {ProductNode: "product", ProcessNode: "process", SkillNode: "skill"}
 
 
+def _normalized(edges: tuple, key: Callable) -> tuple:
+    """``edges`` sorted by ``key``, exact duplicates dropped.
+
+    ``key`` holds every field of an edge, so equal edges have equal keys. A dict
+    over those tuples drops duplicates without calling the dataclass ``__hash__``
+    and the enum's, which are Python functions.
+    """
+    keyed = {key(edge): edge for edge in edges}
+    return tuple(keyed[k] for k in sorted(keyed))
+
+
 @dataclass(frozen=True)
 class BiPanModel:
     """Immutable bidirectional product-process-resource network.
@@ -242,11 +256,10 @@ class BiPanModel:
                         "dangling-reference", f"fastens link references unknown product '{pid}'"
                     )
 
-        flows = tuple(
-            sorted(set(self.flows), key=lambda f: (f.process, f.role.value, f.product))
-        )
-        skill_edges = tuple(sorted(set(self.skill_edges), key=lambda e: (e.process, e.skill)))
-        fastens = tuple(sorted(set(self.fastens), key=lambda l: (l.fastener, sorted(l.secures))))
+        # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
+        flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
+        skill_edges = _normalized(self.skill_edges, lambda e: (e.process, e.skill))
+        fastens = _normalized(self.fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
 
         by_id = attrgetter("id")
         object.__setattr__(self, "products", tuple(sorted(self.products, key=by_id)))

@@ -13,6 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
+from types import MappingProxyType
 
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, check_id
@@ -41,26 +42,36 @@ def parse_timestamp(value: str) -> datetime:
 
 @dataclass(frozen=True)
 class Event:
-    """One log entry; ``when`` is ``timestamp`` parsed once, at construction."""
+    """One log entry; ``when`` is ``timestamp`` parsed once, at construction.
+
+    ``payload`` is a read-only copy of the mapping given, left out of the hash.
+    """
 
     timestamp: str
     kind: str
-    payload: dict[str, str] = field(default_factory=dict)
+    payload: Mapping[str, str] = field(default_factory=dict, hash=False)
     when: datetime = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "when", parse_timestamp(self.timestamp))
-        object.__setattr__(self, "payload", dict(self.payload))
+        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
+
+    def __reduce__(self):
+        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
+        return (Event, (self.timestamp, self.kind, dict(self.payload)))
 
 
 @dataclass(frozen=True)
 class PdtInstance:
-    """Digital twin of one physical product, bound to a model version."""
+    """Digital twin of one physical product, bound to a model version.
+
+    ``health`` is a read-only copy of the mapping given, left out of the hash.
+    """
 
     instance_id: str
     model_id: str
     model_digest: str
-    health: dict[str, Health]
+    health: Mapping[str, Health] = field(hash=False)
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
@@ -68,13 +79,18 @@ class PdtInstance:
         if not self.instance_id:
             raise BiPanError("empty-id", "instance id must be non-empty")
         check_id(self.instance_id)
-        object.__setattr__(self, "health", dict(self.health))
+        object.__setattr__(self, "health", MappingProxyType(dict(self.health)))
         for earlier, event in zip(self.events, self.events[1:]):
             if event.when < earlier.when:
                 raise BiPanError(
                     "time-regression",
                     f"event log timestamps decrease at {event.timestamp!r}",
                 )
+
+    def __reduce__(self):
+        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
+        fields = (self.instance_id, self.model_id, self.model_digest)
+        return (PdtInstance, (*fields, dict(self.health), self.events))
 
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))

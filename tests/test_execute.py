@@ -215,3 +215,26 @@ class TestStateInvariants:
             if step.direction is Direction.SWAP:
                 assert len(after.present) == len(state.present)
             state = after
+
+
+class TestStateIsAValue:
+    def test_equal_states_hash_equal(self):
+        one = ExecState(frozenset({"a"}), {"x": "y"})
+        assert hash(one) == hash(ExecState(frozenset({"a"}), {"x": "y"}))
+        assert one != ExecState(frozenset({"a"}), {"x": "z"})
+
+    def test_substitutions_are_read_only_copies(self):
+        given = {"x": "y"}
+        state = ExecState(frozenset({"a"}), given)
+        with pytest.raises(TypeError):
+            state.substitutions["q"] = "r"
+        given["q"] = "r"
+        assert dict(state.substitutions) == {"x": "y"}
+
+    def test_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        state = ExecState(frozenset({"a", "b"}), {"x": "y"})
+        assert pickle.loads(pickle.dumps(state)) == state
+        assert copy.deepcopy(state) == state

@@ -3,12 +3,16 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bipan import io
 from bipan.errors import BiPanError
+from bipan.fixtures import battery_model
+from bipan.model import COMPONENT_KINDS
 from bipan.plan import assembly_recipe, full_disassembly, repair_plan
 from bipan.validate import validate
 from strategies import models
+from test_cli_contract import mutated
 
 
 class TestModelDocuments:
@@ -69,6 +73,91 @@ class TestModelDocuments:
     def test_digest_is_sha256_of_file_bytes(self, f1, fixtures_dir):
         digest = hashlib.sha256((fixtures_dir / "f1.bipan.json").read_bytes()).hexdigest()
         assert io.model_digest(f1) == digest
+
+
+def _outcome(decode, data: bytes):
+    """The saved bytes of the decoded model, or the code and detail of its error."""
+    try:
+        return io.save_model(decode(data))
+    except BiPanError as exc:
+        return exc.code, exc.detail
+
+
+def _spec_decode(data: bytes):
+    return io._model(io._parse_json(data), "")
+
+
+def _shuffled(value, rnd):
+    """``value`` with every array and every object's keys in random order.
+
+    A ``position`` is a coordinate triple, not a collection, so it keeps its order.
+    """
+    if isinstance(value, dict):
+        keys = list(value)
+        rnd.shuffle(keys)
+        return {k: value[k] if k == "position" else _shuffled(value[k], rnd) for k in keys}
+    if isinstance(value, list):
+        items = [_shuffled(item, rnd) for item in value]
+        rnd.shuffle(items)
+        return items
+    return value
+
+
+class TestModelDecodePaths:
+    """``load_model`` decodes well-formed documents directly and every other one
+    with the field-spec decoder; both must give the same model or the same error.
+    """
+
+    @given(st.data())
+    def test_mutated_documents_decode_alike(self, data):
+        source = data.draw(st.just(battery_model()) | models(), label="model")
+        document = data.draw(mutated(io.save_model(source)), label="document")
+        assert _outcome(io.load_model, document) == _outcome(_spec_decode, document)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"products": {}',
+            '"products": {"a": {}}',
+            '"flows": {}',
+            '"id": 7',
+            '"products": [{"id": "a", "kind": "Fastener", "label": 1}]',
+            '"products": [{"id": "a", "kind": ["Fastener"]}]',
+            '"products": [{"id": "a", "kind": "Fastener", "type_ref": 1}]',
+            '"products": [{"id": "a", "kind": "Fastener", "position": "123"}]',
+            '"products": [{"id": "a", "kind": "Fastener", "position": {"1": 0, "2": 0, "3": 0}}]',
+            '"products": [{"id": "a", "kind": "Fastener", "position": [0, "2", 0]}]',
+            '"products": [{"id": "a", "kind": "Fastener", "attributes": [["k", "v"]]}]',
+            '"products": [{"id": "a", "kind": "Fastener", "attributes": {"k": 1}}]',
+            '"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
+            '"fastens": [{"fastener": "a", "secures": "b"}]',
+            '"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
+            '"fastens": [{"fastener": "a", "secures": {"b": 1}}]',
+            '"products": [{"id": "a", "kind": "Fastener"}], "processes": [{"id": "p"}], '
+            '"flows": [{"product": "a", "process": "p", "role": ["Input"]}]',
+        ],
+    )
+    def test_near_valid_documents_decode_alike(self, fields):
+        """Faults a direct decoder could miss: a container of the wrong kind whose
+        iteration still yields valid ids or numbers, and a value of the wrong type.
+        """
+        document = ('{"id": "m", ' + fields + "}").encode("utf-8")
+        outcome = _outcome(io.load_model, document)
+        assert outcome == _outcome(_spec_decode, document)
+        assert isinstance(outcome, tuple)
+
+    @given(models(), st.randoms(use_true_random=False))
+    def test_shuffled_document_gives_same_digest_and_plans(self, model, rnd):
+        doc = _shuffled(json.loads(io.save_model(model)), rnd)
+        shuffled = io.load_model(json.dumps(doc).encode("utf-8"))
+        assert shuffled.digest == model.digest
+        assert io.save_plan(assembly_recipe(shuffled)) == io.save_plan(assembly_recipe(model))
+        components = sorted(p.id for p in model.products if p.kind in COMPONENT_KINDS)
+        broken = rnd.sample(components, rnd.randint(1, min(3, len(components))))
+        replacements = {b: f"{b}.new" for b in broken}
+        assert io.save_plan(repair_plan(shuffled, broken, replacements)) == io.save_plan(
+            repair_plan(model, broken, replacements)
+        )
 
 
 class TestPlanDocuments:

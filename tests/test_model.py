@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
@@ -16,6 +18,7 @@ from bipan.model import (
     ProductKind,
     ProductNode,
     SkillNode,
+    check_id,
 )
 from bipan.validate import ensure_valid, validate
 from mutations import MUTANTS
@@ -118,6 +121,16 @@ class TestConstruction:
         assert err.value.code == "invalid-id"
         with pytest.raises(BiPanError):
             SkillNode("", "x")
+
+    @given(st.text(alphabet="aZ09_.-/ \n\x00é") | st.text())
+    def test_id_rule_is_the_documented_pattern(self, value):
+        well_formed = re.fullmatch(r"[A-Za-z0-9_.-]+", value) is not None
+        try:
+            check_id(value)
+        except BiPanError as err:
+            assert err.code == "invalid-id" and not well_formed
+        else:
+            assert well_formed
 
     def test_bad_position(self):
         with pytest.raises(BiPanError) as err:

@@ -156,3 +156,36 @@ class TestPersistence:
         with pytest.raises(BiPanError) as err:
             io.load_instance(data.encode("utf-8"))
         assert err.value.code == "time-regression"
+
+
+class TestTwinIsAValue:
+    def test_equal_twins_and_events_hash_equal(self, f1):
+        twin = set_health(create_instance("VIN-004", f1), "mod8", Health.BROKEN, T0)
+        again = set_health(create_instance("VIN-004", f1), "mod8", Health.BROKEN, T0)
+        assert hash(twin) == hash(again)
+        assert hash(twin.events[0]) == hash(again.events[0])
+        assert len({twin, again}) == 1
+
+    def test_health_and_payload_are_read_only(self, f1):
+        twin = set_health(create_instance("VIN-004", f1), "mod8", Health.BROKEN, T0)
+        with pytest.raises(TypeError):
+            twin.health["mod7"] = Health.BROKEN
+        with pytest.raises(TypeError):
+            twin.events[0].payload["component"] = "mod7"
+        assert twin.broken_components() == ("mod8",)
+
+    def test_constructor_copies_its_mappings(self):
+        health, payload = {"a": Health.OK}, {"k": "v"}
+        event = pdt.Event(T0, "note", payload)
+        twin = pdt.PdtInstance("VIN-5", "m", "d", health, (event,))
+        health["a"], payload["k"] = Health.BROKEN, "w"
+        assert twin.health == {"a": Health.OK} and event.payload == {"k": "v"}
+
+    def test_pickles_and_copies(self, f1):
+        import copy
+        import pickle
+
+        twin = set_health(create_instance("VIN-004", f1), "mod8", Health.BROKEN, T0)
+        assert pickle.loads(pickle.dumps(twin)) == twin
+        assert copy.deepcopy(twin) == twin
+        assert pickle.loads(pickle.dumps(twin.events[0])).when == twin.events[0].when
