@@ -262,6 +262,7 @@ _registry = _record(
 
 _KINDS = {kind.value: kind for kind in ProductKind}
 _ROLES = {role.value: role for role in FlowRole}
+_HEALTH = {health.value: health for health in Health}
 
 
 def _rows(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
@@ -330,17 +331,44 @@ def _direct_model(doc: Any) -> BiPanModel:
     )
 
 
-def load_model(data: bytes) -> BiPanModel:
-    """Parse and reference-check a model document; structural validation is separate.
+def _direct_instance(doc: Any) -> PdtInstance:
+    """The twin of a well-formed document, built without per-field paths.
 
-    A well-formed document is built directly; any other is decoded by the
-    field-spec decoder ``_model``, the one source of every model error.
+    It accepts only what ``_instance`` accepts and builds an equal twin. Some
+    faults fail where the value is used: a health map or payload that is not an
+    object has no items or values, a timestamp that is not a string fails in
+    ``parse_timestamp``, and a bad instance id in ``PdtInstance``.
+    """
+    ids = (doc["instance_id"], doc.get("model_id", ""), doc.get("model_digest", ""))
+    if not all(isinstance(value, str) for value in ids):
+        raise ValueError("id")
+    events = []
+    for row in _rows(doc, "events"):
+        kind, payload = row["kind"], row.get("payload", {})
+        if not isinstance(kind, str) or not all(isinstance(v, str) for v in payload.values()):
+            raise ValueError("event")
+        events.append(Event(row["timestamp"], kind, payload))
+    health = {c: _HEALTH[h] for c, h in doc.get("health", {}).items()}
+    return PdtInstance(*ids, health, tuple(events))
+
+
+def _decode(data: bytes, direct: Callable[[Any], Any], spec: Converter) -> Any:
+    """Parse ``data`` and build it with ``direct``; on any fault, decode it with ``spec``.
+
+    ``direct`` accepts only what the field-spec decoder ``spec`` accepts and
+    builds an equal value, so it decides only what succeeds: ``spec`` stays the
+    one source of every error, code and detail.
     """
     doc = _parse_json(data)
     try:
-        return _direct_model(doc)
-    except Exception:  # whatever the fault, ``_model`` reports it, or builds the model
-        return _model(doc, "")
+        return direct(doc)
+    except Exception:  # whatever the fault, ``spec`` reports it, or builds the value
+        return spec(doc, "")
+
+
+def load_model(data: bytes) -> BiPanModel:
+    """Parse and reference-check a model document; structural validation is separate."""
+    return _decode(data, _direct_model, _model)
 
 
 def save_model(model: BiPanModel) -> bytes:
@@ -395,7 +423,7 @@ def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
 
 
 def load_instance(data: bytes) -> PdtInstance:
-    return _instance(_parse_json(data), "")
+    return _decode(data, _direct_instance, _instance)
 
 
 def save_instance(pdt: PdtInstance) -> bytes:

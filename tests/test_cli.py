@@ -343,6 +343,29 @@ class TestPdt:
         assert main(["pdt", "set-health", "VIN-006", "mod8", "broken", "--dir", d]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
 
+    def test_twin_and_log_bytes_pinned(self, workdir, capsys):
+        # Recorded before twin documents had a direct decode path.
+        d, model = str(workdir), model_path(workdir)
+        script = [
+            ["new", "VIN-007", model],
+            ["set-health", "VIN-007", "mod8", "broken", "--at", T0],
+            ["set-health", "VIN-007", "mod2", "Degraded", "--at", "2024-05-01T10:30:00+00:00"],
+            ["set-health", "VIN-007", "mod2", "broken", "--at", "2024-05-01T10:30:00.250000Z"],
+            ["plan-repair", "VIN-007", "--model", model, "--replace", "mod8=mod8r,mod2=mod2r",
+             "--at", T1, "--out", str(workdir / "r.plan.json")],
+        ]
+        for args in script:
+            assert main(["pdt", *args, "--dir", d]) == 0
+        twin = (workdir / "VIN-007.pdt.json").read_bytes()
+        assert hashlib.sha256(twin).hexdigest() == (
+            "f91bf476b6a46919b02ae1fe4ac72d7cc89197c0be53f5d8ab0d6182a2c7ca47"
+        )
+        capsys.readouterr()
+        assert main(["pdt", "log", "VIN-007", "--dir", d, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+            "e74a132b80a6f6dcfbc0bf57c60d18c50f7544610118e7fad008ea2917febb74"
+        )
+
 
 class TestHostileInput:
     def test_deeply_nested_json(self, workdir):
@@ -445,6 +468,39 @@ class TestHostileInput:
         *missing, error = result.stderr.splitlines()
         assert error == "error: infeasible: missing skills: screw\\ning"
         assert missing and all(line.endswith("): missing screw\\ning") for line in missing)
+
+
+# Top-level modules that ``import bipan.cli`` added under ``python -S`` (CPython
+# 3.11), recorded before twin documents had a direct decode path.
+CLI_IMPORTS = frozenset("""
+    __future__ _ast _bisect _blake2 _bz2 _collections _collections_abc _compression _datetime
+    _elementtree _functools _hashlib _heapq _json _lzma _opcode _operator _random _sha512 _sre
+    _stat _typing _weakrefset argparse ast bipan bisect bz2 collections contextlib copy copyreg
+    dataclasses datetime dis enum errno fnmatch functools genericpath gettext hashlib heapq
+    importlib inspect ipaddress itertools json keyword linecache lzma math ntpath opcode operator
+    os pathlib posixpath pyexpat random re reprlib shutil stat tempfile token tokenize types
+    typing urllib warnings weakref xml zlib
+""".split())
+
+
+class TestStartup:
+    def test_cli_imports_no_new_modules(self, tmp_path):
+        """``-S`` leaves out ``site``, so the set does not depend on installed packages."""
+        code = (
+            "import sys\n"
+            "before = {name.partition('.')[0] for name in sys.modules}\n"
+            "import bipan.cli\n"
+            "print(*sorted({name.partition('.')[0] for name in sys.modules} - before))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        added = set(result.stdout.split())
+        assert "bipan" in added
+        assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)
 
 
 class TestUsage:

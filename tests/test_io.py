@@ -9,6 +9,7 @@ from bipan import io
 from bipan.errors import BiPanError
 from bipan.fixtures import battery_model
 from bipan.model import COMPONENT_KINDS
+from bipan.pdt import Health, create_instance, set_health
 from bipan.plan import assembly_recipe, full_disassembly, repair_plan
 from bipan.validate import validate
 from strategies import models
@@ -158,6 +159,89 @@ class TestModelDecodePaths:
         assert io.save_plan(repair_plan(shuffled, broken, replacements)) == io.save_plan(
             repair_plan(model, broken, replacements)
         )
+
+
+def _twin_outcome(decode, data: bytes):
+    """The decoded twin and its saved bytes, or the code and detail of its error."""
+    try:
+        twin = decode(data)
+    except BiPanError as exc:
+        return exc.code, exc.detail
+    return twin, io.save_instance(twin)
+
+
+def _spec_decode_twin(data: bytes):
+    return io._instance(io._parse_json(data), "")
+
+
+@st.composite
+def twins(draw):
+    """Battery twins with a few health updates, stamped ``...Z`` or ``...+00:00``."""
+    twin = create_instance(draw(st.sampled_from(["VIN-1", "b.7_X"])), battery_model())
+    components = sorted(twin.health)
+    for second in sorted(draw(st.lists(st.integers(0, 3599), unique=True, max_size=5))):
+        form = draw(st.sampled_from(["10:{:02d}:{:02d}Z", "10:{:02d}:{:02d}.5+00:00"]))
+        stamp = "2024-05-01T" + form.format(*divmod(second, 60))
+        component, health = draw(st.sampled_from(components)), draw(st.sampled_from(list(Health)))
+        twin = set_health(twin, component, health, stamp)
+    return twin
+
+
+EVENT = '{"timestamp": "2024-05-01T10:00:00Z", "kind": "k"}'
+STAMPED = '"events": [{"timestamp": "2024-05-01T10:00:00Z", '
+
+
+class TestInstanceDecodePaths:
+    """``load_instance`` decodes well-formed twin documents directly and every
+    other one with the field-spec decoder; both must give the same twin or the
+    same error.
+    """
+
+    @given(st.data())
+    def test_mutated_documents_decode_alike(self, data):
+        twin = data.draw(twins(), label="twin")
+        document = data.draw(mutated(io.save_instance(twin)), label="document")
+        outcome = _twin_outcome(io.load_instance, document)
+        assert outcome == _twin_outcome(_spec_decode_twin, document)
+
+    @given(twins())
+    def test_well_formed_documents_decode_alike(self, twin):
+        document = io.save_instance(twin)
+        assert _twin_outcome(io.load_instance, document) == (twin, document)
+        assert _twin_outcome(_spec_decode_twin, document) == (twin, document)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"events": {"0": ' + EVENT + "}",
+            '"events": {}',
+            '"events": ""',
+            '"events": [["2024-05-01T10:00:00Z", "k"]]',
+            '"health": [["a", "Ok"]]',
+            '"health": {"a": ["Ok"]}',
+            '"health": {"a": "ok"}',
+            STAMPED + '"kind": "k", "payload": [["k", "v"]]}]',
+            STAMPED + '"kind": "k", "payload": null}]',
+            STAMPED + '"kind": "k", "payload": {"k": 1}}]',
+            '"events": [{"timestamp": 1, "kind": "k"}]',
+            STAMPED + '"kind": 1}]',
+            '"model_id": null',
+            '"model_digest": 1',
+            '"instance_id": 7',
+            '"events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": 1}, ' + EVENT + "]",
+            '"model_id": null, "events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": "k"}, '
+            + EVENT + "]",
+        ],
+    )
+    def test_near_valid_documents_decode_alike(self, fields):
+        """Faults a direct decoder could miss: a container of the wrong kind whose
+        iteration or conversion still succeeds, a value of the wrong type, and a
+        time regression after an earlier fault.
+        """
+        document = ('{"instance_id": "V", ' + fields + "}").encode("utf-8")
+        outcome = _twin_outcome(io.load_instance, document)
+        assert outcome == _twin_outcome(_spec_decode_twin, document)
+        assert isinstance(outcome[0], str)
 
 
 class TestPlanDocuments:

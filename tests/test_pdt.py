@@ -1,6 +1,9 @@
 import json
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipan import io, pdt
 from bipan.errors import BiPanError
@@ -86,6 +89,56 @@ class TestSetHealth:
         assert len(parsed) == 40
         io.load_instance(io.save_instance(twin))
         assert len(parsed) == 80
+
+
+def _normalize_then_parse(value: str):
+    """The timestamp rule as first written: the oracle of the fast UTC check."""
+    text = value[:-1] + "+00:00" if value.endswith("Z") else value
+    try:
+        parsed = datetime.fromisoformat(text)
+    except ValueError:
+        return "invalid-timestamp", f"not an ISO-8601 timestamp: {value!r}"
+    if parsed.tzinfo is None or parsed.utcoffset() != timezone.utc.utcoffset(None):
+        return "invalid-timestamp", f"timestamp must be UTC: {value!r}"
+    return parsed
+
+
+def _parsed(value: str):
+    try:
+        return parse_timestamp(value)
+    except BiPanError as exc:
+        return exc.code, exc.detail
+
+
+OFFSETS = [
+    "", "Z", "z", "+00:00", "-00:00", "+0000", "+00", "+00:00:00", "+00:00:00.000001",
+    "+00:00Z", "Z+00:00", "ZZ", "+02:00", "-05:30", "+23:59", "+00:00:01", "+24:00", " Z",
+]
+
+
+@st.composite
+def timestamps(draw) -> str:
+    """ISO-8601-like strings: a date, maybe a time with seconds and fraction, maybe an offset."""
+    text = draw(st.dates()).isoformat()
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("T t")) + draw(st.times()).isoformat(
+            draw(st.sampled_from(["hours", "minutes", "seconds", "milliseconds", "microseconds"]))
+        )
+    return text + draw(st.sampled_from(OFFSETS))
+
+
+class TestTimestampRule:
+    """``parse_timestamp`` accepts the ``timezone.utc`` singleton at once; every
+    other value still takes the offset comparison. Both must keep the old rule.
+    """
+
+    @settings(max_examples=400)
+    @given(timestamps() | st.sampled_from(["Z", "z", "", "T", "2024-05-01TZ"]) | st.text())
+    def test_matches_normalize_then_parse(self, value):
+        ours, oracle = _parsed(value), _normalize_then_parse(value)
+        assert ours == oracle
+        if isinstance(oracle, datetime):
+            assert (ours.isoformat(), ours.utcoffset()) == (oracle.isoformat(), oracle.utcoffset())
 
 
 class TestPlanRepair:
