@@ -31,17 +31,16 @@ class Health(Enum):
 def parse_timestamp(value: str) -> datetime:
     """Strict ISO-8601 UTC timestamp ('...Z' or '...+00:00').
 
-    ``fromisoformat`` gives a zero offset the ``timezone.utc`` singleton, so
-    an identity test accepts those without comparing offsets.
+    ``fromisoformat`` gives every zero offset the ``timezone.utc`` singleton,
+    so an identity test is the whole UTC check: it rejects naive times and
+    every non-zero offset.
     """
     text = value[:-1] + "+00:00" if value.endswith("Z") else value
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError as exc:
         raise BiPanError("invalid-timestamp", f"not an ISO-8601 timestamp: {value!r}") from exc
-    if parsed.tzinfo is timezone.utc:
-        return parsed
-    if parsed.tzinfo is None or parsed.utcoffset() != timezone.utc.utcoffset(None):
+    if parsed.tzinfo is not timezone.utc:
         raise BiPanError("invalid-timestamp", f"timestamp must be UTC: {value!r}")
     return parsed
 

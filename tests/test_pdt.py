@@ -128,8 +128,8 @@ def timestamps(draw) -> str:
 
 
 class TestTimestampRule:
-    """``parse_timestamp`` accepts the ``timezone.utc`` singleton at once; every
-    other value still takes the offset comparison. Both must keep the old rule.
+    """``parse_timestamp`` checks UTC by identity with the ``timezone.utc``
+    singleton; it must keep the old rule, which compared offsets.
     """
 
     @settings(max_examples=400)
