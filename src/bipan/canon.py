@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from json.encoder import encode_basestring as _escape  # the C escaper when _json is built
@@ -97,4 +96,5 @@ def model_to_obj(model: BiPanModel) -> dict[str, Any]:
 
 def model_digest(model: BiPanModel) -> str:
     """SHA-256 hex digest of the canonical model document bytes."""
+    import hashlib  # not every command takes a digest
     return hashlib.sha256(canonical_bytes(model_to_obj(model))).hexdigest()

@@ -22,8 +22,7 @@ import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
-from xml.etree import ElementTree
+from typing import TYPE_CHECKING, Any
 
 from bipan.canon import canonical_bytes, model_digest, model_to_obj
 from bipan.errors import BiPanError
@@ -42,6 +41,9 @@ from bipan.model import (
 )
 from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import Direction, Plan, PlanStep, Resource, ResourceRegistry
+
+if TYPE_CHECKING:
+    from xml.etree import ElementTree
 
 __all__ = [
     "AmlFragment",
@@ -190,6 +192,23 @@ def _record(cls: Any, **spec: tuple[Converter, Any]) -> Converter:
     return decode
 
 
+def _edge(cls: Any, *endpoints: str) -> Callable[..., Any]:
+    """``cls``, built after ``check_id`` on the ids in its ``endpoints`` fields.
+
+    ``BiPanModel`` checks only an edge id that names no node; checking each
+    record's ids here reports a bad one before any later fault in the document.
+    """
+
+    def build(**fields: Any) -> Any:
+        for name in endpoints:
+            ids = fields[name]
+            for node_id in (ids,) if isinstance(ids, str) else ids:
+                check_id(node_id)
+        return cls(**fields)
+
+    return build
+
+
 def _records(cls: Any, **spec: tuple[Converter, Any]) -> tuple[Converter, Any]:
     """Spec entry for an array of ``cls`` records that may be left out."""
     return (_list_of(_record(cls, **spec)), [])
@@ -211,9 +230,12 @@ _model = _record(
     ),
     processes=_records(ProcessNode, **_NODE),
     skills=_records(SkillNode, **_NODE),
-    flows=_records(FlowEdge, product=_STR, process=_STR, role=(_enum(FlowRole), None)),
-    skill_edges=_records(SkillEdge, process=_STR, skill=_STR),
-    fastens=_records(FastensLink, fastener=_STR, secures=_STRINGS),
+    flows=_records(
+        _edge(FlowEdge, "product", "process"),
+        product=_STR, process=_STR, role=(_enum(FlowRole), None),
+    ),
+    skill_edges=_records(_edge(SkillEdge, "process", "skill"), process=_STR, skill=_STR),
+    fastens=_records(_edge(FastensLink, "fastener", "secures"), fastener=_STR, secures=_STRINGS),
     id=(_string, ""),
 )
 
@@ -283,10 +305,11 @@ def _label(row: dict[str, Any]) -> str:
 def _direct_model(doc: Any) -> BiPanModel:
     """The model of a well-formed document, built without per-field paths.
 
-    It accepts only what ``_model`` accepts and builds an equal model. Ids are
-    checked by the node and edge constructors, which take only strings. Any
-    fault raises, and :func:`load_model` then decodes the document again with
-    ``_model``, which names it.
+    It accepts only what ``_model`` accepts and builds an equal model. Node ids
+    are checked by the node constructors, which take only strings, and the
+    model resolves each edge endpoint to one of those nodes. Any fault raises,
+    and :func:`load_model` then decodes the document again with ``_model``,
+    which names it.
     """
     if not isinstance(doc, dict):
         raise ValueError("document")
@@ -595,6 +618,7 @@ def _parse_internal_element(
 
 def import_aml(data: bytes) -> AmlFragment:
     """Read the declared CAEX subset into a products-only fragment."""
+    from xml.etree import ElementTree  # only this command parses XML
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

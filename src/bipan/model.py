@@ -138,19 +138,11 @@ class FlowEdge:
     process: str
     role: FlowRole
 
-    def __post_init__(self) -> None:
-        check_id(self.product)
-        check_id(self.process)
-
 
 @dataclass(frozen=True)
 class SkillEdge:
     process: str
     skill: str
-
-    def __post_init__(self) -> None:
-        check_id(self.process)
-        check_id(self.skill)
 
 
 @dataclass(frozen=True)
@@ -161,22 +153,26 @@ class FastensLink:
     secures: frozenset[str]
 
     def __post_init__(self) -> None:
-        check_id(self.fastener)
-        secures = frozenset(check_id(s) for s in self.secures)
-        object.__setattr__(self, "secures", secures)
+        object.__setattr__(self, "secures", frozenset(self.secures))
 
 
-class _Index(NamedTuple):
-    """Neighbour ids per node: by process (inputs, outputs, skill ids) or by product."""
+class Adjacency(NamedTuple):
+    """Read-only neighbour ids, ascending: by process (inputs, outputs, skill ids) or by product."""
 
-    inputs: dict[str, tuple[str, ...]]
-    outputs: dict[str, tuple[str, ...]]
-    producers: dict[str, tuple[str, ...]]
-    consumers: dict[str, tuple[str, ...]]
-    skill_ids: dict[str, tuple[str, ...]]
+    inputs: Mapping[str, tuple[str, ...]]
+    outputs: Mapping[str, tuple[str, ...]]
+    producers: Mapping[str, tuple[str, ...]]
+    consumers: Mapping[str, tuple[str, ...]]
+    skill_ids: Mapping[str, tuple[str, ...]]
 
 
 _FAMILY = {ProductNode: "product", ProcessNode: "process", SkillNode: "skill"}
+
+
+def _dangling(source: str, family: str, node_id: str) -> BiPanError:
+    """``dangling-reference`` for an endpoint naming no node; ``invalid-id`` if none could."""
+    check_id(node_id)
+    return BiPanError("dangling-reference", f"{source} references unknown {family} '{node_id}'")
 
 
 def _normalized(edges: tuple, key: Callable) -> tuple:
@@ -233,28 +229,18 @@ class BiPanModel:
 
         for flow in self.flows:
             if not isinstance(nodes.get(flow.product), ProductNode):
-                raise BiPanError(
-                    "dangling-reference", f"flow references unknown product '{flow.product}'"
-                )
+                raise _dangling("flow", "product", flow.product)
             if not isinstance(nodes.get(flow.process), ProcessNode):
-                raise BiPanError(
-                    "dangling-reference", f"flow references unknown process '{flow.process}'"
-                )
+                raise _dangling("flow", "process", flow.process)
         for edge in self.skill_edges:
             if not isinstance(nodes.get(edge.process), ProcessNode):
-                raise BiPanError(
-                    "dangling-reference", f"skill edge references unknown process '{edge.process}'"
-                )
+                raise _dangling("skill edge", "process", edge.process)
             if not isinstance(nodes.get(edge.skill), SkillNode):
-                raise BiPanError(
-                    "dangling-reference", f"skill edge references unknown skill '{edge.skill}'"
-                )
+                raise _dangling("skill edge", "skill", edge.skill)
         for link in self.fastens:
             for pid in (link.fastener, *sorted(link.secures)):
                 if not isinstance(nodes.get(pid), ProductNode):
-                    raise BiPanError(
-                        "dangling-reference", f"fastens link references unknown product '{pid}'"
-                    )
+                    raise _dangling("fastens link", "product", pid)
 
         # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
         flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
@@ -269,11 +255,15 @@ class BiPanModel:
         object.__setattr__(self, "skill_edges", skill_edges)
         object.__setattr__(self, "fastens", fastens)
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle and copy without the read-only adjacency maps; they are rebuilt on use."""
+        return {name: value for name, value in self.__dict__.items() if name != "adjacency"}
+
     # -- indices -------------------------------------------------------------
 
     @cached_property
-    def _index(self) -> _Index:
-        """All five adjacency maps in one pass over the edges.
+    def adjacency(self) -> Adjacency:
+        """All five adjacency maps, built in one pass over the edges.
 
         Normalization sorts flows by (process, role, product) and skill edges by
         (process, skill), so every neighbour tuple comes out in ascending id order.
@@ -292,9 +282,9 @@ class BiPanModel:
                 producers[f.product].append(f.process)
         for e in self.skill_edges:
             skill_ids[e.process].append(e.skill)
-        return _Index(
+        return Adjacency(
             *(
-                {node_id: tuple(ids) for node_id, ids in adjacency.items()}
+                MappingProxyType({node_id: tuple(ids) for node_id, ids in adjacency.items()})
                 for adjacency in (inputs, outputs, producers, consumers, skill_ids)
             )
         )
@@ -317,20 +307,20 @@ class BiPanModel:
 
     # -- lookups ---------------------------------------------------------------
 
+    def _unknown(self, family: str, node_id: str) -> BiPanError:
+        return BiPanError("unknown-node", f"no {family} '{node_id}' in model '{self.id}'")
+
     def product(self, product_id: str) -> ProductNode:
         node = self._nodes.get(product_id)
         if not isinstance(node, ProductNode):
-            raise BiPanError("unknown-node", f"no product '{product_id}' in model '{self.id}'")
+            raise self._unknown("product", product_id)
         return node
 
     def process(self, process_id: str) -> ProcessNode:
         node = self._nodes.get(process_id)
         if not isinstance(node, ProcessNode):
-            raise BiPanError("unknown-node", f"no process '{process_id}' in model '{self.id}'")
+            raise self._unknown("process", process_id)
         return node
-
-    def has_product(self, product_id: str) -> bool:
-        return isinstance(self._nodes.get(product_id), ProductNode)
 
     def has_process(self, process_id: str) -> bool:
         return isinstance(self._nodes.get(process_id), ProcessNode)
@@ -339,15 +329,20 @@ class BiPanModel:
         return node_id in self._nodes
 
     # -- structural queries ------------------------------------------------------
+    # One lookup each: a map's keys are exactly one node family, so a miss is an unknown node.
 
     def inputs_of(self, process_id: str) -> tuple[str, ...]:
         """Products consumed by a process in assembly direction, ascending id."""
-        self.process(process_id)
-        return self._index.inputs[process_id]
+        try:
+            return self.adjacency.inputs[process_id]
+        except KeyError:
+            raise self._unknown("process", process_id) from None
 
     def outputs_of(self, process_id: str) -> tuple[str, ...]:
-        self.process(process_id)
-        return self._index.outputs[process_id]
+        try:
+            return self.adjacency.outputs[process_id]
+        except KeyError:
+            raise self._unknown("process", process_id) from None
 
     def output_of(self, process_id: str) -> str | None:
         """The process output, or None; the least id if the model is malformed."""
@@ -355,12 +350,16 @@ class BiPanModel:
         return outs[0] if outs else None
 
     def producers_of(self, product_id: str) -> tuple[str, ...]:
-        self.product(product_id)
-        return self._index.producers[product_id]
+        try:
+            return self.adjacency.producers[product_id]
+        except KeyError:
+            raise self._unknown("product", product_id) from None
 
     def consumers_of(self, product_id: str) -> tuple[str, ...]:
-        self.product(product_id)
-        return self._index.consumers[product_id]
+        try:
+            return self.adjacency.consumers[product_id]
+        except KeyError:
+            raise self._unknown("product", product_id) from None
 
     def producer_of(self, product_id: str) -> str | None:
         """The process producing this product, or None for leaves.
@@ -376,8 +375,10 @@ class BiPanModel:
         return procs[0] if procs else None
 
     def skill_ids_of(self, process_id: str) -> tuple[str, ...]:
-        self.process(process_id)
-        return self._index.skill_ids[process_id]
+        try:
+            return self.adjacency.skill_ids[process_id]
+        except KeyError:
+            raise self._unknown("process", process_id) from None
 
     def skill_labels_of(self, process_id: str) -> tuple[str, ...]:
         """Sorted, de-duplicated labels of the skills linked to a process."""
@@ -388,7 +389,7 @@ class BiPanModel:
 
     def leaf_products(self) -> tuple[str, ...]:
         """Products with no producer, ascending id."""
-        return tuple(p.id for p in self.products if not self._index.producers[p.id])
+        return tuple(p.id for p in self.products if not self.adjacency.producers[p.id])
 
     def spine(self, product_id: str) -> tuple[str, ...]:
         """Chain of processes from this product's consumer up to the final producer.
@@ -396,9 +397,9 @@ class BiPanModel:
         Empty for the final product itself. Assumes a validated model; on a
         cyclic graph the walk aborts with ``invalid-model``.
         """
-        node = self.product(product_id)
-        if self.consumer_of(product_id) is None:
-            if node.kind is ProductKind.FINAL:
+        proc = self.consumer_of(product_id)
+        if proc is None:
+            if self.product(product_id).kind is ProductKind.FINAL:
                 return ()
             raise BiPanError(
                 "detached-node",
@@ -406,7 +407,6 @@ class BiPanModel:
             )
         chain: list[str] = []
         seen: set[str] = set()
-        proc = self.consumer_of(product_id)
         while proc is not None:
             if proc in seen:
                 raise BiPanError("invalid-model", f"flow cycle at process '{proc}'")

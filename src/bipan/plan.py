@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Any
@@ -173,26 +173,30 @@ def assembly_order(model: BiPanModel) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _forward_step(model: BiPanModel, process_id: str) -> PlanStep:
+def _forward_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -> PlanStep:
+    """The process run forward, consuming ``inputs``: its own, or a repair's resolved ones."""
     output = model.output_of(process_id)
     assert output is not None  # guaranteed by validation (V001)
     return PlanStep(
         process=process_id,
         direction=Direction.FORWARD,
-        consumed=model.inputs_of(process_id),
+        consumed=inputs,
         produced=(output,),
         required_skills=model.skill_labels_of(process_id),
     )
 
 
-def _reverse_step(model: BiPanModel, process_id: str, inv: Mapping[str, str]) -> PlanStep:
+def _reverse_step(
+    model: BiPanModel, process_id: str, inputs: tuple[str, ...], inv: Mapping[str, str]
+) -> PlanStep:
+    """The process undone, producing ``inputs``: its own, or a repair's resolved ones."""
     output = model.output_of(process_id)
     assert output is not None
     return PlanStep(
         process=process_id,
         direction=Direction.REVERSE,
         consumed=(output,),
-        produced=model.inputs_of(process_id),
+        produced=inputs,
         required_skills=_inverted(model.skill_labels_of(process_id), inv),
     )
 
@@ -200,14 +204,15 @@ def _reverse_step(model: BiPanModel, process_id: str, inv: Mapping[str, str]) ->
 def assembly_recipe(model: BiPanModel) -> Plan:
     """Forward steps over all processes, in assembly topological order."""
     ensure_valid(model)
-    steps = tuple(_forward_step(model, pid) for pid in assembly_order(model))
+    steps = tuple(_forward_step(model, pid, model.inputs_of(pid)) for pid in assembly_order(model))
     return Plan(model.id, model.digest, steps)
 
 
 def full_disassembly(model: BiPanModel, inv: Mapping[str, str] = DEFAULT_INVERSION) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     ensure_valid(model)
-    steps = tuple(_reverse_step(model, pid, inv) for pid in reversed(assembly_order(model)))
+    order = reversed(assembly_order(model))
+    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid), inv) for pid in order)
     return Plan(model.id, model.digest, steps)
 
 
@@ -229,7 +234,7 @@ def disassembly_to(
     spine = model.spine(target)
     root_first = tuple(reversed(spine))
     selected = root_first if mode is DisassemblyMode.EXTRACT else root_first[:-1]
-    steps = tuple(_reverse_step(model, pid, inv) for pid in selected)
+    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid), inv) for pid in selected)
     return Plan(model.id, model.digest, steps)
 
 
@@ -349,12 +354,10 @@ def repair_plan(
 
     emit_swaps_freed_by(None)
     for process_id in reversal:
-        step = _reverse_step(model, process_id, inv)
-        steps.append(replace(step, produced=resolve(step.produced)))
+        steps.append(_reverse_step(model, process_id, resolve(model.inputs_of(process_id)), inv))
         emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
-        step = _forward_step(model, process_id)
-        steps.append(replace(step, consumed=resolve(step.consumed)))
+        steps.append(_forward_step(model, process_id, resolve(model.inputs_of(process_id))))
 
     return Plan(model.id, model.digest, tuple(steps))
 

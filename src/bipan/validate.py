@@ -69,8 +69,9 @@ class Diagnostics:
 
 
 def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
+    adjacency = model.adjacency
     for proc in model.processes:
-        outs = model.outputs_of(proc.id)
+        outs = adjacency.outputs[proc.id]
         if len(outs) != 1:
             found.append(
                 Diagnostic(
@@ -79,18 +80,19 @@ def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
                     f"process '{proc.id}' must have exactly one output product (found {len(outs)})",
                 )
             )
-        if not model.inputs_of(proc.id):
+        if not adjacency.inputs[proc.id]:
             found.append(
                 Diagnostic("V002", (proc.id,), f"process '{proc.id}' has no input products")
             )
-        if not model.skill_ids_of(proc.id):
+        if not adjacency.skill_ids[proc.id]:
             found.append(Diagnostic("V009", (proc.id,), f"process '{proc.id}' has no skill edges"))
 
 
 def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
+    adjacency = model.adjacency
     for prod in model.products:
-        producers = model.producers_of(prod.id)
-        consumers = model.consumers_of(prod.id)
+        producers = adjacency.producers[prod.id]
+        consumers = adjacency.consumers[prod.id]
 
         parts = []
         involved: set[str] = set()
@@ -173,8 +175,8 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
 def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
     # Flow graph in assembly direction: input product -> process -> output product.
     # The model's neighbour tuples are already in ascending id order.
-    def targets(node: str) -> tuple[str, ...]:
-        return model.consumers_of(node) if model.has_product(node) else model.outputs_of(node)
+    adjacency = model.adjacency
+    targets = {**adjacency.consumers, **adjacency.outputs}
 
     # Iterative Tarjan SCC.
     index: dict[str, int] = {}
@@ -184,7 +186,7 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
     counter = 0
     sccs: list[list[str]] = []
 
-    for root in sorted([*(p.id for p in model.products), *(p.id for p in model.processes)]):
+    for root in sorted(targets):
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]
@@ -196,7 +198,7 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            edges = targets(node)
+            edges = targets[node]
             for i in range(edge_idx, len(edges)):
                 target = edges[i]
                 if target not in index:
@@ -235,9 +237,13 @@ def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
 def _check_reachability(model: BiPanModel, found: list[Diagnostic]) -> None:
     # Reverse traversal from the final product(s); if none exist, fall back to
     # sink products so that a merely re-kinded root does not mark everything.
+    adjacency = model.adjacency
+    sources = dict(adjacency.producers)
+    for pid, inputs in adjacency.inputs.items():
+        sources[pid] = inputs + adjacency.skill_ids[pid]
     roots = list(model.final_products())
     if not roots:
-        roots = [p.id for p in model.products if not model.consumers_of(p.id)]
+        roots = [p.id for p in model.products if not adjacency.consumers[p.id]]
     visited: set[str] = set()
     queue = deque(roots)
     while queue:
@@ -245,24 +251,11 @@ def _check_reachability(model: BiPanModel, found: list[Diagnostic]) -> None:
         if node in visited:
             continue
         visited.add(node)
-        if model.has_product(node):
-            queue.extend(model.producers_of(node))
-        elif model.has_process(node):
-            queue.extend(model.inputs_of(node))
-            queue.extend(model.skill_ids_of(node))
-    all_ids = (
-        [p.id for p in model.products]
-        + [p.id for p in model.processes]
-        + [s.id for s in model.skills]
-    )
-    for node_id in all_ids:
-        if node_id not in visited:
+        queue.extend(sources.get(node, ()))
+    for node in (*model.products, *model.processes, *model.skills):
+        if node.id not in visited:
             found.append(
-                Diagnostic(
-                    "V010",
-                    (node_id,),
-                    f"'{node_id}' is unreachable from the final product",
-                )
+                Diagnostic("V010", (node.id,), f"'{node.id}' is unreachable from the final product")
             )
 
 

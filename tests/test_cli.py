@@ -473,14 +473,15 @@ class TestHostileInput:
 # Top-level modules that ``import bipan.cli`` added under ``python -S`` (CPython
 # 3.11), recorded before twin documents had a direct decode path.
 CLI_IMPORTS = frozenset("""
-    __future__ _ast _bisect _blake2 _bz2 _collections _collections_abc _compression _datetime
-    _elementtree _functools _hashlib _heapq _json _lzma _opcode _operator _random _sha512 _sre
+    __future__ _ast _bisect _bz2 _collections _collections_abc _compression _datetime
+    _functools _heapq _json _lzma _opcode _operator _random _sha512 _sre
     _stat _typing _weakrefset argparse ast bipan bisect bz2 collections contextlib copy copyreg
-    dataclasses datetime dis enum errno fnmatch functools genericpath gettext hashlib heapq
+    dataclasses datetime dis enum errno fnmatch functools genericpath gettext heapq
     importlib inspect ipaddress itertools json keyword linecache lzma math ntpath opcode operator
-    os pathlib posixpath pyexpat random re reprlib shutil stat tempfile token tokenize types
-    typing urllib warnings weakref xml zlib
+    os pathlib posixpath random re reprlib shutil stat tempfile token tokenize types
+    typing urllib warnings weakref zlib
 """.split())
+ONLY_ON_DEMAND = ("xml.etree", "hashlib")  # imported by import-aml and by digests alone
 
 
 class TestStartup:
@@ -505,6 +506,34 @@ class TestStartup:
         added = set(result.stdout.split())
         assert "bipan" in added
         assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)
+
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="recorded on CPython 3.11; the stdlib's own imports differ by version",
+    )
+    @pytest.mark.parametrize(
+        "args,loaded",
+        [(["validate", "f1.bipan.json"], ()), (["import-aml", "battery.aml"], ("xml.etree",))],
+    )
+    def test_commands_import_xml_and_hashlib_on_demand(self, workdir, args, loaded):
+        code = (
+            "import sys\n"
+            "from bipan.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            f"print('loaded:', *[m for m in {ONLY_ON_DEMAND!r} if m in sys.modules])\n"
+            "sys.exit(status)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, *args], cwd=workdir, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        output, _, last = result.stdout.rstrip("\n").rpartition("\n")
+        assert last.split()[1:] == list(loaded)
+        if args[0] == "import-aml":
+            assert len(json.loads(output)["products"]) == 10
 
 
 class TestUsage:

@@ -74,6 +74,27 @@ class TestQueries:
         assert "stage1" not in leaves and "battery" not in leaves
 
 
+# Every adjacency accessor, with an id of each family it does not answer for and
+# an unknown id. The details are those from when each accessor looked its node up
+# with ``product()`` or ``process()`` first.
+PROCESS_ACCESSORS = ("inputs_of", "outputs_of", "output_of", "skill_ids_of", "skill_labels_of")
+PRODUCT_ACCESSORS = ("producers_of", "consumers_of", "producer_of", "consumer_of")
+MISSES = [
+    *((name, node_id, "process") for name in PROCESS_ACCESSORS for node_id in ("mod3", "screwing")),
+    *((name, node_id, "product") for name in PRODUCT_ACCESSORS for node_id in ("p2", "screwing")),
+    *((name, "flux-capacitor", "process") for name in PROCESS_ACCESSORS),
+    *((name, "flux-capacitor", "product") for name in PRODUCT_ACCESSORS),
+]
+
+
+@pytest.mark.parametrize("accessor,node_id,family", MISSES)
+def test_accessor_miss_is_unknown_node(f1, accessor, node_id, family):
+    with pytest.raises(BiPanError) as err:
+        getattr(f1, accessor)(node_id)
+    assert err.value.code == "unknown-node"
+    assert err.value.detail == f"no {family} '{node_id}' in model 'ev-battery'"
+
+
 class TestSpine:
     def test_mid_component(self, f1):
         assert f1.spine("mod5") == ("p2", "p3", "p4", "p5")
@@ -223,9 +244,10 @@ class TestCachedFacts:
         assert len({plain, declared}) == 2
 
     def test_model_still_pickles(self, f1):
-        f1.digest
+        f1.digest, f1.diagnostics  # every cached fact, the adjacency maps among them
         copied = pickle.loads(pickle.dumps(f1))
         assert copied == f1 and copied.digest == f1.digest
+        assert copied.inputs_of("p4") == f1.inputs_of("p4")
         assert copy.deepcopy(f1) == f1
 
     def test_ensure_valid_raises_on_every_call(self, f1):

@@ -5,11 +5,22 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipan.canon import canonical_bytes
 from bipan.errors import BiPanError
-from bipan.model import FastensLink, FlowEdge, FlowRole, ProductKind, ProductNode
+from bipan.model import (
+    BiPanModel,
+    FastensLink,
+    FlowEdge,
+    FlowRole,
+    ProcessNode,
+    ProductKind,
+    ProductNode,
+    SkillEdge,
+    SkillNode,
+)
 from bipan.validate import Diagnostic, Severity, ensure_valid, validate
 from mutations import MUTANTS, drop_flows
 from strategies import models
@@ -152,6 +163,102 @@ def test_ensure_valid_raises_summary(f1):
 @given(models())
 def test_generated_models_have_no_errors(model):
     assert not validate(model).has_errors
+
+
+@st.composite
+def flow_graphs(draw):
+    """Small models with random flows and kinds: mostly cycles, shared producers
+    or consumers, detached nodes, and zero or several finals. Ids interleave the
+    three families in sort order."""
+    ids = draw(st.permutations([f"n{i}" for i in range(12)]))
+    n_products, n_processes = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    n_skills = draw(st.integers(0, 2))
+    product_ids = ids[:n_products]
+    process_ids = ids[n_products : n_products + n_processes]
+    skill_ids = ids[n_products + n_processes : n_products + n_processes + n_skills]
+    kinds = st.sampled_from(ProductKind)
+    products = tuple(ProductNode(i, i, draw(kinds)) for i in product_ids)
+    flows, skill_edges = (), ()
+    if process_ids:
+        flow = st.builds(
+            FlowEdge, st.sampled_from(product_ids), st.sampled_from(process_ids),
+            st.sampled_from(FlowRole),
+        )
+        flows = tuple(draw(st.lists(flow, max_size=14)))
+        if skill_ids:
+            edge = st.builds(SkillEdge, st.sampled_from(process_ids), st.sampled_from(skill_ids))
+            skill_edges = tuple(draw(st.lists(edge, max_size=4)))
+    return BiPanModel(
+        "g",
+        products,
+        tuple(ProcessNode(i, i) for i in process_ids),
+        tuple(SkillNode(i, i) for i in skill_ids),
+        flows,
+        skill_edges,
+    )
+
+
+def brute_force_v008_v010(model):
+    """V008 and V010 findings from their definitions, sharing no code with validate."""
+    all_ids = [n.id for n in (*model.products, *model.processes, *model.skills)]
+    flow_ids = [n.id for n in (*model.products, *model.processes)]
+    successors = {node_id: set() for node_id in all_ids}
+    for flow in model.flows:
+        if flow.role is FlowRole.INPUT:
+            successors[flow.product].add(flow.process)
+        else:
+            successors[flow.process].add(flow.product)
+
+    def reach(start, step):
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt in step(todo.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    reachable = {n: reach(n, successors.__getitem__) for n in flow_ids}
+    components = {
+        tuple(sorted(m for m in flow_ids if m in reachable[n] and n in reachable[m]))
+        for n in flow_ids
+    }
+    found = [
+        ("V008", c, "flow graph contains a cycle involving: " + ", ".join(c))
+        for c in sorted(components)
+        if len(c) > 1
+    ]
+
+    # Reverse reachability from the finals, or from the sink products without one.
+    sources = {node_id: set() for node_id in all_ids}
+    for flow in model.flows:
+        if flow.role is FlowRole.INPUT:
+            sources[flow.process].add(flow.product)
+        else:
+            sources[flow.product].add(flow.process)
+    for edge in model.skill_edges:
+        sources[edge.process].add(edge.skill)
+    roots = [p.id for p in model.products if p.kind is ProductKind.FINAL]
+    if not roots:
+        consumed = {f.product for f in model.flows if f.role is FlowRole.INPUT}
+        roots = [p.id for p in model.products if p.id not in consumed]
+    visited = set()
+    for root in roots:
+        visited |= reach(root, sources.__getitem__)
+    found += [
+        ("V010", (n,), f"'{n}' is unreachable from the final product")
+        for n in sorted(set(all_ids) - visited)
+    ]
+    return found
+
+
+@settings(max_examples=300)
+@given(flow_graphs())
+def test_cycles_and_reachability_match_brute_force(model):
+    findings = [
+        (d.code, d.nodes, d.message) for d in validate(model).items if d.code in ("V008", "V010")
+    ]
+    assert findings == brute_force_v008_v010(model)
 
 
 def test_readme_table_matches():
