@@ -14,22 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from bipan import io
-from bipan.canon import canonical_bytes
+from bipan import canon, io  # registered unloaded; each command loads what it uses
 from bipan.errors import EXIT_CODES, BiPanError
-from bipan.execute import ExecState, initial_inventory, run
-from bipan.model import BiPanModel
-from bipan.pdt import Health, create_instance, plan_repair_for, set_health
-from bipan.plan import (
-    DisassemblyMode,
-    Plan,
-    assembly_recipe,
-    check_feasibility,
-    disassembly_to,
-    full_disassembly,
-    repair_plan,
-)
+
+if TYPE_CHECKING:
+    from bipan.model import BiPanModel
+    from bipan.plan import Plan
 
 #: Each character ``str.splitlines`` breaks at, mapped to its escape.
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
@@ -97,7 +89,7 @@ def _feasibility_lines(plan: Plan, report) -> list[str]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     diags = _load_model(args.model).diagnostics
     if args.format == "json":
-        sys.stdout.write(canonical_bytes(diags.to_obj()).decode("utf-8"))
+        sys.stdout.write(canon.canonical_bytes(diags.to_obj()).decode("utf-8"))
     else:
         for d in diags.items:
             nodes = f" [{', '.join(d.nodes)}]" if d.nodes else ""
@@ -110,6 +102,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from bipan.plan import DisassemblyMode, assembly_recipe, check_feasibility, disassembly_to
+    from bipan.plan import full_disassembly, repair_plan
     model = _load_model(args.model)
     if args.action == "assemble":
         plan = assembly_recipe(model)
@@ -133,7 +127,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         registry = io.load_registry(io.read_file(args.registry))
         report = check_feasibility(plan, registry)
         if args.out is not None:
-            sys.stdout.write(canonical_bytes(report.to_obj()).decode("utf-8"))
+            sys.stdout.write(canon.canonical_bytes(report.to_obj()).decode("utf-8"))
         if not report.feasible:
             for line in _feasibility_lines(plan, report):
                 print(_one_line(line), file=sys.stderr)
@@ -149,6 +143,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:
+    from bipan.execute import ExecState, initial_inventory, run
     plan = io.load_plan(io.read_file(args.plan))
     model = _load_model(args.model)
     if args.inventory == "initial":
@@ -160,7 +155,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
-        sys.stdout.write(canonical_bytes(io.trace_to_obj(trace)).decode("utf-8"))
+        sys.stdout.write(canon.canonical_bytes(io.trace_to_obj(trace)).decode("utf-8"))
     else:
         for entry in trace.entries:
             step = plan.steps[entry.index]
@@ -180,7 +175,7 @@ def _cmd_import_aml(args: argparse.Namespace) -> int:
         model = io.merge(fragment, _load_model(args.merge))
         _emit(io.save_model(model), args.out)
     else:
-        _emit(canonical_bytes(fragment.to_obj()), args.out)
+        _emit(canon.canonical_bytes(fragment.to_obj()), args.out)
     return 0
 
 
@@ -192,6 +187,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_pdt_new(args: argparse.Namespace) -> int:
+    from bipan.pdt import create_instance
     model = _load_model(args.model)
     pdt = create_instance(args.instance_id, model)
     target = io.instance_path(args.dir, pdt.instance_id)
@@ -203,6 +199,7 @@ def _cmd_pdt_new(args: argparse.Namespace) -> int:
 
 
 def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
+    from bipan.pdt import Health, set_health
     pdt = io.read_instance_file(args.dir, args.instance_id)
     try:
         health = Health(args.health.capitalize())
@@ -218,7 +215,7 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
 def _cmd_pdt_log(args: argparse.Namespace) -> int:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
-        sys.stdout.write(canonical_bytes(io.instance_to_obj(pdt)["events"]).decode("utf-8"))
+        sys.stdout.write(canon.canonical_bytes(io.instance_to_obj(pdt)["events"]).decode("utf-8"))
     else:
         for event in pdt.events:
             payload = " ".join(f"{k}={v}" for k, v in sorted(event.payload.items()))
@@ -227,6 +224,7 @@ def _cmd_pdt_log(args: argparse.Namespace) -> int:
 
 
 def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
+    from bipan.pdt import plan_repair_for
     pdt = io.read_instance_file(args.dir, args.instance_id)
     model = _load_model(args.model)
     replacements = _parse_replacements(args.replace)

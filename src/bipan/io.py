@@ -18,15 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from bipan.canon import canonical_bytes, model_digest, model_to_obj
 from bipan.errors import BiPanError
-from bipan.execute import ExecState, Trace
 from bipan.model import (
     BiPanModel,
     FastensLink,
@@ -39,11 +38,13 @@ from bipan.model import (
     SkillNode,
     check_id,
 )
-from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import Direction, Plan, PlanStep, Resource, ResourceRegistry
 
 if TYPE_CHECKING:
     from xml.etree import ElementTree
+
+    from bipan.execute import ExecState, Trace
+    from bipan.pdt import PdtInstance
+    from bipan.plan import Plan, ResourceRegistry
 
 __all__ = [
     "AmlFragment",
@@ -214,6 +215,12 @@ def _records(cls: Any, **spec: tuple[Converter, Any]) -> tuple[Converter, Any]:
     return (_list_of(_record(cls, **spec)), [])
 
 
+def _on_first_use(build: Callable[[], Converter]) -> Converter:
+    """The converter ``build`` returns, built on its first call: it imports the records' module."""
+    build = cache(build)
+    return lambda value, path: build()(value, path)
+
+
 _STR = (_string, None)
 _STRINGS = (_list_of(_string), [])
 _NODE = {"id": _STR, "label": (_string, "")}
@@ -239,44 +246,55 @@ _model = _record(
     id=(_string, ""),
 )
 
-_step_fields = _record(
-    PlanStep,
-    direction=(_enum(Direction), None),
-    swap_target=(_optional(_string), None),
-    swap_replacement=(_optional(_string), None),
-    process=_STR,
-    consumed=_STRINGS,
-    produced=_STRINGS,
-    required_skills=_STRINGS,
-)
+
+@_on_first_use
+def _plan() -> Converter:
+    from bipan.plan import Direction, Plan, PlanStep
+    step_fields = _record(
+        PlanStep,
+        direction=(_enum(Direction), None),
+        swap_target=(_optional(_string), None),
+        swap_replacement=(_optional(_string), None),
+        process=_STR,
+        consumed=_STRINGS,
+        produced=_STRINGS,
+        required_skills=_STRINGS,
+    )
+
+    def decode_step(value: Any, path: str) -> PlanStep:
+        step = step_fields(value, path)
+        if step.direction is Direction.SWAP and None in (step.swap_target, step.swap_replacement):
+            raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
+        return step
+
+    steps = (_list_of(decode_step), [])
+    return _record(Plan, steps=steps, model_id=(_string, ""), model_digest=(_string, ""))
 
 
-def _step(value: Any, path: str) -> PlanStep:
-    step = _step_fields(value, path)
-    if step.direction is Direction.SWAP and None in (step.swap_target, step.swap_replacement):
-        raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
-    return step
+@_on_first_use
+def _instance() -> Converter:
+    from bipan.pdt import Event, Health, PdtInstance
+    return _record(
+        PdtInstance,
+        health=(_map_of(_enum(Health)), {}),
+        events=_records(Event, timestamp=_STR, kind=_STR, payload=(_str_map, {})),
+        instance_id=_STR,
+        model_id=(_string, ""),
+        model_digest=(_string, ""),
+    )
 
 
-_plan = _record(
-    Plan, steps=(_list_of(_step), []), model_id=(_string, ""), model_digest=(_string, "")
-)
+@_on_first_use
+def _state() -> Converter:
+    from bipan.execute import ExecState
+    return _record(ExecState, present=_STRINGS, substitutions=(_str_map, {}))
 
-_instance = _record(
-    PdtInstance,
-    health=(_map_of(_enum(Health)), {}),
-    events=_records(Event, timestamp=_STR, kind=_STR, payload=(_str_map, {})),
-    instance_id=_STR,
-    model_id=(_string, ""),
-    model_digest=(_string, ""),
-)
 
-_state = _record(ExecState, present=_STRINGS, substitutions=(_str_map, {}))
-
-_registry = _record(
-    ResourceRegistry,
-    resources=(_list_of(_record(Resource, id=_STR, skills=_STRINGS)), None),
-)
+@_on_first_use
+def _registry() -> Converter:
+    from bipan.plan import Resource, ResourceRegistry
+    resource = _record(Resource, id=_STR, skills=_STRINGS)
+    return _record(ResourceRegistry, resources=(_list_of(resource), None))
 
 
 # -- native documents ----------------------------------------------------------------
@@ -284,7 +302,6 @@ _registry = _record(
 
 _KINDS = {kind.value: kind for kind in ProductKind}
 _ROLES = {role.value: role for role in FlowRole}
-_HEALTH = {health.value: health for health in Health}
 
 
 def _rows(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
@@ -362,6 +379,7 @@ def _direct_instance(doc: Any) -> PdtInstance:
     object has no items or values, a timestamp that is not a string fails in
     ``parse_timestamp``, and a bad instance id in ``PdtInstance``.
     """
+    from bipan.pdt import Event, Health, PdtInstance
     ids = (doc["instance_id"], doc.get("model_id", ""), doc.get("model_digest", ""))
     if not all(isinstance(value, str) for value in ids):
         raise ValueError("id")
@@ -371,7 +389,8 @@ def _direct_instance(doc: Any) -> PdtInstance:
         if not isinstance(kind, str) or not all(isinstance(v, str) for v in payload.values()):
             raise ValueError("event")
         events.append(Event(row["timestamp"], kind, payload))
-    health = {c: _HEALTH[h] for c, h in doc.get("health", {}).items()}
+    states = {health.value: health for health in Health}
+    health = {c: states[h] for c, h in doc.get("health", {}).items()}
     return PdtInstance(*ids, health, tuple(events))
 
 
@@ -399,6 +418,7 @@ def save_model(model: BiPanModel) -> bytes:
 
 
 def plan_to_obj(plan: Plan) -> dict[str, Any]:
+    from bipan.plan import Direction
     steps = []
     for step in plan.steps:
         entry: dict[str, Any] = {
@@ -460,6 +480,7 @@ def instance_path(directory: str | Path, instance_id: str) -> Path:
 
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
     """Atomic write (temp file + rename) of ``<instance_id>.pdt.json``."""
+    import tempfile  # only the commands that write twins need it
     target = instance_path(directory, pdt.instance_id)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".pdt-", suffix=".tmp")
     try:
@@ -748,6 +769,7 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
         lines.append(_dot_edge(edge.process, edge.skill, "style=dashed, color=goldenrod"))
 
     if plan is not None:
+        from bipan.plan import Direction
         foreign: set[str] = set()
         for step in plan.steps:
             for node_id in (*step.consumed, *step.produced):

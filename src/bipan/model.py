@@ -153,7 +153,12 @@ class FastensLink:
     secures: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "secures", frozenset(self.secures))
+        try:
+            object.__setattr__(self, "secures", frozenset(self.secures))
+        except TypeError:  # an unhashable id, which ``check_id`` names
+            for node_id in self.secures:
+                check_id(node_id)
+            raise
 
 
 class Adjacency(NamedTuple):
@@ -192,8 +197,8 @@ class BiPanModel:
 
     Node and edge collections are normalized on construction: sorted by id,
     exact duplicate edges dropped, and all edge endpoints checked to resolve.
-    Derived facts (adjacency, ``digest``, ``diagnostics``) are computed on first
-    use and kept for the life of the value.
+    Derived facts (adjacency, ``digest``, ``diagnostics``, each process's skill
+    labels) are computed on first use and kept for the life of the value.
     """
 
     id: str
@@ -204,6 +209,9 @@ class BiPanModel:
     skill_edges: tuple[SkillEdge, ...] = ()
     fastens: tuple[FastensLink, ...] = ()
     _nodes: dict[str, ProductNode | ProcessNode | SkillNode] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _skill_labels: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -227,20 +235,30 @@ class BiPanModel:
         if shared:
             raise BiPanError("duplicate-id", min(shared)[2])
 
-        for flow in self.flows:
-            if not isinstance(nodes.get(flow.product), ProductNode):
-                raise _dangling("flow", "product", flow.product)
-            if not isinstance(nodes.get(flow.process), ProcessNode):
-                raise _dangling("flow", "process", flow.process)
-        for edge in self.skill_edges:
-            if not isinstance(nodes.get(edge.process), ProcessNode):
-                raise _dangling("skill edge", "process", edge.process)
-            if not isinstance(nodes.get(edge.skill), SkillNode):
-                raise _dangling("skill edge", "skill", edge.skill)
-        for link in self.fastens:
-            for pid in (link.fastener, *sorted(link.secures)):
-                if not isinstance(nodes.get(pid), ProductNode):
-                    raise _dangling("fastens link", "product", pid)
+        try:
+            for flow in self.flows:
+                if not isinstance(nodes.get(flow.product), ProductNode):
+                    raise _dangling("flow", "product", flow.product)
+                if not isinstance(nodes.get(flow.process), ProcessNode):
+                    raise _dangling("flow", "process", flow.process)
+            for edge in self.skill_edges:
+                if not isinstance(nodes.get(edge.process), ProcessNode):
+                    raise _dangling("skill edge", "process", edge.process)
+                if not isinstance(nodes.get(edge.skill), SkillNode):
+                    raise _dangling("skill edge", "skill", edge.skill)
+            for link in self.fastens:
+                for pid in (link.fastener, *sorted(link.secures)):
+                    if not isinstance(nodes.get(pid), ProductNode):
+                        raise _dangling("fastens link", "product", pid)
+        except TypeError:  # an id that is no string failed to hash or sort; ``check_id`` names it
+            for ids in (
+                *((f.product, f.process) for f in self.flows),
+                *((e.process, e.skill) for e in self.skill_edges),
+                *((link.fastener, *link.secures) for link in self.fastens),
+            ):
+                for node_id in ids:
+                    check_id(node_id)
+            raise
 
         # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
         flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
@@ -381,8 +399,12 @@ class BiPanModel:
             raise self._unknown("process", process_id) from None
 
     def skill_labels_of(self, process_id: str) -> tuple[str, ...]:
-        """Sorted, de-duplicated labels of the skills linked to a process."""
-        return tuple(sorted({self._nodes[s].label for s in self.skill_ids_of(process_id)}))
+        """Sorted, de-duplicated labels of the skills linked to a process; built once for each."""
+        labels = self._skill_labels.get(process_id)
+        if labels is None:
+            names = {self._nodes[s].label for s in self.skill_ids_of(process_id)}
+            labels = self._skill_labels[process_id] = tuple(sorted(names))
+        return labels
 
     def final_products(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.products if p.kind is ProductKind.FINAL)

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, check_id
-from bipan.plan import DEFAULT_INVERSION, Plan, repair_plan
-from bipan.validate import ensure_valid
+
+if TYPE_CHECKING:
+    from bipan.plan import Plan
 
 
 class Health(Enum):
@@ -103,6 +105,7 @@ class PdtInstance:
 
 def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     """Fresh twin: every replaceable component Unknown, event log empty."""
+    from bipan.validate import ensure_valid  # twin reads and appends need no validation
     ensure_valid(model)
     health = {p.id: Health.UNKNOWN for p in model.products if p.kind in COMPONENT_KINDS}
     return PdtInstance(
@@ -130,13 +133,14 @@ def plan_repair_for(
     model: BiPanModel,
     replacements: dict[str, str],
     timestamp: str,
-    inv: Mapping[str, str] = DEFAULT_INVERSION,
+    inv: Mapping[str, str] | None = None,
 ) -> tuple[PdtInstance, Plan]:
     """Repair plan for all currently Broken components; logs a plan-created event.
 
     Returns the updated instance together with the plan (instances are values,
     so the event-carrying copy must be handed back to the caller).
     """
+    from bipan.plan import DEFAULT_INVERSION, repair_plan  # only this twin operation plans
     digest = model.digest
     if digest != pdt.model_digest:
         raise BiPanError(
@@ -147,7 +151,7 @@ def plan_repair_for(
     broken = pdt.broken_components()
     if not broken:
         raise BiPanError("nothing-broken", f"instance '{pdt.instance_id}' has no Broken component")
-    plan = repair_plan(model, broken, replacements, inv)
+    plan = repair_plan(model, broken, replacements, DEFAULT_INVERSION if inv is None else inv)
     payload = {
         "broken": ",".join(broken),
         "replacements": ",".join(f"{b}={replacements[b]}" for b in broken),

@@ -470,18 +470,48 @@ class TestHostileInput:
         assert missing and all(line.endswith("): missing screw\\ning") for line in missing)
 
 
-# Top-level modules that ``import bipan.cli`` added under ``python -S`` (CPython
-# 3.11), recorded before twin documents had a direct decode path.
+# Top-level modules that ``import bipan.cli`` adds under ``python -S`` (CPython
+# 3.11), recorded when the package began to register its submodules unloaded.
 CLI_IMPORTS = frozenset("""
-    __future__ _ast _bisect _bz2 _collections _collections_abc _compression _datetime
-    _functools _heapq _json _lzma _opcode _operator _random _sha512 _sre
-    _stat _typing _weakrefset argparse ast bipan bisect bz2 collections contextlib copy copyreg
-    dataclasses datetime dis enum errno fnmatch functools genericpath gettext heapq
-    importlib inspect ipaddress itertools json keyword linecache lzma math ntpath opcode operator
-    os pathlib posixpath random re reprlib shutil stat tempfile token tokenize types
-    typing urllib warnings weakref zlib
+    __future__ _collections _collections_abc _functools _operator _sre _stat _typing
+    argparse bipan collections contextlib copyreg enum errno fnmatch functools genericpath
+    gettext importlib ipaddress itertools keyword ntpath operator os pathlib posixpath re
+    reprlib stat types typing urllib warnings
 """.split())
 ONLY_ON_DEMAND = ("xml.etree", "hashlib")  # imported by import-aml and by digests alone
+LAZY = ("canon", "execute", "io", "model", "pdt", "plan", "validate")  # registered unloaded
+
+# The ``bipan`` submodules whose code each command runs; the others stay registered unloaded.
+COMMAND_MODULES = {
+    "validate": (["validate", "f1.bipan.json"], "canon cli errors io model validate"),
+    "pdt-log": (["pdt", "log", "VIN-1"], "canon cli errors io model pdt"),
+    "pdt-set-health": (
+        ["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T1],
+        "canon cli errors io model pdt",
+    ),
+    "import-aml": (["import-aml", "battery.aml"], "canon cli errors io model"),
+    "import-aml-merge": (
+        ["import-aml", "battery.aml", "--merge", "f1.bipan.json"],
+        "canon cli errors io model",
+    ),
+}
+
+# Prints the ``bipan`` submodules that ran; a registered module whose code has
+# not run is still of the lazy loader's module type.
+PRINT_RAN = (
+    "import types\n"
+    "print('ran:', *sorted(name.partition('.')[2] for name, module in sys.modules.items()\n"
+    "      if name.startswith('bipan.') and type(module) is types.ModuleType))\n"
+)
+
+
+def run_bare(code, args, cwd):
+    """``code`` under ``python -S``, which leaves out ``site`` and so every installed package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestStartup:
@@ -490,23 +520,43 @@ class TestStartup:
         reason="CLI_IMPORTS was recorded on CPython 3.11; the stdlib's own imports differ by version",
     )
     def test_cli_imports_no_new_modules(self, tmp_path):
-        """``-S`` leaves out ``site``, so the set does not depend on installed packages."""
         code = (
             "import sys\n"
             "before = {name.partition('.')[0] for name in sys.modules}\n"
             "import bipan.cli\n"
             "print(*sorted({name.partition('.')[0] for name in sys.modules} - before))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code], cwd=tmp_path, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        result = run_bare(code, [], tmp_path)
         assert result.returncode == 0, result.stderr
         added = set(result.stdout.split())
         assert "bipan" in added
         assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)
 
+    def test_import_registers_every_submodule_unloaded(self, tmp_path):
+        """An outside tracer finds each submodule in ``sys.modules`` and loads it by attribute."""
+        code = (
+            "import sys\n"
+            "import bipan\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('bipan.')))\n"
+            + PRINT_RAN
+            + "print(bipan.io.load_model.__module__)\n"
+            + PRINT_RAN
+        )
+        result = run_bare(code, [], tmp_path)
+        assert result.returncode == 0, result.stderr
+        registered, ran, home, ran_after = result.stdout.splitlines()
+        assert registered.split() == [f"bipan.{name}" for name in sorted((*LAZY, "errors"))]
+        assert ran.split() == ["ran:", "errors"]
+        assert home == "bipan.io"
+        assert ran_after.split() == ["ran:", "canon", "errors", "io", "model"]
+
+    @pytest.mark.parametrize("args,expected", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
+    def test_each_command_runs_only_its_modules(self, workdir, args, expected):
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", str(workdir)]) == 0
+        code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
+        result = run_bare(code, args, workdir)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == ["ran:", *expected.split()]
 
     @pytest.mark.skipif(
         sys.version_info[:2] != (3, 11),
@@ -524,11 +574,7 @@ class TestStartup:
             f"print('loaded:', *[m for m in {ONLY_ON_DEMAND!r} if m in sys.modules])\n"
             "sys.exit(status)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code, *args], cwd=workdir, capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        result = run_bare(code, args, workdir)
         assert result.returncode == 0, result.stderr
         output, _, last = result.stdout.rstrip("\n").rpartition("\n")
         assert last.split()[1:] == list(loaded)

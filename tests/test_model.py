@@ -12,11 +12,13 @@ from bipan.errors import BiPanError
 from bipan.fixtures import battery_model
 from bipan.model import (
     BiPanModel,
+    FastensLink,
     FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
+    SkillEdge,
     SkillNode,
     check_id,
 )
@@ -153,6 +155,32 @@ class TestConstruction:
         else:
             assert well_formed
 
+    # An id that is no string, as a Python caller may pass against the annotations:
+    # unhashable, or (with the string "b") unsortable.
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"flows": (FlowEdge(["x"], "q", FlowRole.INPUT),)},
+            {"flows": (FlowEdge("a", {}, FlowRole.INPUT),)},
+            {"skill_edges": (SkillEdge("q", ["s"]),)},
+            {"skill_edges": (SkillEdge(["q"], "s"),)},
+            {"fastens": (FastensLink(["a"], ["b"]),)},
+            {"fastens": (FastensLink("a", ["b", 5]),)},
+        ],
+    )
+    def test_edge_id_that_is_no_string_is_invalid_id(self, extra):
+        tiny = tiny_model()
+        skills = (SkillNode("s", "screwing"),)
+        with pytest.raises(BiPanError) as err:
+            BiPanModel("tiny", tiny.products, tiny.processes, skills, **{"flows": (), **extra})
+        assert err.value.code == "invalid-id"
+
+    def test_unhashable_secured_id_is_invalid_id(self):
+        with pytest.raises(BiPanError) as err:
+            FastensLink("f", [["x"]])
+        assert err.value.code == "invalid-id"
+        assert "['x']" in err.value.detail
+
     def test_bad_position(self):
         with pytest.raises(BiPanError) as err:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=(1.0, 2.0))
@@ -219,6 +247,14 @@ class TestCachedFacts:
     def test_facts_computed_once(self, f1):
         assert f1.digest is f1.digest
         assert f1.diagnostics is f1.diagnostics
+        assert f1.skill_labels_of("p2") is f1.skill_labels_of("p2")
+
+    @given(models())
+    def test_skill_labels_are_the_sorted_labels_of_skill_ids(self, model):
+        for process in model.processes:
+            ids = model.skill_ids_of(process.id)
+            labels = {skill.label for skill in model.skills if skill.id in ids}
+            assert model.skill_labels_of(process.id) == tuple(sorted(labels))
 
     def test_attributes_are_read_only(self, f1):
         bolts = f1.product("bolts1")

@@ -1,0 +1,42 @@
+"""The scripts under ``scripts/`` run against the package as it is."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+def run_script(tree, name):
+    """``scripts/<name>`` of ``tree`` in a fresh interpreter, with ``bipan`` from its ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run(
+        [sys.executable, str(tree / "scripts" / name)], cwd=tree, env=env,
+        capture_output=True, text=True,
+    )
+
+
+def test_demo_repair_runs():
+    result = run_script(ROOT, "demo_repair.py")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "repair plan for ('mod8',):" in lines
+    assert "feasible on flex-cell-1: True" in lines
+    assert lines[-1] == "event 2024-05-01T11:00:00Z plan-created"
+
+
+def test_make_fixtures_regenerates_the_goldens_byte_identically(tmp_path):
+    for part in ("scripts", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    copied = tmp_path / "tests" / "fixtures"
+    copied.mkdir(parents=True)
+    shutil.copy(FIXTURES / "battery.aml", copied)  # hand-written input; the script reads none
+    result = run_script(tmp_path, "make_fixtures.py")
+    assert result.returncode == 0, result.stderr
+    names = sorted(path.name for path in FIXTURES.iterdir())
+    assert sorted(path.name for path in copied.iterdir()) == names
+    for name in names:
+        assert (copied / name).read_bytes() == (FIXTURES / name).read_bytes(), name
