@@ -9,7 +9,7 @@ from __future__ import annotations
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.fixtures import battery_model
 from bipan.pdt import Health, create_instance, plan_repair_for, set_health
-from bipan.plan import Resource, ResourceRegistry, assembly_recipe, check_feasibility
+from bipan.plan import assembly_recipe, check_feasibility
 from bipan.validate import validate
 
 
@@ -30,24 +30,15 @@ def main() -> None:
         print(f"  step {i}: {step.direction.value:7s} {step.process}  "
               f"skills: {', '.join(step.required_skills)}")
 
-    registry = ResourceRegistry(
-        (
-            Resource(
-                "flex-cell-1",
-                frozenset(
-                    {
-                        "manipulation",
-                        "screwing",
-                        "unscrewing",
-                        "connecting-cables",
-                        "disconnecting-cables",
-                    }
-                ),
-            ),
-        )
-    )
-    report = check_feasibility(repair, registry)
-    print(f"feasible on flex-cell-1: {report.feasible}")
+    flex_cell = {
+        "manipulation",
+        "screwing",
+        "unscrewing",
+        "connecting-cables",
+        "disconnecting-cables",
+    }
+    missing = check_feasibility(repair, flex_cell)
+    print(f"feasible on flex-cell-1: {not any(missing)}")
 
     start = ExecState(frozenset({"battery", "mod8r"}), {})
     replay = run(repair, start, model)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bipan import io
+from bipan import canon, io
 from bipan.fixtures import battery_model
-from bipan.plan import Resource, ResourceRegistry, assembly_recipe, repair_plan
+from bipan.plan import assembly_recipe, repair_plan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -27,27 +27,24 @@ def main() -> None:
     )
     (FIXTURES / "f1.dot").write_bytes(io.export_dot(model).encode("utf-8"))
 
-    full = ResourceRegistry(
-        (
-            Resource(
-                "flex-cell-1",
-                frozenset(
-                    {
-                        "manipulation",
-                        "screwing",
-                        "unscrewing",
-                        "connecting-cables",
-                        "disconnecting-cables",
-                    }
-                ),
-            ),
-        )
-    )
-    no_cables = ResourceRegistry(
-        (Resource("station-a", frozenset({"manipulation", "screwing", "unscrewing"})),)
-    )
-    (FIXTURES / "registry_full.json").write_bytes(io.save_registry(full))
-    (FIXTURES / "registry_no_cables.json").write_bytes(io.save_registry(no_cables))
+    registries = {
+        "registry_full.json": {
+            "id": "flex-cell-1",
+            "skills": [
+                "connecting-cables",
+                "disconnecting-cables",
+                "manipulation",
+                "screwing",
+                "unscrewing",
+            ],
+        },
+        "registry_no_cables.json": {
+            "id": "station-a",
+            "skills": ["manipulation", "screwing", "unscrewing"],
+        },
+    }
+    for name, resource in registries.items():
+        (FIXTURES / name).write_bytes(canon.canonical_bytes({"resources": [resource]}))
 
     for name in sorted(p.name for p in FIXTURES.iterdir()):
         print(f"wrote {name}")

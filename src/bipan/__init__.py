@@ -24,8 +24,8 @@ _EXPORTS = {
     "model": "BiPanModel FastensLink FlowEdge FlowRole ProcessNode ProductKind ProductNode "
     "SkillEdge SkillNode",
     "pdt": "Health PdtInstance create_instance plan_repair_for set_health",
-    "plan": "Direction DisassemblyMode FeasibilityReport Plan PlanStep Resource ResourceRegistry "
-    "assembly_recipe check_feasibility disassembly_to full_disassembly repair_plan",
+    "plan": "Direction DisassemblyMode Plan PlanStep assembly_recipe check_feasibility "
+    "disassembly_to full_disassembly repair_plan",
     "validate": "Diagnostic Diagnostics Severity validate",
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}

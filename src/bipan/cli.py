@@ -21,7 +21,6 @@ from bipan.errors import EXIT_CODES, BiPanError
 
 if TYPE_CHECKING:
     from bipan.model import BiPanModel
-    from bipan.plan import Plan
 
 #: Each character ``str.splitlines`` breaks at, mapped to its escape.
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
@@ -65,22 +64,12 @@ def _parse_replacements(text: str) -> dict[str, str]:
         old, sep, new = chunk.partition("=")
         if not sep or not old or not new:
             raise BiPanError("usage", f"--replace entries must be old=new, got {chunk!r}")
+        if old in replacements:
+            raise BiPanError("usage", f"--replace names {old!r} more than once")
         replacements[old] = new
     if not replacements:
         raise BiPanError("usage", "--replace must name at least one old=new pair")
     return replacements
-
-
-def _feasibility_lines(plan: Plan, report) -> list[str]:
-    lines = []
-    for step_report in report.per_step:
-        if step_report.missing_skills:
-            step = plan.steps[step_report.index]
-            lines.append(
-                f"step {step_report.index} ({step.direction.value} '{step.process}'): "
-                f"missing {', '.join(step_report.missing_skills)}"
-            )
-    return lines
 
 
 # -- commands ---------------------------------------------------------------
@@ -117,29 +106,30 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if args.broken is None or args.replace is None:
             raise BiPanError("usage", "plan repair requires --broken and --replace")
         broken = [b for b in args.broken.split(",") if b]
+        if not broken:
+            raise BiPanError("usage", "--broken must name at least one component")
         plan = repair_plan(model, broken, _parse_replacements(args.replace))
+    # Read the registry before anything is emitted: a bad one leaves no plan behind.
+    skills = None if args.registry is None else io.load_registry(io.read_file(args.registry))
 
-    payload = io.save_plan(plan)
+    _emit(io.save_plan(plan), args.out)
+    if skills is None:
+        return 0
+    missing = check_feasibility(plan, skills)
     if args.out is not None:
-        _emit(payload, args.out)
-
-    if args.registry is not None:
-        registry = io.load_registry(io.read_file(args.registry))
-        report = check_feasibility(plan, registry)
-        if args.out is not None:
-            sys.stdout.write(canon.canonical_bytes(report.to_obj()).decode("utf-8"))
-        if not report.feasible:
-            for line in _feasibility_lines(plan, report):
-                print(_one_line(line), file=sys.stderr)
-            missing = sorted({s for r in report.per_step for s in r.missing_skills})
-            status = _fail(BiPanError("infeasible", f"missing skills: {', '.join(missing)}"))
-            if args.out is None:
-                _emit(payload, None)
-            return status
-
-    if args.out is None:
-        _emit(payload, None)
-    return 0
+        report = {
+            "feasible": not any(missing),
+            "per_step": [{"index": i, "missing_skills": list(m)} for i, m in enumerate(missing)],
+        }
+        sys.stdout.write(canon.canonical_bytes(report).decode("utf-8"))
+    if not any(missing):
+        return 0
+    for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
+        if step_missing:
+            print(_one_line(f"step {i} ({step.direction.value} '{step.process}'): "
+                            f"missing {', '.join(step_missing)}"), file=sys.stderr)
+    gaps = ", ".join(sorted(set().union(*missing)))
+    return _fail(BiPanError("infeasible", f"missing skills: {gaps}"))
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:
@@ -157,10 +147,9 @@ def _cmd_exec(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(canon.canonical_bytes(io.trace_to_obj(trace)).decode("utf-8"))
     else:
-        for entry in trace.entries:
-            step = plan.steps[entry.index]
-            print(f"step {entry.index}: {step.direction.value} '{step.process}' -> "
-                  f"present: {', '.join(sorted(entry.state.present))}")
+        for i, (step, state) in enumerate(zip(trace.steps, trace.entries)):
+            print(f"step {i}: {step.direction.value} '{step.process}' -> "
+                  f"present: {', '.join(sorted(state.present))}")
         final = trace.final
         print(f"final: {', '.join(sorted(final.present))}")
         if final.substitutions:

@@ -48,16 +48,11 @@ class ExecState:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    index: int
-    state: ExecState
-
-
-@dataclass(frozen=True)
 class Trace:
     """One replay: its start state, the steps it applied to ``model``, and its end state.
 
-    ``entries``, the state after each step, is replayed from these on first use.
+    ``entries``, the state after each step (step ``i``'s at position ``i``), is
+    replayed from these on first use.
     """
 
     initial: ExecState
@@ -66,12 +61,12 @@ class Trace:
     model: BiPanModel = field(repr=False, compare=False)
 
     @cached_property
-    def entries(self) -> tuple[TraceEntry, ...]:
+    def entries(self) -> tuple[ExecState, ...]:
         present, substitutions = set(self.initial.present), dict(self.initial.substitutions)
         entries = []
-        for i, step in enumerate(self.steps):
+        for step in self.steps:
             _apply(present, substitutions, step, self.model)
-            entries.append(TraceEntry(i, ExecState(present, substitutions)))
+            entries.append(ExecState(present, substitutions))
         return tuple(entries)
 
     def __len__(self) -> int:

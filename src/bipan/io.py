@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 
     from bipan.execute import ExecState, Trace
     from bipan.pdt import PdtInstance
-    from bipan.plan import Plan, ResourceRegistry
+    from bipan.plan import Plan
 
 __all__ = [
     "AmlFragment",
@@ -63,7 +63,6 @@ __all__ = [
     "save_instance",
     "save_model",
     "save_plan",
-    "save_registry",
     "save_state",
     "trace_to_obj",
     "write_instance_file",
@@ -73,7 +72,8 @@ __all__ = [
 # -- field-spec decoders ----------------------------------------------------------
 #
 # A converter takes ``(value, path)`` and returns the decoded value or raises
-# ``parse-error`` naming ``path``. ``_record`` builds a dataclass from a spec of
+# ``parse-error`` naming ``path``. ``_record`` calls a record type (or any
+# callable taking the decoded fields as keywords) from a spec of
 # ``field=(converter, default)``: a missing key decodes as its default, and the
 # fields are decoded in spec order, which fixes the error a document with one
 # fault reports.
@@ -290,11 +290,19 @@ def _state() -> Converter:
     return _record(ExecState, present=_STRINGS, substitutions=(_str_map, {}))
 
 
-@_on_first_use
-def _registry() -> Converter:
-    from bipan.plan import Resource, ResourceRegistry
-    resource = _record(Resource, id=_STR, skills=_STRINGS)
-    return _record(ResourceRegistry, resources=(_list_of(resource), None))
+def _pooled_skills(resources: tuple[dict[str, Any], ...]) -> frozenset[str]:
+    """The union of the resources' skills; a resource id given twice is ``duplicate-id``."""
+    ids: set[str] = set()
+    for resource in resources:
+        if resource["id"] in ids:
+            raise BiPanError("duplicate-id", f"duplicate resource id '{resource['id']}'")
+        ids.add(resource["id"])
+    return frozenset().union(*(resource["skills"] for resource in resources))
+
+
+_registry = _record(
+    _pooled_skills, resources=(_list_of(_record(dict, id=_STR, skills=_STRINGS)), None)
+)
 
 
 # -- native documents ----------------------------------------------------------------
@@ -443,13 +451,9 @@ def save_plan(plan: Plan) -> bytes:
     return canonical_bytes(plan_to_obj(plan))
 
 
-def load_registry(data: bytes) -> ResourceRegistry:
+def load_registry(data: bytes) -> frozenset[str]:
+    """The skills a registry document's resources pool: a plan checks against their union."""
     return _registry(_parse_json(data), "")
-
-
-def save_registry(registry: ResourceRegistry) -> bytes:
-    resources = [{"id": r.id, "skills": sorted(r.skills)} for r in registry.resources]
-    return canonical_bytes({"resources": resources})
 
 
 def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
@@ -521,7 +525,7 @@ def trace_to_obj(trace: Trace) -> dict[str, Any]:
     return {
         "final": trace.final.to_obj(),
         "initial": trace.initial.to_obj(),
-        "steps": [{"index": e.index, "state": e.state.to_obj()} for e in trace.entries],
+        "steps": [{"index": i, "state": state.to_obj()} for i, state in enumerate(trace.entries)],
     }
 
 

@@ -22,11 +22,10 @@ each scoped skill contributes both its forward and its inverted label.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Any
 
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, ProductKind, check_id
@@ -93,55 +92,6 @@ class Plan:
                 }
             )
         )
-
-
-@dataclass(frozen=True)
-class Resource:
-    id: str
-    skills: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "skills", frozenset(self.skills))
-
-
-@dataclass(frozen=True)
-class ResourceRegistry:
-    resources: tuple[Resource, ...]
-
-    def __post_init__(self) -> None:
-        by_id: dict[str, Resource] = {}
-        for res in self.resources:
-            if res.id in by_id:
-                raise BiPanError("duplicate-id", f"duplicate resource id '{res.id}'")
-            by_id[res.id] = res
-        object.__setattr__(self, "resources", tuple(by_id[i] for i in sorted(by_id)))
-
-    def available_skills(self) -> frozenset[str]:
-        skills: set[str] = set()
-        for res in self.resources:
-            skills |= res.skills
-        return frozenset(skills)
-
-
-@dataclass(frozen=True)
-class StepFeasibility:
-    index: int
-    missing_skills: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    per_step: tuple[StepFeasibility, ...]
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "feasible": self.feasible,
-            "per_step": [
-                {"index": s.index, "missing_skills": list(s.missing_skills)}
-                for s in self.per_step
-            ],
-        }
 
 
 # -- plan extraction ---------------------------------------------------------
@@ -362,11 +312,9 @@ def repair_plan(
     return Plan(model.id, model.digest, tuple(steps))
 
 
-def check_feasibility(plan: Plan, registry: ResourceRegistry) -> FeasibilityReport:
-    """Per-step skill gap against the union of registry skills."""
-    available = registry.available_skills()
-    per_step = tuple(
-        StepFeasibility(i, tuple(sorted(set(step.required_skills) - available)))
-        for i, step in enumerate(plan.steps)
-    )
-    return FeasibilityReport(all(not s.missing_skills for s in per_step), per_step)
+def check_feasibility(plan: Plan, skills: Collection[str]) -> tuple[tuple[str, ...], ...]:
+    """Each step's required skills missing from ``skills``, sorted, in step order.
+
+    The plan is feasible when every entry is empty.
+    """
+    return tuple(tuple(sorted(set(step.required_skills).difference(skills))) for step in plan.steps)

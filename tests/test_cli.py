@@ -171,8 +171,109 @@ class TestPlan:
                      "--broken", "mod8", "--replace", "mod8"]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
 
+    @pytest.mark.parametrize(
+        "broken,replace", [(",", "a=b"), ("", "a=b"), (",,", "a=b"), ("mod8", "mod8=x,mod8=y")]
+    )
+    def test_no_broken_id_or_one_replaced_twice_exit_2(self, workdir, broken, replace):
+        args = ["plan", "repair", "f1.bipan.json", "--broken", broken, "--replace", replace]
+        result = run_cli(args, workdir)
+        assert_one_error(result, "usage")
+        assert result.stdout == ""
+
+
+ASSEMBLE = ["plan", "assemble", "f1.bipan.json"]
+EXTRACT = ["plan", "disassemble", "f1.bipan.json", "--target", "mod5", "--mode", "extract"]
+ASSEMBLY_SHA256 = "9fe6ce61409d4d4281136a30d4dd8eccf48faaa57b5d49a03b26bcbd7c5a36e5"
+EXTRACT_SHA256 = "947006aedc656cc5aa5eb36d6e3dbe40a60745fd0648ab714b4096d5bd94a484"
+
+# name -> (command, registry, exit status, stderr, SHA-256 of the plan, SHA-256 of
+# the feasibility report that ``--out`` puts on stdout in the plan's place)
+REGISTRY_RUNS = {
+    "assemble-full": (
+        ASSEMBLE, "registry_full.json", 0, "", ASSEMBLY_SHA256,
+        "cb59621eef47d17ad8c33bac1cdd8d80e7452924c423acdd5af4a049ac80d2fd",
+    ),
+    "assemble-no-cables": (
+        ASSEMBLE, "registry_no_cables.json", 1,
+        "step 1 (Forward 'p2'): missing connecting-cables\n"
+        "error: infeasible: missing skills: connecting-cables\n",
+        ASSEMBLY_SHA256,
+        "8336eaa782c0daaccb92b635b65dc6a984f14c21c22911bba88bd62fd19167bc",
+    ),
+    "extract-full": (
+        EXTRACT, "registry_full.json", 0, "", EXTRACT_SHA256,
+        "2d0d0903544ef89bacc88c0e673df851d85faf889d475089236600db1096f53d",
+    ),
+    "extract-no-cables": (
+        EXTRACT, "registry_no_cables.json", 1,
+        "step 3 (Reverse 'p2'): missing disconnecting-cables\n"
+        "error: infeasible: missing skills: disconnecting-cables\n",
+        EXTRACT_SHA256,
+        "0b199eab4705e0e94b983286a9b84f372efc52305e78d028d27e470de07a9d4b",
+    ),
+}
+
+
+def sha256_of(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestRegistry:
+    """``plan --registry`` output, byte for byte, as a user's shell sees it."""
+
+    @pytest.mark.parametrize(
+        "argv,registry,status,stderr,plan_sha256,report_sha256",
+        REGISTRY_RUNS.values(), ids=REGISTRY_RUNS,
+    )
+    def test_plan_on_stdout(self, workdir, argv, registry, status, stderr, plan_sha256,
+                            report_sha256):
+        result = run_cli([*argv, "--registry", registry], workdir)
+        assert (result.returncode, result.stderr) == (status, stderr)
+        assert sha256_of(result.stdout) == plan_sha256
+
+    @pytest.mark.parametrize(
+        "argv,registry,status,stderr,plan_sha256,report_sha256",
+        REGISTRY_RUNS.values(), ids=REGISTRY_RUNS,
+    )
+    def test_report_on_stdout_with_out(self, workdir, argv, registry, status, stderr, plan_sha256,
+                                       report_sha256):
+        result = run_cli([*argv, "--out", "p.plan.json", "--registry", registry], workdir)
+        assert (result.returncode, result.stderr) == (status, stderr)
+        assert sha256_of(result.stdout) == report_sha256
+        assert hashlib.sha256((workdir / "p.plan.json").read_bytes()).hexdigest() == plan_sha256
+
+    @pytest.mark.parametrize(
+        "content,code", [(None, "unreadable"), ('{"resources": 1}', "parse-error")]
+    )
+    def test_bad_registry_emits_no_plan(self, workdir, content, code):
+        if content is not None:
+            (workdir / "r.json").write_text(content)
+        for out in ([], ["--out", "p.plan.json"]):
+            result = run_cli([*ASSEMBLE, *out, "--registry", "r.json"], workdir)
+            assert_one_error(result, code)
+            assert result.stdout == ""
+            assert not (workdir / "p.plan.json").exists()
+
+
+REPAIR_REPLAY = """\
+step 0: Reverse 'p5' -> present: cover, mod8r, screws2, stage4
+step 1: Reverse 'p4' -> present: blanket, cover, mod8r, screws2, stage3
+step 2: Reverse 'p3' -> present: blanket, bolts2, brace1, brace2, brace3, brace4, brace5, cover, mod8r, screws2, stage2
+step 3: Swap 'p2' -> present: blanket, bolts2, brace1, brace2, brace3, brace4, brace5, cover, mod8, screws2, stage2
+step 4: Forward 'p3' -> present: blanket, cover, mod8, screws2, stage3
+step 5: Forward 'p4' -> present: cover, mod8, screws2, stage4
+step 6: Forward 'p5' -> present: battery, mod8
+final: battery, mod8
+substitutions: mod8->mod8r
+"""
+
 
 class TestExec:
+    def test_repair_replay_text(self, fixtures_dir):
+        argv = ["exec", "f1_repair_mod8.plan.json", "f1.bipan.json", "--inventory", "final"]
+        result = run_cli(argv, fixtures_dir)
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", REPAIR_REPLAY)
+
     @pytest.mark.parametrize(
         "plan, inventory, fmt, sha256",
         [
@@ -303,6 +404,18 @@ class TestPdt:
         capsys.readouterr()
         assert main(["pdt", "new", "VIN-003", model_path(workdir), "--dir", d]) == 3
         assert capsys.readouterr().err.startswith("error: io-error:")
+
+    def test_replacement_named_twice_exit_2(self, workdir):
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
+        twin = (workdir / "VIN-1.pdt.json").read_bytes()
+        args = ["pdt", "plan-repair", "VIN-1", "--model", "f1.bipan.json",
+                "--replace", "mod8=x,mod8=y", "--at", T1]
+        result = run_cli(args, workdir)
+        assert_one_error(result, "usage")
+        assert result.stdout == ""
+        assert (workdir / "VIN-1.pdt.json").read_bytes() == twin
 
     def test_nothing_broken_exit_1(self, workdir, capsys):
         d = str(workdir)
@@ -549,6 +662,18 @@ class TestStartup:
         assert ran.split() == ["ran:", "errors"]
         assert home == "bipan.io"
         assert ran_after.split() == ["ran:", "canon", "errors", "io", "model"]
+
+    def test_every_export_resolves(self, tmp_path):
+        """``from ... import *`` fails on a name in ``__all__`` that its module no longer has."""
+        code = (
+            "import bipan, bipan.io\n"
+            "from bipan import *\n"
+            "from bipan.io import *\n"
+            "print(*[n for n in (*bipan.__all__, *bipan.io.__all__) if n not in globals()])\n"
+        )
+        result = run_bare(code, [], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
     @pytest.mark.parametrize("args,expected", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
     def test_each_command_runs_only_its_modules(self, workdir, args, expected):

@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipan import io
+from bipan import canon, io
 from bipan.cli import main
 from bipan.errors import EXIT_CODES
 from bipan.execute import ExecState
 from bipan.fixtures import battery_model
 from bipan.pdt import Health, create_instance, set_health
-from bipan.plan import Resource, ResourceRegistry, repair_plan
+from bipan.plan import repair_plan
 
 T0 = "2024-05-01T10:00:00Z"
 T1 = "2024-05-01T11:00:00Z"
@@ -69,7 +69,7 @@ TARGETS = {
         [["exec", "PLAN", "MODEL", "--inventory", "DOC", "--format", "json"]],
     ),
     "registry": (
-        io.save_registry(ResourceRegistry((Resource("arm", frozenset({"screwing"})),))),
+        canon.canonical_bytes({"resources": [{"id": "arm", "skills": ["screwing"]}]}),
         "r.json",
         [["plan", "repair", "MODEL", "--broken", "mod8", "--replace", "mod8=mod8r",
           "--registry", "DOC"]],

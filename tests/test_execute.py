@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from bipan.errors import BiPanError
-from bipan.execute import ExecState, TraceEntry, apply_step, initial_inventory, run
+from bipan.execute import ExecState, apply_step, initial_inventory, run
 from bipan.model import COMPONENT_KINDS
 from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, full_disassembly, repair_plan
 from mutations import MUTANTS
@@ -135,16 +135,16 @@ class TestRun:
 
     def test_trace_snapshots_every_step(self, f1):
         trace = run(assembly_recipe(f1), initial_inventory(f1), f1)
-        assert [entry.index for entry in trace.entries] == [0, 1, 2, 3, 4]
-        assert "stage1" in trace.entries[0].state.present
+        assert len(trace.entries) == 5
+        assert "stage1" in trace.entries[0].present
 
 
 def fold(plan, state, model):
     """The trace entries ``run`` must give: ``apply_step`` folded over the plan."""
     entries = []
-    for i, step in enumerate(plan.steps):
+    for step in plan.steps:
         state = apply_step(state, step, model)
-        entries.append(TraceEntry(i, state))
+        entries.append(state)
     return tuple(entries)
 
 
@@ -152,7 +152,7 @@ def assert_trace_is_fold(plan, start, model):
     trace = run(plan, start, model)
     entries = fold(plan, start, model)
     assert trace.entries == entries
-    assert trace.final == (entries[-1].state if entries else start)
+    assert trace.final == (entries[-1] if entries else start)
     assert len(trace) == len(entries)
 
 

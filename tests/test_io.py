@@ -289,12 +289,14 @@ class TestStateAndRegistry:
         state = ExecState(frozenset({"battery", "mod8"}), {"mod8": "mod8r"})
         assert io.load_state(io.save_state(state)) == state
 
-    def test_registry_round_trip(self, fixtures_dir):
-        registry = io.load_registry((fixtures_dir / "registry_no_cables.json").read_bytes())
-        assert registry.available_skills() == frozenset({"manipulation", "screwing", "unscrewing"})
-        assert io.save_registry(registry) == (
-            fixtures_dir / "registry_no_cables.json"
-        ).read_bytes()
+    def test_registry_pools_skills(self, fixtures_dir):
+        skills = io.load_registry((fixtures_dir / "registry_no_cables.json").read_bytes())
+        assert skills == frozenset({"manipulation", "screwing", "unscrewing"})
+        pooled = io.load_registry(
+            b'{"resources": [{"id": "b", "skills": ["screwing", "manipulation"]},'
+            b' {"id": "a", "skills": ["screwing"]}, {"id": "c"}]}'
+        )
+        assert pooled == frozenset({"manipulation", "screwing"})
 
 
 class TestDotExport:
