@@ -105,7 +105,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         if args.broken is None or args.replace is None:
             raise BiPanError("usage", "plan repair requires --broken and --replace")
-        broken = [b for b in args.broken.split(",") if b]
+        broken: dict[str, None] = {}
+        for component in filter(None, args.broken.split(",")):
+            if component in broken:
+                raise BiPanError("usage", f"--broken names {component!r} more than once")
+            broken[component] = None
         if not broken:
             raise BiPanError("usage", "--broken must name at least one component")
         plan = repair_plan(model, broken, _parse_replacements(args.replace))

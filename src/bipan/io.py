@@ -543,8 +543,8 @@ class AmlFragment:
     products: tuple[ProductNode, ...]
     explicit_kinds: frozenset[str] = frozenset()
 
-    def to_obj(self, fragment_id: str = "aml-fragment") -> dict[str, Any]:
-        return model_to_obj(BiPanModel(fragment_id, self.products))
+    def to_obj(self) -> dict[str, Any]:
+        return model_to_obj(BiPanModel("aml-fragment", self.products))
 
 
 def _local_name(tag: str) -> str:

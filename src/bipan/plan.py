@@ -189,17 +189,9 @@ def disassembly_to(
 
 
 def _swap_skills(
-    model: BiPanModel, site: str, broken: str, inv: Mapping[str, str]
+    model: BiPanModel, site: str, securing: Collection[str], inv: Mapping[str, str]
 ) -> tuple[str, ...]:
-    labels = set(model.skill_labels_of(site))
-    site_inputs = set(model.inputs_of(site))
-    securing = sorted(
-        {
-            link.fastener
-            for link in model.fastens
-            if link.fastener in site_inputs and broken in link.secures
-        }
-    )
+    labels = model.skill_labels_of(site)
     if securing:
         scope = {"manipulation"}
         directional = {label for label in labels if inv.get(label, label) != label}
@@ -212,20 +204,6 @@ def _swap_skills(
     else:
         scope = set(labels)
     return tuple(sorted(scope | {inv.get(label, label) for label in scope}))
-
-
-def _swap_step(
-    model: BiPanModel, site: str, broken: str, replacement: str, inv: Mapping[str, str]
-) -> PlanStep:
-    return PlanStep(
-        process=site,
-        direction=Direction.SWAP,
-        consumed=(replacement,),
-        produced=(broken,),
-        required_skills=_swap_skills(model, site, broken, inv),
-        swap_target=broken,
-        swap_replacement=replacement,
-    )
 
 
 def repair_plan(
@@ -242,7 +220,8 @@ def repair_plan(
     produce the broken component as a free, removed item.
     """
     ensure_valid(model)
-    broken_ids = sorted(set(broken))
+    broken_set = set(broken)
+    broken_ids = sorted(broken_set)
 
     used_replacements: dict[str, str] = {}
     for component in broken_ids:
@@ -290,14 +269,24 @@ def repair_plan(
         depth.update((pid, base + d) for d, pid in enumerate(reversed(walk)))
     reversal = sorted(depth, key=lambda pid: (depth[pid], pid))
 
+    # The fasteners securing each broken component. Validation (V003, V011) makes
+    # each an input of the component's one consumer, its swap site.
+    securing: dict[str, set[str]] = {}
+    for link in model.fastens:
+        for component in link.secures & broken_set:
+            securing.setdefault(component, set()).add(link.fastener)
+
     substitution: dict[str, str] = {}
     steps: list[PlanStep] = []
 
     def emit_swaps_freed_by(process_id: str | None) -> None:
         for site in sorted(freed_by.get(process_id, ())):
             for component in sites[site]:
-                steps.append(_swap_step(model, site, component, replacements[component], inv))
-                substitution[component] = replacements[component]
+                replacement = replacements[component]
+                skills = _swap_skills(model, site, securing.get(component, ()), inv)
+                steps.append(PlanStep(site, Direction.SWAP, (replacement,), (component,), skills,
+                                      swap_target=component, swap_replacement=replacement))
+                substitution[component] = replacement
 
     def resolve(ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(substitution.get(i, i) for i in ids))

@@ -7,13 +7,16 @@ findings are reported, not suppressed, and the output order is deterministic.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel, ProductKind
+
+#: Neighbour ids of each node in one direction of the flow graph.
+_Graph = Mapping[str, tuple[str, ...]]
 
 
 class Severity(Enum):
@@ -172,86 +175,65 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
         )
 
 
-def _check_cycles(model: BiPanModel, found: list[Diagnostic]) -> None:
-    # Flow graph in assembly direction: input product -> process -> output product.
-    # The model's neighbour tuples are already in ascending id order.
-    adjacency = model.adjacency
-    targets = {**adjacency.consumers, **adjacency.outputs}
-
-    # Iterative Tarjan SCC.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    sccs: list[list[str]] = []
-
-    for root in sorted(targets):
-        if root in index:
+def _check_cycles(successors: _Graph, predecessors: _Graph, found: list[Diagnostic]) -> None:
+    # Kosaraju: one search along ``successors`` records each node as it finishes;
+    # one sweep along ``predecessors``, latest finish first, then gathers exactly
+    # one strongly connected component from each node not yet assigned. Components
+    # are disjoint, so ``validate``'s final sort orders them by their least id.
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in successors:
+        if root in seen:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        seen.add(root)
+        work = [(root, iter(successors[root]))]
         while work:
-            node, edge_idx = work.pop()
-            if edge_idx == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            edges = targets[node]
-            for i in range(edge_idx, len(edges)):
-                target = edges[i]
-                if target not in index:
-                    work.append((node, i + 1))
-                    work.append((target, 0))
-                    advanced = True
+            node, targets = work[-1]
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    work.append((target, iter(successors[target])))
                     break
-                if target in on_stack:
-                    low[node] = min(low[node], index[target])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    sccs.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                finished.append(node)
 
-    for component in sorted(sccs):
-        found.append(
-            Diagnostic(
-                "V008",
-                tuple(component),
-                "flow graph contains a cycle involving: " + ", ".join(component),
+    assigned: set[str] = set()
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        component = [root]
+        for node in component:
+            for source in predecessors[node]:
+                if source not in assigned:
+                    assigned.add(source)
+                    component.append(source)
+        if len(component) > 1:
+            component.sort()
+            found.append(
+                Diagnostic(
+                    "V008",
+                    tuple(component),
+                    "flow graph contains a cycle involving: " + ", ".join(component),
+                )
             )
-        )
 
 
-def _check_reachability(model: BiPanModel, found: list[Diagnostic]) -> None:
+def _check_reachability(model: BiPanModel, predecessors: _Graph, found: list[Diagnostic]) -> None:
     # Reverse traversal from the final product(s); if none exist, fall back to
     # sink products so that a merely re-kinded root does not mark everything.
     adjacency = model.adjacency
-    sources = dict(adjacency.producers)
-    for pid, inputs in adjacency.inputs.items():
-        sources[pid] = inputs + adjacency.skill_ids[pid]
     roots = list(model.final_products())
     if not roots:
         roots = [p.id for p in model.products if not adjacency.consumers[p.id]]
     visited: set[str] = set()
-    queue = deque(roots)
-    while queue:
-        node = queue.popleft()
-        if node in visited:
-            continue
-        visited.add(node)
-        queue.extend(sources.get(node, ()))
+    todo = roots
+    while todo:
+        node = todo.pop()
+        if node not in visited:
+            visited.add(node)
+            todo += (*predecessors.get(node, ()), *adjacency.skill_ids.get(node, ()))
     for node in (*model.products, *model.processes, *model.skills):
         if node.id not in visited:
             found.append(
@@ -294,8 +276,13 @@ def validate(model: BiPanModel) -> Diagnostics:
     _check_processes(model, found)
     _check_products(model, found)
     _check_final_count(model, found)
-    _check_cycles(model, found)
-    _check_reachability(model, found)
+    # The flow graph in assembly direction (input product -> process -> output
+    # product) and against it; product and process ids never clash.
+    adjacency = model.adjacency
+    successors = {**adjacency.consumers, **adjacency.outputs}
+    predecessors = {**adjacency.producers, **adjacency.inputs}
+    _check_cycles(successors, predecessors, found)
+    _check_reachability(model, predecessors, found)
     _check_fastens(model, found)
     found.sort(key=lambda d: (d.code, d.nodes[0] if d.nodes else "", d.message))
     return Diagnostics(tuple(found))

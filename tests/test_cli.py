@@ -172,7 +172,11 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: usage:")
 
     @pytest.mark.parametrize(
-        "broken,replace", [(",", "a=b"), ("", "a=b"), (",,", "a=b"), ("mod8", "mod8=x,mod8=y")]
+        "broken,replace",
+        [
+            (",", "a=b"), ("", "a=b"), (",,", "a=b"),
+            ("mod8", "mod8=x,mod8=y"), ("mod8,mod8", "mod8=mod8r"),
+        ],
     )
     def test_no_broken_id_or_one_replaced_twice_exit_2(self, workdir, broken, replace):
         args = ["plan", "repair", "f1.bipan.json", "--broken", broken, "--replace", replace]

@@ -250,6 +250,51 @@ class TestRepair:
         assert sum(s.direction is Direction.SWAP for s in plan.steps) == len(leaves)
         assert len(calls) <= len(chain.products) + 2 * len(chain.processes)
 
+    def test_swap_scopes_read_each_input_and_link_once(self, monkeypatch):
+        # All 300 leaves of one process broken, a fastens link every 10 leaves:
+        # the swap scopes read no process's inputs and each link once, not once a swap.
+        leaves = [f"l{i:03}" for i in range(300)]
+        kinds = [ProductKind.FASTENER, *[ProductKind.ELEMENTARY] * 9] * 30
+        model = BiPanModel(
+            id="flat",
+            products=(
+                *(ProductNode(leaf, leaf, kind) for leaf, kind in zip(leaves, kinds)),
+                ProductNode("fin", "Fin", ProductKind.FINAL),
+            ),
+            processes=(ProcessNode("q", "Q"),),
+            skills=(SkillNode("screwing", "screwing"),),
+            flows=(
+                *(FlowEdge(leaf, "q", FlowRole.INPUT) for leaf in leaves),
+                FlowEdge("fin", "q", FlowRole.OUTPUT),
+            ),
+            skill_edges=(SkillEdge("q", "screwing"),),
+            fastens=tuple(
+                FastensLink(leaves[i], frozenset(leaves[i + 1 : i + 10])) for i in range(0, 300, 10)
+            ),
+        )
+        assert not model.diagnostics.items and model.digest  # both cached before counting
+        counts = {"ids": 0, "links": 0}
+
+        class CountingLinks(tuple):
+            def __iter__(self):
+                for link in tuple.__iter__(self):
+                    counts["links"] += 1
+                    yield link
+
+        object.__setattr__(model, "fastens", CountingLinks(model.fastens))
+        inputs_of = BiPanModel.inputs_of
+
+        def counting_inputs_of(model, pid):
+            ids = inputs_of(model, pid)
+            counts["ids"] += len(ids)
+            return ids
+
+        monkeypatch.setattr(BiPanModel, "inputs_of", counting_inputs_of)
+        plan = repair_plan(model, leaves, {leaf: f"{leaf}.r" for leaf in leaves})
+        assert [s.direction for s in plan.steps] == [Direction.SWAP] * 300
+        assert counts["ids"] <= 2 * len(model.products)
+        assert counts["links"] <= 2 * len(model.products)
+
     def test_fastens_narrow_swap_scope(self, f1):
         bolted = dataclasses.replace(
             f1,
@@ -272,6 +317,36 @@ class TestRepair:
             "screwing",
             "unscrewing",
         )
+
+    def test_two_links_securing_one_part_both_scope_its_swap(self, f1):
+        # bolts1 declares no skill, clips1 declares "clipping"; both secure mod8 at p2.
+        clips = ProductNode("clips1", "Clips", ProductKind.FASTENER,
+                            attributes={"skill": "clipping"})
+        clipped = dataclasses.replace(
+            f1,
+            products=(*f1.products, clips),
+            flows=(*f1.flows, FlowEdge("clips1", "p2", FlowRole.INPUT)),
+            fastens=(
+                FastensLink("bolts1", frozenset({"mod8"})),
+                FastensLink("clips1", frozenset({"mod7", "mod8"})),
+            ),
+        )
+        assert clipped.diagnostics.items == ()
+        plan = repair_plan(clipped, ["mod7", "mod8"], {"mod7": "mod7r", "mod8": "mod8r"})
+        swaps = {
+            s.swap_target: s.required_skills for s in plan.steps if s.direction is Direction.SWAP
+        }
+        assert swaps == {
+            "mod7": ("clipping", "manipulation"),
+            "mod8": (
+                "clipping",
+                "connecting-cables",
+                "disconnecting-cables",
+                "manipulation",
+                "screwing",
+                "unscrewing",
+            ),
+        }
 
     def test_fastens_without_declared_skill_falls_back_to_directional(self, f1):
         bolted = dataclasses.replace(
