@@ -184,24 +184,26 @@ def _cmd_pdt_new(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     pdt = create_instance(args.instance_id, model)
     target = io.instance_path(args.dir, pdt.instance_id)
-    if target.exists():
-        raise BiPanError("io-error", f"instance file already exists: {target}")
-    path = io.write_instance_file(pdt, args.dir)
+    with io.instance_lock(args.dir, pdt.instance_id):
+        if target.exists():
+            raise BiPanError("io-error", f"instance file already exists: {target}")
+        path = io.write_instance_file(pdt, args.dir)
     print(f"created {path}", file=sys.stderr)
     return 0
 
 
 def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
     from bipan.pdt import Health, set_health
-    pdt = io.read_instance_file(args.dir, args.instance_id)
-    try:
-        health = Health(args.health.capitalize())
-    except ValueError:
-        raise BiPanError(
-            "usage", f"health must be one of ok, degraded, broken, unknown; got {args.health!r}"
-        ) from None
-    updated = set_health(pdt, args.component, health, args.at)
-    io.write_instance_file(updated, args.dir)
+    with io.instance_lock(args.dir, args.instance_id):
+        pdt = io.read_instance_file(args.dir, args.instance_id)
+        try:
+            health = Health(args.health.capitalize())
+        except ValueError:
+            raise BiPanError(
+                "usage", f"health must be one of ok, degraded, broken, unknown; got {args.health!r}"
+            ) from None
+        updated = set_health(pdt, args.component, health, args.at)
+        io.write_instance_file(updated, args.dir)
     return 0
 
 
@@ -218,11 +220,12 @@ def _cmd_pdt_log(args: argparse.Namespace) -> int:
 
 def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
     from bipan.pdt import plan_repair_for
-    pdt = io.read_instance_file(args.dir, args.instance_id)
-    model = _load_model(args.model)
-    replacements = _parse_replacements(args.replace)
-    updated, plan = plan_repair_for(pdt, model, replacements, args.at)
-    io.write_instance_file(updated, args.dir)
+    with io.instance_lock(args.dir, args.instance_id):
+        pdt = io.read_instance_file(args.dir, args.instance_id)
+        model = _load_model(args.model)
+        replacements = _parse_replacements(args.replace)
+        updated, plan = plan_repair_for(pdt, model, replacements, args.at)
+        io.write_instance_file(updated, args.dir)
     _emit(io.save_plan(plan), args.out)
     return 0
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from bipan.canon import canonical_bytes, model_digest, model_to_obj
+from bipan.canon import canonical_bytes, model_to_obj
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
@@ -50,6 +51,7 @@ __all__ = [
     "AmlFragment",
     "export_dot",
     "import_aml",
+    "instance_lock",
     "instance_path",
     "load_instance",
     "load_model",
@@ -57,7 +59,6 @@ __all__ = [
     "load_registry",
     "load_state",
     "merge",
-    "model_digest",
     "read_file",
     "read_instance_file",
     "save_instance",
@@ -138,9 +139,12 @@ def _str_map(value: Any, path: str) -> dict[str, str]:
 
 
 def _position(value: Any, path: str) -> tuple[Any, ...]:
-    """Shape and type only; :class:`ProductNode` converts the components to floats."""
+    """Shape and type only; :class:`ProductNode` converts the components to floats.
+
+    ``true`` decodes to a ``bool``, an ``int`` subclass, so the type test is exact.
+    """
     items = _as_list(value, path)
-    if len(items) != 3 or not all(isinstance(c, (int, float)) for c in items):
+    if len(items) != 3 or not all(type(c) in (int, float) for c in items):
         raise BiPanError("parse-error", f"{path} must be three numbers")
     return tuple(items)
 
@@ -346,7 +350,7 @@ def _direct_model(doc: Any) -> BiPanModel:
             raise ValueError("type_ref")
         if position is not None:
             if not isinstance(position, list) or len(position) != 3 or not all(
-                isinstance(c, (int, float)) for c in position
+                type(c) in (int, float) for c in position
             ):
                 raise ValueError("position")
             position = tuple(position)
@@ -480,6 +484,20 @@ def save_instance(pdt: PdtInstance) -> bytes:
 def instance_path(directory: str | Path, instance_id: str) -> Path:
     """``<instance_id>.pdt.json`` in ``directory``; the id is checked, so it cannot leave it."""
     return Path(directory) / f"{check_id(instance_id)}.pdt.json"
+
+
+@contextmanager
+def instance_lock(directory: str | Path, instance_id: str) -> Iterator[None]:
+    """Hold an exclusive lock on ``<instance_id>.pdt.lock`` in ``directory``; POSIX only.
+
+    A caller that reads a twin, changes it and writes it back holds the lock
+    throughout, so a concurrent writer waits and then reads the new twin. The
+    twin file cannot carry the lock: each write replaces it with a new file.
+    """
+    import fcntl  # only the commands that change twins lock
+    with open(instance_path(directory, instance_id).with_suffix(".lock"), "ab") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
 
 
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:

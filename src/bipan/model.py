@@ -334,12 +334,6 @@ class BiPanModel:
             raise self._unknown("product", product_id)
         return node
 
-    def process(self, process_id: str) -> ProcessNode:
-        node = self._nodes.get(process_id)
-        if not isinstance(node, ProcessNode):
-            raise self._unknown("process", process_id)
-        return node
-
     def has_process(self, process_id: str) -> bool:
         return isinstance(self._nodes.get(process_id), ProcessNode)
 

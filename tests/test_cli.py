@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -380,6 +381,12 @@ class TestAmlAndDot:
         assert sum(1 for l in lines if "color=red" in l and "->" not in l) == 1
 
 
+def set_health_after(barrier, args):
+    """Wait at ``barrier``, then run ``pdt set-health`` and exit with its status."""
+    barrier.wait()
+    sys.exit(main(["pdt", "set-health", *args]))
+
+
 class TestPdt:
     def test_full_flow_matches_planner(self, workdir, fixtures_dir, capsys):
         d = str(workdir)
@@ -459,6 +466,30 @@ class TestPdt:
         capsys.readouterr()
         assert main(["pdt", "set-health", "VIN-006", "mod8", "broken", "--dir", d]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks the writers; the lock is POSIX-only")
+    def test_concurrent_writers_keep_every_event(self, workdir):
+        """Two ``set-health`` calls released together each append their event."""
+        context = multiprocessing.get_context("fork")
+        d = str(workdir)
+        for trial in range(20):
+            twin = f"VIN-{trial}"
+            assert main(["pdt", "new", twin, model_path(workdir), "--dir", d]) == 0
+            barrier = context.Barrier(2, timeout=60)
+            writers = [
+                context.Process(
+                    target=set_health_after,
+                    args=(barrier, [twin, component, "broken", "--at", T0, "--dir", d]),
+                )
+                for component in ("mod7", "mod8")
+            ]
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join()
+            assert [writer.exitcode for writer in writers] == [0, 0]
+            events = io.read_instance_file(workdir, twin).events
+            assert sorted(event.payload["component"] for event in events) == ["mod7", "mod8"], trial
 
     def test_twin_and_log_bytes_pinned(self, workdir, capsys):
         # Recorded before twin documents had a direct decode path.
@@ -679,6 +710,18 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
 
+    def test_each_name_is_its_submodule(self, tmp_path):
+        """``import bipan.<m> as x``, ``from bipan import <m>`` and ``bipan.<m>`` give the module."""
+        code = "import sys\nimport bipan\n" + "".join(
+            f"import bipan.{m} as x\n"
+            f"from bipan import {m} as y\n"
+            f"if not x is y is bipan.{m} is sys.modules['bipan.{m}']: print('{m}')\n"
+            for m in LAZY
+        )
+        result = run_bare(code, [], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
+
     @pytest.mark.parametrize("args,expected", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
     def test_each_command_runs_only_its_modules(self, workdir, args, expected):
         assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", str(workdir)]) == 0
@@ -715,6 +758,19 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    @pytest.mark.parametrize(
+        "args,commands",
+        [
+            (["--help"], "validate plan exec import-aml export-dot pdt"),
+            (["pdt", "--help"], "new set-health log plan-repair"),
+        ],
+    )
+    def test_help_lists_every_command(self, tmp_path, args, commands):
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 0, result.stderr
+        listed = {line.split()[0] for line in result.stdout.splitlines() if line.startswith("    ")}
+        assert listed == set(commands.split())
 
     def test_repair_plan_equivalence_via_api(self, workdir):
         # CLI repair output replays identically to the API plan object.

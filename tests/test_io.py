@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipan import io
+from bipan import canon, io
 from bipan.errors import BiPanError
 from bipan.fixtures import battery_model
 from bipan.model import COMPONENT_KINDS
@@ -73,7 +73,7 @@ class TestModelDocuments:
 
     def test_digest_is_sha256_of_file_bytes(self, f1, fixtures_dir):
         digest = hashlib.sha256((fixtures_dir / "f1.bipan.json").read_bytes()).hexdigest()
-        assert io.model_digest(f1) == digest
+        assert canon.model_digest(f1) == digest
 
 
 def _outcome(decode, data: bytes):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipan import io, pdt
+from bipan import canon, io, pdt
 from bipan.errors import BiPanError
 from bipan.pdt import Health, create_instance, parse_timestamp, plan_repair_for, set_health
 from bipan.plan import repair_plan
@@ -22,7 +22,7 @@ class TestCreate:
         assert set(twin.health.values()) == {Health.UNKNOWN}
         assert "stage2" not in twin.health and "battery" not in twin.health
         assert twin.events == ()
-        assert twin.model_digest == io.model_digest(f1)
+        assert twin.model_digest == canon.model_digest(f1)
 
     def test_deterministic(self, f1):
         assert create_instance("VIN-001", f1) == create_instance("VIN-001", f1)

@@ -1,6 +1,7 @@
-"""The scripts under ``scripts/`` run against the package as it is."""
+"""The scripts under ``scripts/`` and README's library example run against the package."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,3 +41,17 @@ def test_make_fixtures_regenerates_the_goldens_byte_identically(tmp_path):
     assert sorted(path.name for path in copied.iterdir()) == names
     for name in names:
         assert (copied / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library in five lines\n", 1)[1].split("```python\n", 1)[1]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", block.split("```", 1)[0]], cwd=ROOT, env=env,
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    printed = result.stdout.strip()  # a set's order varies with the hash seed
+    assert printed.startswith("frozenset({"), printed
+    assert set(re.findall(r"'([^']*)'", printed)) == {"battery", "mod8"}
