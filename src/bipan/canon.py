@@ -68,7 +68,7 @@ def product_to_obj(node: ProductNode) -> dict[str, Any]:
     if node.position is not None:
         entry["position"] = list(node.position)
     if node.attributes:
-        entry["attributes"] = dict(node.attributes)
+        entry["attributes"] = node.attributes
     return entry
 
 

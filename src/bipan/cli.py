@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 validation errors or an infeasible result, 2 usage or
 parse errors, 3 runtime failures (I/O, digest mismatch, replay failure); each
 error code's status is in :data:`bipan.errors.EXIT_CODES`. Every error path
 prints one machine-parsable line to stderr, ``error: <code>: <detail>``, with
-line breaks in the detail escaped. Payloads go to stdout, diagnostics to
-stderr, and nothing ever reads the clock: twin mutations require an explicit
-``--at`` timestamp.
+line breaks in the detail escaped. Payloads go to stdout as UTF-8 bytes,
+whatever the locale, diagnostics to stderr, and nothing ever reads the clock:
+twin mutations require an explicit ``--at`` timestamp.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from bipan import canon, io  # registered unloaded; each command loads what it uses
 from bipan.errors import EXIT_CODES, BiPanError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from bipan.model import BiPanModel
 
 #: Each character ``str.splitlines`` breaks at, mapped to its escape.
@@ -49,27 +51,53 @@ def _load_model(path: str) -> BiPanModel:
     return io.load_model(io.read_file(path))
 
 
+def _write(data: bytes) -> None:
+    """Write ``data`` to stdout as these bytes, whatever encoding the locale gives stdout."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text stream with no bytes beneath it, such as ``io.StringIO``
+        sys.stdout.write(data.decode("utf-8"))
+    else:
+        sys.stdout.flush()  # text written before goes first
+        buffer.write(data)
+        buffer.flush()  # and stderr lines written after go after
+
+
+def _write_lines(lines: list[str]) -> None:
+    _write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
 def _emit(data: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(data.decode("utf-8"))
+        _write(data)
     else:
         Path(out).write_bytes(data)
 
 
+def _comma_list(text: str, option: str, noun: str, entry: Callable[[str], tuple]) -> dict[str, Any]:
+    """Key and value of each non-empty chunk of a comma-separated option, by ``entry``.
+
+    A key given twice, or no chunk at all, is a ``usage`` error.
+    """
+    entries: dict[str, Any] = {}
+    for chunk in filter(None, text.split(",")):
+        key, value = entry(chunk)
+        if key in entries:
+            raise BiPanError("usage", f"{option} names {key!r} more than once")
+        entries[key] = value
+    if not entries:
+        raise BiPanError("usage", f"{option} must name at least one {noun}")
+    return entries
+
+
+def _replacement(chunk: str) -> tuple[str, str]:
+    old, sep, new = chunk.partition("=")
+    if not sep or not old or not new:
+        raise BiPanError("usage", f"--replace entries must be old=new, got {chunk!r}")
+    return old, new
+
+
 def _parse_replacements(text: str) -> dict[str, str]:
-    replacements: dict[str, str] = {}
-    for chunk in text.split(","):
-        if not chunk:
-            continue
-        old, sep, new = chunk.partition("=")
-        if not sep or not old or not new:
-            raise BiPanError("usage", f"--replace entries must be old=new, got {chunk!r}")
-        if old in replacements:
-            raise BiPanError("usage", f"--replace names {old!r} more than once")
-        replacements[old] = new
-    if not replacements:
-        raise BiPanError("usage", "--replace must name at least one old=new pair")
-    return replacements
+    return _comma_list(text, "--replace", "old=new pair", _replacement)
 
 
 # -- commands ---------------------------------------------------------------
@@ -78,13 +106,15 @@ def _parse_replacements(text: str) -> dict[str, str]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     diags = _load_model(args.model).diagnostics
     if args.format == "json":
-        sys.stdout.write(canon.canonical_bytes(diags.to_obj()).decode("utf-8"))
+        _write(canon.canonical_bytes(diags.to_obj()))
     else:
+        lines = []
         for d in diags.items:
             nodes = f" [{', '.join(d.nodes)}]" if d.nodes else ""
-            print(f"{d.code} {d.severity.value.lower()}{nodes}: {d.message}")
-        print(f"{'OK' if not diags.has_errors else 'FAIL'} "
-              f"({len(diags.errors)} errors, {len(diags.warnings)} warnings)")
+            lines.append(f"{d.code} {d.severity.value.lower()}{nodes}: {d.message}")
+        lines.append(f"{'OK' if not diags.has_errors else 'FAIL'} "
+                     f"({len(diags.errors)} errors, {len(diags.warnings)} warnings)")
+        _write_lines(lines)
     if diags.has_errors:
         return _fail(BiPanError("invalid-model", f"{len(diags.errors)} validation errors"))
     return 0
@@ -105,13 +135,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         if args.broken is None or args.replace is None:
             raise BiPanError("usage", "plan repair requires --broken and --replace")
-        broken: dict[str, None] = {}
-        for component in filter(None, args.broken.split(",")):
-            if component in broken:
-                raise BiPanError("usage", f"--broken names {component!r} more than once")
-            broken[component] = None
-        if not broken:
-            raise BiPanError("usage", "--broken must name at least one component")
+        broken = _comma_list(args.broken, "--broken", "component", lambda chunk: (chunk, None))
         plan = repair_plan(model, broken, _parse_replacements(args.replace))
     # Read the registry before anything is emitted: a bad one leaves no plan behind.
     skills = None if args.registry is None else io.load_registry(io.read_file(args.registry))
@@ -125,7 +149,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "feasible": not any(missing),
             "per_step": [{"index": i, "missing_skills": list(m)} for i, m in enumerate(missing)],
         }
-        sys.stdout.write(canon.canonical_bytes(report).decode("utf-8"))
+        _write(canon.canonical_bytes(report))
     if not any(missing):
         return 0
     for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
@@ -149,16 +173,19 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
-        sys.stdout.write(canon.canonical_bytes(io.trace_to_obj(trace)).decode("utf-8"))
+        _write(canon.canonical_bytes(io.trace_to_obj(trace)))
     else:
-        for i, (step, state) in enumerate(zip(trace.steps, trace.entries)):
-            print(f"step {i}: {step.direction.value} '{step.process}' -> "
-                  f"present: {', '.join(sorted(state.present))}")
+        lines = [
+            f"step {i}: {step.direction.value} '{step.process}' -> "
+            f"present: {', '.join(sorted(state.present))}"
+            for i, (step, state) in enumerate(zip(trace.steps, trace.entries))
+        ]
         final = trace.final
-        print(f"final: {', '.join(sorted(final.present))}")
+        lines.append(f"final: {', '.join(sorted(final.present))}")
         if final.substitutions:
             subs = ", ".join(f"{k}->{v}" for k, v in sorted(final.substitutions.items()))
-            print(f"substitutions: {subs}")
+            lines.append(f"substitutions: {subs}")
+        _write_lines(lines)
     return 0
 
 
@@ -210,11 +237,13 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
 def _cmd_pdt_log(args: argparse.Namespace) -> int:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
-        sys.stdout.write(canon.canonical_bytes(io.instance_to_obj(pdt)["events"]).decode("utf-8"))
+        _write(canon.canonical_bytes(io.instance_to_obj(pdt)["events"]))
     else:
+        lines = []
         for event in pdt.events:
             payload = " ".join(f"{k}={v}" for k, v in sorted(event.payload.items()))
-            print(f"{event.timestamp} {event.kind} {payload}".rstrip())
+            lines.append(f"{event.timestamp} {event.kind} {payload}".rstrip())
+        _write_lines(lines)
     return 0
 
 

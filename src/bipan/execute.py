@@ -12,11 +12,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Any
 
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel
+from bipan.model import BiPanModel, FrozenMap
 from bipan.plan import Direction, Plan, PlanStep
 from bipan.validate import ensure_valid
 
@@ -34,16 +33,12 @@ class ExecState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "present", frozenset(self.present))
-        object.__setattr__(self, "substitutions", MappingProxyType(dict(self.substitutions)))
-
-    def __reduce__(self):
-        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
-        return (ExecState, (self.present, dict(self.substitutions)))
+        object.__setattr__(self, "substitutions", FrozenMap(self.substitutions))
 
     def to_obj(self) -> dict[str, Any]:
         return {
             "present": sorted(self.present),
-            "substitutions": dict(self.substitutions),
+            "substitutions": self.substitutions,
         }
 
 

@@ -135,7 +135,7 @@ def _str_map(value: Any, path: str) -> dict[str, str]:
     mapping = _as_dict(value, path)
     if not all(isinstance(v, str) for v in mapping.values()):
         raise BiPanError("parse-error", f"{path} must map strings to strings")
-    return dict(mapping)
+    return mapping
 
 
 def _position(value: Any, path: str) -> tuple[Any, ...]:
@@ -463,7 +463,7 @@ def load_registry(data: bytes) -> frozenset[str]:
 def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
     return {
         "events": [
-            {"kind": e.kind, "payload": dict(e.payload), "timestamp": e.timestamp}
+            {"kind": e.kind, "payload": e.payload, "timestamp": e.timestamp}
             for e in pdt.events
         ],
         "health": {c: h.value for c, h in pdt.health.items()},
@@ -501,18 +501,30 @@ def instance_lock(directory: str | Path, instance_id: str) -> Iterator[None]:
 
 
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
-    """Atomic write (temp file + rename) of ``<instance_id>.pdt.json``."""
+    """Atomic, durable write of ``<instance_id>.pdt.json``: temp file, fsync, rename.
+
+    The temp file is synced before the rename, so the name never points at
+    unwritten bytes, and the directory after it, so the rename itself survives
+    a crash. POSIX only, as :func:`instance_lock` is.
+    """
     import tempfile  # only the commands that write twins need it
     target = instance_path(directory, pdt.instance_id)
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".pdt-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(save_instance(pdt))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
     return target
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from bipan.errors import BiPanError
 
@@ -43,6 +42,24 @@ def check_id(value: object) -> str:
             f"node id {value!r} must be a non-empty string matching [A-Za-z0-9_.-]+",
         )
     return value
+
+
+class FrozenMap(dict):
+    """A dict whose mutating methods raise ``TypeError``: the read-only mapping records hold.
+
+    Only an explicit ``dict.__setitem__`` gets past it, as ``object.__setattr__``
+    gets past a frozen record. Like any dict it is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # the default would unpickle item by item, through __setitem__
+        return (type(self), (dict(self),))
 
 
 class ProductKind(Enum):
@@ -69,8 +86,8 @@ class ProductNode:
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
     ``attributes`` is a read-only copy of the mapping given, so a model's cached
-    digest and diagnostics cannot go stale. A mapping proxy is unhashable, so
-    the hash leaves ``attributes`` out; equality still compares it.
+    digest and diagnostics cannot go stale. The hash leaves ``attributes`` out;
+    equality still compares it.
     """
 
     id: str
@@ -99,12 +116,7 @@ class ProductNode:
                     f"product '{self.id}': position must have exactly three components",
                 )
             object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
-
-    def __reduce__(self):
-        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
-        fields = (self.id, self.label, self.kind, self.type_ref, self.position)
-        return (ProductNode, (*fields, dict(self.attributes)))
+        object.__setattr__(self, "attributes", FrozenMap(self.attributes))
 
     def has_finite_position(self) -> bool:
         return self.position is None or all(math.isfinite(c) for c in self.position)
@@ -273,10 +285,6 @@ class BiPanModel:
         object.__setattr__(self, "skill_edges", skill_edges)
         object.__setattr__(self, "fastens", fastens)
 
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle and copy without the read-only adjacency maps; they are rebuilt on use."""
-        return {name: value for name, value in self.__dict__.items() if name != "adjacency"}
-
     # -- indices -------------------------------------------------------------
 
     @cached_property
@@ -302,7 +310,7 @@ class BiPanModel:
             skill_ids[e.process].append(e.skill)
         return Adjacency(
             *(
-                MappingProxyType({node_id: tuple(ids) for node_id, ids in adjacency.items()})
+                FrozenMap({node_id: tuple(ids) for node_id, ids in adjacency.items()})
                 for adjacency in (inputs, outputs, producers, consumers, skill_ids)
             )
         )

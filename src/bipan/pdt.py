@@ -13,11 +13,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, check_id
+from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, check_id
 
 if TYPE_CHECKING:
     from bipan.plan import Plan
@@ -61,11 +60,7 @@ class Event:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "when", parse_timestamp(self.timestamp))
-        object.__setattr__(self, "payload", MappingProxyType(dict(self.payload)))
-
-    def __reduce__(self):
-        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
-        return (Event, (self.timestamp, self.kind, dict(self.payload)))
+        object.__setattr__(self, "payload", FrozenMap(self.payload))
 
 
 @dataclass(frozen=True)
@@ -86,18 +81,13 @@ class PdtInstance:
         if not self.instance_id:
             raise BiPanError("empty-id", "instance id must be non-empty")
         check_id(self.instance_id)
-        object.__setattr__(self, "health", MappingProxyType(dict(self.health)))
+        object.__setattr__(self, "health", FrozenMap(self.health))
         for earlier, event in zip(self.events, self.events[1:]):
             if event.when < earlier.when:
                 raise BiPanError(
                     "time-regression",
                     f"event log timestamps decrease at {event.timestamp!r}",
                 )
-
-    def __reduce__(self):
-        """Pickle (and copy) through the constructor: a mapping proxy cannot be pickled."""
-        fields = (self.instance_id, self.model_id, self.model_digest)
-        return (PdtInstance, (*fields, dict(self.health), self.events))
 
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))

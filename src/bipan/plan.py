@@ -25,10 +25,9 @@ import heapq
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, ProductKind, check_id
+from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, ProductKind, check_id
 from bipan.validate import ensure_valid
 
 
@@ -45,7 +44,7 @@ class DisassemblyMode(Enum):
 
 #: Default assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
 #: Read-only, as it is the shared default of every planner's ``inv``; pass ``{}`` for none.
-DEFAULT_INVERSION: Mapping[str, str] = MappingProxyType(
+DEFAULT_INVERSION: Mapping[str, str] = FrozenMap(
     {
         "screwing": "unscrewing",
         "connecting-cables": "disconnecting-cables",

@@ -381,6 +381,51 @@ class TestAmlAndDot:
         assert sum(1 for l in lines if "color=red" in l and "->" not in l) == 1
 
 
+def run_cli_encoded(args, cwd, encoding):
+    """``run_cli`` with stdout in ``encoding``, as a locale may set it; stdout stays bytes."""
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+           "PYTHONIOENCODING": encoding}
+    return subprocess.run(
+        [sys.executable, "-m", "bipan.cli", *args], cwd=cwd, env=env, capture_output=True
+    )
+
+
+class TestStdoutIsUtf8:
+    """Payloads and human lines reach stdout as UTF-8 bytes, whatever the locale's encoding."""
+
+    @pytest.mark.parametrize(
+        "label", ["Módulo", "Batterie – 电池"], ids=["latin-1", "beyond-latin-1"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["import-aml", "battery.aml", "--merge", "f1.bipan.json"], ["export-dot", "f1.bipan.json"]],
+        ids=["import-aml", "export-dot"],
+    )
+    def test_payload_equals_out_under_latin1(self, workdir, monkeypatch, label, argv):
+        doc = json.loads((workdir / "f1.bipan.json").read_bytes())
+        for product in doc["products"]:
+            if product["id"] == "cover":
+                product["label"] = label
+        (workdir / "f1.bipan.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        result = run_cli_encoded(argv, workdir, "latin-1")
+        assert result.returncode == 0 and b"Traceback" not in result.stderr, result.stderr
+        monkeypatch.chdir(workdir)
+        assert main([*argv, "--out", "out"]) == 0
+        assert result.stdout == (workdir / "out").read_bytes()
+        assert label.encode("utf-8") in result.stdout
+        if argv[0] == "import-aml":
+            assert io.load_model(result.stdout).product("cover").label == label
+
+    def test_human_log_under_ascii(self, workdir):
+        from bipan.pdt import Event, PdtInstance
+        twin = PdtInstance("VIN-7", "m", "d", {}, (Event(T0, "note", {"by": "José"}),))
+        io.write_instance_file(twin, workdir)
+        result = run_cli_encoded(["pdt", "log", "VIN-7", "--dir", "."], workdir, "ascii")
+        assert result.returncode == 0 and b"Traceback" not in result.stderr, result.stderr
+        assert result.stdout == f"{T0} note by=José\n".encode("utf-8")
+
+
 def set_health_after(barrier, args):
     """Wait at ``barrier``, then run ``pdt set-health`` and exit with its status."""
     barrier.wait()

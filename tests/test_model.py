@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import pickle
 import re
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
+from bipan.execute import ExecState
 from bipan.fixtures import battery_model
 from bipan.model import (
     BiPanModel,
     FastensLink,
     FlowEdge,
     FlowRole,
+    FrozenMap,
     ProcessNode,
     ProductKind,
     ProductNode,
@@ -22,6 +25,8 @@ from bipan.model import (
     SkillNode,
     check_id,
 )
+from bipan.pdt import Event, Health, PdtInstance
+from bipan.plan import DEFAULT_INVERSION
 from bipan.validate import ensure_valid, validate
 from mutations import MUTANTS
 from strategies import models
@@ -292,3 +297,62 @@ class TestCachedFacts:
             with pytest.raises(BiPanError) as err:
                 ensure_valid(broken)
             assert err.value.code == "invalid-model"
+
+
+#: One record of each kind that holds a mapping, by the name of that mapping's field.
+RECORDS = {
+    "attributes": lambda m: ProductNode("s", "S", ProductKind.FASTENER, attributes={"k": "v"}),
+    "payload": lambda m: Event("2024-05-01T10:00:00Z", "note", {"k": "v"}),
+    "health": lambda m: PdtInstance("VIN-1", "m", "d", {"mod1": Health.OK}),
+    "substitutions": lambda m: ExecState(frozenset({"a"}), {"k": "v"}),
+    "adjacency": lambda m: m,
+}
+
+MAPPINGS = {
+    **{field: lambda m, field=field: getattr(RECORDS[field](m), field) for field in RECORDS},
+    "adjacency": lambda m: m.adjacency.inputs,
+    "DEFAULT_INVERSION": lambda m: DEFAULT_INVERSION,
+}
+
+MUTATIONS = {
+    "__setitem__": lambda d: operator.setitem(d, "k", "w"),
+    "__delitem__": lambda d: operator.delitem(d, next(iter(d))),
+    "__ior__": lambda d: operator.ior(d, {"k": "w"}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop(next(iter(d))),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("new", "w"),
+    "update": lambda d: d.update(k="w"),
+}
+
+
+class TestFrozenMap:
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
+    @pytest.mark.parametrize("name", MAPPINGS)
+    def test_every_mutation_raises_and_changes_nothing(self, f1, name, mutate):
+        mapping = MAPPINGS[name](f1)
+        before = dict(mapping)
+        assert type(mapping) is FrozenMap and before
+        with pytest.raises(TypeError):
+            mutate(mapping)
+        assert mapping == before
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    @pytest.mark.parametrize("field", RECORDS)
+    def test_copies_hold_frozen_maps(self, f1, field, copy_of):
+        record = RECORDS[field](f1)
+        getattr(record, field)  # the model builds its adjacency maps on first use
+        copied = copy_of(record)
+        assert copied == record
+        value = getattr(copied, field)
+        for mapping in value if field == "adjacency" else (value,):
+            assert type(mapping) is FrozenMap
+
+    def test_operators_that_build_a_new_map_still_work(self):
+        frozen = FrozenMap({"a": "b"})
+        assert frozen | {"c": "d"} == {"a": "b", "c": "d"} and frozen == {"a": "b"}
+        assert pickle.loads(pickle.dumps(frozen)) == frozen

@@ -188,6 +188,29 @@ class TestPersistence:
         io.write_instance_file(create_instance("VIN-002", f1), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["VIN-002.pdt.json"]
 
+    def test_write_syncs_the_file_then_renames_then_syncs_the_directory(
+        self, f1, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(source, target):
+            calls.append("replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = io.write_instance_file(create_instance("VIN-006", f1), tmp_path)
+        assert calls == ["fsync file", "replace", "fsync directory"]
+        assert io.read_instance_file(tmp_path, "VIN-006") == io.load_instance(path.read_bytes())
+
     def test_stored_id_is_checked_on_load(self, f1):
         doc = json.loads(io.save_instance(create_instance("VIN-001", f1)))
         doc["instance_id"] = "../escaped"
