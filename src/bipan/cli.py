@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 validation errors or an infeasible result, 2 usage or
 parse errors, 3 runtime failures (I/O, digest mismatch, replay failure); each
 error code's status is in :data:`bipan.errors.EXIT_CODES`. Every error path
 prints one machine-parsable line to stderr, ``error: <code>: <detail>``, with
-line breaks in the detail escaped. Payloads go to stdout as UTF-8 bytes,
-whatever the locale, diagnostics to stderr, and nothing ever reads the clock:
+line breaks in the detail escaped. Payloads go to stdout and diagnostics to
+stderr, both as UTF-8 bytes whatever the locale, and nothing ever reads the clock:
 twin mutations require an explicit ``--at`` timestamp.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TextIO
 
 from bipan import canon, io  # registered unloaded; each command loads what it uses
 from bipan.errors import EXIT_CODES, BiPanError
@@ -34,7 +34,7 @@ def _one_line(text: str) -> str:
 
 def _fail(exc: BiPanError) -> int:
     """Print ``exc`` as the one ``error: <code>: <detail>`` line; return its exit status."""
-    print(f"error: {exc.code}: {_one_line(exc.detail)}", file=sys.stderr)
+    _note(f"error: {exc.code}: {_one_line(exc.detail)}")
     return EXIT_CODES[exc.code]
 
 
@@ -51,15 +51,24 @@ def _load_model(path: str) -> BiPanModel:
     return io.load_model(io.read_file(path))
 
 
-def _write(data: bytes) -> None:
-    """Write ``data`` to stdout as these bytes, whatever encoding the locale gives stdout."""
-    buffer = getattr(sys.stdout, "buffer", None)
+def _put(stream: TextIO, data: bytes) -> None:
+    """Write ``data`` to ``stream`` as these bytes, whatever encoding the locale gives it."""
+    buffer = getattr(stream, "buffer", None)
     if buffer is None:  # a text stream with no bytes beneath it, such as ``io.StringIO``
-        sys.stdout.write(data.decode("utf-8"))
+        stream.write(data.decode("utf-8"))
     else:
-        sys.stdout.flush()  # text written before goes first
+        stream.flush()  # text written before goes first
         buffer.write(data)
-        buffer.flush()  # and stderr lines written after go after
+        buffer.flush()  # and lines written after to the other stream go after
+
+
+def _write(data: bytes) -> None:
+    _put(sys.stdout, data)
+
+
+def _note(line: str) -> None:
+    """Write ``line`` to stderr as UTF-8; an undecodable argv byte prints as ``\\udcff``."""
+    _put(sys.stderr, f"{line}\n".encode("utf-8", "backslashreplace"))
 
 
 def _write_lines(lines: list[str]) -> None:
@@ -154,8 +163,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 0
     for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
         if step_missing:
-            print(_one_line(f"step {i} ({step.direction.value} '{step.process}'): "
-                            f"missing {', '.join(step_missing)}"), file=sys.stderr)
+            _note(_one_line(f"step {i} ({step.direction.value} '{step.process}'): "
+                            f"missing {', '.join(step_missing)}"))
     gaps = ", ".join(sorted(set().union(*missing)))
     return _fail(BiPanError("infeasible", f"missing skills: {gaps}"))
 
@@ -195,7 +204,7 @@ def _cmd_import_aml(args: argparse.Namespace) -> int:
         model = io.merge(fragment, _load_model(args.merge))
         _emit(io.save_model(model), args.out)
     else:
-        _emit(canon.canonical_bytes(fragment.to_obj()), args.out)
+        _emit(fragment.to_bytes(), args.out)
     return 0
 
 
@@ -215,7 +224,7 @@ def _cmd_pdt_new(args: argparse.Namespace) -> int:
         if target.exists():
             raise BiPanError("io-error", f"instance file already exists: {target}")
         path = io.write_instance_file(pdt, args.dir)
-    print(f"created {path}", file=sys.stderr)
+    _note(f"created {path}")
     return 0
 
 

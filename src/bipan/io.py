@@ -25,7 +25,7 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from bipan.canon import canonical_bytes, model_to_obj
+from bipan.canon import canonical_bytes, model_bytes, plan_bytes
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
@@ -426,25 +426,7 @@ def load_model(data: bytes) -> BiPanModel:
 
 
 def save_model(model: BiPanModel) -> bytes:
-    return canonical_bytes(model_to_obj(model))
-
-
-def plan_to_obj(plan: Plan) -> dict[str, Any]:
-    from bipan.plan import Direction
-    steps = []
-    for step in plan.steps:
-        entry: dict[str, Any] = {
-            "consumed": list(step.consumed),
-            "direction": step.direction.value,
-            "process": step.process,
-            "produced": list(step.produced),
-            "required_skills": list(step.required_skills),
-        }
-        if step.direction is Direction.SWAP:
-            entry["swap_replacement"] = step.swap_replacement
-            entry["swap_target"] = step.swap_target
-        steps.append(entry)
-    return {"model_digest": plan.model_digest, "model_id": plan.model_id, "steps": steps}
+    return model_bytes(model)
 
 
 def load_plan(data: bytes) -> Plan:
@@ -452,7 +434,7 @@ def load_plan(data: bytes) -> Plan:
 
 
 def save_plan(plan: Plan) -> bytes:
-    return canonical_bytes(plan_to_obj(plan))
+    return plan_bytes(plan)
 
 
 def load_registry(data: bytes) -> frozenset[str]:
@@ -573,8 +555,8 @@ class AmlFragment:
     products: tuple[ProductNode, ...]
     explicit_kinds: frozenset[str] = frozenset()
 
-    def to_obj(self) -> dict[str, Any]:
-        return model_to_obj(BiPanModel("aml-fragment", self.products))
+    def to_bytes(self) -> bytes:
+        return model_bytes(BiPanModel("aml-fragment", self.products))
 
 
 def _local_name(tag: str) -> str:

@@ -1,19 +1,36 @@
-"""The canonical encoder against its oracle, and the rule that it is the only one.
+"""The canonical encoders against their oracle, and the rule that canon is the only one.
 
 ``canonical_bytes`` must emit exactly the UTF-8 of ``json.dumps(value, indent=2,
 sort_keys=True, ensure_ascii=False) + "\\n"``. That call is slow in CPython (it
 runs the pure-Python encoder), so it is kept here as the oracle only.
+``model_bytes`` and ``plan_bytes`` write the model and plan documents straight
+from their records; the oracle of the dict built here from the same records
+holds them to the same bytes.
 """
 
 import ast
+import hashlib
 import json
 import math
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import models
 
-from bipan.canon import canonical_bytes
+from bipan import io
+from bipan.canon import canonical_bytes, model_bytes, plan_bytes
+from bipan.model import COMPONENT_KINDS, BiPanModel, FastensLink, ProductKind, ProductNode
+from bipan.plan import (
+    Direction,
+    DisassemblyMode,
+    Plan,
+    PlanStep,
+    assembly_recipe,
+    disassembly_to,
+    full_disassembly,
+    repair_plan,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bipan"
 
@@ -64,6 +81,128 @@ def test_edge_values_equal_the_json_oracle():
         assert canonical_bytes(value) == oracle(value), value
 
 
+def model_doc(model: BiPanModel) -> dict:
+    """The model document as a dict, field by field from the records: the reference."""
+
+    def product(node: ProductNode) -> dict:
+        entry = {"id": node.id, "kind": node.kind.value, "label": node.label}
+        if node.type_ref is not None:
+            entry["type_ref"] = node.type_ref
+        if node.position is not None:
+            entry["position"] = list(node.position)
+        if node.attributes:
+            entry["attributes"] = dict(node.attributes)
+        return entry
+
+    return {
+        "id": model.id,
+        "products": [product(p) for p in model.products],
+        "processes": [{"id": p.id, "label": p.label} for p in model.processes],
+        "skills": [{"id": s.id, "label": s.label} for s in model.skills],
+        "flows": [
+            {"process": f.process, "product": f.product, "role": f.role.value} for f in model.flows
+        ],
+        "skill_edges": [{"process": e.process, "skill": e.skill} for e in model.skill_edges],
+        "fastens": [{"fastener": l.fastener, "secures": sorted(l.secures)} for l in model.fastens],
+    }
+
+
+def plan_doc(plan: Plan) -> dict:
+    """The plan document as a dict, field by field from the steps: the reference."""
+    steps = []
+    for step in plan.steps:
+        entry = {
+            "consumed": list(step.consumed),
+            "direction": step.direction.value,
+            "process": step.process,
+            "produced": list(step.produced),
+            "required_skills": list(step.required_skills),
+        }
+        if step.direction is Direction.SWAP:
+            entry["swap_replacement"] = step.swap_replacement
+            entry["swap_target"] = step.swap_target
+        steps.append(entry)
+    return {"model_digest": plan.model_digest, "model_id": plan.model_id, "steps": steps}
+
+
+def every_plan(model: BiPanModel):
+    """Each planner's plans for ``model``: assembly, full and partial disassembly, repair."""
+    yield assembly_recipe(model)
+    yield full_disassembly(model)
+    for product in model.products:
+        if product.kind is not ProductKind.FINAL:
+            for mode in DisassemblyMode:
+                yield disassembly_to(model, product.id, mode)
+    components = [p.id for p in model.products if p.kind in COMPONENT_KINDS]
+    broken = components[: max(1, len(components) // 3)]
+    yield repair_plan(model, broken, {b: f"{b}.new" for b in broken})
+
+
+@given(models())
+def test_model_and_plan_bytes_equal_the_oracle_of_their_records(model):
+    assert model_bytes(model) == oracle(model_doc(model))
+    assert model.digest == hashlib.sha256(io.save_model(model)).hexdigest()
+    for plan in every_plan(model):
+        assert plan_bytes(plan) == oracle(plan_doc(plan))
+
+
+FLOATS = st.floats() | st.sampled_from([x for x in EDGE_NUMBERS if type(x) is float])
+PRODUCTS = st.builds(
+    ProductNode,
+    id=st.just("p"),
+    label=TEXT,
+    kind=st.sampled_from(ProductKind),
+    type_ref=st.none() | TEXT,
+    position=st.none() | st.tuples(FLOATS, FLOATS, FLOATS),
+    attributes=st.dictionaries(TEXT, TEXT, max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(TEXT, PRODUCTS)
+def test_tricky_product_bytes_equal_the_oracle(model_id, product):
+    model = BiPanModel(model_id, (product,))
+    assert model_bytes(model) == oracle(model_doc(model))
+
+
+TEXTS = st.lists(TEXT, max_size=3).map(tuple)
+PLANS = st.builds(
+    Plan,
+    model_id=TEXT,
+    model_digest=TEXT,
+    steps=st.lists(
+        st.builds(
+            PlanStep,
+            process=TEXT,
+            direction=st.sampled_from(Direction),
+            consumed=TEXTS,
+            produced=TEXTS,
+            required_skills=TEXTS,
+            swap_target=st.none() | TEXT,
+            swap_replacement=st.none() | TEXT,
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=200)
+@given(PLANS)
+def test_tricky_plan_bytes_equal_the_oracle(plan):
+    assert plan_bytes(plan) == oracle(plan_doc(plan))
+
+
+def test_sparse_documents_equal_the_oracle():
+    """Empty collections, an empty ``secures`` and a hand-built swap step missing its ids."""
+    fastener = ProductNode("f", "F", ProductKind.FASTENER)
+    for model in (BiPanModel("m"), BiPanModel("m", (fastener,), fastens=(FastensLink("f", ()),))):
+        assert model_bytes(model) == oracle(model_doc(model))
+    swap = Plan("m", "d", (PlanStep("p", Direction.SWAP, ("a",), ("b",), ()),))
+    for plan in (Plan("m", "", ()), swap):
+        assert plan_bytes(plan) == oracle(plan_doc(plan))
+    assert b'"swap_replacement": null,\n      "swap_target": null\n' in plan_bytes(swap)
+
+
 def _json_dumps_keywords(tree: ast.AST):
     """The keyword names of every ``json.dumps(...)`` or bare ``dumps(...)`` call."""
     for node in ast.walk(tree):
@@ -74,15 +213,31 @@ def _json_dumps_keywords(tree: ast.AST):
                 yield node.lineno, {kw.arg for kw in node.keywords}
 
 
+def _names(tree: ast.AST):
+    """Each name ``tree`` imports, reads or takes as an attribute, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.lineno, node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
 def test_only_canon_formats_documents():
-    """Every payload goes through ``canonical_bytes``: no module outside ``canon.py``
-    calls ``json.dumps`` with ``indent`` or ``sort_keys``.
+    """Every payload goes through ``canon``: no module outside ``canon.py`` calls
+    ``json.dumps`` with ``indent`` or ``sort_keys``, or uses ``json``'s string
+    escaper ``encode_basestring`` to write JSON text of its own.
     """
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "canon.py":
             continue
-        for line, keywords in _json_dumps_keywords(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for line, keywords in _json_dumps_keywords(tree):
             if keywords & {"indent", "sort_keys"}:
+                offenders.append(f"{path.name}:{line}")
+        for line, name in _names(tree):
+            if name.startswith("encode_basestring"):
                 offenders.append(f"{path.name}:{line}")
     assert offenders == []

@@ -382,7 +382,7 @@ class TestAmlAndDot:
 
 
 def run_cli_encoded(args, cwd, encoding):
-    """``run_cli`` with stdout in ``encoding``, as a locale may set it; stdout stays bytes."""
+    """``run_cli`` with stdout and stderr in ``encoding``, as a locale may set it; both bytes."""
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
            "PYTHONIOENCODING": encoding}
@@ -424,6 +424,36 @@ class TestStdoutIsUtf8:
         result = run_cli_encoded(["pdt", "log", "VIN-7", "--dir", "."], workdir, "ascii")
         assert result.returncode == 0 and b"Traceback" not in result.stderr, result.stderr
         assert result.stdout == f"{T0} note by=José\n".encode("utf-8")
+
+
+class TestStderrIsUtf8:
+    """Lines to stderr are the same UTF-8 bytes under every encoding the locale may give it."""
+
+    @pytest.mark.parametrize(
+        "name, shown",
+        [("Módulo.json", "Módulo.json".encode()), (b"\xff.json", b"\\udcff.json")],
+        ids=["latin-1-name", "undecodable-byte"],
+    )
+    def test_error_line(self, tmp_path, name, shown):
+        results = [
+            run_cli_encoded(["validate", name], tmp_path, encoding)
+            for encoding in ("ascii", "latin-1", "utf-8")
+        ]
+        assert [r.returncode for r in results] == [2, 2, 2]
+        assert results[0].stderr == results[1].stderr == results[2].stderr
+        assert results[0].stderr.startswith(b"error: unreadable: " + shown + b": ")
+        assert results[0].stderr.count(b"\n") == 1 and b"Traceback" not in results[0].stderr
+
+    def test_created_line(self, workdir):
+        lines = []
+        for encoding in ("ascii", "latin-1", "utf-8"):
+            twins = workdir / f"Módulo-{encoding}"
+            twins.mkdir()
+            argv = ["pdt", "new", "VIN-7", "f1.bipan.json", "--dir", twins.name]
+            result = run_cli_encoded(argv, workdir, encoding)
+            assert result.returncode == 0, result.stderr
+            lines.append(result.stderr.replace(encoding.encode(), b"<encoding>"))
+        assert lines == [b"created M\xc3\xb3dulo-<encoding>/VIN-7.pdt.json\n"] * 3
 
 
 def set_health_after(barrier, args):
