@@ -10,60 +10,22 @@ from typing import TYPE_CHECKING, Any
 from bipan.model import BiPanModel, ProductNode
 
 if TYPE_CHECKING:
-    from collections.abc import Collection
+    from collections.abc import Callable, Collection, Mapping
 
+    from bipan.execute import ExecState, Trace
+    from bipan.pdt import PdtInstance
     from bipan.plan import Plan
 
 
 def canonical_bytes(obj: Any) -> bytes:
     """Two-space indent, sorted keys, LF line ends, UTF-8, trailing newline.
 
-    The bytes are exactly the UTF-8 of ``json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\n"``. That call is the tests' oracle, not the
-    implementation: with ``indent`` set, CPython 3.11 runs its pure-Python
-    encoder, about twice as slow as :func:`_encode`. Object keys must be strings.
+    This is the byte contract itself. It writes the small documents: diagnostics,
+    feasibility reports, event lists and registries. The five that grow with the
+    model or the log (models, plans, twins, states, traces) are written to the same
+    bytes by the templates below.
     """
-    return (_encode(obj, "", {}) + "\n").encode("utf-8")
-
-
-def _encode(value: Any, indent: str, heads: dict[str, str]) -> str:
-    """``value`` as indented JSON whose first line sits at ``indent``.
-
-    Strings go through ``json``'s C escaper, and are escaped in place inside
-    containers, without a call per item. ``heads`` holds each object key met so
-    far, escaped and followed by ``": "``, since a document repeats its field
-    names in every record. A finite float is ``float.__repr__``, the function
-    ``json`` formats it with; every other scalar (ints, ``NaN``, ``Infinity``,
-    ``true``, ``null``) goes to ``json.dumps``.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, item in sorted(value.items()):
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = _escape(key) + ": "
-            text = _escape(item) if type(item) is str else _encode(item, inner, heads)
-            items.append(head + text)
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [
-            _escape(item) if type(item) is str else _encode(item, inner, heads) for item in value
-        ]
-        opening, closing = "[", "]"
-    elif isinstance(value, str):
-        return _escape(value)
-    elif type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    else:
-        return json.dumps(value)
-    separator = ",\n" + inner
-    return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
+    return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 #: A field's line start and the closing line of a record in a top-level array.
@@ -75,18 +37,29 @@ def _array(items: list[str], indent: str) -> str:
     return f"[\n  {indent}" + f",\n  {indent}".join(items) + f"\n{indent}]" if items else "[]"
 
 
-def _strings(values: Collection[str]) -> str:
-    return _array([*map(_escape, values)], "      ")
+def _object(mapping: Mapping[str, Any], indent: str, encode: Callable[[Any], str] = _escape) -> str:
+    """A JSON object of ``mapping``, sorted by key, its closing brace at ``indent``."""
+    items = [f"{_escape(key)}: {encode(value)}" for key, value in sorted(mapping.items())]
+    return f"{{\n  {indent}" + f",\n  {indent}".join(items) + f"\n{indent}}}" if items else "{}"
+
+
+def _number(x: float) -> str:
+    """``float.__repr__`` of a finite float, as ``json`` writes it; ``json.dumps`` of the rest."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+
+
+def _strings(values: Collection[str], indent: str = "      ") -> str:
+    return _array([*map(_escape, values)], indent)
 
 
 def _product(node: ProductNode) -> str:
     text = "{"
     if node.attributes:
-        text += f'{_FIELD}"attributes": {_encode(node.attributes, "      ", {})},'
+        text += f'{_FIELD}"attributes": {_object(node.attributes, "      ")},'
     text += (f'{_FIELD}"id": {_escape(node.id)},{_FIELD}"kind": "{node.kind._value_}",'
              f'{_FIELD}"label": {_escape(node.label)}')
     if node.position is not None:
-        text += f',{_FIELD}"position": {_encode(node.position, "      ", {})}'
+        text += f',{_FIELD}"position": {_array([*map(_number, node.position)], "      ")}'
     if node.type_ref is not None:
         text += f',{_FIELD}"type_ref": {_escape(node.type_ref)}'
     return text + _END
@@ -128,12 +101,49 @@ def plan_bytes(plan: Plan) -> bytes:
                 f'{_escape(step.process)},{_FIELD}"produced": {_strings(step.produced)},'
                 f'{_FIELD}"required_skills": {_strings(step.required_skills)}')
         if step.direction is Direction.SWAP:  # ``null`` where a hand-built step leaves one unset
-            text += (f',{_FIELD}"swap_replacement": {_encode(step.swap_replacement, "", {})},'
-                     f'{_FIELD}"swap_target": {_encode(step.swap_target, "", {})}')
+            replacement, target = ("null" if v is None else _escape(v)
+                                   for v in (step.swap_replacement, step.swap_target))
+            text += f',{_FIELD}"swap_replacement": {replacement},{_FIELD}"swap_target": {target}'
         steps.append(text + _END)
     return (
         f'{{\n  "model_digest": {_escape(plan.model_digest)},'
         f'\n  "model_id": {_escape(plan.model_id)},\n  "steps": {_array(steps, "  ")}\n}}\n'
+    ).encode("utf-8")
+
+
+def twin_bytes(twin: PdtInstance) -> bytes:
+    """:func:`canonical_bytes` of the twin's document: its events in log order, then its health."""
+    events = [f'{{{_FIELD}"kind": {_escape(e.kind)},'
+              f'{_FIELD}"payload": {_object(e.payload, "      ")},'
+              f'{_FIELD}"timestamp": {_escape(e.timestamp)}{_END}' for e in twin.events]
+    health = _object(twin.health, "  ", lambda h: f'"{h._value_}"')
+    return (
+        f'{{\n  "events": {_array(events, "  ")},\n  "health": {health},'
+        f'\n  "instance_id": {_escape(twin.instance_id)},'
+        f'\n  "model_digest": {_escape(twin.model_digest)},'
+        f'\n  "model_id": {_escape(twin.model_id)}\n}}\n'
+    ).encode("utf-8")
+
+
+def _state(state: ExecState, indent: str) -> str:
+    """An inventory state's object, its closing brace at ``indent``."""
+    inner = indent + "  "
+    return (f'{{\n{inner}"present": {_strings(sorted(state.present), inner)},'
+            f'\n{inner}"substitutions": {_object(state.substitutions, inner)}\n{indent}}}')
+
+
+def state_bytes(state: ExecState) -> bytes:
+    """:func:`canonical_bytes` of an inventory state: its sorted items and its substitutions."""
+    return (_state(state, "") + "\n").encode("utf-8")
+
+
+def trace_bytes(trace: Trace) -> bytes:
+    """:func:`canonical_bytes` of a replay: its end and start states, and each step's state."""
+    steps = [f'{{{_FIELD}"index": {i},{_FIELD}"state": {_state(state, "      ")}{_END}'
+             for i, state in enumerate(trace.entries)]
+    return (
+        f'{{\n  "final": {_state(trace.final, "  ")},\n  "initial": {_state(trace.initial, "  ")},'
+        f'\n  "steps": {_array(steps, "  ")}\n}}\n'
     ).encode("utf-8")
 
 

@@ -132,6 +132,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from bipan.plan import DisassemblyMode, assembly_recipe, check_feasibility, disassembly_to
     from bipan.plan import full_disassembly, repair_plan
+    if args.action == "repair":  # a usage error comes before any file is read
+        if args.broken is None or args.replace is None:
+            raise BiPanError("usage", "plan repair requires --broken and --replace")
+        broken = _comma_list(args.broken, "--broken", "component", lambda chunk: (chunk, None))
+        replacements = _parse_replacements(args.replace)
     model = _load_model(args.model)
     if args.action == "assemble":
         plan = assembly_recipe(model)
@@ -142,10 +147,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             mode = DisassemblyMode.EXTRACT if args.mode == "extract" else DisassemblyMode.EXPOSE
             plan = disassembly_to(model, args.target, mode)
     else:
-        if args.broken is None or args.replace is None:
-            raise BiPanError("usage", "plan repair requires --broken and --replace")
-        broken = _comma_list(args.broken, "--broken", "component", lambda chunk: (chunk, None))
-        plan = repair_plan(model, broken, _parse_replacements(args.replace))
+        plan = repair_plan(model, broken, replacements)
     # Read the registry before anything is emitted: a bad one leaves no plan behind.
     skills = None if args.registry is None else io.load_registry(io.read_file(args.registry))
 
@@ -182,7 +184,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
-        _write(canon.canonical_bytes(io.trace_to_obj(trace)))
+        _write(canon.trace_bytes(trace))
     else:
         lines = [
             f"step {i}: {step.direction.value} '{step.process}' -> "
@@ -230,14 +232,13 @@ def _cmd_pdt_new(args: argparse.Namespace) -> int:
 
 def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
     from bipan.pdt import Health, set_health
+    try:  # a usage error comes before the twin is locked or read
+        health = Health(args.health.capitalize())
+    except ValueError:
+        names = ", ".join(h._value_.lower() for h in Health)
+        raise BiPanError("usage", f"health must be one of {names}; got {args.health!r}") from None
     with io.instance_lock(args.dir, args.instance_id):
         pdt = io.read_instance_file(args.dir, args.instance_id)
-        try:
-            health = Health(args.health.capitalize())
-        except ValueError:
-            raise BiPanError(
-                "usage", f"health must be one of ok, degraded, broken, unknown; got {args.health!r}"
-            ) from None
         updated = set_health(pdt, args.component, health, args.at)
         io.write_instance_file(updated, args.dir)
     return 0
@@ -246,7 +247,9 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
 def _cmd_pdt_log(args: argparse.Namespace) -> int:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
-        _write(canon.canonical_bytes(io.instance_to_obj(pdt)["events"]))
+        events = [{"kind": e.kind, "payload": e.payload, "timestamp": e.timestamp}
+                  for e in pdt.events]
+        _write(canon.canonical_bytes(events))
     else:
         lines = []
         for event in pdt.events:
@@ -258,10 +261,10 @@ def _cmd_pdt_log(args: argparse.Namespace) -> int:
 
 def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
     from bipan.pdt import plan_repair_for
+    replacements = _parse_replacements(args.replace)  # before the twin is locked or read
     with io.instance_lock(args.dir, args.instance_id):
         pdt = io.read_instance_file(args.dir, args.instance_id)
         model = _load_model(args.model)
-        replacements = _parse_replacements(args.replace)
         updated, plan = plan_repair_for(pdt, model, replacements, args.at)
         io.write_instance_file(updated, args.dir)
     _emit(io.save_plan(plan), args.out)

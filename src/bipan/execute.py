@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
 
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel, FrozenMap
@@ -34,12 +33,6 @@ class ExecState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "present", frozenset(self.present))
         object.__setattr__(self, "substitutions", FrozenMap(self.substitutions))
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "present": sorted(self.present),
-            "substitutions": self.substitutions,
-        }
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from bipan.canon import canonical_bytes, model_bytes, plan_bytes
+from bipan.canon import model_bytes, plan_bytes, state_bytes, twin_bytes
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
@@ -43,7 +43,7 @@ from bipan.model import (
 if TYPE_CHECKING:
     from xml.etree import ElementTree
 
-    from bipan.execute import ExecState, Trace
+    from bipan.execute import ExecState
     from bipan.pdt import PdtInstance
     from bipan.plan import Plan
 
@@ -65,7 +65,6 @@ __all__ = [
     "save_model",
     "save_plan",
     "save_state",
-    "trace_to_obj",
     "write_instance_file",
 ]
 
@@ -442,25 +441,12 @@ def load_registry(data: bytes) -> frozenset[str]:
     return _registry(_parse_json(data), "")
 
 
-def instance_to_obj(pdt: PdtInstance) -> dict[str, Any]:
-    return {
-        "events": [
-            {"kind": e.kind, "payload": e.payload, "timestamp": e.timestamp}
-            for e in pdt.events
-        ],
-        "health": {c: h.value for c, h in pdt.health.items()},
-        "instance_id": pdt.instance_id,
-        "model_digest": pdt.model_digest,
-        "model_id": pdt.model_id,
-    }
-
-
 def load_instance(data: bytes) -> PdtInstance:
     return _decode(data, _direct_instance, _instance)
 
 
 def save_instance(pdt: PdtInstance) -> bytes:
-    return canonical_bytes(instance_to_obj(pdt))
+    return twin_bytes(pdt)
 
 
 def instance_path(directory: str | Path, instance_id: str) -> Path:
@@ -530,15 +516,7 @@ def load_state(data: bytes) -> ExecState:
 
 
 def save_state(state: ExecState) -> bytes:
-    return canonical_bytes(state.to_obj())
-
-
-def trace_to_obj(trace: Trace) -> dict[str, Any]:
-    return {
-        "final": trace.final.to_obj(),
-        "initial": trace.initial.to_obj(),
-        "steps": [{"index": i, "state": state.to_obj()} for i, state in enumerate(trace.entries)],
-    }
+    return state_bytes(state)
 
 
 # -- CAEX (AutomationML subset) import ----------------------------------------------

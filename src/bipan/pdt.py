@@ -123,14 +123,13 @@ def plan_repair_for(
     model: BiPanModel,
     replacements: dict[str, str],
     timestamp: str,
-    inv: Mapping[str, str] | None = None,
 ) -> tuple[PdtInstance, Plan]:
     """Repair plan for all currently Broken components; logs a plan-created event.
 
     Returns the updated instance together with the plan (instances are values,
     so the event-carrying copy must be handed back to the caller).
     """
-    from bipan.plan import DEFAULT_INVERSION, repair_plan  # only this twin operation plans
+    from bipan.plan import repair_plan  # only this twin operation plans
     digest = model.digest
     if digest != pdt.model_digest:
         raise BiPanError(
@@ -141,7 +140,7 @@ def plan_repair_for(
     broken = pdt.broken_components()
     if not broken:
         raise BiPanError("nothing-broken", f"instance '{pdt.instance_id}' has no Broken component")
-    plan = repair_plan(model, broken, replacements, DEFAULT_INVERSION if inv is None else inv)
+    plan = repair_plan(model, broken, replacements)
     payload = {
         "broken": ",".join(broken),
         "replacements": ",".join(f"{b}={replacements[b]}" for b in broken),

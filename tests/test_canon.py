@@ -1,17 +1,18 @@
-"""The canonical encoders against their oracle, and the rule that canon is the only one.
+"""The canonical writers against their oracle, and the rule that canon is the only one.
 
-``canonical_bytes`` must emit exactly the UTF-8 of ``json.dumps(value, indent=2,
-sort_keys=True, ensure_ascii=False) + "\\n"``. That call is slow in CPython (it
-runs the pure-Python encoder), so it is kept here as the oracle only.
-``model_bytes`` and ``plan_bytes`` write the model and plan documents straight
-from their records; the oracle of the dict built here from the same records
-holds them to the same bytes.
+The byte contract is the UTF-8 of ``json.dumps(value, indent=2, sort_keys=True,
+ensure_ascii=False) + "\\n"``. ``canonical_bytes`` is that call itself; its tests
+here guard against a custom encoder coming back. ``model_bytes``, ``plan_bytes``,
+``twin_bytes``, ``state_bytes`` and ``trace_bytes`` write the five documents that
+grow with the model or the log straight from their records; the oracle of the dict
+built here from the same records holds each of them to the same bytes.
 """
 
 import ast
 import hashlib
 import json
 import math
+from datetime import timezone
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -19,8 +20,26 @@ from hypothesis import strategies as st
 from strategies import models
 
 from bipan import io
-from bipan.canon import canonical_bytes, model_bytes, plan_bytes
-from bipan.model import COMPONENT_KINDS, BiPanModel, FastensLink, ProductKind, ProductNode
+from bipan.canon import (
+    canonical_bytes,
+    model_bytes,
+    plan_bytes,
+    state_bytes,
+    trace_bytes,
+    twin_bytes,
+)
+from bipan.execute import ExecState, Trace, initial_inventory, run
+from bipan.model import (
+    COMPONENT_KINDS,
+    BiPanModel,
+    FastensLink,
+    FlowEdge,
+    FlowRole,
+    ProcessNode,
+    ProductKind,
+    ProductNode,
+)
+from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import (
     Direction,
     DisassemblyMode,
@@ -201,6 +220,130 @@ def test_sparse_documents_equal_the_oracle():
     for plan in (Plan("m", "", ()), swap):
         assert plan_bytes(plan) == oracle(plan_doc(plan))
     assert b'"swap_replacement": null,\n      "swap_target": null\n' in plan_bytes(swap)
+
+
+def twin_doc(twin: PdtInstance) -> dict:
+    """The twin document as a dict, field by field from the record: the reference."""
+    return {
+        "instance_id": twin.instance_id,
+        "model_id": twin.model_id,
+        "model_digest": twin.model_digest,
+        "health": {component: health.value for component, health in twin.health.items()},
+        "events": [
+            {"timestamp": e.timestamp, "kind": e.kind, "payload": dict(e.payload)}
+            for e in twin.events
+        ],
+    }
+
+
+def state_doc(state: ExecState) -> dict:
+    """An inventory state as a dict: the reference."""
+    return {"present": sorted(state.present), "substitutions": dict(state.substitutions)}
+
+
+def trace_doc(trace: Trace) -> dict:
+    """The trace document as a dict, state by state: the reference."""
+    return {
+        "initial": state_doc(trace.initial),
+        "final": state_doc(trace.final),
+        "steps": [{"index": i, "state": state_doc(s)} for i, s in enumerate(trace.entries)],
+    }
+
+
+def every_trace(model: BiPanModel):
+    """The replay of each plan of :func:`every_plan`: the assembly from the leaves, every
+    other plan from the final product plus its replacements, as ``exec --inventory final``.
+    """
+    assembly, *others = every_plan(model)
+    yield run(assembly, initial_inventory(model), model)
+    for plan in others:
+        yield run(plan, ExecState({*model.final_products(), *plan.replacement_ids()}), model)
+
+
+@given(models())
+def test_trace_bytes_of_every_replay_equal_the_oracle(model):
+    for trace in every_trace(model):
+        assert trace_bytes(trace) == oracle(trace_doc(trace))
+        assert state_bytes(trace.final) == oracle(state_doc(trace.final))
+
+
+EVENTS = st.lists(
+    st.tuples(
+        st.datetimes(timezones=st.just(timezone.utc)),
+        st.booleans(),
+        TEXT,
+        st.dictionaries(TEXT, TEXT, max_size=3),
+    ),
+    max_size=4,
+).map(
+    lambda rows: tuple(
+        Event(when.isoformat().replace("+00:00", "Z") if zulu else when.isoformat(), kind, payload)
+        for when, zulu, kind, payload in sorted(rows, key=lambda row: row[0])
+    )
+)
+TWINS = st.builds(
+    PdtInstance,
+    instance_id=st.text(alphabet="AZaz09_.-", min_size=1, max_size=6),
+    model_id=TEXT,
+    model_digest=TEXT,
+    health=st.dictionaries(TEXT, st.sampled_from(Health), max_size=5),
+    events=EVENTS,
+)
+
+
+@settings(max_examples=200)
+@given(TWINS)
+def test_tricky_twin_bytes_equal_the_oracle(twin):
+    assert twin_bytes(twin) == oracle(twin_doc(twin))
+    assert io.save_instance(twin) == twin_bytes(twin)
+
+
+#: A one-process model whose site ``p`` builds ``out``: a swap there needs only ``out``.
+SWAP_SITE = BiPanModel(
+    "m",
+    (ProductNode("in", "In", ProductKind.ELEMENTARY), ProductNode("out", "Out", ProductKind.FINAL)),
+    (ProcessNode("p", "P"),),
+    flows=(FlowEdge("in", "p", FlowRole.INPUT), FlowEdge("out", "p", FlowRole.OUTPUT)),
+)
+STATES = st.builds(
+    ExecState,
+    present=st.frozensets(TEXT, max_size=4),
+    substitutions=st.dictionaries(TEXT, TEXT, max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(STATES, st.lists(TEXT.filter(lambda text: text != "out"), unique=True, max_size=8))
+def test_tricky_state_and_trace_bytes_equal_the_oracle(state, ids):
+    """A state as drawn, and the replay of hand-built swaps between tricky ids at ``p``:
+    each swap adds one tricky substitution to the states the trace writes.
+    """
+    assert state_bytes(state) == oracle(state_doc(state))
+    assert io.save_state(state) == state_bytes(state)
+    pairs = list(zip(ids[::2], ids[1::2]))
+    steps = tuple(
+        PlanStep("p", Direction.SWAP, (), (), (), swap_target=target, swap_replacement=replacement)
+        for target, replacement in pairs
+    )
+    start = ExecState({"out", *(replacement for _, replacement in pairs)}, state.substitutions)
+    trace = run(Plan("m", SWAP_SITE.digest, steps), start, SWAP_SITE)
+    assert trace_bytes(trace) == oracle(trace_doc(trace))
+
+
+def test_sparse_twins_states_and_traces_equal_the_oracle():
+    """Empty events, health, payloads, states and traces, and a health map of every value."""
+    empty = PdtInstance("V", "m", "", {})
+    every_health = PdtInstance(
+        "V", "m", "d", {health.name: health for health in Health},
+        (Event("2024-05-01T10:00:00Z", "", {}), Event("2024-05-01T10:00:00+00:00", "k", {})),
+    )
+    for twin in (empty, every_health):
+        assert twin_bytes(twin) == oracle(twin_doc(twin))
+    assert b'"health": {}' in twin_bytes(empty) and b'"payload": {}' in twin_bytes(every_health)
+    state = ExecState(frozenset())
+    assert state_bytes(state) == oracle(state_doc(state))
+    trace = run(Plan("m", SWAP_SITE.digest, ()), state, SWAP_SITE)
+    assert trace_bytes(trace) == oracle(trace_doc(trace))
 
 
 def _json_dumps_keywords(tree: ast.AST):

@@ -590,6 +590,40 @@ class TestPdt:
         )
 
 
+class TestUsageBeforeFiles:
+    """A bad argument is ``usage`` before any twin is locked or read, or any model read."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pdt", "set-health", "NOPE", "mod8", "brokn", "--at", T0],
+            ["pdt", "plan-repair", "NOPE", "--model", "missing.json", "--replace", "bad",
+             "--at", T0],
+        ],
+        ids=["set-health", "plan-repair"],
+    )
+    def test_pdt_leaves_dir_empty(self, tmp_path, capsys, args):
+        assert main([*args, "--dir", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage: "), lines
+        assert list(tmp_path.iterdir()) == []
+
+    def test_health_names_every_value(self, tmp_path, capsys):
+        main(["pdt", "set-health", "NOPE", "mod8", "brokn", "--at", T0, "--dir", str(tmp_path)])
+        assert "one of ok, degraded, broken, unknown; got 'brokn'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "broken,replace", [(",", "a=b"), ("mod8", "bad"), (None, "a=b"), ("mod8", None)]
+    )
+    def test_plan_repair_before_the_model(self, tmp_path, capsys, broken, replace):
+        args = ["plan", "repair", str(tmp_path / "missing.json")]
+        args += [] if broken is None else ["--broken", broken]
+        args += [] if replace is None else ["--replace", replace]
+        assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage: "), lines
+
+
 class TestHostileInput:
     def test_deeply_nested_json(self, workdir):
         (workdir / "deep.json").write_text("[" * 100_000)
