@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bipan import canon, io
+from bipan import canon, exchange, io
 from bipan.fixtures import battery_model
 from bipan.plan import assembly_recipe, repair_plan
 
@@ -25,7 +25,7 @@ def main() -> None:
     (FIXTURES / "f1_repair_mod8.plan.json").write_bytes(
         io.save_plan(repair_plan(model, ["mod8"], {"mod8": "mod8r"}))
     )
-    (FIXTURES / "f1.dot").write_bytes(io.export_dot(model).encode("utf-8"))
+    (FIXTURES / "f1.dot").write_bytes(exchange.export_dot(model).encode("utf-8"))
 
     registries = {
         "registry_full.json": {

@@ -10,10 +10,10 @@ from typing import TYPE_CHECKING, Any
 from bipan.model import BiPanModel, ProductNode
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Collection, Mapping
+    from collections.abc import Callable, Collection, Iterable, Mapping
 
     from bipan.execute import ExecState, Trace
-    from bipan.pdt import PdtInstance
+    from bipan.pdt import Event, PdtInstance
     from bipan.plan import Plan
 
 
@@ -21,9 +21,9 @@ def canonical_bytes(obj: Any) -> bytes:
     """Two-space indent, sorted keys, LF line ends, UTF-8, trailing newline.
 
     This is the byte contract itself. It writes the small documents: diagnostics,
-    feasibility reports, event lists and registries. The five that grow with the
-    model or the log (models, plans, twins, states, traces) are written to the same
-    bytes by the templates below.
+    feasibility reports and registries. The ones that grow with the model or the log
+    (models, plans, twins, states, traces and the event lists of ``pdt log``) are
+    written to the same bytes by the templates below.
     """
     return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
@@ -111,14 +111,24 @@ def plan_bytes(plan: Plan) -> bytes:
     ).encode("utf-8")
 
 
+def _events(events: Iterable[Event], indent: str) -> str:
+    """A JSON array of twin events in log order, its closing bracket at ``indent``."""
+    inner, field, end = indent + "    ", f"\n{indent}    ", f"\n{indent}  }}"
+    return _array([f'{{{field}"kind": {_escape(e.kind)},{field}"payload": '
+                   f'{_object(e.payload, inner)},{field}"timestamp": {_escape(e.timestamp)}{end}'
+                   for e in events], indent)
+
+
+def events_bytes(events: Iterable[Event]) -> bytes:
+    """:func:`canonical_bytes` of a list of twin events, as ``pdt log --format json`` prints it."""
+    return (_events(events, "") + "\n").encode("utf-8")
+
+
 def twin_bytes(twin: PdtInstance) -> bytes:
     """:func:`canonical_bytes` of the twin's document: its events in log order, then its health."""
-    events = [f'{{{_FIELD}"kind": {_escape(e.kind)},'
-              f'{_FIELD}"payload": {_object(e.payload, "      ")},'
-              f'{_FIELD}"timestamp": {_escape(e.timestamp)}{_END}' for e in twin.events]
     health = _object(twin.health, "  ", lambda h: f'"{h._value_}"')
     return (
-        f'{{\n  "events": {_array(events, "  ")},\n  "health": {health},'
+        f'{{\n  "events": {_events(twin.events, "  ")},\n  "health": {health},'
         f'\n  "instance_id": {_escape(twin.instance_id)},'
         f'\n  "model_digest": {_escape(twin.model_digest)},'
         f'\n  "model_id": {_escape(twin.model_id)}\n}}\n'

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, TextIO
 
-from bipan import canon, io  # registered unloaded; each command loads what it uses
+from bipan import canon, exchange, io  # registered unloaded; each command loads what it uses
 from bipan.errors import EXIT_CODES, BiPanError
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from bipan.model import BiPanModel
 
@@ -79,7 +79,7 @@ def _emit(data: bytes, out: str | None) -> None:
     if out is None:
         _write(data)
     else:
-        Path(out).write_bytes(data)
+        io.write_file(out, data)
 
 
 def _comma_list(text: str, option: str, noun: str, entry: Callable[[str], tuple]) -> dict[str, Any]:
@@ -201,9 +201,9 @@ def _cmd_exec(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_aml(args: argparse.Namespace) -> int:
-    fragment = io.import_aml(io.read_file(args.aml))
+    fragment = exchange.import_aml(io.read_file(args.aml))
     if args.merge is not None:
-        model = io.merge(fragment, _load_model(args.merge))
+        model = exchange.merge(fragment, _load_model(args.merge))
         _emit(io.save_model(model), args.out)
     else:
         _emit(fragment.to_bytes(), args.out)
@@ -213,7 +213,7 @@ def _cmd_import_aml(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     plan = io.load_plan(io.read_file(args.plan)) if args.plan is not None else None
-    _emit(io.export_dot(model, plan).encode("utf-8"), args.out)
+    _emit(exchange.export_dot(model, plan).encode("utf-8"), args.out)
     return 0
 
 
@@ -247,9 +247,7 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
 def _cmd_pdt_log(args: argparse.Namespace) -> int:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
-        events = [{"kind": e.kind, "payload": e.payload, "timestamp": e.timestamp}
-                  for e in pdt.events]
-        _write(canon.canonical_bytes(events))
+        _write(canon.events_bytes(pdt.events))
     else:
         lines = []
         for event in pdt.events:
@@ -266,93 +264,95 @@ def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
         pdt = io.read_instance_file(args.dir, args.instance_id)
         model = _load_model(args.model)
         updated, plan = plan_repair_for(pdt, model, replacements, args.at)
-        io.write_instance_file(updated, args.dir)
-    _emit(io.save_plan(plan), args.out)
+        payload = io.save_plan(plan)
+        # The plan waits beside --out until the twin logs it, so a failed write logs nothing.
+        with nullcontext() if args.out is None else io.staged_write(args.out, payload):
+            io.write_instance_file(updated, args.dir)
+    if args.out is None:
+        _write(payload)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = {"choices": ["human", "json"], "default": "human"}
+_DIR = {"default": "."}
+_AT = {"required": True, "help": "ISO-8601 UTC timestamp"}
+
+#: Each ``pdt`` subcommand's help, function and arguments (name: ``add_argument`` keywords).
+_PDT_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], dict]] = {
+    "new": ("create an instance file for a model", _cmd_pdt_new,
+            {"instance_id": {}, "model": {}, "--dir": _DIR}),
+    "set-health": ("record a component health state", _cmd_pdt_set_health,
+                   {"instance_id": {}, "component": {}, "health": {}, "--at": _AT, "--dir": _DIR}),
+    "log": ("print an instance's event log", _cmd_pdt_log,
+            {"instance_id": {}, "--format": _FORMAT, "--dir": _DIR}),
+    "plan-repair": ("plan replacement of all Broken components", _cmd_pdt_plan_repair, {
+        "instance_id": {},
+        "--model": {"required": True, "help": "model file the instance is bound to"},
+        "--replace": {"required": True, "help": "comma-separated old=new ids"},
+        "--at": _AT, "--out": {}, "--dir": _DIR,
+    }),
+}
+
+#: Each command's help, function and arguments; ``pdt`` has a table of subcommands instead.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int] | None, dict]] = {
+    "validate": ("check a model's structural rules", _cmd_validate,
+                 {"model": {}, "--format": _FORMAT}),
+    "plan": ("extract a directional plan", _cmd_plan, {
+        "action": {"choices": ["assemble", "disassemble", "repair"]}, "model": {},
+        "--target": {"help": "product to disassemble toward"},
+        "--mode": {"choices": ["expose", "extract"], "default": "expose"},
+        "--broken": {"help": "comma-separated broken component ids"},
+        "--replace": {"help": "comma-separated old=new replacement ids"},
+        "--out": {"help": "write the plan document here instead of stdout"},
+        "--registry": {"help": "resource registry file; infeasible plans exit 1"},
+    }),
+    "exec": ("replay a plan against an inventory", _cmd_exec, {
+        "plan": {}, "model": {},
+        "--inventory": {"default": "initial", "help": "'initial' (leaves), 'final' (final product "
+                        "plus replacements), or a state file"},
+        "--format": _FORMAT,
+    }),
+    "import-aml": ("import CAEX product structure", _cmd_import_aml, {
+        "aml": {}, "--merge": {"help": "model file to enrich with the imported products"},
+        "--out": {},
+    }),
+    "export-dot": ("render a model (and plan overlay) as DOT", _cmd_export_dot,
+                   {"model": {}, "--plan": {"help": "plan file to overlay as numbered red edges"},
+                    "--out": {}}),
+    "pdt": ("manage product twin instances", None, _PDT_COMMANDS),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, words: list) -> None:
+    """Register every command of ``table`` with its help, and arguments for the one ``words`` names.
+
+    ``words`` are argv's words that are no option: the first names the command, as argparse
+    reads it, since no option before it takes a value. If it names none, all get arguments.
+    """
+    commands = parser.add_subparsers(dest=dest, required=True)
+    chosen = words[0] if words and words[0] in table else None
+    for name, (help_text, func, arguments) in table.items():
+        command = commands.add_parser(name, help=help_text)
+        if chosen not in (None, name):
+            continue
+        if func is None:
+            _add_commands(command, f"{name}_command", arguments, words[1:] if chosen else [])
+            continue
+        for flag, options in arguments.items():
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: it lists every command, with arguments only for the one selected."""
     parser = _Parser(prog="bipan", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = commands.add_parser("validate", help="check a model's structural rules")
-    p_validate.add_argument("model")
-    p_validate.add_argument("--format", choices=["human", "json"], default="human")
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_plan = commands.add_parser("plan", help="extract a directional plan")
-    p_plan.add_argument("action", choices=["assemble", "disassemble", "repair"])
-    p_plan.add_argument("model")
-    p_plan.add_argument("--target", help="product to disassemble toward")
-    p_plan.add_argument("--mode", choices=["expose", "extract"], default="expose")
-    p_plan.add_argument("--broken", help="comma-separated broken component ids")
-    p_plan.add_argument("--replace", help="comma-separated old=new replacement ids")
-    p_plan.add_argument("--out", help="write the plan document here instead of stdout")
-    p_plan.add_argument("--registry", help="resource registry file; infeasible plans exit 1")
-    p_plan.set_defaults(func=_cmd_plan)
-
-    p_exec = commands.add_parser("exec", help="replay a plan against an inventory")
-    p_exec.add_argument("plan")
-    p_exec.add_argument("model")
-    p_exec.add_argument(
-        "--inventory",
-        default="initial",
-        help="'initial' (leaves), 'final' (final product plus replacements), or a state file",
-    )
-    p_exec.add_argument("--format", choices=["human", "json"], default="human")
-    p_exec.set_defaults(func=_cmd_exec)
-
-    p_import = commands.add_parser("import-aml", help="import CAEX product structure")
-    p_import.add_argument("aml")
-    p_import.add_argument("--merge", help="model file to enrich with the imported products")
-    p_import.add_argument("--out")
-    p_import.set_defaults(func=_cmd_import_aml)
-
-    p_dot = commands.add_parser("export-dot", help="render a model (and plan overlay) as DOT")
-    p_dot.add_argument("model")
-    p_dot.add_argument("--plan", help="plan file to overlay as numbered red edges")
-    p_dot.add_argument("--out")
-    p_dot.set_defaults(func=_cmd_export_dot)
-
-    p_pdt = commands.add_parser("pdt", help="manage product twin instances")
-    pdt_commands = p_pdt.add_subparsers(dest="pdt_command", required=True)
-
-    p_new = pdt_commands.add_parser("new", help="create an instance file for a model")
-    p_new.add_argument("instance_id")
-    p_new.add_argument("model")
-    p_new.add_argument("--dir", default=".")
-    p_new.set_defaults(func=_cmd_pdt_new)
-
-    p_health = pdt_commands.add_parser("set-health", help="record a component health state")
-    p_health.add_argument("instance_id")
-    p_health.add_argument("component")
-    p_health.add_argument("health")
-    p_health.add_argument("--at", required=True, help="ISO-8601 UTC timestamp")
-    p_health.add_argument("--dir", default=".")
-    p_health.set_defaults(func=_cmd_pdt_set_health)
-
-    p_log = pdt_commands.add_parser("log", help="print an instance's event log")
-    p_log.add_argument("instance_id")
-    p_log.add_argument("--format", choices=["human", "json"], default="human")
-    p_log.add_argument("--dir", default=".")
-    p_log.set_defaults(func=_cmd_pdt_log)
-
-    p_repair = pdt_commands.add_parser(
-        "plan-repair", help="plan replacement of all Broken components"
-    )
-    p_repair.add_argument("instance_id")
-    p_repair.add_argument("--model", required=True, help="model file the instance is bound to")
-    p_repair.add_argument("--replace", required=True, help="comma-separated old=new ids")
-    p_repair.add_argument("--at", required=True, help="ISO-8601 UTC timestamp")
-    p_repair.add_argument("--out")
-    p_repair.add_argument("--dir", default=".")
-    p_repair.set_defaults(func=_cmd_pdt_plan_repair)
-
+    _add_commands(parser, "command", _COMMANDS, [word for word in argv if not word.startswith("-")])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -7,7 +7,7 @@ lines even when everything passes.
 import functools
 import time
 
-from bipan import io
+from bipan import exchange, io
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.fixtures import battery_model
 from bipan.model import ProductKind
@@ -173,13 +173,13 @@ def test_8_serialization():
         assert io.load_model(data) == model
         assert io.save_model(io.load_model(data)) == data
 
-    fragment = io.import_aml((FIXTURES / "battery.aml").read_bytes())
+    fragment = exchange.import_aml((FIXTURES / "battery.aml").read_bytes())
     assert len(fragment.products) == 10
     mod1 = next(p for p in fragment.products if p.id == "mod1")
     assert mod1.position == (1.0, 0.5, 0.1)
 
     model = battery_model()
-    merged = io.merge(fragment, model)
+    merged = exchange.merge(fragment, model)
     assert merged.flows == model.flows
     assert merged.processes == model.processes
     assert merged.skills == model.skills

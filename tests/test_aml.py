@@ -1,6 +1,6 @@
 import pytest
 
-from bipan import io
+from bipan import exchange
 from bipan.errors import BiPanError
 from bipan.model import ProductKind
 
@@ -17,7 +17,7 @@ def caex(body: str, root: str = "CAEXFile") -> bytes:
 
 class TestImport:
     def test_battery_fixture(self, fixtures_dir):
-        fragment = io.import_aml((fixtures_dir / "battery.aml").read_bytes())
+        fragment = exchange.import_aml((fixtures_dir / "battery.aml").read_bytes())
         assert len(fragment.products) == 10
         by_id = {p.id: p for p in fragment.products}
         assert by_id["mod1"].position == (1.0, 0.5, 0.1)
@@ -28,37 +28,37 @@ class TestImport:
         assert "bms" in fragment.explicit_kinds
 
     def test_empty_system_unit_class(self):
-        fragment = io.import_aml(caex(""))
+        fragment = exchange.import_aml(caex(""))
         assert fragment.products == ()
 
     def test_caex3_namespace_accepted(self):
         data = caex('<InternalElement ID="a" Name="A"/>').replace(
             b"http://www.dke.de/CAEX", b"http://www.dke.de/CAEX3.0"
         )
-        assert [p.id for p in io.import_aml(data).products] == ["a"]
+        assert [p.id for p in exchange.import_aml(data).products] == ["a"]
 
     def test_missing_id_names_element_path(self):
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex('<InternalElement Name="Nameless"/>'))
+            exchange.import_aml(caex('<InternalElement Name="Nameless"/>'))
         assert err.value.code == "xml-parse-error"
         assert "Nameless" in err.value.detail
         assert "SystemUnitClass" in err.value.detail
 
     def test_unsupported_root(self):
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex("", root="NotCaex"))
+            exchange.import_aml(caex("", root="NotCaex"))
         assert err.value.code == "unsupported-root"
 
     def test_malformed_xml_carries_position(self):
         with pytest.raises(BiPanError) as err:
-            io.import_aml(b"<CAEXFile><oops></CAEXFile>")
+            exchange.import_aml(b"<CAEXFile><oops></CAEXFile>")
         assert err.value.code == "xml-parse-error"
         assert "line" in err.value.detail
 
     def test_duplicate_ids(self):
         body = '<InternalElement ID="a" Name="A"/><InternalElement ID="a" Name="B"/>'
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex(body))
+            exchange.import_aml(caex(body))
         assert err.value.code == "duplicate-id"
 
     @pytest.mark.parametrize("bad", ["three", "NaN", "inf"])
@@ -71,7 +71,7 @@ class TestImport:
             "</Attribute></InternalElement>"
         )
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex(body))
+            exchange.import_aml(caex(body))
         assert err.value.code == "non-numeric-position"
 
     def test_missing_position_axis(self):
@@ -81,7 +81,7 @@ class TestImport:
             "</Attribute></InternalElement>"
         )
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex(body))
+            exchange.import_aml(caex(body))
         assert err.value.code == "non-numeric-position"
 
     def test_invalid_kind_value(self):
@@ -91,7 +91,7 @@ class TestImport:
             "</InternalElement>"
         )
         with pytest.raises(BiPanError) as err:
-            io.import_aml(caex(body))
+            exchange.import_aml(caex(body))
         assert err.value.code == "xml-parse-error"
 
     def test_nested_elements_flatten_with_parent(self):
@@ -101,7 +101,7 @@ class TestImport:
             '<InternalElement ID="tab" Name="Tab"/>'
             "</InternalElement></InternalElement>"
         )
-        fragment = io.import_aml(caex(body))
+        fragment = exchange.import_aml(caex(body))
         by_id = {p.id: p for p in fragment.products}
         assert set(by_id) == {"pack", "cell", "tab"}
         assert "parent" not in by_id["pack"].attributes
@@ -113,7 +113,7 @@ class TestImport:
         body = "".join(
             f'<InternalElement ID="e{i}"><InternalElement ID="s{i}"/>' for i in range(depth)
         )
-        fragment = io.import_aml(caex(body + "</InternalElement>" * depth))
+        fragment = exchange.import_aml(caex(body + "</InternalElement>" * depth))
         expected = [pid for i in range(depth) for pid in (f"e{i}", f"s{i}")]
         assert [p.id for p in fragment.products] == expected
         by_id = {p.id: p for p in fragment.products}
@@ -123,8 +123,8 @@ class TestImport:
 
 class TestMerge:
     def test_fills_positions_without_touching_topology(self, f1, fixtures_dir):
-        fragment = io.import_aml((fixtures_dir / "battery.aml").read_bytes())
-        merged = io.merge(fragment, f1)
+        fragment = exchange.import_aml((fixtures_dir / "battery.aml").read_bytes())
+        merged = exchange.merge(fragment, f1)
         assert merged.flows == f1.flows
         assert merged.processes == f1.processes
         assert merged.skill_edges == f1.skill_edges
@@ -133,13 +133,13 @@ class TestMerge:
         assert positioned == {f"mod{i}" for i in range(1, 9)}
 
     def test_empty_fragment_is_identity(self, f1):
-        assert io.merge(io.AmlFragment(()), f1) == f1
+        assert exchange.merge(exchange.AmlFragment(()), f1) == f1
 
     def test_unmatched_products_are_added(self, f1):
-        fragment = io.import_aml(
+        fragment = exchange.import_aml(
             caex('<InternalElement ID="spare_fuse" Name="Spare fuse"/>')
         )
-        merged = io.merge(fragment, f1)
+        merged = exchange.merge(fragment, f1)
         assert merged.product("spare_fuse").kind is ProductKind.ELEMENTARY
         assert len(merged.products) == len(f1.products) + 1
 
@@ -150,19 +150,19 @@ class TestMerge:
             "</InternalElement>"
         )
         with pytest.raises(BiPanError) as err:
-            io.merge(io.import_aml(caex(body)), f1)
+            exchange.merge(exchange.import_aml(caex(body)), f1)
         assert err.value.code == "kind-conflict"
         assert err.value.nodes == ("box",)
 
     def test_implicit_kind_never_conflicts(self, f1):
         # cables is SubProduct in the model; the fragment's default Elementary is silent.
-        fragment = io.import_aml(caex('<InternalElement ID="cables" Name="Cables"/>'))
-        merged = io.merge(fragment, f1)
+        fragment = exchange.import_aml(caex('<InternalElement ID="cables" Name="Cables"/>'))
+        merged = exchange.merge(fragment, f1)
         assert merged.product("cables").kind is ProductKind.SUB_PRODUCT
 
     def test_label_conflict(self, f1):
-        fragment = io.import_aml(caex('<InternalElement ID="box" Name="Crate"/>'))
+        fragment = exchange.import_aml(caex('<InternalElement ID="box" Name="Crate"/>'))
         with pytest.raises(BiPanError) as err:
-            io.merge(fragment, f1)
+            exchange.merge(fragment, f1)
         assert err.value.code == "label-conflict"
         assert err.value.nodes == ("box",)

@@ -3,9 +3,9 @@
 The byte contract is the UTF-8 of ``json.dumps(value, indent=2, sort_keys=True,
 ensure_ascii=False) + "\\n"``. ``canonical_bytes`` is that call itself; its tests
 here guard against a custom encoder coming back. ``model_bytes``, ``plan_bytes``,
-``twin_bytes``, ``state_bytes`` and ``trace_bytes`` write the five documents that
-grow with the model or the log straight from their records; the oracle of the dict
-built here from the same records holds each of them to the same bytes.
+``twin_bytes``, ``state_bytes``, ``trace_bytes`` and ``events_bytes`` write the
+documents that grow with the model or the log straight from their records; the oracle
+of the dict built here from the same records holds each of them to the same bytes.
 """
 
 import ast
@@ -22,6 +22,7 @@ from strategies import models
 from bipan import io
 from bipan.canon import (
     canonical_bytes,
+    events_bytes,
     model_bytes,
     plan_bytes,
     state_bytes,
@@ -296,6 +297,7 @@ TWINS = st.builds(
 def test_tricky_twin_bytes_equal_the_oracle(twin):
     assert twin_bytes(twin) == oracle(twin_doc(twin))
     assert io.save_instance(twin) == twin_bytes(twin)
+    assert events_bytes(twin.events) == oracle(twin_doc(twin)["events"])
 
 
 #: A one-process model whose site ``p`` builds ``out``: a swap there needs only ``out``.
@@ -339,6 +341,7 @@ def test_sparse_twins_states_and_traces_equal_the_oracle():
     )
     for twin in (empty, every_health):
         assert twin_bytes(twin) == oracle(twin_doc(twin))
+        assert events_bytes(twin.events) == oracle(twin_doc(twin)["events"])
     assert b'"health": {}' in twin_bytes(empty) and b'"payload": {}' in twin_bytes(every_health)
     state = ExecState(frozenset())
     assert state_bytes(state) == oracle(state_doc(state))

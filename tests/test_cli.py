@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -5,12 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from bipan import io
-from bipan.cli import main
+from bipan.cli import _UsageError, build_parser, main
 from bipan.fixtures import battery_model
 from bipan.plan import repair_plan
 from mutations import MUTANTS
@@ -491,6 +494,39 @@ class TestPdt:
         assert main(["pdt", "new", "VIN-003", model_path(workdir), "--dir", d]) == 3
         assert capsys.readouterr().err.startswith("error: io-error:")
 
+    def test_failed_out_leaves_the_twin_untouched(self, workdir, capsys):
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
+        twin = (workdir / "VIN-1.pdt.json").read_bytes()
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        out = workdir / "missing" / "r.plan.json"
+        args = ["pdt", "plan-repair", "VIN-1", "--model", model_path(workdir),
+                "--replace", "mod8=mod8r", "--at", T1, "--dir", d, "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: io-error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert (workdir / "VIN-1.pdt.json").read_bytes() == twin
+        assert sorted(workdir.iterdir()) == before
+
+    def test_failed_twin_write_leaves_no_plan(self, workdir, monkeypatch, capsys):
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
+        before = sorted(workdir.iterdir())
+
+        def fault(*args):
+            raise OSError(errno.ENOSPC, "injected fault")
+
+        monkeypatch.setattr(io, "write_instance_file", fault)
+        args = ["pdt", "plan-repair", "VIN-1", "--model", model_path(workdir),
+                "--replace", "mod8=mod8r", "--at", T1, "--dir", d, "--out", str(workdir / "r.json")]
+        assert main(args) == 3
+        assert capsys.readouterr().err.endswith("error: io-error: [Errno 28] injected fault\n")
+        assert sorted(workdir.iterdir()) == before
+
     def test_replacement_named_twice_exit_2(self, workdir):
         d = str(workdir)
         assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
@@ -736,20 +772,44 @@ CLI_IMPORTS = frozenset("""
     reprlib stat types typing urllib warnings
 """.split())
 ONLY_ON_DEMAND = ("xml.etree", "hashlib")  # imported by import-aml and by digests alone
-LAZY = ("canon", "execute", "io", "model", "pdt", "plan", "validate")  # registered unloaded
+LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", "validate")
 
-# The ``bipan`` submodules whose code each command runs; the others stay registered unloaded.
+# The ``bipan`` submodules whose code each command runs; the others stay registered
+# unloaded. Valid model and twin documents never run the field-spec decoders in
+# ``schema``; plans and registries have no other decoder. Only ``import-aml`` and
+# ``export-dot`` run ``exchange``.
+PLANNING = "canon cli errors io model plan validate"
 COMMAND_MODULES = {
     "validate": (["validate", "f1.bipan.json"], "canon cli errors io model validate"),
-    "pdt-log": (["pdt", "log", "VIN-1"], "canon cli errors io model pdt"),
-    "pdt-set-health": (
-        ["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T1],
-        "canon cli errors io model pdt",
+    "plan-assemble": (["plan", "assemble", "f1.bipan.json"], PLANNING),
+    "plan-registry": (
+        ["plan", "assemble", "f1.bipan.json", "--registry", "registry_full.json"],
+        f"{PLANNING} schema",
     ),
-    "import-aml": (["import-aml", "battery.aml"], "canon cli errors io model"),
+    "exec": (
+        ["exec", "f1_repair_mod8.plan.json", "f1.bipan.json", "--inventory", "final"],
+        f"{PLANNING} execute schema",
+    ),
+    "export-dot": (["export-dot", "f1.bipan.json"], "canon cli errors exchange io model"),
+    "export-dot-plan": (
+        ["export-dot", "f1.bipan.json", "--plan", "f1_repair_mod8.plan.json"],
+        f"{PLANNING} exchange schema",
+    ),
+    "import-aml": (["import-aml", "battery.aml"], "canon cli errors exchange io model"),
     "import-aml-merge": (
         ["import-aml", "battery.aml", "--merge", "f1.bipan.json"],
-        "canon cli errors io model",
+        "canon cli errors exchange io model",
+    ),
+    "pdt-new": (["pdt", "new", "VIN-2", "f1.bipan.json"], "canon cli errors io model pdt validate"),
+    "pdt-log": (["pdt", "log", "VIN-1", "--format", "json"], "canon cli errors io model pdt"),
+    "pdt-set-health": (
+        ["pdt", "set-health", "VIN-1", "mod7", "broken", "--at", T1],
+        "canon cli errors io model pdt",
+    ),
+    "pdt-plan-repair": (
+        ["pdt", "plan-repair", "VIN-1", "--model", "f1.bipan.json", "--replace", "mod8=mod8r",
+         "--at", T1],
+        f"{PLANNING} pdt",
     ),
 }
 
@@ -810,10 +870,12 @@ class TestStartup:
     def test_every_export_resolves(self, tmp_path):
         """``from ... import *`` fails on a name in ``__all__`` that its module no longer has."""
         code = (
-            "import bipan, bipan.io\n"
+            "import bipan, bipan.exchange, bipan.io\n"
             "from bipan import *\n"
+            "from bipan.exchange import *\n"
             "from bipan.io import *\n"
-            "print(*[n for n in (*bipan.__all__, *bipan.io.__all__) if n not in globals()])\n"
+            "names = (*bipan.__all__, *bipan.exchange.__all__, *bipan.io.__all__)\n"
+            "print(*[n for n in names if n not in globals()])\n"
         )
         result = run_bare(code, [], tmp_path)
         assert result.returncode == 0, result.stderr
@@ -832,12 +894,32 @@ class TestStartup:
         assert result.stdout.split() == []
 
     @pytest.mark.parametrize("args,expected", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
-    def test_each_command_runs_only_its_modules(self, workdir, args, expected):
-        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", str(workdir)]) == 0
+    def test_each_command_runs_only_its_modules(self, workdir, fixtures_dir, args, expected):
+        shutil.copy(fixtures_dir / "f1_repair_mod8.plan.json", workdir)
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
         code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
-        result = run_bare(code, args, workdir)
+        result = run_bare(code + "sys.exit(status)\n", args, workdir)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1].split() == ["ran:", *expected.split()]
+        assert result.stdout.splitlines()[-1].split() == ["ran:", *sorted(expected.split())]
+
+    @pytest.mark.parametrize(
+        "name,doc,args",
+        [
+            ("f1.bipan.json", '{"id": 5}', ["validate", "f1.bipan.json"]),
+            ("VIN-1.pdt.json", '{"instance_id": "VIN-1", "events": 5}', ["pdt", "log", "VIN-1"]),
+        ],
+        ids=["model", "twin"],
+    )
+    def test_a_faulty_document_runs_the_field_specs(self, workdir, name, doc, args):
+        """The direct decoder refuses it, so ``schema`` runs to report the fault."""
+        (workdir / name).write_text(doc)
+        code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
+        result = run_bare(code + "sys.exit(status)\n", args, workdir)
+        assert result.returncode == 2
+        assert "error: parse-error: " in result.stderr
+        assert "schema" in result.stdout.splitlines()[-1].split()
 
     @pytest.mark.skipif(
         sys.version_info[:2] != (3, 11),
@@ -886,3 +968,93 @@ class TestUsage:
         model = battery_model()
         plan = repair_plan(model, ["mod8"], {"mod8": "mod8r"})
         assert io.load_plan(io.save_plan(plan)) == plan
+
+
+COMMANDS = ("validate", "plan", "exec", "import-aml", "export-dot", "pdt")
+PDT_COMMANDS = ("new", "set-health", "log", "plan-repair")
+HELP = [["--help"], *([c, "--help"] for c in COMMANDS), *(["pdt", c, "-h"] for c in PDT_COMMANDS)]
+# Usage errors at every level, and argv whose first word is no command or comes after
+# an option, each beside a valid call of the same command.
+USAGE = [
+    [], ["frobnicate"], ["--frob"], ["--frob", "validate", "m"], ["-1", "validate", "m"],
+    ["--", "validate", "m"], ["--help", "validate"], ["validate"], ["validate", "m", "n"],
+    ["validate", "m", "--format", "xml"], ["validate", "m", "--form", "json"],
+    ["validate", "-h", "plan"], ["plan", "assemble"], ["plan", "fly", "m"],
+    ["plan", "repair", "m", "--broken", "a", "--replace", "a=b", "--mode", "deep"],
+    ["plan", "assemble", "m", "--bogus"], ["plan", "disassemble", "m", "--target", "t"],
+    ["exec", "p"], ["exec", "p", "m", "--inventory", "final"], ["import-aml"],
+    ["import-aml", "a", "--merge", "m", "--out", "o"], ["export-dot"], ["export-dot", "m", "--plan"],
+    ["pdt"], ["pdt", "frob"], ["pdt", "-x", "log", "V"], ["pdt", "--", "log", "V"],
+    ["pdt", "new", "V"], ["pdt", "new", "V", "m", "--dir", "d"],
+    ["pdt", "set-health", "V", "c", "broken"], ["pdt", "set-health", "V", "c", "ok", "--at", "t"],
+    ["pdt", "log"], ["pdt", "log", "V", "--format"], ["pdt", "plan-repair", "V", "--model", "m"],
+    ["pdt", "plan-repair", "V", "--model", "m", "--replace", "a=b", "--at", "t", "--out", "o"],
+    ["validate", "pdt", "log"], ["pdt", "validate"],
+]
+
+
+def parse_outcome(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace, exit or usage error, and its stdout."""
+    out = StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            outcome = ("parsed", vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        except _UsageError as exc:
+            outcome = ("usage", str(exc))
+    return outcome, out.getvalue()
+
+
+class TestParser:
+    """The parser for one argv adds only its command's arguments, and acts as the full one."""
+
+    @pytest.mark.parametrize("argv", HELP + USAGE, ids=" ".join)
+    def test_same_outcome_as_the_parser_of_every_command(self, argv):
+        outcome, out = parse_outcome(build_parser(argv), argv)
+        assert (outcome, out) == parse_outcome(build_parser(), argv)
+        if argv in HELP:
+            assert outcome == ("exit", 0) and out.startswith("usage: bipan")
+
+    def test_only_the_selected_command_takes_arguments(self):
+        def arguments(parser):
+            commands = parser._subparsers._group_actions[0].choices
+            return {name: [a.dest for a in sub._actions if a.dest != "help"]
+                    for name, sub in commands.items()}
+
+        chosen = arguments(build_parser(["validate", "m", "--format", "json"]))
+        assert chosen == {**{c: [] for c in COMMANDS}, "validate": ["model", "format"]}
+        full = arguments(build_parser())
+        assert all(full[c] for c in COMMANDS)
+        top = build_parser(["pdt", "log", "V"])
+        pdt = arguments(top._subparsers._group_actions[0].choices["pdt"])
+        assert pdt == {**{c: [] for c in PDT_COMMANDS}, "log": ["instance_id", "format", "dir"]}
+
+
+class TestAtomicOut:
+    """``--out`` is written to a temp file and renamed, so a failed write keeps the old file."""
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize("call", ["fsync", "replace"])
+    def test_failed_write_leaves_the_old_file_or_none(self, workdir, monkeypatch, capsys, call,
+                                                      old):
+        out = workdir / "out.plan.json"
+        if old is not None:
+            out.write_bytes(old)
+        before = sorted(workdir.iterdir())
+
+        def fault(*args):
+            raise OSError(errno.EIO, "injected fault")
+
+        monkeypatch.setattr(os, call, fault)
+        assert main(["plan", "assemble", model_path(workdir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: io-error: [Errno 5] injected fault\n"
+        assert sorted(workdir.iterdir()) == before  # no temp file left behind
+        assert (out.read_bytes() if out.exists() else None) == old
+
+    def test_missing_directory_names_the_out_path(self, workdir, capsys):
+        out = workdir / "missing" / "out.plan.json"
+        assert main(["plan", "assemble", model_path(workdir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: io-error: [Errno 2] No such file or directory: '{out}'\n"
+        )

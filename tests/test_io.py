@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipan import canon, io
+from bipan import canon, exchange, io, schema
 from bipan.errors import BiPanError
 from bipan.fixtures import battery_model
 from bipan.model import COMPONENT_KINDS
@@ -85,7 +85,7 @@ def _outcome(decode, data: bytes):
 
 
 def _spec_decode(data: bytes):
-    return io._model(io._parse_json(data), "")
+    return schema.model(io._parse_json(data), "")
 
 
 def _shuffled(value, rnd):
@@ -171,7 +171,7 @@ def _twin_outcome(decode, data: bytes):
 
 
 def _spec_decode_twin(data: bytes):
-    return io._instance(io._parse_json(data), "")
+    return schema.instance(io._parse_json(data), "")
 
 
 @st.composite
@@ -301,10 +301,10 @@ class TestStateAndRegistry:
 
 class TestDotExport:
     def test_golden_dot(self, f1, fixtures_dir):
-        assert io.export_dot(f1).encode("utf-8") == (fixtures_dir / "f1.dot").read_bytes()
+        assert exchange.export_dot(f1).encode("utf-8") == (fixtures_dir / "f1.dot").read_bytes()
 
     def test_counts_match_model(self, f1):
-        lines = io.export_dot(f1).splitlines()
+        lines = exchange.export_dot(f1).splitlines()
         node_lines = [l for l in lines if "shape=" in l and "->" not in l]
         flow_lines = [l for l in lines if "dir=both" in l]
         skill_lines = [l for l in lines if "goldenrod" in l]
@@ -313,12 +313,12 @@ class TestDotExport:
         assert len(skill_lines) == 10
 
     def test_empty_model(self):
-        dot = io.export_dot(io.load_model(b'{"id": "empty"}'))
+        dot = exchange.export_dot(io.load_model(b'{"id": "empty"}'))
         assert dot == 'digraph bipan {\n  graph [rankdir=TB];\n  node [fontname="Helvetica"];\n}\n'
 
     def test_plan_overlay_numbers_every_step(self, f1):
         plan = repair_plan(f1, ["mod8"], {"mod8": "mod8r"})
-        lines = io.export_dot(f1, plan).splitlines()
+        lines = exchange.export_dot(f1, plan).splitlines()
         red_edges = [l for l in lines if "color=red" in l and "->" in l]
         assert len(red_edges) == 7
         assert 'label="1"' in red_edges[0] and 'label="7"' in red_edges[-1]
@@ -327,4 +327,4 @@ class TestDotExport:
 
     def test_deterministic(self, f1):
         plan = full_disassembly(f1)
-        assert io.export_dot(f1, plan) == io.export_dot(f1, plan)
+        assert exchange.export_dot(f1, plan) == exchange.export_dot(f1, plan)
