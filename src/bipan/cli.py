@@ -20,7 +20,7 @@ from bipan import canon, exchange, io  # registered unloaded; each command loads
 from bipan.errors import EXIT_CODES, BiPanError
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Sequence
+    from collections.abc import Callable
 
     from bipan.model import BiPanModel
 
@@ -79,7 +79,8 @@ def _emit(data: bytes, out: str | None) -> None:
     if out is None:
         _write(data)
     else:
-        io.write_file(out, data)
+        with io.staged_write(out, data):
+            pass
 
 
 def _comma_list(text: str, option: str, noun: str, entry: Callable[[str], tuple]) -> dict[str, Any]:
@@ -323,36 +324,27 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int] | None, dict
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, words: list) -> None:
-    """Register every command of ``table`` with its help, and arguments for the one ``words`` names.
-
-    ``words`` are argv's words that are no option: the first names the command, as argparse
-    reads it, since no option before it takes a value. If it names none, all get arguments.
-    """
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+    """Register every command of ``table`` with its help and arguments."""
     commands = parser.add_subparsers(dest=dest, required=True)
-    chosen = words[0] if words and words[0] in table else None
     for name, (help_text, func, arguments) in table.items():
         command = commands.add_parser(name, help=help_text)
-        if chosen not in (None, name):
-            continue
         if func is None:
-            _add_commands(command, f"{name}_command", arguments, words[1:] if chosen else [])
+            _add_commands(command, f"{name}_command", arguments)
             continue
         for flag, options in arguments.items():
             command.add_argument(flag, **options)
         command.set_defaults(func=func)
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: it lists every command, with arguments only for the one selected."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bipan", description=__doc__.splitlines()[0])
-    _add_commands(parser, "command", _COMMANDS, [word for word in argv if not word.startswith("-")])
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -10,9 +10,9 @@ normalizes any equivalent document. The field-spec decoders are in
 
 from __future__ import annotations
 
-import errno
 import json
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -55,7 +55,6 @@ __all__ = [
     "save_plan",
     "save_state",
     "staged_write",
-    "write_file",
     "write_instance_file",
 ]
 
@@ -251,49 +250,70 @@ def instance_lock(directory: str | Path, instance_id: str) -> Iterator[None]:
 
 
 @contextmanager
-def staged_write(path: str | Path, data: bytes) -> Iterator[None]:
-    """Write ``data`` to a temp file beside ``path``; rename it to ``path`` once the block succeeds.
+def _renamed(target: str, data: bytes, mode: int | None = None) -> Iterator[None]:
+    """Write ``data`` to a temp file beside ``target``; rename it onto ``target`` once the block succeeds.
 
-    The file is synced before the rename and the directory after it, so a crash
-    leaves the old bytes or the new. If the write or the block fails, the temp
-    file goes and ``path`` keeps its old bytes, or stays absent. POSIX only.
+    Both the file and, after the rename, the directory are synced, so a crash leaves
+    the old bytes or the new; a failure leaves ``target`` untouched and no temp file.
+    The file gets ``mode``, or 0o600 if it is None. POSIX only.
     """
     import tempfile  # only the commands that write files need it
-    path = Path(path)
-    try:  # the error names ``path``, as ``open`` would, not the random temp name
-        if path.is_dir():  # a rename onto "." would fail as EBUSY
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    directory = os.path.dirname(target) or "."
+    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".bipan-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         yield
-        os.replace(tmp_name, path)
+        os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
 
 
-def write_file(path: str | Path, data: bytes) -> None:
-    """Atomic, durable write of ``data`` to ``path``, through :func:`staged_write`."""
-    with staged_write(path, data):
-        pass
+@contextmanager
+def staged_write(path: str | Path, data: bytes) -> Iterator[None]:
+    """Write ``data`` to ``path`` once the block succeeds.
+
+    A regular or absent file in a directory we may write is replaced through
+    :func:`_renamed`, after any symlink, keeping its mode or taking the one ``open``
+    gives. Any other target (a device, a FIFO or a link to one, a directory, a file in
+    a directory we may not write) is opened, as ``open`` opens it, before the block
+    and written after it.
+    """
+    path = Path(path)
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    except OSError:  # ``open`` below reports it
+        mode = 0
+    if stat.S_ISREG(mode) and os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+        with _renamed(target, data, stat.S_IMODE(mode)):
+            yield
+        return
+    with open(path, "wb") as handle:
+        yield
+        handle.write(data)
 
 
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
-    """Atomic, durable write of ``<instance_id>.pdt.json``, through :func:`write_file`."""
+    """Atomic, durable write of ``<instance_id>.pdt.json``, through :func:`_renamed`."""
     target = instance_path(directory, pdt.instance_id)
-    write_file(target, save_instance(pdt))
+    with _renamed(str(target), save_instance(pdt)):
+        pass
     return target
 
 

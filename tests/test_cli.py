@@ -1,19 +1,19 @@
-import contextlib
 import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+import stat
 import subprocess
 import sys
-from io import StringIO
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from bipan import io
-from bipan.cli import _UsageError, build_parser, main
+from bipan.cli import main
 from bipan.fixtures import battery_model
 from bipan.plan import repair_plan
 from mutations import MUTANTS
@@ -494,20 +494,22 @@ class TestPdt:
         assert main(["pdt", "new", "VIN-003", model_path(workdir), "--dir", d]) == 3
         assert capsys.readouterr().err.startswith("error: io-error:")
 
-    def test_failed_out_leaves_the_twin_untouched(self, workdir, capsys):
+    @pytest.mark.parametrize("where, message", [
+        ("missing/r.plan.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_failed_out_leaves_the_twin_untouched(self, workdir, capsys, where, message):
         d = str(workdir)
         assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
         assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
         twin = (workdir / "VIN-1.pdt.json").read_bytes()
         before = sorted(workdir.iterdir())
         capsys.readouterr()
-        out = workdir / "missing" / "r.plan.json"
+        out = workdir / where
         args = ["pdt", "plan-repair", "VIN-1", "--model", model_path(workdir),
                 "--replace", "mod8=mod8r", "--at", T1, "--dir", d, "--out", str(out)]
         assert main(args) == 3
-        assert capsys.readouterr().err == (
-            f"error: io-error: [Errno 2] No such file or directory: '{out}'\n"
-        )
+        assert capsys.readouterr().err == f"error: io-error: {message}: '{out}'\n"
         assert (workdir / "VIN-1.pdt.json").read_bytes() == twin
         assert sorted(workdir.iterdir()) == before
 
@@ -970,67 +972,6 @@ class TestUsage:
         assert io.load_plan(io.save_plan(plan)) == plan
 
 
-COMMANDS = ("validate", "plan", "exec", "import-aml", "export-dot", "pdt")
-PDT_COMMANDS = ("new", "set-health", "log", "plan-repair")
-HELP = [["--help"], *([c, "--help"] for c in COMMANDS), *(["pdt", c, "-h"] for c in PDT_COMMANDS)]
-# Usage errors at every level, and argv whose first word is no command or comes after
-# an option, each beside a valid call of the same command.
-USAGE = [
-    [], ["frobnicate"], ["--frob"], ["--frob", "validate", "m"], ["-1", "validate", "m"],
-    ["--", "validate", "m"], ["--help", "validate"], ["validate"], ["validate", "m", "n"],
-    ["validate", "m", "--format", "xml"], ["validate", "m", "--form", "json"],
-    ["validate", "-h", "plan"], ["plan", "assemble"], ["plan", "fly", "m"],
-    ["plan", "repair", "m", "--broken", "a", "--replace", "a=b", "--mode", "deep"],
-    ["plan", "assemble", "m", "--bogus"], ["plan", "disassemble", "m", "--target", "t"],
-    ["exec", "p"], ["exec", "p", "m", "--inventory", "final"], ["import-aml"],
-    ["import-aml", "a", "--merge", "m", "--out", "o"], ["export-dot"], ["export-dot", "m", "--plan"],
-    ["pdt"], ["pdt", "frob"], ["pdt", "-x", "log", "V"], ["pdt", "--", "log", "V"],
-    ["pdt", "new", "V"], ["pdt", "new", "V", "m", "--dir", "d"],
-    ["pdt", "set-health", "V", "c", "broken"], ["pdt", "set-health", "V", "c", "ok", "--at", "t"],
-    ["pdt", "log"], ["pdt", "log", "V", "--format"], ["pdt", "plan-repair", "V", "--model", "m"],
-    ["pdt", "plan-repair", "V", "--model", "m", "--replace", "a=b", "--at", "t", "--out", "o"],
-    ["validate", "pdt", "log"], ["pdt", "validate"],
-]
-
-
-def parse_outcome(parser, argv):
-    """What ``parser`` makes of ``argv``: the namespace, exit or usage error, and its stdout."""
-    out = StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            outcome = ("parsed", vars(parser.parse_args(argv)))
-        except SystemExit as exc:
-            outcome = ("exit", exc.code)
-        except _UsageError as exc:
-            outcome = ("usage", str(exc))
-    return outcome, out.getvalue()
-
-
-class TestParser:
-    """The parser for one argv adds only its command's arguments, and acts as the full one."""
-
-    @pytest.mark.parametrize("argv", HELP + USAGE, ids=" ".join)
-    def test_same_outcome_as_the_parser_of_every_command(self, argv):
-        outcome, out = parse_outcome(build_parser(argv), argv)
-        assert (outcome, out) == parse_outcome(build_parser(), argv)
-        if argv in HELP:
-            assert outcome == ("exit", 0) and out.startswith("usage: bipan")
-
-    def test_only_the_selected_command_takes_arguments(self):
-        def arguments(parser):
-            commands = parser._subparsers._group_actions[0].choices
-            return {name: [a.dest for a in sub._actions if a.dest != "help"]
-                    for name, sub in commands.items()}
-
-        chosen = arguments(build_parser(["validate", "m", "--format", "json"]))
-        assert chosen == {**{c: [] for c in COMMANDS}, "validate": ["model", "format"]}
-        full = arguments(build_parser())
-        assert all(full[c] for c in COMMANDS)
-        top = build_parser(["pdt", "log", "V"])
-        pdt = arguments(top._subparsers._group_actions[0].choices["pdt"])
-        assert pdt == {**{c: [] for c in PDT_COMMANDS}, "log": ["instance_id", "format", "dir"]}
-
-
 class TestAtomicOut:
     """``--out`` is written to a temp file and renamed, so a failed write keeps the old file."""
 
@@ -1058,3 +999,57 @@ class TestAtomicOut:
         assert capsys.readouterr().err == (
             f"error: io-error: [Errno 2] No such file or directory: '{out}'\n"
         )
+
+    def test_directory_out_is_refused_as_open_refuses_it(self, workdir, capsys):
+        assert main(["plan", "assemble", model_path(workdir), "--out", str(workdir)]) == 3
+        assert capsys.readouterr().err == f"error: io-error: [Errno 21] Is a directory: '{workdir}'\n"
+
+    def test_out_keeps_the_old_mode_or_takes_the_umask(self, workdir):
+        old, new = workdir / "old.plan.json", workdir / "new.plan.json"
+        old.write_bytes(b"old bytes\n")
+        old.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for out in (old, new):
+                assert main(["plan", "assemble", model_path(workdir), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+
+    def test_symlinked_out_replaces_the_file_it_names(self, workdir, fixtures_dir):
+        real, link = workdir / "real.plan.json", workdir / "link.plan.json"
+        real.write_bytes(b"old bytes\n")
+        link.symlink_to(real.name)
+        before = sorted(workdir.iterdir())
+        assert main(["plan", "assemble", model_path(workdir), "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes() == (fixtures_dir / "f1_assembly.plan.json").read_bytes()
+        assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("name", ["plan.fifo", "link"], ids=["fifo", "symlink-to-fifo"])
+    def test_out_to_a_fifo_is_written_through(self, workdir, fixtures_dir, name):
+        """A FIFO, or a link to one as ``/dev/stdout`` is to a pipe, keeps its place."""
+        fifo = workdir / "plan.fifo"
+        os.mkfifo(fifo)
+        if name == "link":
+            (workdir / name).symlink_to(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the plan fits the pipe's buffer
+        try:
+            assert main(["plan", "assemble", model_path(workdir), "--out", str(workdir / name)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode) and os.path.samefile(workdir / name, fifo)
+        assert data == (fixtures_dir / "f1_assembly.plan.json").read_bytes()
+
+    def test_out_to_a_device_is_written_through(self, workdir, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a device is neither staged nor replaced")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["plan", "assemble", model_path(workdir), "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
