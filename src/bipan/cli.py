@@ -12,6 +12,7 @@ twin mutations require an explicit ``--at`` timestamp.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, TextIO
@@ -75,7 +76,23 @@ def _write_lines(lines: list[str]) -> None:
     _write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
+def _out_file(out: str | None) -> str | None:
+    """``out``, or None when the payload goes to stdout: no ``--out``, or stdout's own file.
+
+    Staging over the file behind stdout, as ``/dev/stdout`` is when stdout is
+    redirected to a file, would leave stdout writing to the replaced file.
+    """
+    if out is not None:
+        try:
+            if os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno())):
+                return None
+        except (AttributeError, OSError, ValueError):  # no such file, or no descriptor
+            pass
+    return out
+
+
 def _emit(data: bytes, out: str | None) -> None:
+    out = _out_file(out)
     if out is None:
         _write(data)
     else:
@@ -266,10 +283,11 @@ def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
         model = _load_model(args.model)
         updated, plan = plan_repair_for(pdt, model, replacements, args.at)
         payload = io.save_plan(plan)
+        out = _out_file(args.out)
         # The plan waits beside --out until the twin logs it, so a failed write logs nothing.
-        with nullcontext() if args.out is None else io.staged_write(args.out, payload):
+        with nullcontext() if out is None else io.staged_write(out, payload):
             io.write_instance_file(updated, args.dir)
-    if args.out is None:
+    if out is None:
         _write(payload)
     return 0
 

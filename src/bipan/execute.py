@@ -2,9 +2,12 @@
 
 This is the independent oracle for every planner: a dumb multiset machine that
 applies a step's declared consumed/produced effect and knows nothing about how
-plans are derived. Forward and Reverse differ only in what their lists contain;
-Swap additionally requires the swap site's output assembly to be present and
-records the broken-to-replacement substitution.
+plans are derived. It checks each step against the model's flows: Forward
+consumes the process's inputs (under the substitutions so far) and produces its
+output, and Reverse is the converse. Swap additionally requires the swap site's
+output assembly to be present, a target that is one of the site's inputs and a
+replacement that names no model node, and records the broken-to-replacement
+substitution.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel, FrozenMap
 from bipan.plan import Direction, Plan, PlanStep
-from bipan.validate import ensure_valid
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class Trace:
 
 def initial_inventory(model: BiPanModel) -> ExecState:
     """All leaf products (no producer) free, nothing substituted."""
-    ensure_valid(model)
+    validate.ensure_valid(model)
     return ExecState(frozenset(model.leaf_products()), {})
 
 
@@ -98,6 +101,20 @@ def _apply(
     clashes = tuple(p for p in produced if p in present and p not in reusable)
     if clashes:
         raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
+    if step.direction is Direction.SWAP:
+        if step.swap_target not in model.inputs_of(step.process):
+            raise BiPanError("step-mismatch", f"swap target '{step.swap_target}' is not an input "
+                             f"of '{step.process}'", produced)
+        if model.has_node(step.swap_replacement):
+            raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
+                             f"names a node in model '{model.id}'", consumed)
+    else:
+        inputs = tuple(sorted(substitutions.get(i, i) for i in model.inputs_of(step.process)))
+        outputs = model.outputs_of(step.process)
+        expected = (inputs, outputs) if step.direction is Direction.FORWARD else (outputs, inputs)
+        if (tuple(consumed), tuple(produced)) != expected:
+            raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
+                             f"and produce [{', '.join(expected[1])}]")
     present.difference_update(consumed)
     present.update(produced)
     if step.direction is Direction.SWAP:
@@ -105,7 +122,10 @@ def _apply(
 
 
 def apply_step(state: ExecState, step: PlanStep, model: BiPanModel) -> ExecState:
-    """One transition; raises `missing-input`, `double-produce` or `unknown-process`."""
+    """One transition.
+
+    Raises `missing-input`, `double-produce`, `step-mismatch` or `unknown-process`.
+    """
     present, substitutions = set(state.present), dict(state.substitutions)
     _apply(present, substitutions, step, model)
     return ExecState(present, substitutions)

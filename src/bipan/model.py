@@ -207,10 +207,12 @@ def _normalized(edges: tuple, key: Callable) -> tuple:
 class BiPanModel:
     """Immutable bidirectional product-process-resource network.
 
-    Node and edge collections are normalized on construction: sorted by id,
-    exact duplicate edges dropped, and all edge endpoints checked to resolve.
-    Derived facts (adjacency, ``digest``, ``diagnostics``, each process's skill
-    labels) are computed on first use and kept for the life of the value.
+    Node and edge collections are normalized on construction: sorted by id and
+    exact duplicate edges dropped. The same construction checks every edge
+    endpoint to resolve and builds ``adjacency``, the five neighbour maps every
+    structural query reads. The other derived facts (``digest``, ``diagnostics``,
+    each process's skill labels) are computed on first use and kept for the life
+    of the value.
     """
 
     id: str
@@ -226,6 +228,7 @@ class BiPanModel:
     _skill_labels: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    adjacency: Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # One id -> node map over all families. Duplicates within a family are
@@ -248,20 +251,10 @@ class BiPanModel:
             raise BiPanError("duplicate-id", min(shared)[2])
 
         try:
-            for flow in self.flows:
-                if not isinstance(nodes.get(flow.product), ProductNode):
-                    raise _dangling("flow", "product", flow.product)
-                if not isinstance(nodes.get(flow.process), ProcessNode):
-                    raise _dangling("flow", "process", flow.process)
-            for edge in self.skill_edges:
-                if not isinstance(nodes.get(edge.process), ProcessNode):
-                    raise _dangling("skill edge", "process", edge.process)
-                if not isinstance(nodes.get(edge.skill), SkillNode):
-                    raise _dangling("skill edge", "skill", edge.skill)
-            for link in self.fastens:
-                for pid in (link.fastener, *sorted(link.secures)):
-                    if not isinstance(nodes.get(pid), ProductNode):
-                        raise _dangling("fastens link", "product", pid)
+            # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
+            flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
+            skill_edges = _normalized(self.skill_edges, lambda e: (e.process, e.skill))
+            fastens = _normalized(self.fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
         except TypeError:  # an id that is no string failed to hash or sort; ``check_id`` names it
             for ids in (
                 *((f.product, f.process) for f in self.flows),
@@ -272,48 +265,44 @@ class BiPanModel:
                     check_id(node_id)
             raise
 
-        # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
-        flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
-        skill_edges = _normalized(self.skill_edges, lambda e: (e.process, e.skill))
-        fastens = _normalized(self.fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
-
         by_id = attrgetter("id")
-        object.__setattr__(self, "products", tuple(sorted(self.products, key=by_id)))
-        object.__setattr__(self, "processes", tuple(sorted(self.processes, key=by_id)))
-        object.__setattr__(self, "skills", tuple(sorted(self.skills, key=by_id)))
-        object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "skill_edges", skill_edges)
-        object.__setattr__(self, "fastens", fastens)
+        for name in ("products", "processes", "skills"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
 
-    # -- indices -------------------------------------------------------------
-
-    @cached_property
-    def adjacency(self) -> Adjacency:
-        """All five adjacency maps, built in one pass over the edges.
-
-        Normalization sorts flows by (process, role, product) and skill edges by
-        (process, skill), so every neighbour tuple comes out in ascending id order.
-        """
-        inputs: dict[str, list[str]] = {p.id: [] for p in self.processes}
-        outputs: dict[str, list[str]] = {p.id: [] for p in self.processes}
-        skill_ids: dict[str, list[str]] = {p.id: [] for p in self.processes}
-        producers: dict[str, list[str]] = {p.id: [] for p in self.products}
-        consumers: dict[str, list[str]] = {p.id: [] for p in self.products}
-        for f in self.flows:
+        # One pass over the sorted edges checks each endpoint and fills the adjacency
+        # maps, so every neighbour tuple comes out in ascending id order. Each map is
+        # keyed by one node family: an endpoint missing from it names no such node.
+        inputs, outputs, skill_ids = ({p.id: [] for p in self.processes} for _ in range(3))
+        producers, consumers = ({p.id: [] for p in self.products} for _ in range(2))
+        for f in flows:
+            if f.product not in producers:
+                raise _dangling("flow", "product", f.product)
+            if f.process not in inputs:
+                raise _dangling("flow", "process", f.process)
             if f.role is FlowRole.INPUT:
                 inputs[f.process].append(f.product)
                 consumers[f.product].append(f.process)
             else:
                 outputs[f.process].append(f.product)
                 producers[f.product].append(f.process)
-        for e in self.skill_edges:
+        for e in skill_edges:
+            if e.process not in skill_ids:
+                raise _dangling("skill edge", "process", e.process)
+            if not isinstance(nodes.get(e.skill), SkillNode):
+                raise _dangling("skill edge", "skill", e.skill)
             skill_ids[e.process].append(e.skill)
-        return Adjacency(
-            *(
-                FrozenMap({node_id: tuple(ids) for node_id, ids in adjacency.items()})
-                for adjacency in (inputs, outputs, producers, consumers, skill_ids)
-            )
-        )
+        for link in fastens:
+            for pid in (link.fastener, *sorted(link.secures)):
+                if pid not in producers:
+                    raise _dangling("fastens link", "product", pid)
+
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "skill_edges", skill_edges)
+        object.__setattr__(self, "fastens", fastens)
+        maps = (inputs, outputs, producers, consumers, skill_ids)
+        object.__setattr__(self, "adjacency", Adjacency(
+            *(FrozenMap({node_id: tuple(ids) for node_id, ids in m.items()}) for m in maps)
+        ))
 
     # -- facts computed once -------------------------------------------------------
 

@@ -26,9 +26,9 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
+from bipan import validate  # registered unloaded; runs only when a planner validates a model
 from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, ProductKind, check_id
-from bipan.validate import ensure_valid
 
 
 class Direction(Enum):
@@ -152,14 +152,14 @@ def _reverse_step(
 
 def assembly_recipe(model: BiPanModel) -> Plan:
     """Forward steps over all processes, in assembly topological order."""
-    ensure_valid(model)
+    validate.ensure_valid(model)
     steps = tuple(_forward_step(model, pid, model.inputs_of(pid)) for pid in assembly_order(model))
     return Plan(model.id, model.digest, steps)
 
 
 def full_disassembly(model: BiPanModel, inv: Mapping[str, str] = DEFAULT_INVERSION) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
-    ensure_valid(model)
+    validate.ensure_valid(model)
     order = reversed(assembly_order(model))
     steps = tuple(_reverse_step(model, pid, model.inputs_of(pid), inv) for pid in order)
     return Plan(model.id, model.digest, steps)
@@ -177,7 +177,7 @@ def disassembly_to(
     process, so the stage containing the target becomes a free inventory item;
     Extract additionally reverses that process, freeing the target itself.
     """
-    ensure_valid(model)
+    validate.ensure_valid(model)
     if model.product(target).kind is ProductKind.FINAL:
         raise BiPanError("target-is-final", f"cannot plan disassembly to final product '{target}'")
     spine = model.spine(target)
@@ -218,7 +218,7 @@ def repair_plan(
     reversed processes forward again. Swap steps consume the replacement and
     produce the broken component as a free, removed item.
     """
-    ensure_valid(model)
+    validate.ensure_valid(model)
     broken_set = set(broken)
     broken_ids = sorted(broken_set)
 

@@ -300,12 +300,29 @@ def test_tricky_twin_bytes_equal_the_oracle(twin):
     assert events_bytes(twin.events) == oracle(twin_doc(twin)["events"])
 
 
-#: A one-process model whose site ``p`` builds ``out``: a swap there needs only ``out``.
-SWAP_SITE = BiPanModel(
-    "m",
-    (ProductNode("in", "In", ProductKind.ELEMENTARY), ProductNode("out", "Out", ProductKind.FINAL)),
-    (ProcessNode("p", "P"),),
-    flows=(FlowEdge("in", "p", FlowRole.INPUT), FlowEdge("out", "p", FlowRole.OUTPUT)),
+def swap_site(inputs):
+    """A one-process model whose site ``p`` turns ``inputs`` into ``out``.
+
+    A swap there needs only ``out`` present, a target among ``inputs``, and a
+    replacement that names none of these nodes.
+    """
+    return BiPanModel(
+        "m",
+        (
+            *(ProductNode(i, i, ProductKind.ELEMENTARY) for i in inputs),
+            ProductNode("out", "Out", ProductKind.FINAL),
+        ),
+        (ProcessNode("p", "P"),),
+        flows=(
+            *(FlowEdge(i, "p", FlowRole.INPUT) for i in inputs),
+            FlowEdge("out", "p", FlowRole.OUTPUT),
+        ),
+    )
+
+
+SWAP_SITE = swap_site(("in",))
+NODE_IDS = st.text(alphabet="AZaz09_.-", min_size=1, max_size=6).filter(
+    lambda text: text not in ("out", "p")
 )
 STATES = st.builds(
     ExecState,
@@ -315,20 +332,25 @@ STATES = st.builds(
 
 
 @settings(max_examples=200)
-@given(STATES, st.lists(TEXT.filter(lambda text: text != "out"), unique=True, max_size=8))
-def test_tricky_state_and_trace_bytes_equal_the_oracle(state, ids):
-    """A state as drawn, and the replay of hand-built swaps between tricky ids at ``p``:
-    each swap adds one tricky substitution to the states the trace writes.
+@given(
+    STATES,
+    st.lists(NODE_IDS, unique=True, max_size=4),
+    st.lists(TEXT.filter(lambda text: text not in ("out", "p")), unique=True, max_size=4),
+)
+def test_tricky_state_and_trace_bytes_equal_the_oracle(state, targets, replacements):
+    """A state as drawn, and the replay of hand-built swaps at ``p``, from drawn inputs of
+    ``p`` to tricky ids: each swap adds one tricky substitution to the states the trace writes.
     """
     assert state_bytes(state) == oracle(state_doc(state))
     assert io.save_state(state) == state_bytes(state)
-    pairs = list(zip(ids[::2], ids[1::2]))
+    pairs = [(t, r) for t, r in zip(targets, replacements) if r not in targets]
     steps = tuple(
         PlanStep("p", Direction.SWAP, (), (), (), swap_target=target, swap_replacement=replacement)
         for target, replacement in pairs
     )
     start = ExecState({"out", *(replacement for _, replacement in pairs)}, state.substitutions)
-    trace = run(Plan("m", SWAP_SITE.digest, steps), start, SWAP_SITE)
+    site = swap_site(targets)
+    trace = run(Plan("m", site.digest, steps), start, site)
     assert trace_bytes(trace) == oracle(trace_doc(trace))
 
 

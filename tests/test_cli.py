@@ -15,7 +15,7 @@ import pytest
 from bipan import io
 from bipan.cli import main
 from bipan.fixtures import battery_model
-from bipan.plan import repair_plan
+from bipan.plan import Direction, Plan, PlanStep, repair_plan
 from mutations import MUTANTS
 
 T0 = "2024-05-01T10:00:00Z"
@@ -353,6 +353,18 @@ class TestExec:
         assert main(["exec", str(plan), model_path(workdir), "--inventory", "initial"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: missing-input: step 0")
+
+    def test_forged_step_exit_3(self, workdir, capsys):
+        """A step that the inventory allows but the model does not is ``step-mismatch``."""
+        model = io.load_model(io.read_file(model_path(workdir)))
+        forged = PlanStep("p5", Direction.FORWARD, (), ("battery",), ())
+        (workdir / "forged.plan.json").write_bytes(
+            io.save_plan(Plan(model.id, model.digest, (forged,)))
+        )
+        argv = ["exec", "forged.plan.json", "f1.bipan.json", "--inventory", "initial"]
+        result = run_cli(argv, workdir)
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.startswith("error: step-mismatch: step 0 (Forward 'p5'): ")
 
 
 class TestAmlAndDot:
@@ -779,8 +791,9 @@ LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", 
 # The ``bipan`` submodules whose code each command runs; the others stay registered
 # unloaded. Valid model and twin documents never run the field-spec decoders in
 # ``schema``; plans and registries have no other decoder. Only ``import-aml`` and
-# ``export-dot`` run ``exchange``.
-PLANNING = "canon cli errors io model plan validate"
+# ``export-dot`` run ``exchange``. Replaying or drawing a plan validates nothing.
+PLANS = "canon cli errors io model plan"
+PLANNING = f"{PLANS} validate"
 COMMAND_MODULES = {
     "validate": (["validate", "f1.bipan.json"], "canon cli errors io model validate"),
     "plan-assemble": (["plan", "assemble", "f1.bipan.json"], PLANNING),
@@ -790,12 +803,12 @@ COMMAND_MODULES = {
     ),
     "exec": (
         ["exec", "f1_repair_mod8.plan.json", "f1.bipan.json", "--inventory", "final"],
-        f"{PLANNING} execute schema",
+        f"{PLANS} execute schema",
     ),
     "export-dot": (["export-dot", "f1.bipan.json"], "canon cli errors exchange io model"),
     "export-dot-plan": (
         ["export-dot", "f1.bipan.json", "--plan", "f1_repair_mod8.plan.json"],
-        f"{PLANNING} exchange schema",
+        f"{PLANS} exchange schema",
     ),
     "import-aml": (["import-aml", "battery.aml"], "canon cli errors exchange io model"),
     "import-aml-merge": (
@@ -1042,6 +1055,21 @@ class TestAtomicOut:
             os.close(reader)
         assert stat.S_ISFIFO(fifo.lstat().st_mode) and os.path.samefile(workdir / name, fifo)
         assert data == (fixtures_dir / "f1_assembly.plan.json").read_bytes()
+
+    @pytest.mark.parametrize("out", ["/dev/stdout", "out.txt"])
+    def test_out_that_is_stdout_goes_through_stdout(self, workdir, fixtures_dir, out):
+        """Stdout redirected to a file: the plan and then the report both land in it."""
+        argv = ["plan", "repair", "f1.bipan.json", "--broken", "mod8", "--replace", "mod8=mod8r",
+                "--registry", "registry_no_cables.json", "--out", out]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        with open(workdir / "out.txt", "wb") as stdout:
+            result = subprocess.run([sys.executable, "-m", "bipan.cli", *argv], cwd=workdir,
+                                    env=env, stdout=stdout, stderr=subprocess.PIPE)
+        assert result.returncode == 1, result.stderr
+        plan = (fixtures_dir / "f1_repair_mod8.plan.json").read_bytes()
+        data = (workdir / "out.txt").read_bytes()
+        assert data.startswith(plan)
+        assert json.loads(data[len(plan):])["feasible"] is False
 
     def test_out_to_a_device_is_written_through(self, workdir, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -102,6 +102,49 @@ class TestApplyStep:
             state = stepped
 
 
+P1_INPUTS = ("box", "cooling", "screws1")
+# Forged steps that pass the inventory checks from the initial inventory, or from
+# the swap site's stage with the replacement beside it, but do not match the model.
+FORGED = {
+    "missing-input": PlanStep("p1", Direction.FORWARD, ("box", "cooling"), ("stage1",), ()),
+    "extra-input": PlanStep("p1", Direction.FORWARD, (*P1_INPUTS, "mod1"), ("stage1",), ()),
+    "wrong-output": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage2",), ()),
+    "reverse-with-swapped-lists": PlanStep("p1", Direction.REVERSE, P1_INPUTS, ("stage1",), ()),
+    "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, (), (), (), "cover", "mod8r"),
+    "replacement-names-a-node": PlanStep("p2", Direction.SWAP, (), (), (), "mod8", "bms"),
+}
+
+
+class TestStepMismatch:
+    @pytest.mark.parametrize("step", FORGED.values(), ids=list(FORGED))
+    def test_forged_step_is_step_mismatch(self, f1, step):
+        if step.direction is Direction.SWAP:
+            state = ExecState({"stage2", step.swap_replacement})
+        else:
+            state = initial_inventory(f1)
+        with pytest.raises(BiPanError) as err:
+            apply_step(state, step, f1)
+        assert err.value.code == "step-mismatch"
+
+    def test_forward_step_detail_names_the_model_lists(self, f1):
+        forged = PlanStep("p5", Direction.FORWARD, (), ("battery",), ())
+        with pytest.raises(BiPanError) as err:
+            run(Plan(f1.id, f1.digest, (forged,)), initial_inventory(f1), f1)
+        assert err.value.code == "step-mismatch"
+        assert err.value.detail == (
+            "step 0 (Forward 'p5'): must consume [cover, screws2, stage4] and produce [battery]"
+        )
+
+    def test_inputs_are_resolved_through_the_substitutions(self, f1):
+        state = ExecState({*f1.inputs_of("p2"), "mod8r"}, {"mod8": "mod8r"})
+        with pytest.raises(BiPanError) as err:
+            apply_step(state, forward(f1, "p2"), f1)
+        assert err.value.code == "step-mismatch"
+        resolved = tuple(sorted("mod8r" if i == "mod8" else i for i in f1.inputs_of("p2")))
+        step = dataclasses.replace(forward(f1, "p2"), consumed=resolved)
+        assert "stage2" in apply_step(state, step, f1).present
+
+
 class TestRun:
     def test_assembly_reaches_final(self, f1):
         trace = run(assembly_recipe(f1), initial_inventory(f1), f1)

@@ -143,6 +143,15 @@ class TestConstruction:
             tiny_model(extra_flows=(FlowEdge("ghost", "q", FlowRole.INPUT),))
         assert err.value.code == "dangling-reference"
 
+    def test_first_dangling_endpoint_in_canonical_order_is_named(self):
+        """Edges in any order denote one model, so they fail with one detail."""
+        ghosts = (FlowEdge("zeta", "q", FlowRole.INPUT), FlowEdge("alpha", "q", FlowRole.INPUT))
+        for extra_flows in (ghosts, tuple(reversed(ghosts))):
+            with pytest.raises(BiPanError) as err:
+                tiny_model(extra_flows=extra_flows)
+            assert err.value.code == "dangling-reference"
+            assert err.value.detail == "flow references unknown product 'alpha'"
+
     def test_bad_id_pattern(self):
         with pytest.raises(BiPanError) as err:
             ProductNode("not ok", "x", ProductKind.ELEMENTARY)
@@ -249,6 +258,26 @@ class TestCachedFacts:
     def test_diagnostics_is_validate(self, model):
         assert model.diagnostics == validate(model)
 
+    @given(models())
+    def test_adjacency_is_rebuilt_from_the_edges(self, model):
+        rebuilt = {name: {} for name in ("inputs", "outputs", "producers", "consumers", "skill_ids")}
+        for p in model.processes:
+            for name in ("inputs", "outputs", "skill_ids"):
+                rebuilt[name][p.id] = []
+        for p in model.products:
+            rebuilt["producers"][p.id], rebuilt["consumers"][p.id] = [], []
+        for f in model.flows:
+            by_process, by_product = (
+                ("inputs", "consumers") if f.role is FlowRole.INPUT else ("outputs", "producers")
+            )
+            rebuilt[by_process][f.process].append(f.product)
+            rebuilt[by_product][f.product].append(f.process)
+        for e in model.skill_edges:
+            rebuilt["skill_ids"][e.process].append(e.skill)
+        for name, mapping in model.adjacency._asdict().items():
+            assert type(mapping) is FrozenMap
+            assert mapping == {k: tuple(sorted(ids)) for k, ids in rebuilt[name].items()}
+
     def test_facts_computed_once(self, f1):
         assert f1.digest is f1.digest
         assert f1.diagnostics is f1.diagnostics
@@ -285,7 +314,7 @@ class TestCachedFacts:
         assert len({plain, declared}) == 2
 
     def test_model_still_pickles(self, f1):
-        f1.digest, f1.diagnostics  # every cached fact, the adjacency maps among them
+        f1.digest, f1.diagnostics  # every cached fact; the adjacency maps are built with the model
         copied = pickle.loads(pickle.dumps(f1))
         assert copied == f1 and copied.digest == f1.digest
         assert copied.inputs_of("p4") == f1.inputs_of("p4")
@@ -345,7 +374,7 @@ class TestFrozenMap:
     @pytest.mark.parametrize("field", RECORDS)
     def test_copies_hold_frozen_maps(self, f1, field, copy_of):
         record = RECORDS[field](f1)
-        getattr(record, field)  # the model builds its adjacency maps on first use
+        getattr(record, field)  # the model's adjacency maps are built at construction
         copied = copy_of(record)
         assert copied == record
         value = getattr(copied, field)
