@@ -109,8 +109,10 @@ def _apply(
             raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
                              f"names a node in model '{model.id}'", consumed)
     else:
-        inputs = tuple(sorted(substitutions.get(i, i) for i in model.inputs_of(step.process)))
-        outputs = model.outputs_of(step.process)
+        adjacency = model.adjacency
+        inputs, outputs = adjacency.inputs[step.process], adjacency.outputs[step.process]
+        if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
+            inputs = tuple(sorted(substitutions.get(i, i) for i in inputs))
         expected = (inputs, outputs) if step.direction is Direction.FORWARD else (outputs, inputs)
         if (tuple(consumed), tuple(produced)) != expected:
             raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
