@@ -101,15 +101,16 @@ def _apply(
     clashes = tuple(p for p in produced if p in present and p not in reusable)
     if clashes:
         raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
+    adjacency = model.adjacency  # holds ``step.process`` in each process map, as it is a process
     if step.direction is Direction.SWAP:
-        if step.swap_target not in model.inputs_of(step.process):
+        # The site among the target's consumers: one lookup, where the site may have many inputs.
+        if step.process not in adjacency.consumers.get(step.swap_target, ()):
             raise BiPanError("step-mismatch", f"swap target '{step.swap_target}' is not an input "
                              f"of '{step.process}'", produced)
         if model.has_node(step.swap_replacement):
             raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
                              f"names a node in model '{model.id}'", consumed)
     else:
-        adjacency = model.adjacency
         inputs, outputs = adjacency.inputs[step.process], adjacency.outputs[step.process]
         if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
             inputs = tuple(sorted(substitutions.get(i, i) for i in inputs))

@@ -260,12 +260,10 @@ class TestCachedFacts:
 
     @given(models())
     def test_adjacency_is_rebuilt_from_the_edges(self, model):
-        rebuilt = {name: {} for name in ("inputs", "outputs", "producers", "consumers", "skill_ids")}
-        for p in model.processes:
-            for name in ("inputs", "outputs", "skill_ids"):
-                rebuilt[name][p.id] = []
-        for p in model.products:
-            rebuilt["producers"][p.id], rebuilt["consumers"][p.id] = [], []
+        rebuilt = {name: {p.id: [] for p in model.processes} for name in ("inputs", "outputs")}
+        rebuilt["skill_ids"] = {p.id: [] for p in model.processes}
+        rebuilt.update({name: {p.id: [] for p in model.products}
+                        for name in ("producers", "consumers")})
         for f in model.flows:
             by_process, by_product = (
                 ("inputs", "consumers") if f.role is FlowRole.INPUT else ("outputs", "producers")
