@@ -101,7 +101,7 @@ def _apply(
     clashes = tuple(p for p in produced if p in present and p not in reusable)
     if clashes:
         raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
-    adjacency = model.adjacency  # holds ``step.process`` in each process map, as it is a process
+    adjacency = model.adjacency  # ``has_process`` held, so each process map has ``step.process``
     if step.direction is Direction.SWAP:
         # The site among the target's consumers: one lookup, where the site may have many inputs.
         if step.process not in adjacency.consumers.get(step.swap_target, ()):
