@@ -76,25 +76,28 @@ def _write_lines(lines: list[str]) -> None:
     _write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
-def _out_file(out: str | None) -> str | None:
-    """``out``, or None when the payload goes to stdout: no ``--out``, or stdout's own file.
+def _out_stream(out: str | None) -> TextIO | None:
+    """Stdout with no ``--out``, the standard stream whose file ``out`` is, or None.
 
-    Staging over the file behind stdout, as ``/dev/stdout`` is when stdout is
-    redirected to a file, would leave stdout writing to the replaced file.
+    Staging over the file behind stdout or stderr, as ``/dev/stderr`` is when
+    stderr is redirected to a file, would leave that stream writing to the replaced
+    file; written through the stream, the payload keeps its place among the lines.
     """
-    if out is not None:
+    if out is None:
+        return sys.stdout
+    for stream in (sys.stdout, sys.stderr):
         try:
-            if os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno())):
-                return None
+            if os.path.samestat(os.stat(out), os.fstat(stream.fileno())):
+                return stream
         except (AttributeError, OSError, ValueError):  # no such file, or no descriptor
             pass
-    return out
+    return None
 
 
 def _emit(data: bytes, out: str | None) -> None:
-    out = _out_file(out)
-    if out is None:
-        _write(data)
+    stream = _out_stream(out)
+    if stream is not None:
+        _put(stream, data)
     else:
         with io.staged_write(out, data):
             pass
@@ -283,12 +286,12 @@ def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
         model = _load_model(args.model)
         updated, plan = plan_repair_for(pdt, model, replacements, args.at)
         payload = io.save_plan(plan)
-        out = _out_file(args.out)
+        stream = _out_stream(args.out)
         # The plan waits beside --out until the twin logs it, so a failed write logs nothing.
-        with nullcontext() if out is None else io.staged_write(out, payload):
+        with nullcontext() if stream is not None else io.staged_write(args.out, payload):
             io.write_instance_file(updated, args.dir)
-    if out is None:
-        _write(payload)
+    if stream is not None:
+        _put(stream, payload)
     return 0
 
 

@@ -14,7 +14,9 @@ EXIT_CODES: dict[str, int] = {
     "duplicate-id": 2,
     "empty-id": 2,
     "invalid-id": 2,
+    "invalid-kind": 2,
     "invalid-position": 2,
+    "invalid-role": 2,
     "invalid-timestamp": 2,
     "kind-conflict": 2,
     "label-conflict": 2,

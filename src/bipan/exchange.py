@@ -11,12 +11,11 @@ Versions 2.x and 3.x are both accepted; namespaces are matched by local name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from bipan.canon import model_bytes
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, FlowRole, ProductKind, ProductNode
+from bipan.model import BiPanModel, FlowRole, ProductKind, ProductNode, Record, _set, replace
 
 if TYPE_CHECKING:
     from xml.etree import ElementTree
@@ -29,16 +28,19 @@ __all__ = ["AmlFragment", "export_dot", "import_aml", "merge"]
 # -- CAEX (AutomationML subset) import ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmlFragment:
+class AmlFragment(Record):
     """Products-only fragment from a CAEX file; never carries processes or flows.
 
     ``explicit_kinds`` holds ids whose kind came from a BiPanKind attribute, as
     opposed to the Elementary default; only explicit kinds conflict on merge.
     """
 
-    products: tuple[ProductNode, ...]
-    explicit_kinds: frozenset[str] = frozenset()
+    __slots__ = ("products", "explicit_kinds")
+
+    def __init__(self, products: tuple[ProductNode, ...],
+                 explicit_kinds: frozenset[str] = frozenset()) -> None:
+        _set(self, "products", products)
+        _set(self, "explicit_kinds", explicit_kinds)
 
     def to_bytes(self) -> bytes:
         return model_bytes(BiPanModel("aml-fragment", self.products))

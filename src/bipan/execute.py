@@ -13,43 +13,44 @@ substitution.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, FrozenMap
+from bipan.model import BiPanModel, FrozenMap, Record, _set
 from bipan.plan import Direction, Plan, PlanStep
 
 
-@dataclass(frozen=True)
-class ExecState:
+class ExecState(Record, unhashed=("substitutions",)):
     """Free items and topmost assemblies, plus substitutions applied so far.
 
     ``substitutions`` is a read-only copy of the mapping given, left out of the
     hash as ``ProductNode.attributes`` is.
     """
 
-    present: frozenset[str]
-    substitutions: Mapping[str, str] = field(default_factory=dict, hash=False)
+    __slots__ = ("present", "substitutions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "present", frozenset(self.present))
-        object.__setattr__(self, "substitutions", FrozenMap(self.substitutions))
+    def __init__(self, present: frozenset[str],
+                 substitutions: Mapping[str, str] = FrozenMap()) -> None:
+        _set(self, "present", frozenset(present))
+        _set(self, "substitutions", FrozenMap(substitutions))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record, uncompared=("model",)):
     """One replay: its start state, the steps it applied to ``model``, and its end state.
 
     ``entries``, the state after each step (step ``i``'s at position ``i``), is
     replayed from these on first use.
     """
 
-    initial: ExecState
-    steps: tuple[PlanStep, ...]
-    final: ExecState
-    model: BiPanModel = field(repr=False, compare=False)
+    __slots__ = ("initial", "steps", "final", "model", "__dict__")  # a dict for ``entries``
+
+    def __init__(self, initial: ExecState, steps: tuple[PlanStep, ...], final: ExecState,
+                 model: BiPanModel) -> None:
+        _set(self, "initial", initial)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
+        _set(self, "model", model)
 
     @cached_property
     def entries(self) -> tuple[ExecState, ...]:

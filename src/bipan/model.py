@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn, TypeVar
 
 from bipan.errors import BiPanError
 
@@ -62,6 +61,68 @@ class FrozenMap(dict):
         return (type(self), (dict(self),))
 
 
+_set = object.__setattr__
+
+
+def _frozen(message: str) -> NoReturn:
+    from dataclasses import FrozenInstanceError  # only here: ``dataclasses`` imports ``inspect``
+
+    raise FrozenInstanceError(message)
+
+
+class Record:
+    """Base of the immutable value records: slotted, and compared, hashed and shown by field.
+
+    A record's fields are its ``__init__`` parameters, in order; ``__init__``
+    checks them and writes each slot through ``_set``. Equality is by type and
+    every field but the ``uncompared`` ones the class names; the hash also
+    leaves out the ``unhashed`` ones. ``repr`` shows the compared fields.
+    Pickling and copying call ``__init__`` again, so its checks rerun. Assigning
+    or deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _compared: tuple[str, ...]
+
+    def __init_subclass__(cls, unhashed: tuple[str, ...] = (), uncompared: tuple[str, ...] = ()):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._compared = tuple(name for name in cls._fields if name not in uncompared)
+        cls._key = attrgetter(*cls._compared)
+        cls._hash_key = attrgetter(*(name for name in cls._compared if name not in unhashed))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._hash_key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        _frozen(f"cannot delete field {name!r}")
+
+
+_R = TypeVar("_R", bound=Record)
+
+
+def replace(record: _R, /, **changes: object) -> _R:
+    """A copy of ``record`` with ``changes`` to its fields, built, and so checked, anew."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 class ProductKind(Enum):
     """Role a product plays in the assembly/disassembly flow."""
 
@@ -81,8 +142,7 @@ class FlowRole(Enum):
     OUTPUT = "Output"
 
 
-@dataclass(frozen=True)
-class ProductNode:
+class ProductNode(Record, unhashed=("attributes",)):
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
     ``attributes`` is a read-only copy of the mapping given, so a model's cached
@@ -90,87 +150,95 @@ class ProductNode:
     equality still compares it.
     """
 
-    id: str
-    label: str
-    kind: ProductKind
-    type_ref: str | None = None
-    position: tuple[float, float, float] | None = None
-    attributes: Mapping[str, str] = field(default_factory=dict, hash=False)
+    __slots__ = ("id", "label", "kind", "type_ref", "position", "attributes")
 
-    def __post_init__(self) -> None:
-        check_id(self.id)
-        if self.position is not None:
+    def __init__(self, id: str, label: str, kind: ProductKind, type_ref: str | None = None,
+                 position: tuple[float, float, float] | None = None,
+                 attributes: Mapping[str, str] = FrozenMap()) -> None:
+        check_id(id)
+        if type(kind) is not ProductKind:
+            raise BiPanError("invalid-kind", f"product '{id}': kind {kind!r} is not a ProductKind")
+        if position is not None:
             try:
-                pos = tuple(float(c) for c in self.position)
+                position = tuple(float(c) for c in position)
             except OverflowError as exc:
                 raise BiPanError(
-                    "invalid-position", f"product '{self.id}': position component is too large"
+                    "invalid-position", f"product '{id}': position component is too large"
                 ) from exc
             except (TypeError, ValueError) as exc:
                 raise BiPanError(
-                    "invalid-position", f"product '{self.id}': position components must be numbers"
+                    "invalid-position", f"product '{id}': position components must be numbers"
                 ) from exc
-            if len(pos) != 3:
+            if len(position) != 3:
                 raise BiPanError(
                     "invalid-position",
-                    f"product '{self.id}': position must have exactly three components",
+                    f"product '{id}': position must have exactly three components",
                 )
-            object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "attributes", FrozenMap(self.attributes))
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "kind", kind)
+        _set(self, "type_ref", type_ref)
+        _set(self, "position", position)
+        _set(self, "attributes", FrozenMap(attributes))
 
     def has_finite_position(self) -> bool:
         return self.position is None or all(math.isfinite(c) for c in self.position)
 
 
-@dataclass(frozen=True)
-class ProcessNode:
-    id: str
-    label: str
+class ProcessNode(Record):
+    __slots__ = ("id", "label")
 
-    def __post_init__(self) -> None:
-        check_id(self.id)
+    def __init__(self, id: str, label: str) -> None:
+        _set(self, "id", check_id(id))
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class SkillNode:
+class SkillNode(Record):
     """An abstract resource capability, e.g. "manipulation" or "screwing"."""
 
-    id: str
-    label: str
+    __slots__ = ("id", "label")
 
-    def __post_init__(self) -> None:
-        check_id(self.id)
+    def __init__(self, id: str, label: str) -> None:
+        _set(self, "id", check_id(id))
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(Record):
     """Ties a product to a process, as consumed input or produced output."""
 
-    product: str
-    process: str
-    role: FlowRole
+    __slots__ = ("product", "process", "role")
+
+    def __init__(self, product: str, process: str, role: FlowRole) -> None:
+        if type(role) is not FlowRole:
+            raise BiPanError("invalid-role", f"flow {product!r}-{process!r}: role {role!r} "
+                             "is not a FlowRole")
+        _set(self, "product", product)
+        _set(self, "process", process)
+        _set(self, "role", role)
 
 
-@dataclass(frozen=True)
-class SkillEdge:
-    process: str
-    skill: str
+class SkillEdge(Record):
+    __slots__ = ("process", "skill")
+
+    def __init__(self, process: str, skill: str) -> None:
+        _set(self, "process", process)
+        _set(self, "skill", skill)
 
 
-@dataclass(frozen=True)
-class FastensLink:
+class FastensLink(Record):
     """Optional refinement: a fastener product and the sibling inputs it secures."""
 
-    fastener: str
-    secures: frozenset[str]
+    __slots__ = ("fastener", "secures")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fastener: str, secures: frozenset[str]) -> None:
         try:
-            object.__setattr__(self, "secures", frozenset(self.secures))
+            secures = frozenset(secures)
         except TypeError:  # an unhashable id, which ``check_id`` names
-            for node_id in self.secures:
+            for node_id in secures:
                 check_id(node_id)
             raise
+        _set(self, "fastener", fastener)
+        _set(self, "secures", secures)
 
 
 class Adjacency(NamedTuple):
@@ -196,15 +264,14 @@ def _normalized(edges: tuple, key: Callable) -> tuple:
     """``edges`` sorted by ``key``, exact duplicates dropped.
 
     ``key`` holds every field of an edge, so equal edges have equal keys. A dict
-    over those tuples drops duplicates without calling the dataclass ``__hash__``
+    over those tuples drops duplicates without calling the record ``__hash__``
     and the enum's, which are Python functions.
     """
     keyed = {key(edge): edge for edge in edges}
     return tuple(keyed[k] for k in sorted(keyed))
 
 
-@dataclass(frozen=True)
-class BiPanModel:
+class BiPanModel(Record):
     """Immutable bidirectional product-process-resource network.
 
     Node and edge collections are normalized on construction: sorted by id and
@@ -215,28 +282,19 @@ class BiPanModel:
     of the value.
     """
 
-    id: str
-    products: tuple[ProductNode, ...] = ()
-    processes: tuple[ProcessNode, ...] = ()
-    skills: tuple[SkillNode, ...] = ()
-    flows: tuple[FlowEdge, ...] = ()
-    skill_edges: tuple[SkillEdge, ...] = ()
-    fastens: tuple[FastensLink, ...] = ()
-    _nodes: dict[str, ProductNode | ProcessNode | SkillNode] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _skill_labels: dict[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    adjacency: Adjacency = field(init=False, repr=False, compare=False)
+    __slots__ = ("id", "products", "processes", "skills", "flows", "skill_edges", "fastens",
+                 "_nodes", "_skill_labels", "adjacency", "__dict__")  # a dict for cached facts
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, products: tuple[ProductNode, ...] = (),
+                 processes: tuple[ProcessNode, ...] = (), skills: tuple[SkillNode, ...] = (),
+                 flows: tuple[FlowEdge, ...] = (), skill_edges: tuple[SkillEdge, ...] = (),
+                 fastens: tuple[FastensLink, ...] = ()) -> None:
         # One id -> node map over all families. Duplicates within a family are
         # reported first, in input order; then the least id a family shares with
         # an earlier one.
-        nodes = self._nodes
+        nodes: dict[str, ProductNode | ProcessNode | SkillNode] = {}
         shared: list[tuple[int, str, str]] = []
-        for rank, family in enumerate((self.products, self.processes, self.skills)):
+        for rank, family in enumerate((products, processes, skills)):
             for node in family:
                 held = nodes.get(node.id)
                 if type(held) is type(node):
@@ -252,22 +310,24 @@ class BiPanModel:
 
         try:
             # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
-            flows = _normalized(self.flows, lambda f: (f.process, f.role._value_, f.product))
-            skill_edges = _normalized(self.skill_edges, lambda e: (e.process, e.skill))
-            fastens = _normalized(self.fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
+            flows = _normalized(flows, lambda f: (f.process, f.role._value_, f.product))
+            skill_edges = _normalized(skill_edges, lambda e: (e.process, e.skill))
+            fastens = _normalized(fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
         except TypeError:  # an id that is no string failed to hash or sort; ``check_id`` names it
             for ids in (
-                *((f.product, f.process) for f in self.flows),
-                *((e.process, e.skill) for e in self.skill_edges),
-                *((link.fastener, *link.secures) for link in self.fastens),
+                *((f.product, f.process) for f in flows),
+                *((e.process, e.skill) for e in skill_edges),
+                *((link.fastener, *link.secures) for link in fastens),
             ):
                 for node_id in ids:
                     check_id(node_id)
             raise
 
         by_id = attrgetter("id")
-        for name in ("products", "processes", "skills"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=by_id)))
+        _set(self, "id", id)
+        _set(self, "products", tuple(sorted(products, key=by_id)))
+        _set(self, "processes", tuple(sorted(processes, key=by_id)))
+        _set(self, "skills", tuple(sorted(skills, key=by_id)))
 
         # One pass over the sorted edges checks each endpoint and fills the adjacency
         # maps, so every neighbour tuple comes out in ascending id order. Each map is
@@ -296,11 +356,13 @@ class BiPanModel:
                 if pid not in producers:
                     raise _dangling("fastens link", "product", pid)
 
-        object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "skill_edges", skill_edges)
-        object.__setattr__(self, "fastens", fastens)
+        _set(self, "flows", flows)
+        _set(self, "skill_edges", skill_edges)
+        _set(self, "fastens", fastens)
+        _set(self, "_nodes", nodes)
+        _set(self, "_skill_labels", {})
         maps = (inputs, outputs, producers, consumers, skill_ids)
-        object.__setattr__(self, "adjacency", Adjacency(
+        _set(self, "adjacency", Adjacency(
             *(FrozenMap({node_id: tuple(ids) for node_id, ids in m.items()}) for m in maps)
         ))
 

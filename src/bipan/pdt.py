@@ -10,13 +10,12 @@ reproducible.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, check_id
+from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, Record, _set, check_id, replace
 
 if TYPE_CHECKING:
     from bipan.plan import Plan
@@ -46,48 +45,48 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record, unhashed=("payload",)):
     """One log entry; ``when`` is ``timestamp`` parsed once, at construction.
 
     ``payload`` is a read-only copy of the mapping given, left out of the hash.
     """
 
-    timestamp: str
-    kind: str
-    payload: Mapping[str, str] = field(default_factory=dict, hash=False)
-    when: datetime = field(init=False, compare=False, repr=False)
+    __slots__ = ("timestamp", "kind", "payload", "when")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "when", parse_timestamp(self.timestamp))
-        object.__setattr__(self, "payload", FrozenMap(self.payload))
+    def __init__(self, timestamp: str, kind: str,
+                 payload: Mapping[str, str] = FrozenMap()) -> None:
+        _set(self, "when", parse_timestamp(timestamp))
+        _set(self, "timestamp", timestamp)
+        _set(self, "kind", kind)
+        _set(self, "payload", FrozenMap(payload))
 
 
-@dataclass(frozen=True)
-class PdtInstance:
+class PdtInstance(Record, unhashed=("health",)):
     """Digital twin of one physical product, bound to a model version.
 
     ``health`` is a read-only copy of the mapping given, left out of the hash.
     """
 
-    instance_id: str
-    model_id: str
-    model_digest: str
-    health: Mapping[str, Health] = field(hash=False)
-    events: tuple[Event, ...] = ()
+    __slots__ = ("instance_id", "model_id", "model_digest", "health", "events")
 
-    def __post_init__(self) -> None:
+    def __init__(self, instance_id: str, model_id: str, model_digest: str,
+                 health: Mapping[str, Health], events: tuple[Event, ...] = ()) -> None:
         # The id names the twin's file, so it must not carry a path separator.
-        if not self.instance_id:
+        if not instance_id:
             raise BiPanError("empty-id", "instance id must be non-empty")
-        check_id(self.instance_id)
-        object.__setattr__(self, "health", FrozenMap(self.health))
-        for earlier, event in zip(self.events, self.events[1:]):
+        check_id(instance_id)
+        health = FrozenMap(health)
+        for earlier, event in zip(events, events[1:]):
             if event.when < earlier.when:
                 raise BiPanError(
                     "time-regression",
                     f"event log timestamps decrease at {event.timestamp!r}",
                 )
+        _set(self, "instance_id", instance_id)
+        _set(self, "model_id", model_id)
+        _set(self, "model_digest", model_digest)
+        _set(self, "health", health)
+        _set(self, "events", events)
 
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))

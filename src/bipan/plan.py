@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Collection, Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 from bipan import validate  # registered unloaded; runs only when a planner validates a model
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, ProductKind, check_id
+from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, ProductKind, Record, _set, check_id
 
 
 class Direction(Enum):
@@ -57,26 +56,33 @@ def _inverted(labels: Iterable[str], inv: Mapping[str, str]) -> tuple[str, ...]:
     return tuple(sorted({inv.get(label, label) for label in labels}))
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Record):
     """One directed process application with resolved inventory effect and skills."""
 
-    process: str
-    direction: Direction
-    consumed: tuple[str, ...]
-    produced: tuple[str, ...]
-    required_skills: tuple[str, ...]
-    swap_target: str | None = None
-    swap_replacement: str | None = None
+    __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
+                 "swap_replacement")
+
+    def __init__(self, process: str, direction: Direction, consumed: tuple[str, ...],
+                 produced: tuple[str, ...], required_skills: tuple[str, ...],
+                 swap_target: str | None = None, swap_replacement: str | None = None) -> None:
+        _set(self, "process", process)
+        _set(self, "direction", direction)
+        _set(self, "consumed", consumed)
+        _set(self, "produced", produced)
+        _set(self, "required_skills", required_skills)
+        _set(self, "swap_target", swap_target)
+        _set(self, "swap_replacement", swap_replacement)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """Ordered steps bound to one model version via its digest."""
 
-    model_id: str
-    model_digest: str
-    steps: tuple[PlanStep, ...]
+    __slots__ = ("model_id", "model_digest", "steps")
+
+    def __init__(self, model_id: str, model_digest: str, steps: tuple[PlanStep, ...]) -> None:
+        _set(self, "model_id", model_id)
+        _set(self, "model_digest", model_digest)
+        _set(self, "steps", steps)
 
     def process_sequence(self) -> tuple[str, ...]:
         return tuple(step.process for step in self.steps)

@@ -8,12 +8,11 @@ findings are reported, not suppressed, and the output order is deterministic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, ProductKind
+from bipan.model import BiPanModel, ProductKind, Record, _set
 
 #: Neighbour ids of each node in one direction of the flow graph.
 _Graph = Mapping[str, tuple[str, ...]]
@@ -24,22 +23,26 @@ class Severity(Enum):
     WARNING = "Warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    nodes: tuple[str, ...]
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("code", "nodes", "message")
+
+    def __init__(self, code: str, nodes: tuple[str, ...], message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "nodes", nodes)
+        _set(self, "message", message)
 
     @property
     def severity(self) -> Severity:
         return Severity.WARNING if self.code in ("V009", "V010") else Severity.ERROR
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(Record):
     """All findings for one model, sorted by (code, first node id)."""
 
-    items: tuple[Diagnostic, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Diagnostic, ...]) -> None:
+        _set(self, "items", items)
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:

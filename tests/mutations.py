@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
-import dataclasses
-
-from bipan.model import BiPanModel, FlowEdge, FlowRole, ProductKind
+from bipan.model import BiPanModel, FlowEdge, FlowRole, ProductKind, replace
 
 
 def drop_flows(model: BiPanModel, *matches: tuple[str, str, FlowRole]) -> BiPanModel:
     gone = set(matches)
     flows = tuple(f for f in model.flows if (f.product, f.process, f.role) not in gone)
-    return dataclasses.replace(model, flows=flows)
+    return replace(model, flows=flows)
 
 
 def add_flow(model: BiPanModel, product: str, process: str, role: FlowRole) -> BiPanModel:
-    return dataclasses.replace(model, flows=(*model.flows, FlowEdge(product, process, role)))
+    return replace(model, flows=(*model.flows, FlowEdge(product, process, role)))
 
 
 def rekind(model: BiPanModel, product_id: str, kind: ProductKind) -> BiPanModel:
     products = tuple(
-        dataclasses.replace(p, kind=kind) if p.id == product_id else p for p in model.products
+        replace(p, kind=kind) if p.id == product_id else p for p in model.products
     )
-    return dataclasses.replace(model, products=products)
+    return replace(model, products=products)
 
 
 #: code -> (mutate, node expected to appear in that code's finding)

@@ -65,10 +65,10 @@ class TestValidate:
         assert captured.err.startswith("error: invalid-model:")
 
     def test_warnings_alone_exit_0(self, workdir, capsys):
-        import dataclasses
+        from bipan.model import replace
 
         model = battery_model()
-        stripped = dataclasses.replace(
+        stripped = replace(
             model, skill_edges=tuple(e for e in model.skill_edges if e.process != "p4")
         )
         (workdir / "warn.bipan.json").write_bytes(io.save_model(stripped))
@@ -786,6 +786,7 @@ CLI_IMPORTS = frozenset("""
     reprlib stat types typing urllib warnings
 """.split())
 ONLY_ON_DEMAND = ("xml.etree", "hashlib")  # imported by import-aml and by digests alone
+NEVER_LOADED = ("dataclasses", "inspect")  # records are built without ``dataclasses``
 LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", "validate")
 
 # The ``bipan`` submodules whose code each command runs; the others stay registered
@@ -915,9 +916,12 @@ class TestStartup:
         assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
         assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
         code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
+        code += f"print('loaded:', *[m for m in {NEVER_LOADED!r} if m in sys.modules])\n"
         result = run_bare(code + "sys.exit(status)\n", args, workdir)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1].split() == ["ran:", *sorted(expected.split())]
+        *_, ran, loaded = result.stdout.splitlines()
+        assert ran.split() == ["ran:", *sorted(expected.split())]
+        assert loaded.split() == ["loaded:"]
 
     @pytest.mark.parametrize(
         "name,doc,args",
@@ -1070,6 +1074,24 @@ class TestAtomicOut:
         data = (workdir / "out.txt").read_bytes()
         assert data.startswith(plan)
         assert json.loads(data[len(plan):])["feasible"] is False
+
+    @pytest.mark.parametrize("out", ["/dev/stderr", "err.txt"])
+    def test_out_that_is_stderr_goes_through_stderr(self, workdir, fixtures_dir, out):
+        """Stderr redirected to a file: the plan and then every error line land in it."""
+        argv = ["plan", "repair", "f1.bipan.json", "--broken", "mod8", "--replace", "mod8=mod8r",
+                "--registry", "registry_no_cables.json", "--out", out]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        with open(workdir / "err.txt", "wb") as stderr:
+            result = subprocess.run([sys.executable, "-m", "bipan.cli", *argv], cwd=workdir,
+                                    env=env, stdout=subprocess.PIPE, stderr=stderr)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["feasible"] is False
+        plan = (fixtures_dir / "f1_repair_mod8.plan.json").read_bytes()
+        data = (workdir / "err.txt").read_bytes()
+        assert data.startswith(plan)
+        *missing, error = data[len(plan):].decode("utf-8").splitlines()
+        assert missing and all("missing connecting-cables" in line for line in missing)
+        assert error.startswith("error: infeasible: ")
 
     def test_out_to_a_device_is_written_through(self, workdir, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given
 
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, apply_step, initial_inventory, run
-from bipan.model import COMPONENT_KINDS
+from bipan.model import COMPONENT_KINDS, replace
 from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, full_disassembly, repair_plan
 from mutations import MUTANTS
 from strategies import build_random_model, models
@@ -141,7 +140,7 @@ class TestStepMismatch:
             apply_step(state, forward(f1, "p2"), f1)
         assert err.value.code == "step-mismatch"
         resolved = tuple(sorted("mod8r" if i == "mod8" else i for i in f1.inputs_of("p2")))
-        step = dataclasses.replace(forward(f1, "p2"), consumed=resolved)
+        step = replace(forward(f1, "p2"), consumed=resolved)
         assert "stage2" in apply_step(state, step, f1).present
 
 
@@ -156,21 +155,21 @@ class TestRun:
         assert trace.final.present == initial_inventory(f1).present
 
     def test_empty_plan(self, f1):
-        plan = dataclasses.replace(assembly_recipe(f1), steps=())
+        plan = replace(assembly_recipe(f1), steps=())
         state = ExecState(frozenset({"battery"}), {})
         trace = run(plan, state, f1)
         assert len(trace) == 0
         assert trace.final == state
 
     def test_digest_mismatch(self, f1):
-        plan = dataclasses.replace(assembly_recipe(f1), model_digest="0" * 64)
+        plan = replace(assembly_recipe(f1), model_digest="0" * 64)
         with pytest.raises(BiPanError) as err:
             run(plan, initial_inventory(f1), f1)
         assert err.value.code == "digest-mismatch"
 
     def test_failure_reports_step_index(self, f1):
         plan = assembly_recipe(f1)
-        broken = dataclasses.replace(plan, steps=(plan.steps[0], plan.steps[0], *plan.steps[1:]))
+        broken = replace(plan, steps=(plan.steps[0], plan.steps[0], *plan.steps[1:]))
         with pytest.raises(BiPanError) as err:
             run(broken, initial_inventory(f1), f1)
         assert err.value.code == "missing-input"
@@ -220,9 +219,9 @@ class TestTraceEntries:
         plan, start = assembly_recipe(chain), initial_inventory(chain)
         assert len(plan.steps) == 1000
         built = []
-        post_init = ExecState.__post_init__
+        init = ExecState.__init__
         monkeypatch.setattr(
-            ExecState, "__post_init__", lambda state: built.append(state) or post_init(state)
+            ExecState, "__init__", lambda state, *args: built.append(state) or init(state, *args)
         )
         trace = run(plan, start, chain)
         assert len(built) <= 2

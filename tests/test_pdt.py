@@ -164,10 +164,10 @@ class TestPlanRepair:
         assert err.value.code == "nothing-broken"
 
     def test_digest_mismatch(self, f1):
-        import dataclasses
+        from bipan.model import replace
 
         twin = set_health(create_instance("V", f1), "mod8", Health.BROKEN, T0)
-        other = dataclasses.replace(f1, id="other-model")
+        other = replace(f1, id="other-model")
         with pytest.raises(BiPanError) as err:
             plan_repair_for(twin, other, {"mod8": "mod8r"}, T1)
         assert err.value.code == "digest-mismatch"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from bipan.model import (
     ProductNode,
     SkillEdge,
     SkillNode,
+    replace,
 )
 from bipan.plan import (
     DEFAULT_INVERSION,
@@ -76,15 +76,15 @@ class TestAssembly:
             id=f1.id,
             products=f1.products,
             processes=tuple(
-                dataclasses.replace(p, id=renames.get(p.id, p.id)) for p in f1.processes
+                replace(p, id=renames.get(p.id, p.id)) for p in f1.processes
             ),
             skills=f1.skills,
             flows=tuple(
-                dataclasses.replace(f, process=renames.get(f.process, f.process))
+                replace(f, process=renames.get(f.process, f.process))
                 for f in f1.flows
             ),
             skill_edges=tuple(
-                dataclasses.replace(e, process=renames.get(e.process, e.process))
+                replace(e, process=renames.get(e.process, e.process))
                 for e in f1.skill_edges
             ),
         )
@@ -227,7 +227,7 @@ class TestRepair:
             repair_plan(f1, ["ghost"], {"ghost": "g"})
         assert err.value.code == "unknown-node"
         loose = ProductNode("loose", "Loose", ProductKind.ELEMENTARY)  # unreachable: a warning only
-        detached = dataclasses.replace(f1, products=(*f1.products, loose))
+        detached = replace(f1, products=(*f1.products, loose))
         with pytest.raises(BiPanError) as err:
             repair_plan(detached, ["loose"], {"loose": "l"})
         assert err.value.code == "detached-node"
@@ -296,10 +296,10 @@ class TestRepair:
         assert counts["links"] <= 2 * len(model.products)
 
     def test_fastens_narrow_swap_scope(self, f1):
-        bolted = dataclasses.replace(
+        bolted = replace(
             f1,
             products=tuple(
-                dataclasses.replace(p, attributes={"skill": "screwing"}) if p.id == "bolts1" else p
+                replace(p, attributes={"skill": "screwing"}) if p.id == "bolts1" else p
                 for p in f1.products
             ),
             fastens=(FastensLink("bolts1", frozenset(f"mod{i}" for i in range(1, 9))),),
@@ -322,7 +322,7 @@ class TestRepair:
         # bolts1 declares no skill, clips1 declares "clipping"; both secure mod8 at p2.
         clips = ProductNode("clips1", "Clips", ProductKind.FASTENER,
                             attributes={"skill": "clipping"})
-        clipped = dataclasses.replace(
+        clipped = replace(
             f1,
             products=(*f1.products, clips),
             flows=(*f1.flows, FlowEdge("clips1", "p2", FlowRole.INPUT)),
@@ -349,7 +349,7 @@ class TestRepair:
         }
 
     def test_fastens_without_declared_skill_falls_back_to_directional(self, f1):
-        bolted = dataclasses.replace(
+        bolted = replace(
             f1, fastens=(FastensLink("bolts1", frozenset({"mod8"})),)
         )
         plan = repair_plan(bolted, ["mod8"], {"mod8": "mod8r"})

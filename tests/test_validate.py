@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -20,6 +19,7 @@ from bipan.model import (
     ProductNode,
     SkillEdge,
     SkillNode,
+    replace,
 )
 from bipan.validate import Diagnostic, Severity, ensure_valid, validate
 from mutations import MUTANTS, drop_flows
@@ -80,7 +80,7 @@ def test_rekinded_final_keeps_reachability_quiet(f1):
 
 
 def test_missing_skills_is_warning_only(f1):
-    stripped = dataclasses.replace(f1, skill_edges=tuple(e for e in f1.skill_edges if e.process != "p4"))
+    stripped = replace(f1, skill_edges=tuple(e for e in f1.skill_edges if e.process != "p4"))
     diags = validate(stripped)
     assert codes_of(diags) == {"V009"}
     assert not diags.has_errors
@@ -88,7 +88,7 @@ def test_missing_skills_is_warning_only(f1):
 
 
 def test_detached_node_is_warning_only(f1):
-    extra = dataclasses.replace(
+    extra = replace(
         f1, products=(*f1.products, ProductNode("spare", "Spare part", ProductKind.ELEMENTARY))
     )
     diags = validate(extra)
@@ -98,7 +98,7 @@ def test_detached_node_is_warning_only(f1):
 
 def test_fastens_not_co_inputs(f1):
     # screws1 feeds p1 but mod8 feeds p2: no common process hosts both.
-    bad = dataclasses.replace(f1, fastens=(FastensLink("screws1", frozenset({"mod8"})),))
+    bad = replace(f1, fastens=(FastensLink("screws1", frozenset({"mod8"})),))
     diags = validate(bad)
     assert codes_of(diags) == {"V011"}
 
@@ -109,7 +109,7 @@ def test_fastens_host_matches_brute_force(f1):
     # fastener has two consumers.
     rng = random.Random(11)
     fasteners = sorted(p.id for p in f1.products if p.kind is ProductKind.FASTENER)
-    doubled = dataclasses.replace(
+    doubled = replace(
         f1, flows=(*f1.flows, FlowEdge("screws1", "p2", FlowRole.INPUT))
     )
     outcomes = set()
@@ -121,28 +121,28 @@ def test_fastens_host_matches_brute_force(f1):
             link = FastensLink(fastener, frozenset(rng.sample(pool, rng.randint(0, 3))))
             members = {link.fastener, *link.secures}
             hosted = any(members <= set(model.inputs_of(p.id)) for p in model.processes)
-            diags = validate(dataclasses.replace(model, fastens=(link,)))
+            diags = validate(replace(model, fastens=(link,)))
             assert ("V011" in codes_of(diags)) is not hosted
             outcomes.add(hosted)
     assert outcomes == {True, False}
 
 
 def test_fastens_wrong_kind(f1):
-    bad = dataclasses.replace(f1, fastens=(FastensLink("box", frozenset({"cooling"})),))
+    bad = replace(f1, fastens=(FastensLink("box", frozenset({"cooling"})),))
     assert codes_of(validate(bad)) == {"V011"}
 
 
 def test_fastens_valid_link_is_quiet(f1):
-    good = dataclasses.replace(f1, fastens=(FastensLink("bolts1", frozenset({"mod1", "mod2"})),))
+    good = replace(f1, fastens=(FastensLink("bolts1", frozenset({"mod1", "mod2"})),))
     assert validate(good).items == ()
 
 
 def test_non_finite_position(f1):
     products = tuple(
-        dataclasses.replace(p, position=(math.nan, 0.0, 0.0)) if p.id == "mod1" else p
+        replace(p, position=(math.nan, 0.0, 0.0)) if p.id == "mod1" else p
         for p in f1.products
     )
-    diags = validate(dataclasses.replace(f1, products=products))
+    diags = validate(replace(f1, products=products))
     assert codes_of(diags) == {"V012"}
 
 
