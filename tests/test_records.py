@@ -249,19 +249,3 @@ def test_repr_is_unchanged(cls):
     factory, expected = RECORDS[cls]
     assert repr(factory()) == expected
 
-
-def test_a_role_that_is_no_flow_role_is_refused_by_the_edge():
-    with pytest.raises(BiPanError) as err:
-        BiPanModel(
-            "m",
-            (ProductNode("a", "A", ProductKind.ELEMENTARY),),
-            (ProcessNode("q", "Q"),),
-            flows=(FlowEdge("a", "q", "Input"),),
-        )
-    assert err.value.code == "invalid-role"
-
-
-def test_a_kind_that_is_no_product_kind_is_refused_by_the_node():
-    with pytest.raises(BiPanError) as err:
-        ProductNode("a", "A", "Elementary")
-    assert err.value.code == "invalid-kind"
