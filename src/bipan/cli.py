@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, TextIO
 
 from bipan import canon, exchange, io  # registered unloaded; each command loads what it uses
 from bipan.errors import EXIT_CODES, BiPanError
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from bipan.model import BiPanModel
 
@@ -63,17 +64,13 @@ def _put(stream: TextIO, data: bytes) -> None:
         buffer.flush()  # and lines written after to the other stream go after
 
 
-def _write(data: bytes) -> None:
-    _put(sys.stdout, data)
-
-
 def _note(line: str) -> None:
     """Write ``line`` to stderr as UTF-8; an undecodable argv byte prints as ``\\udcff``."""
     _put(sys.stderr, f"{line}\n".encode("utf-8", "backslashreplace"))
 
 
 def _write_lines(lines: list[str]) -> None:
-    _write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+    _emit("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 def _out_stream(out: str | None) -> TextIO | None:
@@ -94,13 +91,42 @@ def _out_stream(out: str | None) -> TextIO | None:
     return None
 
 
-def _emit(data: bytes, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None, data: bytes) -> Iterator[None]:
+    """Write ``data`` to ``out``, or to stdout if it is None, once the block succeeds.
+
+    The file behind stdout or stderr is written through that stream (:func:`_out_stream`).
+    A regular or absent file in a directory we may write is replaced through :func:`io.renamed`,
+    after any symlink, keeping its mode or taking the one ``open`` gives. Any other
+    target (a device, a FIFO or a link to one, a directory, a file in a directory we
+    may not write) is opened, as ``open`` opens it, before the block and written after it.
+    """
     stream = _out_stream(out)
     if stream is not None:
+        yield
         _put(stream, data)
-    else:
-        with io.staged_write(out, data):
-            pass
+        return
+    target = os.path.realpath(out)
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    except OSError:  # ``open`` below reports it
+        mode = 0
+    if stat.S_ISREG(mode) and os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+        with io.renamed(target, data, stat.S_IMODE(mode)):
+            yield
+        return
+    with open(out, "wb") as handle:
+        yield
+        handle.write(data)
+
+
+def _emit(data: bytes, out: str | None = None) -> None:
+    with _output(out, data):
+        pass
 
 
 def _comma_list(text: str, option: str, noun: str, entry: Callable[[str], tuple]) -> dict[str, Any]:
@@ -136,7 +162,7 @@ def _parse_replacements(text: str) -> dict[str, str]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     diags = _load_model(args.model).diagnostics
     if args.format == "json":
-        _write(canon.canonical_bytes(diags.to_obj()))
+        _emit(canon.canonical_bytes(diags.to_obj()))
     else:
         lines = []
         for d in diags.items:
@@ -181,7 +207,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "feasible": not any(missing),
             "per_step": [{"index": i, "missing_skills": list(m)} for i, m in enumerate(missing)],
         }
-        _write(canon.canonical_bytes(report))
+        _emit(canon.canonical_bytes(report))
     if not any(missing):
         return 0
     for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
@@ -205,7 +231,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
-        _write(canon.trace_bytes(trace))
+        _emit(canon.trace_bytes(trace))
     else:
         lines = [
             f"step {i}: {step.direction.value} '{step.process}' -> "
@@ -268,7 +294,7 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
 def _cmd_pdt_log(args: argparse.Namespace) -> int:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
-        _write(canon.events_bytes(pdt.events))
+        _emit(canon.events_bytes(pdt.events))
     else:
         lines = []
         for event in pdt.events:
@@ -285,13 +311,9 @@ def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
         pdt = io.read_instance_file(args.dir, args.instance_id)
         model = _load_model(args.model)
         updated, plan = plan_repair_for(pdt, model, replacements, args.at)
-        payload = io.save_plan(plan)
-        stream = _out_stream(args.out)
-        # The plan waits beside --out until the twin logs it, so a failed write logs nothing.
-        with nullcontext() if stream is not None else io.staged_write(args.out, payload):
+        # --out is opened or staged before the twin logs the plan, so a bad --out logs nothing.
+        with _output(args.out, io.save_plan(plan)):
             io.write_instance_file(updated, args.dir)
-    if stream is not None:
-        _put(stream, payload)
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -50,11 +49,11 @@ __all__ = [
     "load_state",
     "read_file",
     "read_instance_file",
+    "renamed",
     "save_instance",
     "save_model",
     "save_plan",
     "save_state",
-    "staged_write",
     "write_instance_file",
 ]
 
@@ -250,7 +249,7 @@ def instance_lock(directory: str | Path, instance_id: str) -> Iterator[None]:
 
 
 @contextmanager
-def _renamed(target: str, data: bytes, mode: int | None = None) -> Iterator[None]:
+def renamed(target: str, data: bytes, mode: int | None = None) -> Iterator[None]:
     """Write ``data`` to a temp file beside ``target``; rename it onto ``target`` once the block succeeds.
 
     Both the file and, after the rename, the directory are synced, so a crash leaves
@@ -280,39 +279,10 @@ def _renamed(target: str, data: bytes, mode: int | None = None) -> Iterator[None
         os.close(dir_fd)
 
 
-@contextmanager
-def staged_write(path: str | Path, data: bytes) -> Iterator[None]:
-    """Write ``data`` to ``path`` once the block succeeds.
-
-    A regular or absent file in a directory we may write is replaced through
-    :func:`_renamed`, after any symlink, keeping its mode or taking the one ``open``
-    gives. Any other target (a device, a FIFO or a link to one, a directory, a file in
-    a directory we may not write) is opened, as ``open`` opens it, before the block
-    and written after it.
-    """
-    path = Path(path)
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | 0o666 & ~umask
-    except OSError:  # ``open`` below reports it
-        mode = 0
-    if stat.S_ISREG(mode) and os.access(os.path.dirname(target), os.W_OK | os.X_OK):
-        with _renamed(target, data, stat.S_IMODE(mode)):
-            yield
-        return
-    with open(path, "wb") as handle:
-        yield
-        handle.write(data)
-
-
 def write_instance_file(pdt: PdtInstance, directory: str | Path) -> Path:
-    """Atomic, durable write of ``<instance_id>.pdt.json``, through :func:`_renamed`."""
+    """Atomic, durable write of ``<instance_id>.pdt.json``, through :func:`renamed`."""
     target = instance_path(directory, pdt.instance_id)
-    with _renamed(str(target), save_instance(pdt)):
+    with renamed(str(target), save_instance(pdt)):
         pass
     return target
 

@@ -192,8 +192,8 @@ def plan() -> Converter:
             raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
         return step
 
-    steps = (_list_of(decode_step), [])
-    return _record(Plan, steps=steps, model_id=(_string, ""), model_digest=(_string, ""))
+    steps = (_list_of(decode_step), None)
+    return _record(Plan, model_id=(_string, ""), model_digest=(_string, ""), steps=steps)
 
 
 @_on_first_use
@@ -212,7 +212,7 @@ def instance() -> Converter:
 @_on_first_use
 def state() -> Converter:
     from bipan.execute import ExecState
-    return _record(ExecState, present=_STRINGS, substitutions=(_str_map, {}))
+    return _record(ExecState, substitutions=(_str_map, {}), present=(_list_of(_string), None))
 
 
 def _pooled_skills(resources: tuple[dict[str, Any], ...]) -> frozenset[str]:

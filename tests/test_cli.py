@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import json
@@ -20,6 +21,7 @@ from mutations import MUTANTS
 
 T0 = "2024-05-01T10:00:00Z"
 T1 = "2024-05-01T11:00:00Z"
+SRC = Path(__file__).resolve().parents[1] / "src" / "bipan"
 
 
 @pytest.fixture
@@ -731,6 +733,12 @@ class TestHostileInput:
         assert result.stderr.startswith("error: malformed-step: step 0 (Reverse 'p5')")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_dot_overlay_of_a_model_is_parse_error(self, workdir):
+        """A document without ``steps`` is no plan: a model given as one draws no overlay."""
+        result = run_cli(["export-dot", "f1.bipan.json", "--plan", "f1.bipan.json"], workdir)
+        assert_one_error(result, "parse-error")
+        assert result.stdout == ""
+
     def test_dot_overlay_quotes_plan_ids(self, workdir):
         plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
         plan["steps"][0]["consumed"] = ['battery" -> "evil']
@@ -1093,6 +1101,26 @@ class TestAtomicOut:
         assert missing and all("missing connecting-cables" in line for line in missing)
         assert error.startswith("error: infeasible: ")
 
+    @pytest.mark.parametrize("out,stream", [("out.txt", "stdout"), ("/dev/stderr", "stderr")])
+    def test_plan_repair_out_that_is_a_standard_stream(self, workdir, fixtures_dir, out, stream):
+        """``pdt plan-repair`` writes its plan through the stream whose file ``--out`` is."""
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
+        argv = ["pdt", "plan-repair", "VIN-1", "--model", "f1.bipan.json",
+                "--replace", "mod8=mod8r", "--at", T1, "--out", out]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        with open(workdir / "out.txt", "wb") as handle:
+            streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: handle}
+            result = subprocess.run([sys.executable, "-m", "bipan.cli", *argv], cwd=workdir,
+                                    env=env, **streams)
+        piped = result.stderr if stream == "stdout" else result.stdout
+        assert result.returncode == 0 and piped == b"", piped
+        plan = (fixtures_dir / "f1_repair_mod8.plan.json").read_bytes()
+        assert (workdir / "out.txt").read_bytes() == plan
+        kinds = [event.kind for event in io.read_instance_file(workdir, "VIN-1").events]
+        assert kinds[-1] == "plan-created"
+
     def test_out_to_a_device_is_written_through(self, workdir, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("a device is neither staged nor replaced")
@@ -1103,3 +1131,25 @@ class TestAtomicOut:
         assert capsys.readouterr() == ("", "")
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+
+def test_only_cli_names_the_standard_streams():
+    """Only ``cli`` decides where a payload or a line goes: no other module names
+    ``stdout`` or ``stderr``, as an attribute or an import, or calls ``print``.
+    """
+    streams = {"stdout", "stderr", "__stdout__", "__stderr__", "print"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in streams:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
