@@ -3,8 +3,9 @@
 This is the independent oracle for every planner: a dumb multiset machine that
 applies a step's declared consumed/produced effect and knows nothing about how
 plans are derived. It checks each step against the model's flows: Forward
-consumes the process's inputs (under the substitutions so far) and produces its
-output, and Reverse is the converse. Swap additionally requires the swap site's
+consumes the process's inputs (under the substitutions so far), produces its
+output and requires the process's skill labels, and Reverse is the converse,
+with its skills unchecked. Swap additionally requires the swap site's
 output assembly to be present, a target that is one of the site's inputs and a
 replacement that names no model node, and records the broken-to-replacement
 substitution.
@@ -119,6 +120,10 @@ def _apply(
         if (tuple(consumed), tuple(produced)) != expected:
             raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
                              f"and produce [{', '.join(expected[1])}]")
+        # A Reverse step's skills go through the planner's inversion, which plans do not record.
+        skills = model.skill_labels_of(step.process)
+        if step.direction is Direction.FORWARD and tuple(step.required_skills) != skills:
+            raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
     present.difference_update(consumed)
     present.update(produced)
     if step.direction is Direction.SWAP:

@@ -7,15 +7,12 @@ findings are reported, not suppressed, and the output order is deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable
 from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel, ProductKind, Record, _set
-
-#: Neighbour ids of each node in one direction of the flow graph.
-_Graph = Mapping[str, tuple[str, ...]]
 
 
 class Severity(Enum):
@@ -165,7 +162,14 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
             )
 
 
-def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
+def _check_flow(model: BiPanModel, found: list[Diagnostic]) -> None:
+    # V004, V008 and V010 from one Kosaraju: a search against the flow records each
+    # node as it finishes; a sweep along it, latest finish first, then gathers exactly
+    # one strongly connected component from each node not yet assigned. Components
+    # are disjoint, so ``validate``'s final sort orders them by their least id. The
+    # search starts from the final product(s), whose reach is V010's; if none exist,
+    # from the sink products, so that a merely re-kinded root does not mark everything.
+    adjacency = model.adjacency
     finals = model.final_products()
     if len(finals) != 1:
         listing = f": {', '.join(finals)}" if finals else ""
@@ -176,30 +180,40 @@ def _check_final_count(model: BiPanModel, found: list[Diagnostic]) -> None:
                 f"model must contain exactly one Final product (found {len(finals)}{listing})",
             )
         )
-
-
-def _check_cycles(successors: _Graph, predecessors: _Graph, found: list[Diagnostic]) -> None:
-    # Kosaraju: one search along ``successors`` records each node as it finishes;
-    # one sweep along ``predecessors``, latest finish first, then gathers exactly
-    # one strongly connected component from each node not yet assigned. Components
-    # are disjoint, so ``validate``'s final sort orders them by their least id.
-    finished: list[str] = []
+    # The flow graph in assembly direction (input product -> process -> output
+    # product) and against it; product and process ids never clash.
+    successors = {**adjacency.consumers, **adjacency.outputs}
+    predecessors = {**adjacency.producers, **adjacency.inputs}
     seen: set[str] = set()
-    for root in successors:
-        if root in seen:
-            continue
-        seen.add(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            node, targets = work[-1]
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    work.append((target, iter(successors[target])))
-                    break
-            else:
-                work.pop()
-                finished.append(node)
+    finished: list[str] = []
+
+    def search(roots: Iterable[str]) -> None:
+        for root in roots:
+            if root in seen:
+                continue
+            seen.add(root)
+            work = [(root, iter(predecessors[root]))]
+            while work:
+                node, sources = work[-1]
+                for source in sources:
+                    if source not in seen:
+                        seen.add(source)
+                        work.append((source, iter(predecessors[source])))
+                        break
+                else:
+                    work.pop()
+                    finished.append(node)
+
+    search(finals or [p.id for p in model.products if not adjacency.consumers[p.id]])
+    # What the roots reach, with the skills of the processes among it; skill ids are
+    # no keys of ``predecessors``, so the search goes on unchanged.
+    seen.update([skill for node in seen for skill in adjacency.skill_ids.get(node, ())])
+    for node in (*model.products, *model.processes, *model.skills):
+        if node.id not in seen:
+            found.append(
+                Diagnostic("V010", (node.id,), f"'{node.id}' is unreachable from the final product")
+            )
+    search(predecessors)
 
     assigned: set[str] = set()
     for root in reversed(finished):
@@ -208,10 +222,10 @@ def _check_cycles(successors: _Graph, predecessors: _Graph, found: list[Diagnost
         assigned.add(root)
         component = [root]
         for node in component:
-            for source in predecessors[node]:
-                if source not in assigned:
-                    assigned.add(source)
-                    component.append(source)
+            for target in successors[node]:
+                if target not in assigned:
+                    assigned.add(target)
+                    component.append(target)
         if len(component) > 1:
             component.sort()
             found.append(
@@ -223,28 +237,8 @@ def _check_cycles(successors: _Graph, predecessors: _Graph, found: list[Diagnost
             )
 
 
-def _check_reachability(model: BiPanModel, predecessors: _Graph, found: list[Diagnostic]) -> None:
-    # Reverse traversal from the final product(s); if none exist, fall back to
-    # sink products so that a merely re-kinded root does not mark everything.
-    adjacency = model.adjacency
-    roots = list(model.final_products())
-    if not roots:
-        roots = [p.id for p in model.products if not adjacency.consumers[p.id]]
-    visited: set[str] = set()
-    todo = roots
-    while todo:
-        node = todo.pop()
-        if node not in visited:
-            visited.add(node)
-            todo += (*predecessors.get(node, ()), *adjacency.skill_ids.get(node, ()))
-    for node in (*model.products, *model.processes, *model.skills):
-        if node.id not in visited:
-            found.append(
-                Diagnostic("V010", (node.id,), f"'{node.id}' is unreachable from the final product")
-            )
-
-
 def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
+    consumers = model.adjacency.consumers
     for link in model.fastens:
         nodes = (link.fastener, *sorted(link.secures))
         fastener = model.product(link.fastener)
@@ -260,8 +254,8 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
             continue
         # A process with every member as an input is one of the fastener's consumers.
         if not any(
-            all(host in model.consumers_of(member) for member in link.secures)
-            for host in model.consumers_of(link.fastener)
+            all(host in consumers[member] for member in link.secures)
+            for host in consumers[link.fastener]
         ):
             found.append(
                 Diagnostic(
@@ -278,14 +272,7 @@ def validate(model: BiPanModel) -> Diagnostics:
     found: list[Diagnostic] = []
     _check_processes(model, found)
     _check_products(model, found)
-    _check_final_count(model, found)
-    # The flow graph in assembly direction (input product -> process -> output
-    # product) and against it; product and process ids never clash.
-    adjacency = model.adjacency
-    successors = {**adjacency.consumers, **adjacency.outputs}
-    predecessors = {**adjacency.producers, **adjacency.inputs}
-    _check_cycles(successors, predecessors, found)
-    _check_reachability(model, predecessors, found)
+    _check_flow(model, found)
     _check_fastens(model, found)
     found.sort(key=lambda d: (d.code, d.nodes[0] if d.nodes else "", d.message))
     return Diagnostics(tuple(found))

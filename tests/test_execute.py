@@ -111,6 +111,7 @@ FORGED = {
     "reverse-with-swapped-lists": PlanStep("p1", Direction.REVERSE, P1_INPUTS, ("stage1",), ()),
     "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, (), (), (), "cover", "mod8r"),
     "replacement-names-a-node": PlanStep("p2", Direction.SWAP, (), (), (), "mod8", "bms"),
+    "forged-skills": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage1",), ()),
 }
 
 

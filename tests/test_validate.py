@@ -167,12 +167,13 @@ def test_generated_models_have_no_errors(model):
 
 @st.composite
 def flow_graphs(draw):
-    """Small models with random flows and kinds: mostly cycles, shared producers
-    or consumers, detached nodes, and zero or several finals. Ids interleave the
-    three families in sort order."""
-    ids = draw(st.permutations([f"n{i}" for i in range(12)]))
-    n_products, n_processes = draw(st.integers(1, 6)), draw(st.integers(0, 4))
-    n_skills = draw(st.integers(0, 2))
+    """Small models with random flows and kinds, at least two flows a process: one
+    or several cycles above or below a final, shared producers or consumers,
+    detached nodes, and zero or several finals. Ids interleave the three families
+    in sort order."""
+    ids = draw(st.permutations([f"n{i}" for i in range(24)]))
+    n_products, n_processes = draw(st.integers(1, 12)), draw(st.integers(0, 8))
+    n_skills = draw(st.integers(0, 3))
     product_ids = ids[:n_products]
     process_ids = ids[n_products : n_products + n_processes]
     skill_ids = ids[n_products + n_processes : n_products + n_processes + n_skills]
@@ -184,10 +185,10 @@ def flow_graphs(draw):
             FlowEdge, st.sampled_from(product_ids), st.sampled_from(process_ids),
             st.sampled_from(FlowRole),
         )
-        flows = tuple(draw(st.lists(flow, max_size=14)))
+        flows = tuple(draw(st.lists(flow, min_size=2 * n_processes, max_size=28)))
         if skill_ids:
             edge = st.builds(SkillEdge, st.sampled_from(process_ids), st.sampled_from(skill_ids))
-            skill_edges = tuple(draw(st.lists(edge, max_size=4)))
+            skill_edges = tuple(draw(st.lists(edge, max_size=6)))
     return BiPanModel(
         "g",
         products,
