@@ -5,10 +5,11 @@ applies a step's declared consumed/produced effect and knows nothing about how
 plans are derived. It checks each step against the model's flows: Forward
 consumes the process's inputs (under the substitutions so far), produces its
 output and requires the process's skill labels, and Reverse is the converse,
-with its skills unchecked. Swap additionally requires the swap site's
+requiring those labels inverted through ``plan.INVERSION``. Swap consumes its
+replacement and produces its target, and additionally requires the swap site's
 output assembly to be present, a target that is one of the site's inputs and a
-replacement that names no model node, and records the broken-to-replacement
-substitution.
+replacement that names no model node; its skills are unchecked. It records the
+broken-to-replacement substitution.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
 from bipan.model import BiPanModel, FrozenMap, Record, _set
-from bipan.plan import Direction, Plan, PlanStep
+from bipan.plan import INVERSION, Direction, Plan, PlanStep
 
 
 class ExecState(Record, unhashed=("substitutions",)):
@@ -112,18 +113,22 @@ def _apply(
         if model.has_node(step.swap_replacement):
             raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
                              f"names a node in model '{model.id}'", consumed)
+        expected, skills = (consumed, produced), None
     else:
         inputs, outputs = adjacency.inputs[step.process], adjacency.outputs[step.process]
         if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
             inputs = tuple(sorted(substitutions.get(i, i) for i in inputs))
-        expected = (inputs, outputs) if step.direction is Direction.FORWARD else (outputs, inputs)
-        if (tuple(consumed), tuple(produced)) != expected:
-            raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
-                             f"and produce [{', '.join(expected[1])}]")
-        # A Reverse step's skills go through the planner's inversion, which plans do not record.
         skills = model.skill_labels_of(step.process)
-        if step.direction is Direction.FORWARD and tuple(step.required_skills) != skills:
-            raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
+        if step.direction is Direction.FORWARD:
+            expected = (inputs, outputs)
+        else:
+            expected = (outputs, inputs)
+            skills = tuple(sorted({INVERSION.get(label, label) for label in skills}))
+    if (tuple(step.consumed), tuple(step.produced)) != expected:
+        raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
+                         f"and produce [{', '.join(expected[1])}]")
+    if skills is not None and tuple(step.required_skills) != skills:
+        raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
     present.difference_update(consumed)
     present.update(produced)
     if step.direction is Direction.SWAP:

@@ -41,9 +41,9 @@ class DisassemblyMode(Enum):
     EXTRACT = "Extract"
 
 
-#: Default assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
-#: Read-only, as it is the shared default of every planner's ``inv``; pass ``{}`` for none.
-DEFAULT_INVERSION: Mapping[str, str] = FrozenMap(
+#: The assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
+#: Read-only, as every planner and the replay oracle read it.
+INVERSION: Mapping[str, str] = FrozenMap(
     {
         "screwing": "unscrewing",
         "connecting-cables": "disconnecting-cables",
@@ -52,8 +52,8 @@ DEFAULT_INVERSION: Mapping[str, str] = FrozenMap(
 )
 
 
-def _inverted(labels: Iterable[str], inv: Mapping[str, str]) -> tuple[str, ...]:
-    return tuple(sorted({inv.get(label, label) for label in labels}))
+def _inverted(labels: Iterable[str]) -> tuple[str, ...]:
+    return tuple(sorted({INVERSION.get(label, label) for label in labels}))
 
 
 class PlanStep(Record):
@@ -141,9 +141,7 @@ def _forward_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -
     )
 
 
-def _reverse_step(
-    model: BiPanModel, process_id: str, inputs: tuple[str, ...], inv: Mapping[str, str]
-) -> PlanStep:
+def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -> PlanStep:
     """The process undone, producing ``inputs``: its own, or a repair's resolved ones."""
     output = model.output_of(process_id)
     assert output is not None
@@ -152,7 +150,7 @@ def _reverse_step(
         direction=Direction.REVERSE,
         consumed=(output,),
         produced=inputs,
-        required_skills=_inverted(model.skill_labels_of(process_id), inv),
+        required_skills=_inverted(model.skill_labels_of(process_id)),
     )
 
 
@@ -163,20 +161,15 @@ def assembly_recipe(model: BiPanModel) -> Plan:
     return Plan(model.id, model.digest, steps)
 
 
-def full_disassembly(model: BiPanModel, inv: Mapping[str, str] = DEFAULT_INVERSION) -> Plan:
+def full_disassembly(model: BiPanModel) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     validate.ensure_valid(model)
     order = reversed(assembly_order(model))
-    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid), inv) for pid in order)
+    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid)) for pid in order)
     return Plan(model.id, model.digest, steps)
 
 
-def disassembly_to(
-    model: BiPanModel,
-    target: str,
-    mode: DisassemblyMode,
-    inv: Mapping[str, str] = DEFAULT_INVERSION,
-) -> Plan:
+def disassembly_to(model: BiPanModel, target: str, mode: DisassemblyMode) -> Plan:
     """Partial disassembly toward one product.
 
     Expose reverses from the root down to (excluding) the target's consuming
@@ -189,17 +182,15 @@ def disassembly_to(
     spine = model.spine(target)
     root_first = tuple(reversed(spine))
     selected = root_first if mode is DisassemblyMode.EXTRACT else root_first[:-1]
-    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid), inv) for pid in selected)
+    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid)) for pid in selected)
     return Plan(model.id, model.digest, steps)
 
 
-def _swap_skills(
-    model: BiPanModel, site: str, securing: Collection[str], inv: Mapping[str, str]
-) -> tuple[str, ...]:
+def _swap_skills(model: BiPanModel, site: str, securing: Collection[str]) -> tuple[str, ...]:
     labels = model.skill_labels_of(site)
     if securing:
         scope = {"manipulation"}
-        directional = {label for label in labels if inv.get(label, label) != label}
+        directional = {label for label in labels if INVERSION.get(label, label) != label}
         for fastener_id in securing:
             declared = model.product(fastener_id).attributes.get("skill")
             if declared:
@@ -208,15 +199,10 @@ def _swap_skills(
                 scope |= directional
     else:
         scope = set(labels)
-    return tuple(sorted(scope | {inv.get(label, label) for label in scope}))
+    return tuple(sorted(scope | {INVERSION.get(label, label) for label in scope}))
 
 
-def repair_plan(
-    model: BiPanModel,
-    broken: Iterable[str],
-    replacements: Mapping[str, str],
-    inv: Mapping[str, str] = DEFAULT_INVERSION,
-) -> Plan:
+def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[str, str]) -> Plan:
     """Single descend/ascend pass replacing every broken component.
 
     The plan reverses each process strictly above a swap site (root first),
@@ -288,7 +274,7 @@ def repair_plan(
         for site in sorted(freed_by.get(process_id, ())):
             for component in sites[site]:
                 replacement = replacements[component]
-                skills = _swap_skills(model, site, securing.get(component, ()), inv)
+                skills = _swap_skills(model, site, securing.get(component, ()))
                 steps.append(PlanStep(site, Direction.SWAP, (replacement,), (component,), skills,
                                       swap_target=component, swap_replacement=replacement))
                 substitution[component] = replacement
@@ -298,7 +284,7 @@ def repair_plan(
 
     emit_swaps_freed_by(None)
     for process_id in reversal:
-        steps.append(_reverse_step(model, process_id, resolve(model.inputs_of(process_id)), inv))
+        steps.append(_reverse_step(model, process_id, resolve(model.inputs_of(process_id))))
         emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
         steps.append(_forward_step(model, process_id, resolve(model.inputs_of(process_id))))

@@ -147,11 +147,6 @@ def test_6_skill_inversion():
     by_process = {step.process: step.required_skills for step in reverse.steps}
     assert by_process["p2"] == ("disconnecting-cables", "manipulation", "unscrewing")
 
-    forward = assembly_recipe(model)
-    expected = {step.process: step.required_skills for step in forward.steps}
-    identity = full_disassembly(model, {})
-    assert {s.process: s.required_skills for s in identity.steps} == expected
-
 
 @criterion(7, "resource feasibility gap")
 def test_7_feasibility():

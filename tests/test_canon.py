@@ -345,7 +345,7 @@ def test_tricky_state_and_trace_bytes_equal_the_oracle(state, targets, replaceme
     assert io.save_state(state) == state_bytes(state)
     pairs = [(t, r) for t, r in zip(targets, replacements) if r not in targets]
     steps = tuple(
-        PlanStep("p", Direction.SWAP, (), (), (), swap_target=target, swap_replacement=replacement)
+        PlanStep("p", Direction.SWAP, (replacement,), (target,), (), target, replacement)
         for target, replacement in pairs
     )
     start = ExecState({"out", *(replacement for _, replacement in pairs)}, state.substitutions)

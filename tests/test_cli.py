@@ -37,10 +37,10 @@ def model_path(workdir):
     return str(workdir / "f1.bipan.json")
 
 
-def run_cli(args, cwd):
-    """``python -m bipan.cli`` in a fresh interpreter, as a user runs it."""
+def run_cli(args, cwd, **env):
+    """``python -m bipan.cli`` in a fresh interpreter, as a user runs it, with ``env`` added."""
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
         [sys.executable, "-m", "bipan.cli", *args], cwd=cwd, env=env, capture_output=True, text=True
     )
@@ -367,6 +367,29 @@ class TestExec:
         result = run_cli(argv, workdir)
         assert result.returncode == 3 and result.stdout == ""
         assert result.stderr.startswith("error: step-mismatch: step 0 (Forward 'p5'): ")
+
+    @pytest.mark.parametrize("direction, lists, skills", [
+        ("Reverse", None, ["screwing"]),
+        ("Swap", (["bogus"], ["cover", "battery"]), None),
+    ], ids=["reverse-skills", "swap-lists"])
+    def test_forged_golden_repair_step_exit_3(self, fixtures_dir, workdir, capsys, direction,
+                                               lists, skills):
+        """The golden repair plan with one Reverse step's skills, or its Swap's lists, forged."""
+        doc = json.loads((fixtures_dir / "f1_repair_mod8.plan.json").read_text())
+        index, step = next((i, s) for i, s in enumerate(doc["steps"])
+                           if s["direction"] == direction)
+        if lists is not None:
+            step["consumed"], step["produced"] = lists
+        if skills is not None:
+            step["required_skills"] = skills
+        (workdir / "forged.plan.json").write_text(json.dumps(doc))
+        argv = ["exec", str(workdir / "forged.plan.json"), model_path(workdir),
+                "--inventory", "final"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: step-mismatch: step {index} ({direction} '{step['process']}'): must ")
 
 
 class TestAmlAndDot:
@@ -970,6 +993,26 @@ class TestStartup:
         assert last.split()[1:] == list(loaded)
         if args[0] == "import-aml":
             assert len(json.loads(output)["products"]) == 10
+
+
+def test_stdout_is_byte_identical_across_hash_seeds(workdir, fixtures_dir):
+    """No set or dict order reaches the output: each command prints the same bytes under
+    two hash seeds, including a validation report of many findings."""
+    model = battery_model()
+    for code in ("V003", "V005", "V006", "V008"):
+        model = MUTANTS[code][0](model)
+    (workdir / "bad.bipan.json").write_bytes(io.save_model(model))
+    plan = str(fixtures_dir / "f1_repair_mod8.plan.json")
+    commands = [
+        ["plan", "repair", "f1.bipan.json", "--broken", "mod8", "--replace", "mod8=mod8r"],
+        ["exec", plan, "f1.bipan.json", "--inventory", "final", "--format", "json"],
+        ["export-dot", "f1.bipan.json", "--plan", plan],
+        ["validate", "bad.bipan.json", "--format", "json"],
+    ]
+    for argv in commands:
+        first, second = (run_cli(argv, workdir, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+        assert first.stdout and first.returncode == second.returncode, (argv, first.stderr)
+        assert first.stdout == second.stdout, argv
 
 
 class TestUsage:

@@ -93,6 +93,19 @@ class TestApplyStep:
         assert (err.value.code, err.value.nodes) == ("double-produce", ("mod8",))
         assert err.value.detail.startswith("step 0 (Swap 'p2'): ")
 
+    def test_swap_without_target_or_replacement_is_malformed(self, f1):
+        swap = PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), (), None, "mod8r")
+        with pytest.raises(BiPanError) as err:
+            apply_step(ExecState({"stage2", "mod8r"}), swap, f1)
+        assert err.value.code == "malformed-step"
+
+    def test_swap_site_without_one_output_is_missing_input(self, f1):
+        no_output = MUTANTS["V001"][0](f1)  # p1 lost its output stage1
+        swap = PlanStep("p1", Direction.SWAP, ("boxr",), ("box",), (), "box", "boxr")
+        with pytest.raises(BiPanError) as err:
+            apply_step(ExecState({"stage1", "boxr"}), swap, no_output)
+        assert err.value.code == "missing-input"
+
     def test_reverse_undoes_forward(self, f1):
         state = initial_inventory(f1)
         for process in ("p1", "p2", "p3"):
@@ -102,16 +115,23 @@ class TestApplyStep:
 
 
 P1_INPUTS = ("box", "cooling", "screws1")
-# Forged steps that pass the inventory checks from the initial inventory, or from
-# the swap site's stage with the replacement beside it, but do not match the model.
+# Forged steps that pass the inventory checks from the initial inventory, from the
+# swap site's stage with the replacement beside it, or, for Reverse, from exactly
+# what they consume, but do not match the model.
 FORGED = {
     "missing-input": PlanStep("p1", Direction.FORWARD, ("box", "cooling"), ("stage1",), ()),
     "extra-input": PlanStep("p1", Direction.FORWARD, (*P1_INPUTS, "mod1"), ("stage1",), ()),
     "wrong-output": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage2",), ()),
     "reverse-with-swapped-lists": PlanStep("p1", Direction.REVERSE, P1_INPUTS, ("stage1",), ()),
-    "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, (), (), (), "cover", "mod8r"),
-    "replacement-names-a-node": PlanStep("p2", Direction.SWAP, (), (), (), "mod8", "bms"),
+    "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, ("mod8r",), ("cover",), (), "cover",
+                                    "mod8r"),
+    "replacement-names-a-node": PlanStep("p2", Direction.SWAP, ("bms",), ("mod8",), (), "mod8",
+                                         "bms"),
+    "swap-lists-differ": PlanStep("p2", Direction.SWAP, ("bogus",), ("cover", "battery"), (),
+                                  "mod8", "mod8r"),
     "forged-skills": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage1",), ()),
+    "forged-reverse-skills": PlanStep("p5", Direction.REVERSE, ("battery",),
+                                      ("cover", "screws2", "stage4"), ("screwing",)),
 }
 
 
@@ -120,6 +140,8 @@ class TestStepMismatch:
     def test_forged_step_is_step_mismatch(self, f1, step):
         if step.direction is Direction.SWAP:
             state = ExecState({"stage2", step.swap_replacement})
+        elif step.direction is Direction.REVERSE:
+            state = ExecState(step.consumed)
         else:
             state = initial_inventory(f1)
         with pytest.raises(BiPanError) as err:

@@ -26,7 +26,7 @@ from bipan.model import (
     check_id,
 )
 from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import DEFAULT_INVERSION
+from bipan.plan import INVERSION
 from bipan.validate import ensure_valid, validate
 from mutations import MUTANTS
 from strategies import models
@@ -338,7 +338,7 @@ RECORDS = {
 MAPPINGS = {
     **{field: lambda m, field=field: getattr(RECORDS[field](m), field) for field in RECORDS},
     "adjacency": lambda m: m.adjacency.inputs,
-    "DEFAULT_INVERSION": lambda m: DEFAULT_INVERSION,
+    "INVERSION": lambda m: INVERSION,
 }
 
 MUTATIONS = {

@@ -18,7 +18,7 @@ from bipan.model import (
     replace,
 )
 from bipan.plan import (
-    DEFAULT_INVERSION,
+    INVERSION,
     Direction,
     DisassemblyMode,
     assembly_recipe,
@@ -104,13 +104,6 @@ class TestDisassembly:
         p2 = plan.steps[3]
         assert p2.required_skills == ("disconnecting-cables", "manipulation", "unscrewing")
         assert p2.consumed == ("stage2",)
-
-    def test_identity_inversion_keeps_labels(self, f1):
-        plan = full_disassembly(f1, {})
-        forward = assembly_recipe(f1)
-        by_process = {step.process: step.required_skills for step in forward.steps}
-        for step in plan.steps:
-            assert step.required_skills == by_process[step.process]
 
     def test_single_process(self):
         plan = full_disassembly(single_process_model())
@@ -409,20 +402,20 @@ def with_inverses(inv):
 
 class TestInversion:
     def test_default_pairs(self):
-        inv = DEFAULT_INVERSION
+        inv = INVERSION
         assert relabel(inv, "screwing") == "unscrewing"
         assert relabel(inv, "connecting-cables") == "disconnecting-cables"
         assert relabel(inv, "manipulation") == "manipulation"
         assert relabel(inv, "gluing") == "gluing"
 
     def test_extended_is_involution(self, f1):
-        ext = with_inverses(DEFAULT_INVERSION)
+        ext = with_inverses(INVERSION)
         labels = {s.label for s in f1.skills} | {"unscrewing", "disconnecting-cables"}
         for label in labels:
             assert relabel(ext, relabel(ext, label)) == label
 
     def test_double_inversion_restores_forward_sets(self, f1):
-        ext = with_inverses(DEFAULT_INVERSION)
+        ext = with_inverses(INVERSION)
         forward = assembly_recipe(f1)
         for step in forward.steps:
             once = relabel_all(ext, step.required_skills)
@@ -430,7 +423,7 @@ class TestInversion:
 
     def test_default_is_read_only(self):
         with pytest.raises(TypeError):
-            DEFAULT_INVERSION["screwing"] = "gluing"
+            INVERSION["screwing"] = "gluing"
 
 
 class TestDeterminismAndSoundness:
