@@ -179,7 +179,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from bipan.plan import DisassemblyMode, assembly_recipe, check_feasibility, disassembly_to
     from bipan.plan import full_disassembly, repair_plan
-    if args.action == "repair":  # a usage error comes before any file is read
+    # A usage error comes before any file is read, as does an option the action ignores.
+    for option, value, action in (("--broken", args.broken, "repair"),
+                                  ("--replace", args.replace, "repair"),
+                                  ("--target", args.target, "disassemble")):
+        if value is not None and args.action != action:
+            raise BiPanError("usage", f"{option} applies only to plan {action}")
+    if args.mode is not None and args.target is None:
+        raise BiPanError("usage", "--mode applies only with --target")
+    if args.action == "repair":
         if args.broken is None or args.replace is None:
             raise BiPanError("usage", "plan repair requires --broken and --replace")
         broken = _comma_list(args.broken, "--broken", "component", lambda chunk: (chunk, None))
@@ -344,7 +352,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int] | None, dict
     "plan": ("extract a directional plan", _cmd_plan, {
         "action": {"choices": ["assemble", "disassemble", "repair"]}, "model": {},
         "--target": {"help": "product to disassemble toward"},
-        "--mode": {"choices": ["expose", "extract"], "default": "expose"},
+        "--mode": {"choices": ["expose", "extract"], "help": "with --target; default expose"},
         "--broken": {"help": "comma-separated broken component ids"},
         "--replace": {"help": "comma-separated old=new replacement ids"},
         "--out": {"help": "write the plan document here instead of stdout"},

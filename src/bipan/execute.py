@@ -82,12 +82,13 @@ def _apply(
     """
     if not model.has_process(step.process):
         raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
+    adjacency = model.adjacency  # ``has_process`` held, so each process map has ``step.process``
     if step.direction is Direction.SWAP:
         if step.swap_target is None or step.swap_replacement is None:
             raise BiPanError(
                 "malformed-step", f"swap step at '{step.process}' lacks target/replacement ids"
             )
-        outputs = model.outputs_of(step.process)
+        outputs = adjacency.outputs[step.process]
         if len(outputs) != 1:
             raise BiPanError(
                 "missing-input", f"swap site '{step.process}' has no unique output assembly"
@@ -104,7 +105,6 @@ def _apply(
     clashes = tuple(p for p in produced if p in present and p not in reusable)
     if clashes:
         raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
-    adjacency = model.adjacency  # ``has_process`` held, so each process map has ``step.process``
     if step.direction is Direction.SWAP:
         # The site among the target's consumers: one lookup, where the site may have many inputs.
         if step.process not in adjacency.consumers.get(step.swap_target, ()):

@@ -1,4 +1,4 @@
-"""Core bidirectional product-process-resource graph and read-only structural queries.
+"""Core bidirectional product-process-resource graph and its read-only neighbour maps.
 
 A model is an immutable value holding three node families (products, processes,
 resource skills), flow edges tying products to processes, skill edges tying
@@ -8,7 +8,8 @@ of their own: assembly and disassembly are directions of *extracted plans*, not
 of the stored graph.
 
 Construction enforces referential integrity (unique ids, resolvable edge
-endpoints); the structural rules beyond that (V-codes) live in
+endpoints) and builds ``adjacency``, the one place every module reads a node's
+neighbours from; the structural rules beyond that (V-codes) live in
 :mod:`bipan.validate`.
 """
 
@@ -276,10 +277,10 @@ class BiPanModel(Record):
 
     Node and edge collections are normalized on construction: sorted by id and
     exact duplicate edges dropped. The same construction checks every edge
-    endpoint to resolve and builds ``adjacency``, the five neighbour maps every
-    structural query reads. The other derived facts (``digest``, ``diagnostics``,
-    each process's skill labels) are computed on first use and kept for the life
-    of the value.
+    endpoint to resolve and builds ``adjacency``, the five neighbour maps that
+    validation, the planners and the replay read. The other derived facts
+    (``digest``, ``diagnostics``, each process's skill labels) are computed on
+    first use and kept for the life of the value.
     """
 
     __slots__ = ("id", "products", "processes", "skills", "flows", "skill_edges", "fastens",
@@ -399,63 +400,15 @@ class BiPanModel(Record):
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
 
-    # -- structural queries ------------------------------------------------------
-    # One lookup each: a map's keys are exactly one node family, so a miss is an unknown node.
-
-    def inputs_of(self, process_id: str) -> tuple[str, ...]:
-        """Products consumed by a process in assembly direction, ascending id."""
-        try:
-            return self.adjacency.inputs[process_id]
-        except KeyError:
-            raise self._unknown("process", process_id) from None
-
-    def outputs_of(self, process_id: str) -> tuple[str, ...]:
-        try:
-            return self.adjacency.outputs[process_id]
-        except KeyError:
-            raise self._unknown("process", process_id) from None
-
-    def output_of(self, process_id: str) -> str | None:
-        """The process output, or None; the least id if the model is malformed."""
-        outs = self.outputs_of(process_id)
-        return outs[0] if outs else None
-
-    def producers_of(self, product_id: str) -> tuple[str, ...]:
-        try:
-            return self.adjacency.producers[product_id]
-        except KeyError:
-            raise self._unknown("product", product_id) from None
-
-    def consumers_of(self, product_id: str) -> tuple[str, ...]:
-        try:
-            return self.adjacency.consumers[product_id]
-        except KeyError:
-            raise self._unknown("product", product_id) from None
-
-    def producer_of(self, product_id: str) -> str | None:
-        """The process producing this product, or None for leaves.
-
-        Unique in validated models; the least id is returned otherwise.
-        """
-        procs = self.producers_of(product_id)
-        return procs[0] if procs else None
-
-    def consumer_of(self, product_id: str) -> str | None:
-        """The process consuming this product, or None for the final product."""
-        procs = self.consumers_of(product_id)
-        return procs[0] if procs else None
-
-    def skill_ids_of(self, process_id: str) -> tuple[str, ...]:
-        try:
-            return self.adjacency.skill_ids[process_id]
-        except KeyError:
-            raise self._unknown("process", process_id) from None
-
     def skill_labels_of(self, process_id: str) -> tuple[str, ...]:
         """Sorted, de-duplicated labels of the skills linked to a process; built once for each."""
         labels = self._skill_labels.get(process_id)
         if labels is None:
-            names = {self._nodes[s].label for s in self.skill_ids_of(process_id)}
+            try:
+                skill_ids = self.adjacency.skill_ids[process_id]
+            except KeyError:  # its keys are exactly the processes
+                raise self._unknown("process", process_id) from None
+            names = {self._nodes[s].label for s in skill_ids}
             labels = self._skill_labels[process_id] = tuple(sorted(names))
         return labels
 
@@ -465,28 +418,3 @@ class BiPanModel(Record):
     def leaf_products(self) -> tuple[str, ...]:
         """Products with no producer, ascending id."""
         return tuple(p.id for p in self.products if not self.adjacency.producers[p.id])
-
-    def spine(self, product_id: str) -> tuple[str, ...]:
-        """Chain of processes from this product's consumer up to the final producer.
-
-        Empty for the final product itself. Assumes a validated model; on a
-        cyclic graph the walk aborts with ``invalid-model``.
-        """
-        proc = self.consumer_of(product_id)
-        if proc is None:
-            if self.product(product_id).kind is ProductKind.FINAL:
-                return ()
-            raise BiPanError(
-                "detached-node",
-                f"product '{product_id}' has no consumer and is not the final product",
-            )
-        chain: list[str] = []
-        seen: set[str] = set()
-        while proc is not None:
-            if proc in seen:
-                raise BiPanError("invalid-model", f"flow cycle at process '{proc}'")
-            seen.add(proc)
-            chain.append(proc)
-            out = self.output_of(proc)
-            proc = self.consumer_of(out) if out is not None else None
-        return tuple(chain)

@@ -102,17 +102,34 @@ class Plan(Record):
 # -- plan extraction ---------------------------------------------------------
 
 
+def _site(model: BiPanModel, product: str) -> str:
+    """The process consuming ``product``, a product that is not the final one."""
+    consumers = model.adjacency.consumers[product]
+    if not consumers:
+        raise BiPanError(
+            "detached-node", f"product '{product}' has no consumer and is not the final product"
+        )
+    return consumers[0]
+
+
+def _parent(model: BiPanModel, process_id: str) -> str | None:
+    """The process consuming ``process_id``'s one output (V001); None at the root."""
+    adjacency = model.adjacency
+    consumers = adjacency.consumers[adjacency.outputs[process_id][0]]
+    return consumers[0] if consumers else None
+
+
 def assembly_order(model: BiPanModel) -> tuple[str, ...]:
     """Topological order of processes in assembly direction, least id first among ready.
 
     Every process is ordered: callers validate first, and V008 rejects every cycle.
     """
+    adjacency = model.adjacency
     dependents: dict[str, list[str]] = {p.id: [] for p in model.processes}
     indegree: dict[str, int] = {p.id: 0 for p in model.processes}
     for proc in model.processes:
-        for inp in model.inputs_of(proc.id):
-            upstream = model.producer_of(inp)
-            if upstream is not None:
+        for inp in adjacency.inputs[proc.id]:
+            for upstream in adjacency.producers[inp]:
                 dependents[upstream].append(proc.id)
                 indegree[proc.id] += 1
     ready = [pid for pid, deg in sorted(indegree.items()) if deg == 0]
@@ -130,25 +147,21 @@ def assembly_order(model: BiPanModel) -> tuple[str, ...]:
 
 def _forward_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -> PlanStep:
     """The process run forward, consuming ``inputs``: its own, or a repair's resolved ones."""
-    output = model.output_of(process_id)
-    assert output is not None  # guaranteed by validation (V001)
     return PlanStep(
         process=process_id,
         direction=Direction.FORWARD,
         consumed=inputs,
-        produced=(output,),
+        produced=model.adjacency.outputs[process_id],  # exactly one, by V001
         required_skills=model.skill_labels_of(process_id),
     )
 
 
 def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -> PlanStep:
     """The process undone, producing ``inputs``: its own, or a repair's resolved ones."""
-    output = model.output_of(process_id)
-    assert output is not None
     return PlanStep(
         process=process_id,
         direction=Direction.REVERSE,
-        consumed=(output,),
+        consumed=model.adjacency.outputs[process_id],
         produced=inputs,
         required_skills=_inverted(model.skill_labels_of(process_id)),
     )
@@ -157,15 +170,16 @@ def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -
 def assembly_recipe(model: BiPanModel) -> Plan:
     """Forward steps over all processes, in assembly topological order."""
     validate.ensure_valid(model)
-    steps = tuple(_forward_step(model, pid, model.inputs_of(pid)) for pid in assembly_order(model))
+    inputs = model.adjacency.inputs
+    steps = tuple(_forward_step(model, pid, inputs[pid]) for pid in assembly_order(model))
     return Plan(model.id, model.digest, steps)
 
 
 def full_disassembly(model: BiPanModel) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     validate.ensure_valid(model)
-    order = reversed(assembly_order(model))
-    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid)) for pid in order)
+    inputs = model.adjacency.inputs
+    steps = tuple(_reverse_step(model, pid, inputs[pid]) for pid in reversed(assembly_order(model)))
     return Plan(model.id, model.digest, steps)
 
 
@@ -179,10 +193,12 @@ def disassembly_to(model: BiPanModel, target: str, mode: DisassemblyMode) -> Pla
     validate.ensure_valid(model)
     if model.product(target).kind is ProductKind.FINAL:
         raise BiPanError("target-is-final", f"cannot plan disassembly to final product '{target}'")
-    spine = model.spine(target)
-    root_first = tuple(reversed(spine))
-    selected = root_first if mode is DisassemblyMode.EXTRACT else root_first[:-1]
-    steps = tuple(_reverse_step(model, pid, model.inputs_of(pid)) for pid in selected)
+    chain = [_site(model, target)]
+    while (parent := _parent(model, chain[-1])) is not None:
+        chain.append(parent)
+    selected = chain if mode is DisassemblyMode.EXTRACT else chain[1:]
+    inputs = model.adjacency.inputs
+    steps = tuple(_reverse_step(model, pid, inputs[pid]) for pid in reversed(selected))
     return Plan(model.id, model.digest, steps)
 
 
@@ -243,19 +259,16 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
     # strictly above a site. Each process is visited once.
     sites: dict[str, list[str]] = {}
     for component in broken_ids:
-        site = model.consumer_of(component)
-        if site is None:
-            model.spine(component)  # raises detached-node
-        sites.setdefault(site, []).append(component)
+        sites.setdefault(_site(model, component), []).append(component)
     freed_by: dict[str | None, set[str]] = {}
     depth: dict[str, int] = {}
     for site in sites:
         walk: list[str] = []
-        above = model.consumer_of(model.output_of(site))
+        above = _parent(model, site)
         freed_by.setdefault(above, set()).add(site)
         while above is not None and above not in depth:
             walk.append(above)
-            above = model.consumer_of(model.output_of(above))
+            above = _parent(model, above)
         base = 0 if above is None else depth[above] + 1
         depth.update((pid, base + d) for d, pid in enumerate(reversed(walk)))
     reversal = sorted(depth, key=lambda pid: (depth[pid], pid))
@@ -282,12 +295,13 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
     def resolve(ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(substitution.get(i, i) for i in ids))
 
+    inputs = model.adjacency.inputs
     emit_swaps_freed_by(None)
     for process_id in reversal:
-        steps.append(_reverse_step(model, process_id, resolve(model.inputs_of(process_id))))
+        steps.append(_reverse_step(model, process_id, resolve(inputs[process_id])))
         emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
-        steps.append(_forward_step(model, process_id, resolve(model.inputs_of(process_id))))
+        steps.append(_forward_step(model, process_id, resolve(inputs[process_id])))
 
     return Plan(model.id, model.digest, tuple(steps))
 

@@ -190,6 +190,32 @@ class TestPlan:
         assert_one_error(result, "usage")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "action,options,detail",
+        [
+            ("disassemble", ["--broken", "mod8", "--replace", "mod8=m"],
+             "--broken applies only to plan repair"),
+            ("assemble", ["--broken", "mod8"], "--broken applies only to plan repair"),
+            ("disassemble", ["--target", "mod5", "--replace", "mod8=m"],
+             "--replace applies only to plan repair"),
+            ("repair", ["--broken", "mod8", "--replace", "mod8=m", "--target", "mod5"],
+             "--target applies only to plan disassemble"),
+            ("assemble", ["--target", "mod5", "--mode", "extract"],
+             "--target applies only to plan disassemble"),
+            ("disassemble", ["--mode", "extract"], "--mode applies only with --target"),
+            ("disassemble", ["--mode", "expose"], "--mode applies only with --target"),
+            ("assemble", ["--mode", "expose"], "--mode applies only with --target"),
+            ("repair", ["--broken", "mod8", "--replace", "mod8=m", "--mode", "expose"],
+             "--mode applies only with --target"),
+        ],
+    )
+    def test_option_the_action_ignores_exit_2(self, workdir, capsys, action, options, detail):
+        # The model path names no file: the usage error comes before any file is read.
+        assert main(["plan", action, str(workdir / "absent.json"), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: usage: {detail}\n"
+        assert captured.out == ""
+
 
 ASSEMBLE = ["plan", "assemble", "f1.bipan.json"]
 EXTRACT = ["plan", "disassemble", "f1.bipan.json", "--target", "mod5", "--mode", "extract"]

@@ -158,11 +158,11 @@ class TestStepMismatch:
         )
 
     def test_inputs_are_resolved_through_the_substitutions(self, f1):
-        state = ExecState({*f1.inputs_of("p2"), "mod8r"}, {"mod8": "mod8r"})
+        state = ExecState({*f1.adjacency.inputs["p2"], "mod8r"}, {"mod8": "mod8r"})
         with pytest.raises(BiPanError) as err:
             apply_step(state, forward(f1, "p2"), f1)
         assert err.value.code == "step-mismatch"
-        resolved = tuple(sorted("mod8r" if i == "mod8" else i for i in f1.inputs_of("p2")))
+        resolved = tuple(sorted("mod8r" if i == "mod8" else i for i in f1.adjacency.inputs["p2"]))
         step = replace(forward(f1, "p2"), consumed=resolved)
         assert "stage2" in apply_step(state, step, f1).present
 

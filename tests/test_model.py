@@ -26,7 +26,7 @@ from bipan.model import (
     check_id,
 )
 from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import INVERSION
+from bipan.plan import INVERSION, DisassemblyMode, disassembly_to
 from bipan.validate import ensure_valid, validate
 from mutations import MUTANTS
 from strategies import models
@@ -54,25 +54,26 @@ def tiny_model(extra_products=(), extra_flows=()):
 
 class TestQueries:
     def test_producer_of(self, f1):
-        assert f1.producer_of("stage2") == "p2"
-        assert f1.producer_of("box") is None
-        assert f1.producer_of("battery") == "p5"
+        assert f1.adjacency.producers["stage2"] == ("p2",)
+        assert f1.adjacency.producers["box"] == ()
+        assert f1.adjacency.producers["battery"] == ("p5",)
 
     def test_consumer_of(self, f1):
-        assert f1.consumer_of("stage1") == "p2"
-        assert f1.consumer_of("battery") is None
-        assert f1.consumer_of("mod3") == "p2"
+        assert f1.adjacency.consumers["stage1"] == ("p2",)
+        assert f1.adjacency.consumers["battery"] == ()
+        assert f1.adjacency.consumers["mod3"] == ("p2",)
 
     def test_unknown_node(self, f1):
         with pytest.raises(BiPanError) as err:
-            f1.producer_of("flux-capacitor")
+            f1.product("flux-capacitor")
         assert err.value.code == "unknown-node"
-        with pytest.raises(BiPanError):
-            f1.consumer_of("flux-capacitor")
+        with pytest.raises(BiPanError) as err:
+            f1.skill_labels_of("flux-capacitor")
+        assert err.value.code == "unknown-node"
 
     def test_inputs_outputs(self, f1):
-        assert f1.inputs_of("p4") == ("blanket", "stage3")
-        assert f1.output_of("p4") == "stage4"
+        assert f1.adjacency.inputs["p4"] == ("blanket", "stage3")
+        assert f1.adjacency.outputs["p4"] == ("stage4",)
         assert f1.skill_labels_of("p2") == ("connecting-cables", "manipulation", "screwing")
 
     def test_leaves(self, f1):
@@ -81,16 +82,12 @@ class TestQueries:
         assert "stage1" not in leaves and "battery" not in leaves
 
 
-# Every adjacency accessor, with an id of each family it does not answer for and
-# an unknown id. The details are those from when each accessor looked its node up
-# with ``product()`` or ``process()`` first.
-PROCESS_ACCESSORS = ("inputs_of", "outputs_of", "output_of", "skill_ids_of", "skill_labels_of")
-PRODUCT_ACCESSORS = ("producers_of", "consumers_of", "producer_of", "consumer_of")
+# The one accessor left, with an id of each family it does not answer for and an
+# unknown id. The details are those from when it looked its node up with
+# ``process()`` first.
 MISSES = [
-    *((name, node_id, "process") for name in PROCESS_ACCESSORS for node_id in ("mod3", "screwing")),
-    *((name, node_id, "product") for name in PRODUCT_ACCESSORS for node_id in ("p2", "screwing")),
-    *((name, "flux-capacitor", "process") for name in PROCESS_ACCESSORS),
-    *((name, "flux-capacitor", "product") for name in PRODUCT_ACCESSORS),
+    *(("skill_labels_of", node_id, "process") for node_id in ("mod3", "screwing")),
+    ("skill_labels_of", "flux-capacitor", "process"),
 ]
 
 
@@ -102,28 +99,42 @@ def test_accessor_miss_is_unknown_node(f1, accessor, node_id, family):
     assert err.value.detail == f"no {family} '{node_id}' in model 'ev-battery'"
 
 
+def spine(model, product):
+    """The processes from ``product``'s consumer up to the root, as extracting it walks them."""
+    return disassembly_to(model, product, DisassemblyMode.EXTRACT).process_sequence()[::-1]
+
+
 class TestSpine:
+    """The walk up the in-tree, which the planners make from ``model.adjacency``."""
+
     def test_mid_component(self, f1):
-        assert f1.spine("mod5") == ("p2", "p3", "p4", "p5")
+        assert spine(f1, "mod5") == ("p2", "p3", "p4", "p5")
 
     def test_last_process_input(self, f1):
-        assert f1.spine("cover") == ("p5",)
+        assert spine(f1, "cover") == ("p5",)
 
     def test_one_hop(self, f1):
-        assert f1.spine("stage4") == ("p5",)
+        assert spine(f1, "stage4") == ("p5",)
 
     def test_final_is_empty(self, f1):
-        assert f1.spine("battery") == ()
+        assert f1.adjacency.consumers["battery"] == ()  # nothing to walk up from
+        with pytest.raises(BiPanError) as err:
+            spine(f1, "battery")
+        assert err.value.code == "target-is-final"
 
     def test_detached(self):
         model = tiny_model(extra_products=(ProductNode("loose", "Loose", ProductKind.ELEMENTARY),))
-        with pytest.raises(BiPanError) as err:
-            model.spine("loose")
-        assert err.value.code == "detached-node"
+        for mode in DisassemblyMode:
+            with pytest.raises(BiPanError) as err:
+                disassembly_to(model, "loose", mode)
+            assert err.value.code == "detached-node"
+            assert err.value.detail == (
+                "product 'loose' has no consumer and is not the final product"
+            )
 
     def test_unknown(self, f1):
         with pytest.raises(BiPanError) as err:
-            f1.spine("nope")
+            spine(f1, "nope")
         assert err.value.code == "unknown-node"
 
 
@@ -220,29 +231,25 @@ class TestInvariants:
     @given(models())
     def test_at_most_one_producer_and_consumer(self, model):
         for product in model.products:
-            assert len(model.producers_of(product.id)) <= 1
-            assert len(model.consumers_of(product.id)) <= 1
+            assert len(model.adjacency.producers[product.id]) <= 1
+            assert len(model.adjacency.consumers[product.id]) <= 1
 
     @given(models())
     def test_spine_reaches_final_producer(self, model):
         (final,) = model.final_products()
-        root = model.producer_of(final)
+        (root,) = model.adjacency.producers[final]
         for product in model.products:
-            if product.kind is ProductKind.FINAL:
-                continue
-            spine = model.spine(product.id)
-            assert spine
-            assert spine[-1] == root
+            if product.kind is not ProductKind.FINAL:
+                assert spine(model, product.id)[-1] == root
 
     @given(models())
     def test_producer_consumer_flow_symmetry(self, model):
+        adjacency = model.adjacency
         for product in model.products:
-            producer = model.producer_of(product.id)
-            if producer is not None:
-                assert product.id in model.outputs_of(producer)
-            consumer = model.consumer_of(product.id)
-            if consumer is not None:
-                assert product.id in model.inputs_of(consumer)
+            for producer in adjacency.producers[product.id]:
+                assert product.id in adjacency.outputs[producer]
+            for consumer in adjacency.consumers[product.id]:
+                assert product.id in adjacency.inputs[consumer]
 
     def test_model_is_immutable(self, f1):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -284,7 +291,7 @@ class TestCachedFacts:
     @given(models())
     def test_skill_labels_are_the_sorted_labels_of_skill_ids(self, model):
         for process in model.processes:
-            ids = model.skill_ids_of(process.id)
+            ids = model.adjacency.skill_ids[process.id]
             labels = {skill.label for skill in model.skills if skill.id in ids}
             assert model.skill_labels_of(process.id) == tuple(sorted(labels))
 
@@ -315,7 +322,7 @@ class TestCachedFacts:
         f1.digest, f1.diagnostics  # every cached fact; the adjacency maps are built with the model
         copied = pickle.loads(pickle.dumps(f1))
         assert copied == f1 and copied.digest == f1.digest
-        assert copied.inputs_of("p4") == f1.inputs_of("p4")
+        assert copied.adjacency == f1.adjacency
         assert copy.deepcopy(f1) == f1
 
     def test_ensure_valid_raises_on_every_call(self, f1):

@@ -6,6 +6,7 @@ from hypothesis import given
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.model import (
+    Adjacency,
     BiPanModel,
     FastensLink,
     FlowEdge,
@@ -34,6 +35,44 @@ from strategies import build_random_model, models
 
 def directions(plan):
     return [(step.direction, step.process) for step in plan.steps]
+
+
+def counting_adjacency(model):
+    """Swap in neighbour maps that count, by map name, the lookups made and the ids handed out.
+
+    Cache the model's diagnostics and digest first, so only the planner's reads are counted.
+    """
+    counts = {name: {"lookups": 0, "ids": 0} for name in Adjacency._fields}
+
+    def counting(name, mapping):
+        tally = counts[name]
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                ids = dict.__getitem__(self, key)
+                tally["lookups"] += 1
+                tally["ids"] += len(ids)
+                return ids
+
+            def get(self, key, default=None):  # ``dict.get`` would bypass ``__getitem__``
+                return self[key] if key in self else default
+
+        return Counting(mapping)
+
+    maps = (counting(name, mapping) for name, mapping in model.adjacency._asdict().items())
+    object.__setattr__(model, "adjacency", Adjacency(*maps))
+    return counts
+
+
+def root_first_chain(model, product):
+    """The processes from the root down to ``product``'s consumer, read off ``model.flows``."""
+    consumer = {f.product: f.process for f in model.flows if f.role is FlowRole.INPUT}
+    output = {f.process: f.product for f in model.flows if f.role is FlowRole.OUTPUT}
+    chain = []
+    while product in consumer:
+        chain.append(consumer[product])
+        product = output[chain[-1]]
+    return chain[::-1]
 
 
 def single_process_model():
@@ -136,7 +175,18 @@ class TestDisassembly:
             extract = disassembly_to(model, product.id, DisassemblyMode.EXTRACT)
             assert extract.steps[: len(expose.steps)] == expose.steps
             assert len(extract.steps) == len(expose.steps) + 1
-            assert extract.steps[-1].process == model.consumer_of(product.id)
+            assert extract.steps[-1].process == model.adjacency.consumers[product.id][0]
+
+    @given(models())
+    def test_extract_reverses_the_chain_up_from_the_target(self, model):
+        consumed = {f.product for f in model.flows if f.role is FlowRole.INPUT}
+        outputs = {f.process: (f.product,) for f in model.flows if f.role is FlowRole.OUTPUT}
+        for product in sorted(consumed - set(model.final_products())):
+            chain = root_first_chain(model, product)
+            plan = disassembly_to(model, product, DisassemblyMode.EXTRACT)
+            assert plan.process_sequence() == tuple(chain)
+            assert all(step.direction is Direction.REVERSE for step in plan.steps)
+            assert [step.consumed for step in plan.steps] == [outputs[pid] for pid in chain]
 
 
 class TestRepair:
@@ -229,21 +279,18 @@ class TestRepair:
                 repair_plan(f1, ["mod8"], {"mod8": bad})
             assert err.value.code == "invalid-id"
 
-    def test_walks_are_linear_in_processes(self, monkeypatch):
+    def test_walks_are_linear_in_processes(self):
         # Every leaf of a 120-process chain broken: one walk per swap site, each
         # stopping where an earlier one reached, so each process is visited once.
         chain = build_random_model(random.Random(1000), max_processes=120, chain=True)
-        calls = []
-        consumer_of = BiPanModel.consumer_of
-        monkeypatch.setattr(
-            BiPanModel, "consumer_of", lambda model, pid: calls.append(pid) or consumer_of(model, pid)
-        )
+        assert not chain.diagnostics.has_errors and chain.digest  # both cached before counting
+        counts = counting_adjacency(chain)
         leaves = chain.leaf_products()
         plan = repair_plan(chain, leaves, {leaf: f"{leaf}.r" for leaf in leaves})
         assert sum(s.direction is Direction.SWAP for s in plan.steps) == len(leaves)
-        assert len(calls) <= len(chain.products) + 2 * len(chain.processes)
+        assert counts["consumers"]["lookups"] <= len(chain.products) + 2 * len(chain.processes)
 
-    def test_swap_scopes_read_each_input_and_link_once(self, monkeypatch):
+    def test_swap_scopes_read_each_input_and_link_once(self):
         # All 300 leaves of one process broken, a fastens link every 10 leaves:
         # the swap scopes read no process's inputs and each link once, not once a swap.
         leaves = [f"l{i:03}" for i in range(300)]
@@ -266,7 +313,7 @@ class TestRepair:
             ),
         )
         assert not model.diagnostics.items and model.digest  # both cached before counting
-        counts = {"ids": 0, "links": 0}
+        counts = {"links": 0}
 
         class CountingLinks(tuple):
             def __iter__(self):
@@ -275,17 +322,10 @@ class TestRepair:
                     yield link
 
         object.__setattr__(model, "fastens", CountingLinks(model.fastens))
-        inputs_of = BiPanModel.inputs_of
-
-        def counting_inputs_of(model, pid):
-            ids = inputs_of(model, pid)
-            counts["ids"] += len(ids)
-            return ids
-
-        monkeypatch.setattr(BiPanModel, "inputs_of", counting_inputs_of)
+        reads = counting_adjacency(model)
         plan = repair_plan(model, leaves, {leaf: f"{leaf}.r" for leaf in leaves})
         assert [s.direction for s in plan.steps] == [Direction.SWAP] * 300
-        assert counts["ids"] <= 2 * len(model.products)
+        assert reads["inputs"]["ids"] <= 2 * len(model.products)
         assert counts["links"] <= 2 * len(model.products)
 
     def test_fastens_narrow_swap_scope(self, f1):

@@ -2,10 +2,10 @@
 
 Each planner runs over every corpus model, and the SHA-256 of the concatenated
 saved plan bytes is compared with a value recorded from the planners as they
-were before the model cached its digest and diagnostics and the repair planner
-read depths off the spines it walks. Refactors of the planners must leave plan
-bytes unchanged (the determinism contract); a changed hash means a changed
-plan. The same plans are replayed in the oracle, which must agree with them.
+were before the model cached its digest and diagnostics and the planners read
+its neighbour maps directly. Refactors of the planners must leave plan bytes
+unchanged (the determinism contract); a changed hash means a changed plan. The
+same plans are replayed in the oracle, which must agree with them.
 """
 
 import functools
@@ -90,7 +90,10 @@ def test_corpus_size():
     assert max(sizes) >= 300
     assert sum(sizes) / len(sizes) >= 150
     chain = corpus()[-1]
-    assert max(len(chain.spine(leaf)) for leaf in chain.leaf_products()) == 120
+    # Extracting the deepest leaf reverses every process of the chain.
+    deepest = max(len(disassembly_to(chain, leaf, DisassemblyMode.EXTRACT).steps)
+                  for leaf in chain.leaf_products())
+    assert deepest == len(chain.processes) == 120
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_SHA256))

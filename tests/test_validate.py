@@ -116,11 +116,11 @@ def test_fastens_host_matches_brute_force(f1):
     for model in (f1, doubled):
         for _ in range(200):
             fastener = rng.choice(fasteners)
-            siblings = model.inputs_of(rng.choice(model.processes).id)
+            siblings = model.adjacency.inputs[rng.choice(model.processes).id]
             pool = sorted({*siblings, *rng.sample([p.id for p in model.products], 2)} - {fastener})
             link = FastensLink(fastener, frozenset(rng.sample(pool, rng.randint(0, 3))))
             members = {link.fastener, *link.secures}
-            hosted = any(members <= set(model.inputs_of(p.id)) for p in model.processes)
+            hosted = any(members <= set(model.adjacency.inputs[p.id]) for p in model.processes)
             diags = validate(replace(model, fastens=(link,)))
             assert ("V011" in codes_of(diags)) is not hosted
             outcomes.add(hosted)
