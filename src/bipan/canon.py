@@ -92,7 +92,7 @@ def model_bytes(model: BiPanModel) -> bytes:
 
 
 def plan_bytes(plan: Plan) -> bytes:
-    """:func:`canonical_bytes` of the plan's document; a swap step adds its two swap fields."""
+    """:func:`canonical_bytes` of the plan's document; a swap step adds the two ids it names."""
     from bipan.plan import Direction  # only the commands that plan load the planners
     steps = []
     for step in plan.steps:
@@ -100,10 +100,9 @@ def plan_bytes(plan: Plan) -> bytes:
                 f'{_FIELD}"direction": "{step.direction._value_}",{_FIELD}"process": '
                 f'{_escape(step.process)},{_FIELD}"produced": {_strings(step.produced)},'
                 f'{_FIELD}"required_skills": {_strings(step.required_skills)}')
-        if step.direction is Direction.SWAP:  # ``null`` where a hand-built step leaves one unset
-            replacement, target = ("null" if v is None else _escape(v)
-                                   for v in (step.swap_replacement, step.swap_target))
-            text += f',{_FIELD}"swap_replacement": {replacement},{_FIELD}"swap_target": {target}'
+        if step.direction is Direction.SWAP:
+            text += (f',{_FIELD}"swap_replacement": {_escape(step.swap_replacement)},'
+                     f'{_FIELD}"swap_target": {_escape(step.swap_target)}')
         steps.append(text + _END)
     return (
         f'{{\n  "model_digest": {_escape(plan.model_digest)},'

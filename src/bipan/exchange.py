@@ -244,6 +244,8 @@ def _dot_edge(tail: str, head: str, attrs: str) -> str:
 def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
     """Deterministic Graphviz text; a plan overlays one numbered red edge per step.
 
+    An overlay edge is read from the model: from a Forward step's process to its
+    output, back for a Reverse step, and from a Swap's replacement to its site.
     Every id and label is quoted and escaped, so no text from a model or plan
     can end its quotes and add statements.
     """
@@ -273,26 +275,24 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
 
     if plan is not None:
         from bipan.plan import Direction
-        foreign: set[str] = set()
-        for step in plan.steps:
-            for node_id in (*step.consumed, *step.produced):
-                if not model.has_node(node_id):
-                    foreign.add(node_id)
+        foreign = {s.swap_replacement for s in plan.steps
+                   if s.direction is Direction.SWAP and not model.has_node(s.swap_replacement)}
         for node_id in sorted(foreign):
             lines.append(_dot_node(node_id, "shape=circle, style=dashed, color=red", node_id))
         for number, step in enumerate(plan.steps, start=1):
+            where = f"step {number - 1} ({step.direction.value} '{step.process}')"
+            if not model.has_process(step.process):
+                raise BiPanError("unknown-process",
+                                 f"{where}: no process '{step.process}' in model '{model.id}'")
+            outputs = model.adjacency.outputs[step.process]
             if step.direction is Direction.SWAP:
                 tail, head = step.swap_replacement, step.process
-            elif step.direction is Direction.FORWARD and step.produced:
-                tail, head = step.process, step.produced[0]
-            elif step.direction is Direction.REVERSE and step.consumed:
-                tail, head = step.consumed[0], step.process
+            elif not outputs:
+                raise BiPanError("malformed-step", f"{where}: its process has no output to draw")
+            elif step.direction is Direction.FORWARD:
+                tail, head = step.process, outputs[0]
             else:
-                raise BiPanError(
-                    "malformed-step",
-                    f"step {number - 1} ({step.direction.value} '{step.process}') "
-                    "names no item to draw",
-                )
+                tail, head = outputs[0], step.process
             attrs = f'color=red, fontcolor=red, label="{number}", penwidth=2.0, constraint=false'
             lines.append(_dot_edge(tail, head, attrs))
     lines.append("}")

@@ -9,7 +9,8 @@ requiring those labels inverted through ``plan.INVERSION``. Swap consumes its
 replacement and produces its target, and additionally requires the swap site's
 output assembly to be present, a target that is one of the site's inputs and a
 replacement that names no model node; its skills are unchecked. It records the
-broken-to-replacement substitution.
+broken-to-replacement substitution. A checked step's effect is its own lists, so a
+``Trace`` rebuilds its per-step states from its steps alone, without the model.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from bipan.model import BiPanModel, FrozenMap, Record, _set
 from bipan.plan import INVERSION, Direction, Plan, PlanStep
 
 
-class ExecState(Record, unhashed=("substitutions",)):
+class ExecState(Record):
     """Free items and topmost assemblies, plus substitutions applied so far.
 
-    ``substitutions`` is a read-only copy of the mapping given, left out of the
-    hash as ``ProductNode.attributes`` is.
+    ``substitutions`` is a read-only copy of the mapping given.
     """
 
     __slots__ = ("present", "substitutions")
@@ -38,28 +38,26 @@ class ExecState(Record, unhashed=("substitutions",)):
         _set(self, "substitutions", FrozenMap(substitutions))
 
 
-class Trace(Record, uncompared=("model",)):
-    """One replay: its start state, the steps it applied to ``model``, and its end state.
+class Trace(Record):
+    """One replay: its start state, the steps it applied, and its end state.
 
     ``entries``, the state after each step (step ``i``'s at position ``i``), is
-    replayed from these on first use.
+    rebuilt on first use by applying each step's own lists: ``run`` has checked them.
     """
 
-    __slots__ = ("initial", "steps", "final", "model", "__dict__")  # a dict for ``entries``
+    __slots__ = ("initial", "steps", "final", "__dict__")  # a dict for ``entries``
 
-    def __init__(self, initial: ExecState, steps: tuple[PlanStep, ...], final: ExecState,
-                 model: BiPanModel) -> None:
+    def __init__(self, initial: ExecState, steps: tuple[PlanStep, ...], final: ExecState) -> None:
         _set(self, "initial", initial)
         _set(self, "steps", steps)
         _set(self, "final", final)
-        _set(self, "model", model)
 
     @cached_property
     def entries(self) -> tuple[ExecState, ...]:
         present, substitutions = set(self.initial.present), dict(self.initial.substitutions)
         entries = []
         for step in self.steps:
-            _apply(present, substitutions, step, self.model)
+            _effect(present, substitutions, step)
             entries.append(ExecState(present, substitutions))
         return tuple(entries)
 
@@ -84,10 +82,6 @@ def _apply(
         raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
     adjacency = model.adjacency  # ``has_process`` held, so each process map has ``step.process``
     if step.direction is Direction.SWAP:
-        if step.swap_target is None or step.swap_replacement is None:
-            raise BiPanError(
-                "malformed-step", f"swap step at '{step.process}' lacks target/replacement ids"
-            )
         outputs = adjacency.outputs[step.process]
         if len(outputs) != 1:
             raise BiPanError(
@@ -129,8 +123,13 @@ def _apply(
                          f"and produce [{', '.join(expected[1])}]")
     if skills is not None and tuple(step.required_skills) != skills:
         raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
-    present.difference_update(consumed)
-    present.update(produced)
+    _effect(present, substitutions, step)
+
+
+def _effect(present: set[str], substitutions: dict[str, str], step: PlanStep) -> None:
+    """Apply a checked step's own lists, and a swap's substitution, in place."""
+    present.difference_update(step.consumed)
+    present.update(step.produced)
     if step.direction is Direction.SWAP:
         substitutions[step.swap_target] = step.swap_replacement
 
@@ -168,4 +167,4 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
                 f"step {i} ({step.direction.value} '{step.process}'): {exc.detail}",
                 exc.nodes,
             ) from exc
-    return Trace(state, plan.steps, ExecState(present, substitutions), model)
+    return Trace(state, plan.steps, ExecState(present, substitutions))

@@ -48,7 +48,8 @@ class FrozenMap(dict):
     """A dict whose mutating methods raise ``TypeError``: the read-only mapping records hold.
 
     Only an explicit ``dict.__setitem__`` gets past it, as ``object.__setattr__``
-    gets past a frozen record. Like any dict it is unhashable.
+    gets past a frozen record. It hashes by its items, so a record holding one
+    hashes every field.
     """
 
     __slots__ = ()
@@ -57,6 +58,9 @@ class FrozenMap(dict):
         raise TypeError(f"{type(self).__name__} is read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):  # the default would unpickle item by item, through __setitem__
         return (type(self), (dict(self),))
@@ -76,22 +80,18 @@ class Record:
 
     A record's fields are its ``__init__`` parameters, in order; ``__init__``
     checks them and writes each slot through ``_set``. Equality is by type and
-    every field but the ``uncompared`` ones the class names; the hash also
-    leaves out the ``unhashed`` ones. ``repr`` shows the compared fields.
-    Pickling and copying call ``__init__`` again, so its checks rerun. Assigning
-    or deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    every field, and the hash is of every field. Pickling and copying call
+    ``__init__`` again, so its checks rerun. Assigning or deleting an attribute
+    raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
-    _compared: tuple[str, ...]
 
-    def __init_subclass__(cls, unhashed: tuple[str, ...] = (), uncompared: tuple[str, ...] = ()):
+    def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        cls._compared = tuple(name for name in cls._fields if name not in uncompared)
-        cls._key = attrgetter(*cls._compared)
-        cls._hash_key = attrgetter(*(name for name in cls._compared if name not in unhashed))
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -99,10 +99,10 @@ class Record:
         return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._hash_key(self))
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple[type, tuple]:
@@ -143,12 +143,11 @@ class FlowRole(Enum):
     OUTPUT = "Output"
 
 
-class ProductNode(Record, unhashed=("attributes",)):
+class ProductNode(Record):
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
     ``attributes`` is a read-only copy of the mapping given, so a model's cached
-    digest and diagnostics cannot go stale. The hash leaves ``attributes`` out;
-    equality still compares it.
+    digest and diagnostics cannot go stale.
     """
 
     __slots__ = ("id", "label", "kind", "type_ref", "position", "attributes")

@@ -45,10 +45,10 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
-class Event(Record, unhashed=("payload",)):
+class Event(Record):
     """One log entry; ``when`` is ``timestamp`` parsed once, at construction.
 
-    ``payload`` is a read-only copy of the mapping given, left out of the hash.
+    ``payload`` is a read-only copy of the mapping given.
     """
 
     __slots__ = ("timestamp", "kind", "payload", "when")
@@ -61,10 +61,10 @@ class Event(Record, unhashed=("payload",)):
         _set(self, "payload", FrozenMap(payload))
 
 
-class PdtInstance(Record, unhashed=("health",)):
+class PdtInstance(Record):
     """Digital twin of one physical product, bound to a model version.
 
-    ``health`` is a read-only copy of the mapping given, left out of the hash.
+    ``health`` is a read-only copy of the mapping given.
     """
 
     __slots__ = ("instance_id", "model_id", "model_digest", "health", "events")
@@ -72,8 +72,6 @@ class PdtInstance(Record, unhashed=("health",)):
     def __init__(self, instance_id: str, model_id: str, model_digest: str,
                  health: Mapping[str, Health], events: tuple[Event, ...] = ()) -> None:
         # The id names the twin's file, so it must not carry a path separator.
-        if not instance_id:
-            raise BiPanError("empty-id", "instance id must be non-empty")
         check_id(instance_id)
         health = FrozenMap(health)
         for earlier, event in zip(events, events[1:]):

@@ -57,7 +57,10 @@ def _inverted(labels: Iterable[str]) -> tuple[str, ...]:
 
 
 class PlanStep(Record):
-    """One directed process application with resolved inventory effect and skills."""
+    """One directed process application with resolved inventory effect and skills.
+
+    A Swap names its target and its replacement (``malformed-step`` otherwise).
+    """
 
     __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
                  "swap_replacement")
@@ -65,6 +68,10 @@ class PlanStep(Record):
     def __init__(self, process: str, direction: Direction, consumed: tuple[str, ...],
                  produced: tuple[str, ...], required_skills: tuple[str, ...],
                  swap_target: str | None = None, swap_replacement: str | None = None) -> None:
+        if direction is Direction.SWAP and None in (swap_target, swap_replacement):
+            raise BiPanError(
+                "malformed-step", f"swap step at '{process}' lacks target/replacement ids"
+            )
         _set(self, "process", process)
         _set(self, "direction", direction)
         _set(self, "consumed", consumed)

@@ -5,7 +5,9 @@ A converter takes ``(value, path)`` and returns the decoded value or raises
 callable taking the decoded fields as keywords) from a spec of
 ``field=(converter, default)``: a missing key decodes as its default, and the
 fields are decoded in spec order, which fixes the error a document with one
-fault reports.
+fault reports. Each record checks its own values as it is built, and
+``BiPanModel`` alone checks the edge endpoints, once every record is built: a
+model document reports what a Python caller building the same records gets.
 
 ``bipan.io`` decodes plans, inventory states and registries here, and a model
 or twin document here only when its direct decoder refuses it.
@@ -28,7 +30,6 @@ from bipan.model import (
     ProductNode,
     SkillEdge,
     SkillNode,
-    check_id,
 )
 
 Converter = Callable[[Any, str], Any]
@@ -118,23 +119,6 @@ def _record(cls: Any, **spec: tuple[Converter, Any]) -> Converter:
     return decode
 
 
-def _edge(cls: Any, *endpoints: str) -> Callable[..., Any]:
-    """``cls``, built after ``check_id`` on the ids in its ``endpoints`` fields.
-
-    ``BiPanModel`` checks only an edge id that names no node; checking each
-    record's ids here reports a bad one before any later fault in the document.
-    """
-
-    def build(**fields: Any) -> Any:
-        for name in endpoints:
-            ids = fields[name]
-            for node_id in (ids,) if isinstance(ids, str) else ids:
-                check_id(node_id)
-        return cls(**fields)
-
-    return build
-
-
 def _records(cls: Any, **spec: tuple[Converter, Any]) -> tuple[Converter, Any]:
     """Spec entry for an array of ``cls`` records that may be left out."""
     return (_list_of(_record(cls, **spec)), [])
@@ -162,12 +146,9 @@ model = _record(
     ),
     processes=_records(ProcessNode, **_NODE),
     skills=_records(SkillNode, **_NODE),
-    flows=_records(
-        _edge(FlowEdge, "product", "process"),
-        product=_STR, process=_STR, role=(_enum(FlowRole), None),
-    ),
-    skill_edges=_records(_edge(SkillEdge, "process", "skill"), process=_STR, skill=_STR),
-    fastens=_records(_edge(FastensLink, "fastener", "secures"), fastener=_STR, secures=_STRINGS),
+    flows=_records(FlowEdge, product=_STR, process=_STR, role=(_enum(FlowRole), None)),
+    skill_edges=_records(SkillEdge, process=_STR, skill=_STR),
+    fastens=_records(FastensLink, fastener=_STR, secures=_STRINGS),
     id=(_string, ""),
 )
 
@@ -176,7 +157,7 @@ model = _record(
 def plan() -> Converter:
     from bipan.plan import Direction, Plan, PlanStep
     step_fields = _record(
-        PlanStep,
+        dict,
         direction=(_enum(Direction), None),
         swap_target=(_optional(_string), None),
         swap_replacement=(_optional(_string), None),
@@ -187,10 +168,12 @@ def plan() -> Converter:
     )
 
     def decode_step(value: Any, path: str) -> PlanStep:
-        step = step_fields(value, path)
-        if step.direction is Direction.SWAP and None in (step.swap_target, step.swap_replacement):
+        fields = step_fields(value, path)
+        if fields["direction"] is Direction.SWAP and None in (
+            fields["swap_target"], fields["swap_replacement"]
+        ):
             raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
-        return step
+        return PlanStep(**fields)
 
     steps = (_list_of(decode_step), None)
     return _record(Plan, model_id=(_string, ""), model_digest=(_string, ""), steps=steps)

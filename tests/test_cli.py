@@ -16,7 +16,7 @@ import pytest
 from bipan import io
 from bipan.cli import main
 from bipan.fixtures import battery_model
-from bipan.plan import Direction, Plan, PlanStep, repair_plan
+from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, repair_plan
 from mutations import MUTANTS
 
 T0 = "2024-05-01T10:00:00Z"
@@ -446,6 +446,34 @@ class TestAmlAndDot:
         assert sum(1 for l in lines if "color=red" in l and "->" in l) == 7
         assert sum(1 for l in lines if "color=red" in l and "->" not in l) == 1
 
+    @pytest.mark.parametrize("direction", ["Forward", "Reverse", "Swap"])
+    def test_export_dot_draws_the_model_not_forged_lists(self, fixtures_dir, workdir, capsys,
+                                                         direction):
+        """Forged step lists, which ``exec`` rejects, draw the overlay of the true plan."""
+        golden = fixtures_dir / "f1_repair_mod8.plan.json"
+        doc = json.loads(golden.read_text())
+        step = next(s for s in doc["steps"] if s["direction"] == direction)
+        step["consumed"], step["produced"] = ["bogus"], ["cover", "battery"]
+        (workdir / "forged.plan.json").write_text(json.dumps(doc))
+        assert main(["export-dot", model_path(workdir), "--plan", str(golden)]) == 0
+        true_dot = capsys.readouterr().out
+        forged = str(workdir / "forged.plan.json")
+        assert main(["export-dot", model_path(workdir), "--plan", forged]) == 0
+        assert capsys.readouterr().out == true_dot and '"bogus"' not in true_dot
+
+    def test_export_dot_step_at_unknown_process(self, workdir, capsys):
+        plan = workdir / "ghost.plan.json"
+        plan.write_bytes(io.save_plan(Plan("m", "d", (
+            PlanStep("ghost", Direction.REVERSE, ("battery",), (), ()),
+        ))))
+        assert main(["export-dot", model_path(workdir), "--plan", str(plan)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown-process: step 0 (Reverse 'ghost'): no process 'ghost' in model "
+            f"'{battery_model().id}'\n"
+        )
+
 
 def run_cli_encoded(args, cwd, encoding):
     """``run_cli`` with stdout and stderr in ``encoding``, as a locale may set it; both bytes."""
@@ -761,6 +789,24 @@ class TestHostileInput:
         assert sorted(p.name for p in workdir.rglob("*")) == before
 
 
+    @pytest.mark.parametrize("args", [
+        ["pdt", "new", "", "f1.bipan.json"],
+        ["pdt", "log", ""],
+        ["pdt", "set-health", "", "mod8", "broken", "--at", T0],
+        ["pdt", "plan-repair", "", "--model", "f1.bipan.json", "--replace", "mod8=mod8r",
+         "--at", T0],
+    ], ids=["new", "log", "set-health", "plan-repair"])
+    def test_empty_twin_id_is_invalid_id(self, workdir, monkeypatch, capsys, args):
+        """Every twin command checks an instance id by the one node-id rule."""
+        monkeypatch.chdir(workdir)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid-id: node id '' must be a non-empty string matching [A-Za-z0-9_.-]+\n"
+        )
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(
+            ["f1.bipan.json", "registry_full.json", "registry_no_cables.json", "battery.aml"]
+        )
+
     def test_position_beyond_float_range(self, workdir):
         big = "1" + "0" * 400
         (workdir / "big.json").write_text(
@@ -774,12 +820,15 @@ class TestHostileInput:
         assert_one_error(run_cli(["plan", "assemble", "lone.json"], workdir), "parse-error")
 
     def test_dot_overlay_step_without_items(self, workdir):
-        plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
-        plan["steps"][0]["consumed"] = []
-        (workdir / "bare.plan.json").write_text(json.dumps(plan))
-        result = run_cli(["export-dot", "f1.bipan.json", "--plan", "bare.plan.json"], workdir)
+        """A step at a process with no output (a V001 mutant) has no edge to draw."""
+        mutant = MUTANTS["V001"][0](battery_model())  # p1 lost its output stage1
+        (workdir / "mutant.bipan.json").write_bytes(io.save_model(mutant))
+        plan = assembly_recipe(battery_model())
+        (workdir / "asm.plan.json").write_bytes(io.save_plan(plan))
+        index = plan.process_sequence().index("p1")
+        result = run_cli(["export-dot", "mutant.bipan.json", "--plan", "asm.plan.json"], workdir)
         assert result.returncode == 3 and "Traceback" not in result.stderr
-        assert result.stderr.startswith("error: malformed-step: step 0 (Reverse 'p5')")
+        assert result.stderr.startswith(f"error: malformed-step: step {index} (Forward 'p1')")
         assert len(result.stderr.splitlines()) == 1
 
     def test_dot_overlay_of_a_model_is_parse_error(self, workdir):
@@ -790,7 +839,8 @@ class TestHostileInput:
 
     def test_dot_overlay_quotes_plan_ids(self, workdir):
         plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
-        plan["steps"][0]["consumed"] = ['battery" -> "evil']
+        swap = next(step for step in plan["steps"] if step["direction"] == "Swap")
+        swap["swap_replacement"] = 'battery" -> "evil'
         (workdir / "evil.plan.json").write_text(json.dumps(plan))
         result = run_cli(["export-dot", "f1.bipan.json", "--plan", "evil.plan.json"], workdir)
         assert result.returncode == 0, result.stderr
@@ -798,7 +848,7 @@ class TestHostileInput:
         lines = result.stdout.splitlines()
         evil = '"battery\\" -> \\"evil"'
         assert f"  {evil} [shape=circle, style=dashed, color=red, label={evil}];" in lines
-        assert any(line.startswith(f'  {evil} -> "p5" [color=red') for line in lines)
+        assert any(line.startswith(f'  {evil} -> "p2" [color=red') for line in lines)
 
     def test_number_beyond_digit_limit(self, workdir):
         (workdir / "long.json").write_text('{"id": "m", "x": ' + "9" * 5000 + "}")

@@ -5,6 +5,9 @@ detail pin the decoders' messages, so a change to how a document is decoded
 cannot silently change what a user is told.
 """
 
+import itertools
+import json
+
 import pytest
 
 from bipan import io
@@ -18,6 +21,7 @@ from bipan.model import (
     ProductKind,
     ProductNode,
     SkillEdge,
+    SkillNode,
 )
 
 LOADERS = {
@@ -92,12 +96,13 @@ CORPUS = [
      'parse-error', "flows[0].role: 'Sideways' is not one of Input, Output"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p", "role": "Input"}]}',
      'dangling-reference', "flow references unknown process 'p'"),
-    # Edge records leave their ids to the model; a document still reports a bad
-    # one in document order, before the model's own reference checks.
+    # Edge records leave their ids to the model: a document reports its structural
+    # faults first, in spec order, then what BiPanModel raises for the same records,
+    # the first endpoint that names no node in canonical edge order.
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "processes": [{"id": "p"}], "flows": [{"product": "a b", "process": "p", "role": "Input"}]}',
      'invalid-id', "node id 'a b' must be a non-empty string matching [A-Za-z0-9_.-]+"),
     ('model', '{"processes": [{"id": "p"}], "flows": [{"product": "a", "process": "p/q", "role": "Input"}]}',
-     'invalid-id', "node id 'p/q' must be a non-empty string matching [A-Za-z0-9_.-]+"),
+     'dangling-reference', "flow references unknown product 'a'"),
     ('model', '{"processes": [{"id": "p"}], "skills": [{"id": "s"}], "skill_edges": [{"process": "p", "skill": "s t"}]}',
      'invalid-id', "node id 's t' must be a non-empty string matching [A-Za-z0-9_.-]+"),
     ('model', '{"skill_edges": [{"process": "", "skill": "s"}]}',
@@ -111,13 +116,13 @@ CORPUS = [
     ('model', '{"flows": [{"product": "a b", "process": 1, "role": "Input"}]}',
      'parse-error', 'flows[0].process must be a string'),
     ('model', '{"flows": [{"product": "a b", "process": "p", "role": "Input"}, {"product": "a", "process": "p", "role": "Sideways"}]}',
-     'invalid-id', "node id 'a b' must be a non-empty string matching [A-Za-z0-9_.-]+"),
+     'parse-error', "flows[1].role: 'Sideways' is not one of Input, Output"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}, {"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p q", "role": "Input"}]}',
-     'invalid-id', "node id 'p q' must be a non-empty string matching [A-Za-z0-9_.-]+"),
+     'duplicate-id', "duplicate product id 'a'"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p", "role": "Input"}], "skill_edges": [{"process": "p", "skill": "s t"}]}',
-     'invalid-id', "node id 's t' must be a non-empty string matching [A-Za-z0-9_.-]+"),
+     'dangling-reference', "flow references unknown process 'p'"),
     ('model', '{"id": 5, "flows": [{"product": "a b", "process": "p", "role": "Input"}]}',
-     'invalid-id', "node id 'a b' must be a non-empty string matching [A-Za-z0-9_.-]+"),
+     'parse-error', 'id must be a string'),
     ('model', '{"skill_edges": [{"process": "p", "skill": 2}]}',
      'parse-error', 'skill_edges[0].skill must be a string'),
     ('model', '{"skill_edges": {}}',
@@ -199,7 +204,7 @@ CORPUS = [
     ('twin', '{}',
      'parse-error', 'instance_id must be a string'),
     ('twin', '{"instance_id": ""}',
-     'empty-id', 'instance id must be non-empty'),
+     'invalid-id', "node id '' must be a non-empty string matching [A-Za-z0-9_.-]+"),
     ('twin', '{"instance_id": "../x"}',
      'invalid-id', "node id '../x' must be a non-empty string matching [A-Za-z0-9_.-]+"),
     ('twin', '{"instance_id": "V", "model_id": 1}',
@@ -278,3 +283,60 @@ def test_model_checks_edge_ids_it_cannot_resolve(family, edge_cls, fields):
     with pytest.raises(BiPanError) as err:
         BiPanModel("m", products, (ProcessNode("q", "Q"),), **{family: (edge_cls(*fields),)})
     assert err.value.code == "invalid-id"
+
+
+def _flow(product, process, role="Input"):
+    return {"product": product, "process": process, "role": role}
+
+
+#: Edge arrays, each with two or more endpoints that name no node, malformed or dangling.
+UNRESOLVABLE = [
+    {"flows": [_flow("a b", "p"), _flow("c d", "p")]},
+    {"flows": [_flow("x", "p"), _flow("a", "p/q"), _flow("b", "p", "Output")],
+     "skill_edges": [{"process": "p", "skill": "z"}, {"process": "", "skill": "s"}]},
+    {"skill_edges": [{"process": "p", "skill": "s t"}, {"process": "q", "skill": "s"}],
+     "fastens": [{"fastener": "f", "secures": ["y", "a b", "a"]},
+                 {"fastener": "g g", "secures": []}]},
+    {"fastens": [{"fastener": "f", "secures": ["a", "d e", "zz", "b c"]}]},
+]
+
+_KINDS = {"a": ProductKind.ELEMENTARY, "b": ProductKind.FINAL, "f": ProductKind.FASTENER}
+
+
+def _orderings(edges):
+    """``edges`` in every order: each array, and the ``secures`` of each fastens link."""
+    arrays = (itertools.permutations(edges.get(key, ())) for key in
+              ("flows", "skill_edges", "fastens"))
+    for flows, skill_edges, fastens in itertools.product(*arrays):
+        for secures in itertools.product(*(itertools.permutations(l["secures"]) for l in fastens)):
+            yield {"flows": list(flows), "skill_edges": list(skill_edges),
+                   "fastens": [{**l, "secures": list(s)} for l, s in zip(fastens, secures)]}
+
+
+def _python_error(edges):
+    """What ``BiPanModel`` raises, built in Python from the records of the document."""
+    with pytest.raises(BiPanError) as err:
+        BiPanModel(
+            "m",
+            tuple(ProductNode(i, "", kind) for i, kind in _KINDS.items()),
+            (ProcessNode("p", ""),),
+            (SkillNode("s", ""),),
+            tuple(FlowEdge(f["product"], f["process"], FlowRole(f["role"]))
+                  for f in edges.get("flows", ())),
+            tuple(SkillEdge(e["process"], e["skill"]) for e in edges.get("skill_edges", ())),
+            tuple(FastensLink(l["fastener"], frozenset(l["secures"]))
+                  for l in edges.get("fastens", ())),
+        )
+    return err.value.code, err.value.detail
+
+
+@pytest.mark.parametrize("edges", UNRESOLVABLE, ids=range(len(UNRESOLVABLE)))
+def test_edge_order_never_changes_a_model_documents_error(edges):
+    """Reordering the edges of a model document changes neither its error code nor its detail."""
+    expected = _python_error(edges)
+    nodes = {"products": [{"id": i, "kind": kind.value} for i, kind in _KINDS.items()],
+             "processes": [{"id": "p"}], "skills": [{"id": "s"}]}
+    for reordered in _orderings(edges):
+        with pytest.raises(BiPanError) as err:
+            io.load_model(json.dumps({"id": "m", **nodes, **reordered}).encode("utf-8"))
+        assert (err.value.code, err.value.detail) == expected, reordered

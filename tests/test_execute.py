@@ -93,11 +93,14 @@ class TestApplyStep:
         assert (err.value.code, err.value.nodes) == ("double-produce", ("mod8",))
         assert err.value.detail.startswith("step 0 (Swap 'p2'): ")
 
-    def test_swap_without_target_or_replacement_is_malformed(self, f1):
-        swap = PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), (), None, "mod8r")
-        with pytest.raises(BiPanError) as err:
-            apply_step(ExecState({"stage2", "mod8r"}), swap, f1)
-        assert err.value.code == "malformed-step"
+    def test_swap_without_target_or_replacement_is_malformed(self):
+        """No swap step lacking either id can be built, so none reaches the oracle."""
+        for ids in ((None, "mod8r"), ("mod8", None), (None, None)):
+            with pytest.raises(BiPanError) as err:
+                PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), (), *ids)
+            assert (err.value.code, err.value.detail) == (
+                "malformed-step", "swap step at 'p2' lacks target/replacement ids"
+            )
 
     def test_swap_site_without_one_output_is_missing_input(self, f1):
         no_output = MUTANTS["V001"][0](f1)  # p1 lost its output stage1

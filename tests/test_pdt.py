@@ -30,7 +30,7 @@ class TestCreate:
     def test_empty_id(self, f1):
         with pytest.raises(BiPanError) as err:
             create_instance("", f1)
-        assert err.value.code == "empty-id"
+        assert err.value.code == "invalid-id"
 
     @pytest.mark.parametrize("bad", ["../escaped", "a/b", "/abs", "VIN 1"])
     def test_path_like_id(self, f1, bad):

@@ -103,7 +103,7 @@ RECORDS = {
     ),
     ExecState: (state, _STATE),
     Trace: (
-        lambda: Trace(state(), (step(),), ExecState(frozenset({"f"})), model()),
+        lambda: Trace(state(), (step(),), ExecState(frozenset({"f"}))),
         f"Trace(initial={_STATE}, steps=({_STEP},), "
         "final=ExecState(present=frozenset({'f'}), substitutions={}))",
     ),
@@ -128,8 +128,8 @@ MAPPINGS = {
     BiPanModel: "adjacency",
 }
 
-#: Per record, a field equality compares and the hash leaves out, and another value for it.
-UNHASHED = {
+#: Per record, a mapping field and another value for it.
+CHANGED_MAPS = {
     ProductNode: ("attributes", {"skill": "welding"}),
     ExecState: ("substitutions", {}),
     Event: ("payload", {"k": "w"}),
@@ -148,7 +148,7 @@ REFUSED = [
     (BiPanModel, {"skills": (SkillNode("k", "K"), SkillNode("k", "L"))}, "duplicate-id"),
     (BiPanModel, {"flows": (FlowEdge("b", "p", FlowRole.INPUT),)}, "dangling-reference"),
     (Event, {"timestamp": "2024-05-01T10:00:00+02:00"}, "invalid-timestamp"),
-    (PdtInstance, {"instance_id": ""}, "empty-id"),
+    (PdtInstance, {"instance_id": ""}, "invalid-id"),
     (PdtInstance, {"events": (event(), replace(event(), timestamp="2024-04-01T10:00:00Z"))},
      "time-regression"),
 ]
@@ -185,20 +185,14 @@ def test_records_of_other_classes_differ(cls):
     assert record != object() and record != repr(record)
 
 
-@pytest.mark.parametrize("cls", UNHASHED, ids=lambda cls: cls.__name__)
-def test_unhashed_mappings_count_for_equality_not_hash(cls):
-    record = build(cls)
-    name, other = UNHASHED[cls]
-    changed = replace(record, **{name: other})
-    assert changed != record and hash(changed) == hash(record)
-    assert type(getattr(changed, name)) is FrozenMap
-
-
-def test_uncompared_model_of_a_trace():
-    trace = build(Trace)
-    other = replace(trace, model=BiPanModel("other"))
-    assert other == trace and hash(other) == hash(trace)
-    assert "model" not in repr(trace)
+def test_every_field_counts_for_equality_and_hash():
+    """Changing a record's map changes equality; equal records, maps and all, hash equal."""
+    for cls, (name, other) in CHANGED_MAPS.items():
+        record = build(cls)
+        changed = replace(record, **{name: other})
+        assert changed != record and type(getattr(changed, name)) is FrozenMap
+        back = replace(changed, **{name: dict(getattr(record, name))})
+        assert back == record and hash(back) == hash(record)
 
 
 @pytest.mark.parametrize("copy_of", COPIES.values(), ids=list(COPIES))
