@@ -93,14 +93,13 @@ def model_bytes(model: BiPanModel) -> bytes:
 
 def plan_bytes(plan: Plan) -> bytes:
     """:func:`canonical_bytes` of the plan's document; a swap step adds the two ids it names."""
-    from bipan.plan import Direction  # only the commands that plan load the planners
     steps = []
     for step in plan.steps:
         text = (f'{{{_FIELD}"consumed": {_strings(step.consumed)},'
                 f'{_FIELD}"direction": "{step.direction._value_}",{_FIELD}"process": '
                 f'{_escape(step.process)},{_FIELD}"produced": {_strings(step.produced)},'
                 f'{_FIELD}"required_skills": {_strings(step.required_skills)}')
-        if step.direction is Direction.SWAP:
+        if step.swap_target is not None:
             text += (f',{_FIELD}"swap_replacement": {_escape(step.swap_replacement)},'
                      f'{_FIELD}"swap_target": {_escape(step.swap_target)}')
         steps.append(text + _END)

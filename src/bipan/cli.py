@@ -192,6 +192,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             raise BiPanError("usage", "plan repair requires --broken and --replace")
         broken = _comma_list(args.broken, "--broken", "component", lambda chunk: (chunk, None))
         replacements = _parse_replacements(args.replace)
+        for old in replacements:
+            if old not in broken:
+                raise BiPanError("usage", f"--replace names {old!r}, which --broken does not")
     model = _load_model(args.model)
     if args.action == "assemble":
         plan = assembly_recipe(model)
@@ -234,7 +237,7 @@ def _cmd_exec(args: argparse.Namespace) -> int:
         state = initial_inventory(model)
     elif args.inventory == "final":
         finals = model.final_products()
-        state = ExecState(frozenset((*finals, *plan.replacement_ids())), {})
+        state = ExecState((*finals, *plan.replacement_ids()))
     else:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)

@@ -18,6 +18,7 @@ from bipan.errors import BiPanError
 from bipan.model import BiPanModel, FlowRole, ProductKind, ProductNode, Record, _set, replace
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from xml.etree import ElementTree
 
     from bipan.plan import Plan
@@ -37,10 +38,10 @@ class AmlFragment(Record):
 
     __slots__ = ("products", "explicit_kinds")
 
-    def __init__(self, products: tuple[ProductNode, ...],
-                 explicit_kinds: frozenset[str] = frozenset()) -> None:
-        _set(self, "products", products)
-        _set(self, "explicit_kinds", explicit_kinds)
+    def __init__(self, products: Iterable[ProductNode],
+                 explicit_kinds: Iterable[str] = frozenset()) -> None:
+        _set(self, "products", tuple(products))
+        _set(self, "explicit_kinds", frozenset(explicit_kinds))
 
     def to_bytes(self) -> bytes:
         return model_bytes(BiPanModel("aml-fragment", self.products))
@@ -172,7 +173,7 @@ def import_aml(data: bytes) -> AmlFragment:
                 here = _parse_internal_element(element, path, parent_id, seen, products, explicit)
                 children = _children(element, "InternalElement")
                 stack.extend((child, here, element.get("ID")) for child in reversed(children))
-    return AmlFragment(tuple(products), frozenset(explicit))
+    return AmlFragment(products, explicit)
 
 
 def merge(fragment: AmlFragment, model: BiPanModel) -> BiPanModel:

@@ -5,17 +5,17 @@ applies a step's declared consumed/produced effect and knows nothing about how
 plans are derived. It checks each step against the model's flows: Forward
 consumes the process's inputs (under the substitutions so far), produces its
 output and requires the process's skill labels, and Reverse is the converse,
-requiring those labels inverted through ``plan.INVERSION``. Swap consumes its
-replacement and produces its target, and additionally requires the swap site's
-output assembly to be present, a target that is one of the site's inputs and a
-replacement that names no model node; its skills are unchecked. It records the
+requiring those labels inverted through ``plan.INVERSION``. A Swap's lists are its
+replacement and its target, one id each, as ``PlanStep`` builds it; it requires the
+swap site's output assembly to be present, a target that is one of the site's inputs
+and a replacement that names no model node; its skills are unchecked. It records the
 broken-to-replacement substitution. A checked step's effect is its own lists, so a
 ``Trace`` rebuilds its per-step states from its steps alone, without the model.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 
 from bipan import validate  # registered unloaded; runs only when a start state is validated
@@ -47,9 +47,9 @@ class Trace(Record):
 
     __slots__ = ("initial", "steps", "final", "__dict__")  # a dict for ``entries``
 
-    def __init__(self, initial: ExecState, steps: tuple[PlanStep, ...], final: ExecState) -> None:
+    def __init__(self, initial: ExecState, steps: Iterable[PlanStep], final: ExecState) -> None:
         _set(self, "initial", initial)
-        _set(self, "steps", steps)
+        _set(self, "steps", tuple(steps))
         _set(self, "final", final)
 
     @cached_property
@@ -68,7 +68,7 @@ class Trace(Record):
 def initial_inventory(model: BiPanModel) -> ExecState:
     """All leaf products (no producer) free, nothing substituted."""
     validate.ensure_valid(model)
-    return ExecState(frozenset(model.leaf_products()), {})
+    return ExecState(model.leaf_products())
 
 
 def _apply(
@@ -87,27 +87,24 @@ def _apply(
             raise BiPanError(
                 "missing-input", f"swap site '{step.process}' has no unique output assembly"
             )
-        consumed, produced = (step.swap_replacement,), (step.swap_target,)
         # A swap's target must be absent, even when it equals its replacement.
-        needed, reusable = (outputs[0], *consumed), set()
+        needed, reusable = (outputs[0], *step.consumed), set()
     else:
-        consumed, produced = step.consumed, step.produced
-        needed, reusable = consumed, set(consumed)
+        needed, reusable = step.consumed, set(step.consumed)
     missing = tuple(item for item in needed if item not in present)
     if missing:
         raise BiPanError("missing-input", f"missing inputs: {', '.join(missing)}", missing)
-    clashes = tuple(p for p in produced if p in present and p not in reusable)
+    clashes = tuple(p for p in step.produced if p in present and p not in reusable)
     if clashes:
         raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
     if step.direction is Direction.SWAP:
         # The site among the target's consumers: one lookup, where the site may have many inputs.
         if step.process not in adjacency.consumers.get(step.swap_target, ()):
             raise BiPanError("step-mismatch", f"swap target '{step.swap_target}' is not an input "
-                             f"of '{step.process}'", produced)
+                             f"of '{step.process}'", step.produced)
         if model.has_node(step.swap_replacement):
             raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
-                             f"names a node in model '{model.id}'", consumed)
-        expected, skills = (consumed, produced), None
+                             f"names a node in model '{model.id}'", step.consumed)
     else:
         inputs, outputs = adjacency.inputs[step.process], adjacency.outputs[step.process]
         if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
@@ -118,11 +115,11 @@ def _apply(
         else:
             expected = (outputs, inputs)
             skills = tuple(sorted({INVERSION.get(label, label) for label in skills}))
-    if (tuple(step.consumed), tuple(step.produced)) != expected:
-        raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
-                         f"and produce [{', '.join(expected[1])}]")
-    if skills is not None and tuple(step.required_skills) != skills:
-        raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
+        if (step.consumed, step.produced) != expected:
+            raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
+                             f"and produce [{', '.join(expected[1])}]")
+        if step.required_skills != skills:
+            raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
     _effect(present, substitutions, step)
 
 

@@ -132,7 +132,6 @@ def _direct_model(doc: Any) -> BiPanModel:
                 type(c) in (int, float) for c in position
             ):
                 raise ValueError("position")
-            position = tuple(position)
         if not isinstance(attributes, dict) or (
             attributes and not all(isinstance(v, str) for v in attributes.values())
         ):
@@ -182,7 +181,7 @@ def _direct_instance(doc: Any) -> PdtInstance:
         events.append(Event(row["timestamp"], kind, payload))
     states = {health.value: health for health in Health}
     health = {c: states[h] for c, h in doc.get("health", {}).items()}
-    return PdtInstance(*ids, health, tuple(events))
+    return PdtInstance(*ids, health, events)
 
 
 def _decode(data: bytes, direct: Callable[[Any], Any], spec: str) -> Any:

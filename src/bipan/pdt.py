@@ -9,7 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from datetime import datetime, timezone
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -70,10 +70,10 @@ class PdtInstance(Record):
     __slots__ = ("instance_id", "model_id", "model_digest", "health", "events")
 
     def __init__(self, instance_id: str, model_id: str, model_digest: str,
-                 health: Mapping[str, Health], events: tuple[Event, ...] = ()) -> None:
+                 health: Mapping[str, Health], events: Iterable[Event] = ()) -> None:
         # The id names the twin's file, so it must not carry a path separator.
         check_id(instance_id)
-        health = FrozenMap(health)
+        health, events = FrozenMap(health), tuple(events)
         for earlier, event in zip(events, events[1:]):
             if event.when < earlier.when:
                 raise BiPanError(
@@ -104,13 +104,17 @@ def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     )
 
 
-def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str) -> PdtInstance:
-    """Record a component health observation; always appends to the audit log."""
+def _check_tracked(pdt: PdtInstance, component: str) -> None:
     if component not in pdt.health:
         raise BiPanError(
             "unknown-component",
             f"'{component}' is not a tracked component of instance '{pdt.instance_id}'",
         )
+
+
+def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str) -> PdtInstance:
+    """Record a component health observation; always appends to the audit log."""
+    _check_tracked(pdt, component)
     event = Event(timestamp, "health-update", {"component": component, "health": health.value})
     return replace(pdt, health={**pdt.health, component: health}, events=(*pdt.events, event))
 
@@ -124,7 +128,8 @@ def plan_repair_for(
     """Repair plan for all currently Broken components; logs a plan-created event.
 
     Returns the updated instance together with the plan (instances are values,
-    so the event-carrying copy must be handed back to the caller).
+    so the event-carrying copy must be handed back to the caller). A replacement
+    for an id the twin does not track is ``unknown-component``.
     """
     from bipan.plan import repair_plan  # only this twin operation plans
     digest = model.digest
@@ -134,6 +139,8 @@ def plan_repair_for(
             f"instance '{pdt.instance_id}' is bound to digest {pdt.model_digest[:12]}..., "
             f"model '{model.id}' has {digest[:12]}...",
         )
+    for component in replacements:
+        _check_tracked(pdt, component)
     broken = pdt.broken_components()
     if not broken:
         raise BiPanError("nothing-broken", f"instance '{pdt.instance_id}' has no Broken component")

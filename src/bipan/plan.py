@@ -59,26 +59,28 @@ def _inverted(labels: Iterable[str]) -> tuple[str, ...]:
 class PlanStep(Record):
     """One directed process application with resolved inventory effect and skills.
 
-    A Swap names its target and its replacement (``malformed-step`` otherwise).
+    A Swap consumes one id, its ``swap_replacement``, and produces one, its
+    ``swap_target`` (``malformed-step`` otherwise); both are None on other steps.
     """
 
     __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
                  "swap_replacement")
 
-    def __init__(self, process: str, direction: Direction, consumed: tuple[str, ...],
-                 produced: tuple[str, ...], required_skills: tuple[str, ...],
-                 swap_target: str | None = None, swap_replacement: str | None = None) -> None:
-        if direction is Direction.SWAP and None in (swap_target, swap_replacement):
+    def __init__(self, process: str, direction: Direction, consumed: Iterable[str],
+                 produced: Iterable[str], required_skills: Iterable[str]) -> None:
+        consumed, produced = tuple(consumed), tuple(produced)
+        swap = direction is Direction.SWAP
+        if swap and (len(consumed), len(produced)) != (1, 1):
             raise BiPanError(
-                "malformed-step", f"swap step at '{process}' lacks target/replacement ids"
+                "malformed-step", f"swap step at '{process}' must consume one id and produce one"
             )
         _set(self, "process", process)
         _set(self, "direction", direction)
         _set(self, "consumed", consumed)
         _set(self, "produced", produced)
-        _set(self, "required_skills", required_skills)
-        _set(self, "swap_target", swap_target)
-        _set(self, "swap_replacement", swap_replacement)
+        _set(self, "required_skills", tuple(required_skills))
+        _set(self, "swap_target", produced[0] if swap else None)
+        _set(self, "swap_replacement", consumed[0] if swap else None)
 
 
 class Plan(Record):
@@ -86,10 +88,10 @@ class Plan(Record):
 
     __slots__ = ("model_id", "model_digest", "steps")
 
-    def __init__(self, model_id: str, model_digest: str, steps: tuple[PlanStep, ...]) -> None:
+    def __init__(self, model_id: str, model_digest: str, steps: Iterable[PlanStep]) -> None:
         _set(self, "model_id", model_id)
         _set(self, "model_digest", model_digest)
-        _set(self, "steps", steps)
+        _set(self, "steps", tuple(steps))
 
     def process_sequence(self) -> tuple[str, ...]:
         return tuple(step.process for step in self.steps)
@@ -295,8 +297,7 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
             for component in sites[site]:
                 replacement = replacements[component]
                 skills = _swap_skills(model, site, securing.get(component, ()))
-                steps.append(PlanStep(site, Direction.SWAP, (replacement,), (component,), skills,
-                                      swap_target=component, swap_replacement=replacement))
+                steps.append(PlanStep(site, Direction.SWAP, (replacement,), (component,), skills))
                 substitution[component] = replacement
 
     def resolve(ids: Iterable[str]) -> tuple[str, ...]:
@@ -310,7 +311,7 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
     for process_id in reversed(reversal):
         steps.append(_forward_step(model, process_id, resolve(inputs[process_id])))
 
-    return Plan(model.id, model.digest, tuple(steps))
+    return Plan(model.id, model.digest, steps)
 
 
 def check_feasibility(plan: Plan, skills: Collection[str]) -> tuple[tuple[str, ...], ...]:

@@ -7,7 +7,8 @@ callable taking the decoded fields as keywords) from a spec of
 fields are decoded in spec order, which fixes the error a document with one
 fault reports. Each record checks its own values as it is built, and
 ``BiPanModel`` alone checks the edge endpoints, once every record is built: a
-model document reports what a Python caller building the same records gets.
+model document reports what a Python caller building the same records gets. A
+plan step's swap keys must agree with its lists, which ``PlanStep`` reads them from.
 
 ``bipan.io`` decodes plans, inventory states and registries here, and a model
 or twin document here only when its direct decoder refuses it.
@@ -159,8 +160,7 @@ def plan() -> Converter:
     step_fields = _record(
         dict,
         direction=(_enum(Direction), None),
-        swap_target=(_optional(_string), None),
-        swap_replacement=(_optional(_string), None),
+        **dict.fromkeys(("swap_target", "swap_replacement"), (_optional(_string), None)),
         process=_STR,
         consumed=_STRINGS,
         produced=_STRINGS,
@@ -169,10 +169,11 @@ def plan() -> Converter:
 
     def decode_step(value: Any, path: str) -> PlanStep:
         fields = step_fields(value, path)
-        if fields["direction"] is Direction.SWAP and None in (
-            fields["swap_target"], fields["swap_replacement"]
-        ):
-            raise BiPanError("parse-error", f"{path}: swap step must name target and replacement")
+        ids = ((fields.pop("swap_replacement"),), (fields.pop("swap_target"),))
+        swap = fields["direction"] is Direction.SWAP
+        if ids != ((fields["consumed"], fields["produced"]) if swap else ((None,), (None,))):
+            raise BiPanError("parse-error", f"{path}: swap_replacement and swap_target must be a "
+                             "Swap's one consumed and one produced id, and null on other steps")
         return PlanStep(**fields)
 
     steps = (_list_of(decode_step), None)

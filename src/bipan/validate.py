@@ -23,9 +23,9 @@ class Severity(Enum):
 class Diagnostic(Record):
     __slots__ = ("code", "nodes", "message")
 
-    def __init__(self, code: str, nodes: tuple[str, ...], message: str) -> None:
+    def __init__(self, code: str, nodes: Iterable[str], message: str) -> None:
         _set(self, "code", code)
-        _set(self, "nodes", nodes)
+        _set(self, "nodes", tuple(nodes))
         _set(self, "message", message)
 
     @property
@@ -38,8 +38,8 @@ class Diagnostics(Record):
 
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[Diagnostic, ...]) -> None:
-        _set(self, "items", items)
+    def __init__(self, items: Iterable[Diagnostic]) -> None:
+        _set(self, "items", tuple(items))
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
@@ -231,7 +231,7 @@ def _check_flow(model: BiPanModel, found: list[Diagnostic]) -> None:
             found.append(
                 Diagnostic(
                     "V008",
-                    tuple(component),
+                    component,
                     "flow graph contains a cycle involving: " + ", ".join(component),
                 )
             )
@@ -275,7 +275,7 @@ def validate(model: BiPanModel) -> Diagnostics:
     _check_flow(model, found)
     _check_fastens(model, found)
     found.sort(key=lambda d: (d.code, d.nodes[0] if d.nodes else "", d.message))
-    return Diagnostics(tuple(found))
+    return Diagnostics(found)
 
 
 def ensure_valid(model: BiPanModel) -> None:

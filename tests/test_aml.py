@@ -94,6 +94,24 @@ class TestImport:
             exchange.import_aml(caex(body))
         assert err.value.code == "xml-parse-error"
 
+    def test_attribute_without_name_names_element_path(self):
+        body = (
+            '<InternalElement ID="a" Name="A"><Attribute><Value>x</Value></Attribute>'
+            "</InternalElement>"
+        )
+        with pytest.raises(BiPanError) as err:
+            exchange.import_aml(caex(body))
+        assert (err.value.code, err.value.detail) == (
+            "xml-parse-error",
+            "CAEXFile/SystemUnitClassLib 'Lib'/SystemUnitClass 'SUC'/InternalElement 'A': "
+            "Attribute lacks a Name",
+        )
+
+    def test_attribute_without_value_is_empty(self):
+        body = '<InternalElement ID="a" Name="A"><Attribute Name="colour"/></InternalElement>'
+        (product,) = exchange.import_aml(caex(body)).products
+        assert product.attributes == {"colour": ""}
+
     def test_nested_elements_flatten_with_parent(self):
         body = (
             '<InternalElement ID="pack" Name="Pack">'

@@ -207,6 +207,8 @@ class TestPlan:
             ("assemble", ["--mode", "expose"], "--mode applies only with --target"),
             ("repair", ["--broken", "mod8", "--replace", "mod8=m", "--mode", "expose"],
              "--mode applies only with --target"),
+            ("repair", ["--broken", "mod8", "--replace", "mod8=m,zzz=n"],
+             "--replace names 'zzz', which --broken does not"),
         ],
     )
     def test_option_the_action_ignores_exit_2(self, workdir, capsys, action, options, detail):
@@ -394,13 +396,15 @@ class TestExec:
         assert result.returncode == 3 and result.stdout == ""
         assert result.stderr.startswith("error: step-mismatch: step 0 (Forward 'p5'): ")
 
-    @pytest.mark.parametrize("direction, lists, skills", [
-        ("Reverse", None, ["screwing"]),
-        ("Swap", (["bogus"], ["cover", "battery"]), None),
+    @pytest.mark.parametrize("direction, lists, skills, code", [
+        ("Reverse", None, ["screwing"], "step-mismatch"),
+        ("Swap", (["bogus"], ["cover", "battery"]), None, "parse-error"),
     ], ids=["reverse-skills", "swap-lists"])
     def test_forged_golden_repair_step_exit_3(self, fixtures_dir, workdir, capsys, direction,
-                                               lists, skills):
-        """The golden repair plan with one Reverse step's skills, or its Swap's lists, forged."""
+                                               lists, skills, code):
+        """The golden repair plan with one Reverse step's skills forged, which the replay
+        refuses (exit 3), or its Swap's lists, which no longer agree with its swap ids, so
+        the plan does not load (exit 2)."""
         doc = json.loads((fixtures_dir / "f1_repair_mod8.plan.json").read_text())
         index, step = next((i, s) for i, s in enumerate(doc["steps"])
                            if s["direction"] == direction)
@@ -411,11 +415,12 @@ class TestExec:
         (workdir / "forged.plan.json").write_text(json.dumps(doc))
         argv = ["exec", str(workdir / "forged.plan.json"), model_path(workdir),
                 "--inventory", "final"]
-        assert main(argv) == 3
+        assert main(argv) == (3 if code == "step-mismatch" else 2)
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: step-mismatch: step {index} ({direction} '{step['process']}'): must ")
+        where = (f"step {index} ({direction} '{step['process']}'): must "
+                 if code == "step-mismatch" else f"steps[{index}]: swap_replacement and ")
+        assert captured.err.startswith(f"error: {code}: {where}")
 
 
 class TestAmlAndDot:
@@ -449,15 +454,21 @@ class TestAmlAndDot:
     @pytest.mark.parametrize("direction", ["Forward", "Reverse", "Swap"])
     def test_export_dot_draws_the_model_not_forged_lists(self, fixtures_dir, workdir, capsys,
                                                          direction):
-        """Forged step lists, which ``exec`` rejects, draw the overlay of the true plan."""
+        """Forged step lists, which ``exec`` rejects, draw the overlay of the true plan; a
+        Swap's forged lists disagree with its swap ids, so its plan does not load."""
         golden = fixtures_dir / "f1_repair_mod8.plan.json"
         doc = json.loads(golden.read_text())
-        step = next(s for s in doc["steps"] if s["direction"] == direction)
+        index, step = next((i, s) for i, s in enumerate(doc["steps"])
+                           if s["direction"] == direction)
         step["consumed"], step["produced"] = ["bogus"], ["cover", "battery"]
         (workdir / "forged.plan.json").write_text(json.dumps(doc))
         assert main(["export-dot", model_path(workdir), "--plan", str(golden)]) == 0
         true_dot = capsys.readouterr().out
         forged = str(workdir / "forged.plan.json")
+        if direction == "Swap":
+            assert main(["export-dot", model_path(workdir), "--plan", forged]) == 2
+            assert capsys.readouterr().err.startswith(f"error: parse-error: steps[{index}]: ")
+            return
         assert main(["export-dot", model_path(workdir), "--plan", forged]) == 0
         assert capsys.readouterr().out == true_dot and '"bogus"' not in true_dot
 
@@ -629,6 +640,21 @@ class TestPdt:
                 "--replace", "mod8=x,mod8=y", "--at", T1]
         result = run_cli(args, workdir)
         assert_one_error(result, "usage")
+        assert result.stdout == ""
+        assert (workdir / "VIN-1.pdt.json").read_bytes() == twin
+
+    def test_replacement_of_an_untracked_id_exit_2(self, workdir):
+        d = str(workdir)
+        assert main(["pdt", "new", "VIN-1", model_path(workdir), "--dir", d]) == 0
+        assert main(["pdt", "set-health", "VIN-1", "mod8", "broken", "--at", T0, "--dir", d]) == 0
+        twin = (workdir / "VIN-1.pdt.json").read_bytes()
+        args = ["pdt", "plan-repair", "VIN-1", "--model", "f1.bipan.json",
+                "--replace", "mod8=m,zzz=n", "--at", T1]
+        result = run_cli(args, workdir)
+        assert_one_error(result, "unknown-component")
+        assert result.stderr == (
+            "error: unknown-component: 'zzz' is not a tracked component of instance 'VIN-1'\n"
+        )
         assert result.stdout == ""
         assert (workdir / "VIN-1.pdt.json").read_bytes() == twin
 
@@ -840,7 +866,7 @@ class TestHostileInput:
     def test_dot_overlay_quotes_plan_ids(self, workdir):
         plan = json.loads(io.save_plan(repair_plan(battery_model(), ["mod8"], {"mod8": "mod8r"})))
         swap = next(step for step in plan["steps"] if step["direction"] == "Swap")
-        swap["swap_replacement"] = 'battery" -> "evil'
+        swap["swap_replacement"] = swap["consumed"][0] = 'battery" -> "evil'
         (workdir / "evil.plan.json").write_text(json.dumps(plan))
         result = run_cli(["export-dot", "f1.bipan.json", "--plan", "evil.plan.json"], workdir)
         assert result.returncode == 0, result.stderr
@@ -867,7 +893,7 @@ class TestHostileInput:
         assert_one_error(run_cli(["pdt", "log", "VIN-1"], workdir), "parse-error")
 
     def test_newline_in_broken_id(self, workdir):
-        args = ["plan", "repair", "f1.bipan.json", "--broken", "a\nb", "--replace", "a=x"]
+        args = ["plan", "repair", "f1.bipan.json", "--broken", "a\nb", "--replace", "a\nb=x"]
         assert_one_error(run_cli(args, workdir), "unknown-node")
 
     def test_newline_in_missing_skill(self, workdir):

@@ -32,6 +32,9 @@ LOADERS = {
     "registry": io.load_registry,
 }
 
+SWAP_KEYS = ("steps[0]: swap_replacement and swap_target must be a Swap's one consumed and "
+             "one produced id, and null on other steps")
+
 # (kind, document text, code, detail or None)
 CORPUS = [
     ('model', '[]',
@@ -156,9 +159,9 @@ CORPUS = [
     ('plan', '{"steps": [{"process": "p", "direction": "Swap", "swap_target": 1, "swap_replacement": "b"}]}',
      'parse-error', 'steps[0].swap_target must be a string'),
     ('plan', '{"steps": [{"process": "p", "direction": "Swap", "swap_replacement": "b"}]}',
-     'parse-error', 'steps[0]: swap step must name target and replacement'),
+     'parse-error', SWAP_KEYS),
     ('plan', '{"steps": [{"process": "p", "direction": "Swap", "swap_target": "a"}]}',
-     'parse-error', 'steps[0]: swap step must name target and replacement'),
+     'parse-error', SWAP_KEYS),
     ('plan', '{"steps": [{"direction": "Forward"}]}',
      'parse-error', 'steps[0].process must be a string'),
     ('plan', '{"steps": [{"process": "p", "direction": "Forward", "consumed": "x"}]}',
@@ -253,6 +256,16 @@ CORPUS = [
      'parse-error', 'present must be an array'),
     ('state', '{"presnt": []}',
      'parse-error', 'present must be an array'),
+    ('plan', '{"steps": [{"process": "p", "direction": "Swap", "consumed": ["bogus"], "produced": ["cover", "battery"], "swap_replacement": "bogus", "swap_target": "cover"}]}',
+     'parse-error', SWAP_KEYS),
+    ('plan', '{"steps": [{"process": "p", "direction": "Swap", "consumed": ["r"], "produced": ["t"], "swap_replacement": "t", "swap_target": "r"}]}',
+     'parse-error', SWAP_KEYS),
+    ('plan', '{"steps": [{"process": "p", "direction": "Swap", "consumed": ["r"], "produced": ["t"]}]}',
+     'parse-error', SWAP_KEYS),
+    ('plan', '{"steps": [{"process": "p", "direction": "Forward", "consumed": ["r"], "produced": ["t"], "swap_target": "t"}]}',
+     'parse-error', SWAP_KEYS),
+    ('plan', '{"steps": [{"process": "p", "direction": "Reverse", "swap_replacement": "r"}]}',
+     'parse-error', SWAP_KEYS),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -83,7 +84,7 @@ class TestApplyStep:
         assert err.value.code == "unknown-process"
 
     def test_swap_onto_its_own_replacement_is_double_produce(self, f1):
-        swap = PlanStep("p2", Direction.SWAP, ("mod8",), ("mod8",), (), "mod8", "mod8")
+        swap = PlanStep("p2", Direction.SWAP, ("mod8",), ("mod8",), ())
         state = ExecState(frozenset({"stage2", "mod8"}), {})
         with pytest.raises(BiPanError) as err:
             apply_step(state, swap, f1)
@@ -94,17 +95,29 @@ class TestApplyStep:
         assert err.value.detail.startswith("step 0 (Swap 'p2'): ")
 
     def test_swap_without_target_or_replacement_is_malformed(self):
-        """No swap step lacking either id can be built, so none reaches the oracle."""
-        for ids in ((None, "mod8r"), ("mod8", None), (None, None)):
+        """A Swap consumes one id and produces one; no other swap step can be built."""
+        lists = ((), ("mod8r",), ("mod8r", "bogus"), ["mod8r", "mod8"])
+        for consumed, produced in itertools.product(lists, repeat=2):
+            if len(consumed) == len(produced) == 1:
+                continue
             with pytest.raises(BiPanError) as err:
-                PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), (), *ids)
+                PlanStep("p2", Direction.SWAP, consumed, produced, ())
             assert (err.value.code, err.value.detail) == (
-                "malformed-step", "swap step at 'p2' lacks target/replacement ids"
+                "malformed-step", "swap step at 'p2' must consume one id and produce one"
             )
+
+    def test_swap_ids_are_its_lists(self):
+        """A Swap's ids are read from its lists; every other step names none."""
+        swap = PlanStep("p2", Direction.SWAP, ["mod8r"], ["mod8"], ())
+        assert (swap.swap_replacement, swap.swap_target) == ("mod8r", "mod8")
+        assert swap == PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), ())
+        for direction in (Direction.FORWARD, Direction.REVERSE):
+            step = PlanStep("p2", direction, ("mod8r",), ("mod8",), ())
+            assert (step.swap_replacement, step.swap_target) == (None, None)
 
     def test_swap_site_without_one_output_is_missing_input(self, f1):
         no_output = MUTANTS["V001"][0](f1)  # p1 lost its output stage1
-        swap = PlanStep("p1", Direction.SWAP, ("boxr",), ("box",), (), "box", "boxr")
+        swap = PlanStep("p1", Direction.SWAP, ("boxr",), ("box",), ())
         with pytest.raises(BiPanError) as err:
             apply_step(ExecState({"stage1", "boxr"}), swap, no_output)
         assert err.value.code == "missing-input"
@@ -126,12 +139,8 @@ FORGED = {
     "extra-input": PlanStep("p1", Direction.FORWARD, (*P1_INPUTS, "mod1"), ("stage1",), ()),
     "wrong-output": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage2",), ()),
     "reverse-with-swapped-lists": PlanStep("p1", Direction.REVERSE, P1_INPUTS, ("stage1",), ()),
-    "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, ("mod8r",), ("cover",), (), "cover",
-                                    "mod8r"),
-    "replacement-names-a-node": PlanStep("p2", Direction.SWAP, ("bms",), ("mod8",), (), "mod8",
-                                         "bms"),
-    "swap-lists-differ": PlanStep("p2", Direction.SWAP, ("bogus",), ("cover", "battery"), (),
-                                  "mod8", "mod8r"),
+    "swap-of-a-non-input": PlanStep("p2", Direction.SWAP, ("mod8r",), ("cover",), ()),
+    "replacement-names-a-node": PlanStep("p2", Direction.SWAP, ("bms",), ("mod8",), ()),
     "forged-skills": PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("stage1",), ()),
     "forged-reverse-skills": PlanStep("p5", Direction.REVERSE, ("battery",),
                                       ("cover", "screws2", "stage4"), ("screwing",)),

@@ -211,6 +211,13 @@ class TestConstruction:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=(1.0, 2.0))
         assert err.value.code == "invalid-position"
 
+    def test_non_numeric_position(self):
+        with pytest.raises(BiPanError) as err:
+            ProductNode("a", "x", ProductKind.ELEMENTARY, position=("a", 1, 2))
+        assert (err.value.code, err.value.detail) == (
+            "invalid-position", "product 'a': position components must be numbers"
+        )
+
     def test_duplicate_flows_collapse(self):
         model = tiny_model(extra_flows=(FlowEdge("a", "q", FlowRole.INPUT),))
         assert model.flows == tiny_model().flows

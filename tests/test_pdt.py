@@ -157,6 +157,14 @@ class TestPlanRepair:
         _, plan = plan_repair_for(twin, f1, replacements, T1)
         assert plan == repair_plan(f1, ["blanket", "mod2"], replacements)
 
+    def test_untracked_replacement_is_unknown_component(self, f1):
+        twin = set_health(create_instance("V", f1), "mod8", Health.BROKEN, T0)
+        for untracked in ("zzz", "stage2"):
+            with pytest.raises(BiPanError) as err:
+                plan_repair_for(twin, f1, {"mod8": "mod8r", untracked: "n"}, T1)
+            assert err.value.code == "unknown-component"
+            assert untracked in err.value.detail
+
     def test_nothing_broken(self, f1):
         twin = set_health(create_instance("V", f1), "mod8", Health.DEGRADED, T0)
         with pytest.raises(BiPanError) as err:

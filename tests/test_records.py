@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from bipan import io
 from bipan.errors import BiPanError
 from bipan.exchange import AmlFragment
 from bipan.execute import ExecState, Trace
@@ -73,14 +74,15 @@ _MODEL = (
 )
 _STEP = (
     "PlanStep(process='p', direction=<Direction.FORWARD: 'Forward'>, consumed=('a',), "
-    "produced=('f',), required_skills=('K',), swap_target=None, swap_replacement=None)"
+    "produced=('f',), required_skills=('K',))"
 )
 _STATE = "ExecState(present=frozenset({'a'}), substitutions={'a': 'b'})"
 _EVENT = "Event(timestamp='2024-05-01T10:00:00Z', kind='note', payload={'k': 'v'})"
 _DIAGNOSTIC = "Diagnostic(code='V009', nodes=('p',), message='a warning')"
 
 #: A builder of one instance of each record class, and that instance's ``repr``,
-#: recorded when the records were still frozen dataclasses.
+#: recorded when the records were still frozen dataclasses. A ``PlanStep``'s swap
+#: ids are not fields: it reads them from its lists.
 RECORDS = {
     ProductNode: (node, _NODE),
     ProcessNode: (lambda: ProcessNode("p", "P"), "ProcessNode(id='p', label='P')"),
@@ -148,10 +150,25 @@ REFUSED = [
     (BiPanModel, {"skills": (SkillNode("k", "K"), SkillNode("k", "L"))}, "duplicate-id"),
     (BiPanModel, {"flows": (FlowEdge("b", "p", FlowRole.INPUT),)}, "dangling-reference"),
     (Event, {"timestamp": "2024-05-01T10:00:00+02:00"}, "invalid-timestamp"),
+    (PlanStep, {"direction": Direction.SWAP, "consumed": ()}, "malformed-step"),
     (PdtInstance, {"instance_id": ""}, "invalid-id"),
     (PdtInstance, {"events": (event(), replace(event(), timestamp="2024-04-01T10:00:00Z"))},
      "time-regression"),
 ]
+
+#: Per record, the fields that hold sequences or sets.
+SEQUENCES = {
+    PlanStep: ("consumed", "produced", "required_skills"),
+    Plan: ("steps",),
+    Trace: ("steps",),
+    PdtInstance: ("events",),
+    Diagnostic: ("nodes",),
+    Diagnostics: ("items",),
+    AmlFragment: ("products", "explicit_kinds"),
+}
+
+#: The writer and reader of each record that has a native document.
+DOCUMENTS = {Plan: (io.save_plan, io.load_plan), PdtInstance: (io.save_instance, io.load_instance)}
 
 COPIES = {
     "pickle": lambda r: pickle.loads(pickle.dumps(r)),
@@ -236,6 +253,25 @@ def test_replace_reruns_the_checks(cls, changes, code):
     with pytest.raises(BiPanError) as err:
         replace(build(cls), **changes)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("cls", SEQUENCES, ids=lambda cls: cls.__name__)
+def test_records_freeze_the_sequences_they_are_given(cls):
+    """Built from lists and sets, a record equals and hashes as the tuple-built one, stays
+    as built when those lists change, and, with a document, loads as it was saved."""
+    record = build(cls)
+    given = {}
+    for name in SEQUENCES[cls]:
+        value = getattr(record, name)
+        given[name] = set(value) if isinstance(value, frozenset) else list(value)
+    built = replace(record, **given)
+    assert built == record and hash(built) == hash(record)
+    for value in given.values():
+        value.clear()
+    assert built == record
+    if cls in DOCUMENTS:
+        save, load = DOCUMENTS[cls]
+        assert load(save(built)) == built
 
 
 @classes
