@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Time model ingest stage by stage, against ``json.loads`` of the same bytes.
+
+Ingest is what every command that reads a model pays: ``io.load_model`` (that is
+``json.loads``, then decoding the document into nodes and adjacency maps with
+``io._direct_model``), validation and the digest. Each stage, and the whole, is
+timed in this process, best of ``--repeat`` runs, with the cyclic GC on as the
+library runs it. The models come from ``bench/gen.py``, named ``<shape>-<nodes>``;
+times are in milliseconds, and the last column is whole ingest over ``json.loads``.
+
+Run with: python scripts/ingest_table.py [MODEL ...] [--repeat K]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+import time
+from pathlib import Path
+
+from bipan import io
+from bipan.canon import model_digest
+from bipan.validate import validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from gen import generate  # noqa: E402  (bench/ is no package)
+
+MODELS = ("chain-1500", "bushy-2000", "bushy-16000")
+
+
+def best_ms(run, repeat: int) -> float:
+    """The least wall time of ``repeat`` calls of ``run``, in milliseconds.
+
+    Each call starts after a full collection, so none pays for garbage the last one left.
+    """
+    times = []
+    for _ in range(repeat):
+        gc.collect()
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e3
+
+
+def ingest(data: bytes) -> None:
+    model = io.load_model(data)
+    model.diagnostics, model.digest
+
+
+def row(name: str, repeat: int) -> str:
+    shape, nodes = name.rsplit("-", 1)
+    generated = generate(shape, 1, int(nodes))
+    data = generated.data
+    doc, model = json.loads(data), io.load_model(data)
+    times = [
+        best_ms(lambda: json.loads(data), repeat),
+        best_ms(lambda: io._direct_model(doc), repeat),
+        best_ms(lambda: validate(model), repeat),
+        best_ms(lambda: model_digest(model), repeat),
+        best_ms(lambda: ingest(data), repeat),
+    ]
+    cells = " | ".join(f"{t:.1f}" for t in times)
+    return f"| {shape}-{generated.nodes} | {cells} | {times[-1] / times[0]:.1f}× |"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("models", nargs="*", default=MODELS,
+                        help="<shape>-<nodes>, e.g. bushy-2000")
+    parser.add_argument("--repeat", type=int, default=9, help="runs per stage; the best is kept")
+    args = parser.parse_args()
+    print("| model | `json.loads` | decode and build | validate | digest | ingest "
+          "| ingest ÷ loads |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+    for name in args.models:
+        print(row(name, args.repeat))
+
+
+if __name__ == "__main__":
+    main()

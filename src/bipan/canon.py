@@ -69,17 +69,20 @@ def model_bytes(model: BiPanModel) -> bytes:
     """:func:`canonical_bytes` of the model's document, written straight from its records.
 
     Each record family spells its keys out in sorted order, so no dict is built and sorted
-    again. An enum gives ``_value_``: in Python 3.11, ``.value`` is a descriptor call.
+    again; edges come from ``model.adjacency``, with no record built. An enum gives
+    ``_value_``: in Python 3.11, ``.value`` is a descriptor call.
     """
     processes, skills = (
         [f'{{{_FIELD}"id": {_escape(n.id)},{_FIELD}"label": {_escape(n.label)}{_END}'
          for n in nodes]
         for nodes in (model.processes, model.skills)
     )
-    flows = [f'{{{_FIELD}"process": {_escape(f.process)},{_FIELD}"product": {_escape(f.product)},'
-             f'{_FIELD}"role": "{f.role._value_}"{_END}' for f in model.flows]
-    skill_edges = [f'{{{_FIELD}"process": {_escape(e.process)},{_FIELD}"skill": {_escape(e.skill)}'
-                   f'{_END}' for e in model.skill_edges]
+    inputs, outputs, _, _, skill_ids = model.adjacency
+    flows = [f'{{{_FIELD}"process": {_escape(pid)},{_FIELD}"product": {_escape(product)},'
+             f'{_FIELD}"role": "{role}"{_END}' for pid in inputs
+             for role, ids in (("Input", inputs), ("Output", outputs)) for product in ids[pid]]
+    skill_edges = [f'{{{_FIELD}"process": {_escape(pid)},{_FIELD}"skill": {_escape(skill)}{_END}'
+                   for pid, skills in skill_ids.items() for skill in skills]
     fastens = [f'{{{_FIELD}"fastener": {_escape(l.fastener)},'
                f'{_FIELD}"secures": {_strings(sorted(l.secures))}{_END}' for l in model.fastens]
     products = [_product(node) for node in model.products]

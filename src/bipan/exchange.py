@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from bipan.canon import model_bytes
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, FlowRole, ProductKind, ProductNode, Record, _set, replace
+from bipan.model import BiPanModel, ProductKind, ProductNode, Record, _set, replace
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -265,14 +265,13 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
         attrs = f'shape=box, style="rounded,filled", fillcolor="{_SKILL_FILL}"'
         lines.append(_dot_node(skill.id, attrs, skill.label))
     # Open arrow end = assembly direction, full arrow end = disassembly direction.
-    for flow in model.flows:
-        if flow.role is FlowRole.INPUT:
-            tail, head = flow.product, flow.process
-        else:
-            tail, head = flow.process, flow.product
-        lines.append(_dot_edge(tail, head, "dir=both, arrowhead=empty, arrowtail=normal"))
-    for edge in model.skill_edges:
-        lines.append(_dot_edge(edge.process, edge.skill, "style=dashed, color=goldenrod"))
+    inputs, outputs, _, _, skill_ids = model.adjacency
+    for pid in inputs:  # the flows in canonical order
+        for tail, head in (*((product, pid) for product in inputs[pid]),
+                           *((pid, product) for product in outputs[pid])):
+            lines.append(_dot_edge(tail, head, "dir=both, arrowhead=empty, arrowtail=normal"))
+    for pid, skills in skill_ids.items():
+        lines.extend(_dot_edge(pid, skill, "style=dashed, color=goldenrod") for skill in skills)
 
     if plan is not None:
         from bipan.plan import Direction

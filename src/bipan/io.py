@@ -22,12 +22,10 @@ from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
     check_id,
 )
@@ -114,8 +112,8 @@ def _direct_model(doc: Any) -> BiPanModel:
     """The model of a well-formed document, built without per-field paths.
 
     It accepts only what ``schema.model`` accepts and builds an equal model. Node ids
-    are checked by the node constructors, which take only strings, and the
-    model resolves each edge endpoint to one of those nodes. Any fault raises,
+    are checked by the node constructors, which take only strings; edges go to the
+    model as plain rows, and it resolves each endpoint to a node. Any fault raises,
     and :func:`load_model` then decodes the document again with ``schema.model``,
     which names it.
     """
@@ -149,15 +147,12 @@ def _direct_model(doc: Any) -> BiPanModel:
         raise ValueError("id")
     return BiPanModel(
         model_id,
-        tuple(products),
-        tuple(ProcessNode(row["id"], _label(row)) for row in _rows(doc, "processes")),
-        tuple(SkillNode(row["id"], _label(row)) for row in _rows(doc, "skills")),
-        tuple(
-            FlowEdge(row["product"], row["process"], _ROLES[row["role"]])
-            for row in _rows(doc, "flows")
-        ),
-        tuple(SkillEdge(row["process"], row["skill"]) for row in _rows(doc, "skill_edges")),
-        tuple(fastens),
+        products,
+        [ProcessNode(row["id"], _label(row)) for row in _rows(doc, "processes")],
+        [SkillNode(row["id"], _label(row)) for row in _rows(doc, "skills")],
+        [(row["product"], row["process"], _ROLES[row["role"]]) for row in _rows(doc, "flows")],
+        [(row["process"], row["skill"]) for row in _rows(doc, "skill_edges")],
+        fastens,
     )
 
 

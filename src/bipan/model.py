@@ -16,7 +16,7 @@ neighbours from; the structural rules beyond that (V-codes) live in
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -147,14 +147,15 @@ class ProductNode(Record):
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
     ``attributes`` is a read-only copy of the mapping given, so a model's cached
-    digest and diagnostics cannot go stale.
+    digest and diagnostics cannot go stale; products without any share one empty map.
     """
 
     __slots__ = ("id", "label", "kind", "type_ref", "position", "attributes")
+    _NO_ATTRIBUTES = FrozenMap()
 
     def __init__(self, id: str, label: str, kind: ProductKind, type_ref: str | None = None,
                  position: tuple[float, float, float] | None = None,
-                 attributes: Mapping[str, str] = FrozenMap()) -> None:
+                 attributes: Mapping[str, str] = _NO_ATTRIBUTES) -> None:
         check_id(id)
         if type(kind) is not ProductKind:
             raise BiPanError("invalid-kind", f"product '{id}': kind {kind!r} is not a ProductKind")
@@ -179,7 +180,7 @@ class ProductNode(Record):
         _set(self, "kind", kind)
         _set(self, "type_ref", type_ref)
         _set(self, "position", position)
-        _set(self, "attributes", FrozenMap(attributes))
+        _set(self, "attributes", FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES)
 
     def has_finite_position(self) -> bool:
         return self.position is None or all(math.isfinite(c) for c in self.position)
@@ -204,7 +205,10 @@ class SkillNode(Record):
 
 
 class FlowEdge(Record):
-    """Ties a product to a process, as consumed input or produced output."""
+    """Ties a product to a process, as consumed input or produced output.
+
+    It unpacks as ``product, process, role``, and a ``SkillEdge`` as ``process, skill``.
+    """
 
     __slots__ = ("product", "process", "role")
 
@@ -216,6 +220,9 @@ class FlowEdge(Record):
         _set(self, "process", process)
         _set(self, "role", role)
 
+    def __iter__(self):
+        return iter(self._key(self))
+
 
 class SkillEdge(Record):
     __slots__ = ("process", "skill")
@@ -223,6 +230,9 @@ class SkillEdge(Record):
     def __init__(self, process: str, skill: str) -> None:
         _set(self, "process", process)
         _set(self, "skill", skill)
+
+    def __iter__(self):
+        return iter(self._key(self))
 
 
 class FastensLink(Record):
@@ -254,44 +264,54 @@ class Adjacency(NamedTuple):
 _FAMILY = {ProductNode: "product", ProcessNode: "process", SkillNode: "skill"}
 
 
-def _dangling(source: str, family: str, node_id: str) -> BiPanError:
-    """``dangling-reference`` for an endpoint naming no node; ``invalid-id`` if none could."""
-    check_id(node_id)
-    return BiPanError("dangling-reference", f"{source} references unknown {family} '{node_id}'")
-
-
-def _normalized(edges: tuple, key: Callable) -> tuple:
-    """``edges`` sorted by ``key``, exact duplicates dropped.
-
-    ``key`` holds every field of an edge, so equal edges have equal keys. A dict
-    over those tuples drops duplicates without calling the record ``__hash__``
-    and the enum's, which are Python functions.
+def _first_fault(nodes: Mapping[str, Record], flows: tuple, skill_edges: tuple,
+                 fastens: tuple[FastensLink, ...]) -> None:
+    """Raise the first fault of these edges: a role that is no ``FlowRole`` or an id that is
+    no string, in the order given, else the first endpoint that names no node, in the
+    canonical order a model holds its edges in.
     """
-    keyed = {key(edge): edge for edge in edges}
-    return tuple(keyed[k] for k in sorted(keyed))
+    flows = [FlowEdge(*flow) for flow in flows]
+    for ids in (*((flow.product, flow.process) for flow in flows), *skill_edges,
+                *((link.fastener, *link.secures) for link in fastens)):
+        for node_id in ids:
+            if not isinstance(node_id, str):
+                check_id(node_id)
+    for source, ids, families in (
+        *(("flow", (product, process), (ProductNode, ProcessNode)) for process, _, product
+          in sorted((f.process, f.role is FlowRole.OUTPUT, f.product) for f in flows)),
+        *(("skill edge", ids, (ProcessNode, SkillNode)) for ids in sorted(map(tuple, skill_edges))),
+        *(("fastens link", ids, (ProductNode,) * len(ids))
+          for ids in sorted((link.fastener, *sorted(link.secures)) for link in fastens)),
+    ):
+        for node_id, family in zip(ids, families):
+            if type(nodes.get(node_id)) is not family:
+                check_id(node_id)
+                raise BiPanError("dangling-reference",
+                                 f"{source} references unknown {_FAMILY[family]} '{node_id}'")
 
 
 class BiPanModel(Record):
     """Immutable bidirectional product-process-resource network.
 
-    Node and edge collections are normalized on construction: sorted by id and
-    exact duplicate edges dropped. The same construction checks every edge
-    endpoint to resolve and builds ``adjacency``, the five neighbour maps that
-    validation, the planners and the replay read. The other derived facts
-    (``digest``, ``diagnostics``, each process's skill labels) are computed on
-    first use and kept for the life of the value.
+    Nodes are sorted by id on construction. Edges, as records or plain rows, are checked
+    to resolve and stored as ``adjacency``, the five neighbour maps that validation, the
+    planners and the replay read; ``flows`` and ``skill_edges`` are views built from it
+    on first read, in canonical order, without duplicates. The other derived facts
+    (``digest``, ``diagnostics``, each process's skill labels) are computed on first
+    use and kept for the life of the value.
     """
 
-    __slots__ = ("id", "products", "processes", "skills", "flows", "skill_edges", "fastens",
-                 "_nodes", "_skill_labels", "adjacency", "__dict__")  # a dict for cached facts
+    __slots__ = ("id", "products", "processes", "skills", "fastens", "_nodes", "_skill_labels",
+                 "adjacency", "__dict__")  # a dict for cached facts
 
-    def __init__(self, id: str, products: tuple[ProductNode, ...] = (),
-                 processes: tuple[ProcessNode, ...] = (), skills: tuple[SkillNode, ...] = (),
-                 flows: tuple[FlowEdge, ...] = (), skill_edges: tuple[SkillEdge, ...] = (),
-                 fastens: tuple[FastensLink, ...] = ()) -> None:
+    def __init__(self, id: str, products: Iterable[ProductNode] = (),
+                 processes: Iterable[ProcessNode] = (), skills: Iterable[SkillNode] = (),
+                 flows: Iterable[FlowEdge] = (), skill_edges: Iterable[SkillEdge] = (),
+                 fastens: Iterable[FastensLink] = ()) -> None:
         # One id -> node map over all families. Duplicates within a family are
         # reported first, in input order; then the least id a family shares with
         # an earlier one.
+        products, processes, skills = tuple(products), tuple(processes), tuple(skills)
         nodes: dict[str, ProductNode | ProcessNode | SkillNode] = {}
         shared: list[tuple[int, str, str]] = []
         for rank, family in enumerate((products, processes, skills)):
@@ -308,63 +328,66 @@ class BiPanModel(Record):
         if shared:
             raise BiPanError("duplicate-id", min(shared)[2])
 
-        try:
-            # ``_value_``, not ``.value``, which is a descriptor call in Python 3.11.
-            flows = _normalized(flows, lambda f: (f.process, f.role._value_, f.product))
-            skill_edges = _normalized(skill_edges, lambda e: (e.process, e.skill))
-            fastens = _normalized(fastens, lambda l: (l.fastener, tuple(sorted(l.secures))))
-        except TypeError:  # an id that is no string failed to hash or sort; ``check_id`` names it
-            for ids in (
-                *((f.product, f.process) for f in flows),
-                *((e.process, e.skill) for e in skill_edges),
-                *((link.fastener, *link.secures) for link in fastens),
-            ):
-                for node_id in ids:
-                    check_id(node_id)
-            raise
-
         by_id = attrgetter("id")
         _set(self, "id", id)
         _set(self, "products", tuple(sorted(products, key=by_id)))
         _set(self, "processes", tuple(sorted(processes, key=by_id)))
         _set(self, "skills", tuple(sorted(skills, key=by_id)))
 
-        # One pass over the sorted edges checks each endpoint and fills the adjacency
-        # maps, so every neighbour tuple comes out in ascending id order. Each map is
-        # keyed by one node family: an endpoint missing from it names no such node.
-        inputs, outputs, skill_ids = ({p.id: [] for p in self.processes} for _ in range(3))
-        producers, consumers = ({p.id: [] for p in self.products} for _ in range(2))
-        for f in flows:
-            if f.product not in producers:
-                raise _dangling("flow", "product", f.product)
-            if f.process not in inputs:
-                raise _dangling("flow", "process", f.process)
-            if f.role is FlowRole.INPUT:
-                inputs[f.process].append(f.product)
-                consumers[f.product].append(f.process)
-            else:
-                outputs[f.process].append(f.product)
-                producers[f.product].append(f.process)
-        for e in skill_edges:
-            if e.process not in skill_ids:
-                raise _dangling("skill edge", "process", e.process)
-            if not isinstance(nodes.get(e.skill), SkillNode):
-                raise _dangling("skill edge", "skill", e.skill)
-            skill_ids[e.process].append(e.skill)
-        for link in fastens:
-            for pid in (link.fastener, *sorted(link.secures)):
-                if pid not in producers:
-                    raise _dangling("fastens link", "product", pid)
+        # One pass files each edge in maps keyed by one node family each, so an endpoint
+        # that names no such node fails to index its map; ``_first_fault`` names it.
+        flows, skill_edges, fastens = tuple(flows), tuple(skill_edges), tuple(fastens)
+        inputs, outputs, skill_ids, producers, consumers, users = (
+            {node.id: [] for node in family}
+            for family in (*(self.processes,) * 3, self.products, self.products, self.skills)
+        )
+        try:
+            for product, process, role in flows:
+                if role is FlowRole.INPUT:
+                    inputs[process].append(product)
+                elif role is FlowRole.OUTPUT:
+                    outputs[process].append(product)
+                else:
+                    FlowEdge(product, process, role)  # raises invalid-role
+            for process, skill in skill_edges:
+                skill_ids[process].append(skill)
+            # Each list sorted, without duplicates; the processes ascend, so the lists
+            # by product and by skill come out ascending too.
+            for by_process, by_node in ((inputs, consumers), (outputs, producers),
+                                        (skill_ids, users)):
+                for pid, ids in by_process.items():
+                    by_process[pid] = ids = tuple(sorted(set(ids)) if len(ids) > 1 else ids)
+                    for node_id in ids:
+                        by_node[node_id].append(pid)
+            keyed = {(link.fastener, tuple(sorted(link.secures))): link for link in fastens}
+            if not producers.keys() >= {pid for key in keyed for pid in (key[0], *key[1])}:
+                raise KeyError("fastens")
+        except (KeyError, TypeError, BiPanError):
+            _first_fault(nodes, flows, skill_edges, fastens)
+            raise
 
-        _set(self, "flows", flows)
-        _set(self, "skill_edges", skill_edges)
-        _set(self, "fastens", fastens)
+        _set(self, "fastens", tuple(keyed[k] for k in sorted(keyed)))
         _set(self, "_nodes", nodes)
         _set(self, "_skill_labels", {})
+        producers, consumers = (
+            {node_id: tuple(ids) for node_id, ids in m.items()} for m in (producers, consumers)
+        )
         maps = (inputs, outputs, producers, consumers, skill_ids)
-        _set(self, "adjacency", Adjacency(
-            *(FrozenMap({node_id: tuple(ids) for node_id, ids in m.items()}) for m in maps)
-        ))
+        _set(self, "adjacency", Adjacency(*map(FrozenMap, maps)))
+
+    @cached_property
+    def flows(self) -> tuple[FlowEdge, ...]:
+        """The flow edges in canonical order: by process, its inputs and then its outputs."""
+        inputs, outputs = self.adjacency.inputs, self.adjacency.outputs
+        return tuple(FlowEdge(product, pid, role) for pid in inputs
+                     for role, ids in ((FlowRole.INPUT, inputs), (FlowRole.OUTPUT, outputs))
+                     for product in ids[pid])
+
+    @cached_property
+    def skill_edges(self) -> tuple[SkillEdge, ...]:
+        """The skill edges in canonical order, by process and skill."""
+        return tuple(SkillEdge(pid, skill)
+                     for pid, skills in self.adjacency.skill_ids.items() for skill in skills)
 
     # -- facts computed once -------------------------------------------------------
 

@@ -124,6 +124,8 @@ CORPUS = [
      'duplicate-id', "duplicate product id 'a'"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p", "role": "Input"}], "skill_edges": [{"process": "p", "skill": "s t"}]}',
      'dangling-reference', "flow references unknown process 'p'"),
+    ('model', '{"processes": [{"id": "p"}], "skills": [{"id": "s"}], "skill_edges": [{"process": "q", "skill": "s"}], "flows": [{"product": "z", "process": "p", "role": "Input"}]}',
+     'dangling-reference', "flow references unknown product 'z'"),
     ('model', '{"id": 5, "flows": [{"product": "a b", "process": "p", "role": "Input"}]}',
      'parse-error', 'id must be a string'),
     ('model', '{"skill_edges": [{"process": "p", "skill": 2}]}',
@@ -353,3 +355,40 @@ def test_edge_order_never_changes_a_model_documents_error(edges):
         with pytest.raises(BiPanError) as err:
             io.load_model(json.dumps({"id": "m", **nodes, **reordered}).encode("utf-8"))
         assert (err.value.code, err.value.detail) == expected, reordered
+
+
+#: Edges with several endpoints that name no node, and the one reported: the first in
+#: canonical edge order (flows by process, role and product, then skill edges).
+FIRST_DANGLING = [
+    ({"flows": [_flow("z", "p"), _flow("y", "p"), _flow("x", "p", "Output")]},
+     "flow references unknown product 'y'"),
+    ({"flows": [_flow("a", "q"), _flow("z", "p")]}, "flow references unknown product 'z'"),
+    ({"skill_edges": [{"process": "p", "skill": "u"}, {"process": "p", "skill": "t"}]},
+     "skill edge references unknown skill 't'"),
+    ({"skill_edges": [{"process": "q", "skill": "s"}], "flows": [_flow("z", "p")]},
+     "flow references unknown product 'z'"),
+]
+
+
+@pytest.mark.parametrize("edges,detail", FIRST_DANGLING, ids=range(len(FIRST_DANGLING)))
+def test_documents_and_records_report_the_first_dangling_endpoint(edges, detail):
+    """In every order, a document and the records built from it name the same endpoint."""
+    nodes = {"products": [{"id": i, "kind": kind.value} for i, kind in _KINDS.items()],
+             "processes": [{"id": "p"}], "skills": [{"id": "s"}]}
+    for reordered in _orderings(edges):
+        assert _python_error(reordered) == ("dangling-reference", detail), reordered
+        with pytest.raises(BiPanError) as err:
+            io.load_model(json.dumps({"id": "m", **nodes, **reordered}).encode("utf-8"))
+        assert (err.value.code, err.value.detail) == ("dangling-reference", detail), reordered
+
+
+def test_a_role_that_is_no_flow_role_is_invalid_role():
+    """A ``FlowEdge`` refuses one, and so does a model given the flow as a plain row."""
+    expected = ("invalid-role", "flow 'a'-'p': role 'Input' is not a FlowRole")
+    with pytest.raises(BiPanError) as err:
+        FlowEdge("a", "p", "Input")
+    assert (err.value.code, err.value.detail) == expected
+    with pytest.raises(BiPanError) as err:
+        BiPanModel("m", (ProductNode("a", "", ProductKind.ELEMENTARY),), (ProcessNode("p", ""),),
+                   flows=[("a", "p", FlowRole.INPUT), ("a", "p", "Input")])
+    assert (err.value.code, err.value.detail) == expected

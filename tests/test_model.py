@@ -24,6 +24,7 @@ from bipan.model import (
     SkillEdge,
     SkillNode,
     check_id,
+    replace,
 )
 from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import INVERSION, DisassemblyMode, disassembly_to
@@ -217,6 +218,16 @@ class TestConstruction:
         assert (err.value.code, err.value.detail) == (
             "invalid-position", "product 'a': position components must be numbers"
         )
+
+    @pytest.mark.parametrize(
+        "field", ["products", "processes", "skills", "flows", "skill_edges", "fastens"]
+    )
+    def test_each_collection_may_be_a_generator(self, f1, field):
+        """Each collection is read once, so a generator builds the model a tuple does."""
+        model = replace(f1, fastens=(FastensLink("bolts1", frozenset({"mod8", "cover"})),))
+        fields = {name: getattr(model, name) for name in model._fields}
+        built = BiPanModel(**{**fields, field: (item for item in fields[field])})
+        assert built == model and getattr(built, field) == fields[field]
 
     def test_duplicate_flows_collapse(self):
         model = tiny_model(extra_flows=(FlowEdge("a", "q", FlowRole.INPUT),))

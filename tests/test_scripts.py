@@ -11,11 +11,11 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
-def run_script(tree, name):
+def run_script(tree, name, *args):
     """``scripts/<name>`` of ``tree`` in a fresh interpreter, with ``bipan`` from its ``src``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return subprocess.run(
-        [sys.executable, str(tree / "scripts" / name)], cwd=tree, env=env,
+        [sys.executable, str(tree / "scripts" / name), *args], cwd=tree, env=env,
         capture_output=True, text=True,
     )
 
@@ -41,6 +41,15 @@ def test_make_fixtures_regenerates_the_goldens_byte_identically(tmp_path):
     assert sorted(path.name for path in copied.iterdir()) == names
     for name in names:
         assert (copied / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_ingest_table_prints_a_row_per_model():
+    result = run_script(ROOT, "ingest_table.py", "chain-30", "bushy-40", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    header, rule, *rows = result.stdout.splitlines()
+    assert header.startswith("| model | `json.loads` |") and rule.startswith("| --- |")
+    assert [row.split("-")[0] for row in rows] == ["| chain", "| bushy"]
+    assert all(row.endswith("× |") and row.count("|") == 8 for row in rows)
 
 
 def test_readme_library_example_runs():
