@@ -124,8 +124,6 @@ CORPUS = [
      'duplicate-id', "duplicate product id 'a'"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p", "role": "Input"}], "skill_edges": [{"process": "p", "skill": "s t"}]}',
      'dangling-reference', "flow references unknown process 'p'"),
-    ('model', '{"processes": [{"id": "p"}], "skills": [{"id": "s"}], "skill_edges": [{"process": "q", "skill": "s"}], "flows": [{"product": "z", "process": "p", "role": "Input"}]}',
-     'dangling-reference', "flow references unknown product 'z'"),
     ('model', '{"id": 5, "flows": [{"product": "a b", "process": "p", "role": "Input"}]}',
      'parse-error', 'id must be a string'),
     ('model', '{"skill_edges": [{"process": "p", "skill": 2}]}',
@@ -268,6 +266,10 @@ CORPUS = [
      'parse-error', SWAP_KEYS),
     ('plan', '{"steps": [{"process": "p", "direction": "Reverse", "swap_replacement": "r"}]}',
      'parse-error', SWAP_KEYS),
+    # A dangling skill edge that precedes a dangling flow in the document: the flow
+    # comes first in canonical edge order, so it is the one reported.
+    ('model', '{"processes": [{"id": "p"}], "skills": [{"id": "s"}], "skill_edges": [{"process": "q", "skill": "s"}], "flows": [{"product": "z", "process": "p", "role": "Input"}]}',
+     'dangling-reference', "flow references unknown product 'z'"),
 ]
 
 
