@@ -94,14 +94,27 @@ def model_bytes(model: BiPanModel) -> bytes:
     ).encode("utf-8")
 
 
+class _Lists(dict):
+    """An id list -> its encoded array, each built on first lookup: one per plan written.
+
+    A repair lists each process's inputs twice, and a few skill lists recur in most steps.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, values: tuple[str, ...]) -> str:
+        text = self[values] = _strings(values)
+        return text
+
+
 def plan_bytes(plan: Plan) -> bytes:
     """:func:`canonical_bytes` of the plan's document; a swap step adds the two ids it names."""
-    steps = []
+    lists, steps = _Lists(), []
     for step in plan.steps:
-        text = (f'{{{_FIELD}"consumed": {_strings(step.consumed)},'
+        text = (f'{{{_FIELD}"consumed": {lists[step.consumed]},'
                 f'{_FIELD}"direction": "{step.direction._value_}",{_FIELD}"process": '
-                f'{_escape(step.process)},{_FIELD}"produced": {_strings(step.produced)},'
-                f'{_FIELD}"required_skills": {_strings(step.required_skills)}')
+                f'{_escape(step.process)},{_FIELD}"produced": {lists[step.produced]},'
+                f'{_FIELD}"required_skills": {lists[step.required_skills]}')
         if step.swap_target is not None:
             text += (f',{_FIELD}"swap_replacement": {_escape(step.swap_replacement)},'
                      f'{_FIELD}"swap_target": {_escape(step.swap_target)}')

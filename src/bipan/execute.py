@@ -71,33 +71,49 @@ def initial_inventory(model: BiPanModel) -> ExecState:
     return ExecState(model.leaf_products())
 
 
-def _apply(
-    present: set[str], substitutions: dict[str, str], step: PlanStep, model: BiPanModel
-) -> None:
+class _Inversions(dict):
+    """Label tuple -> its inversion, sorted and de-duplicated; each built on first lookup.
+
+    One replay holds one, so it inverts a label set once, not once a Reverse step.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, labels: tuple[str, ...]) -> tuple[str, ...]:
+        inverted = self[labels] = tuple(sorted({INVERSION.get(label, label) for label in labels}))
+        return inverted
+
+
+def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, model: BiPanModel,
+           inversions: _Inversions) -> None:
     """Check one step against the working set, then apply it in place.
 
-    Raises as :func:`apply_step` does, before changing anything.
+    Raises as :func:`apply_step` does, before changing anything. A check that passes
+    builds nothing: the offending ids are gathered only for the error.
     """
-    if not model.has_process(step.process):
+    adjacency = model.adjacency
+    outputs = adjacency.outputs.get(step.process)  # the process maps' keys are the processes
+    if outputs is None:
         raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
-    adjacency = model.adjacency  # ``has_process`` held, so each process map has ``step.process``
-    if step.direction is Direction.SWAP:
-        outputs = adjacency.outputs[step.process]
+    swap = step.direction is Direction.SWAP
+    if swap:
         if len(outputs) != 1:
             raise BiPanError(
                 "missing-input", f"swap site '{step.process}' has no unique output assembly"
             )
-        # A swap's target must be absent, even when it equals its replacement.
-        needed, reusable = (outputs[0], *step.consumed), set()
+        needed = (outputs[0], *step.consumed)
     else:
-        needed, reusable = step.consumed, set(step.consumed)
-    missing = tuple(item for item in needed if item not in present)
-    if missing:
+        needed = step.consumed
+    if not present.issuperset(needed):
+        missing = tuple(item for item in needed if item not in present)
         raise BiPanError("missing-input", f"missing inputs: {', '.join(missing)}", missing)
-    clashes = tuple(p for p in step.produced if p in present and p not in reusable)
-    if clashes:
-        raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
-    if step.direction is Direction.SWAP:
+    if not present.isdisjoint(step.produced):
+        # A swap's target must be absent, even when it equals its replacement.
+        reusable = () if swap else step.consumed
+        clashes = tuple(p for p in step.produced if p in present and p not in reusable)
+        if clashes:
+            raise BiPanError("double-produce", f"already present: {', '.join(clashes)}", clashes)
+    if swap:
         # The site among the target's consumers: one lookup, where the site may have many inputs.
         if step.process not in adjacency.consumers.get(step.swap_target, ()):
             raise BiPanError("step-mismatch", f"swap target '{step.swap_target}' is not an input "
@@ -106,18 +122,18 @@ def _apply(
             raise BiPanError("step-mismatch", f"replacement '{step.swap_replacement}' already "
                              f"names a node in model '{model.id}'", step.consumed)
     else:
-        inputs, outputs = adjacency.inputs[step.process], adjacency.outputs[step.process]
+        inputs = adjacency.inputs[step.process]
         if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
             inputs = tuple(sorted(substitutions.get(i, i) for i in inputs))
         skills = model.skill_labels_of(step.process)
         if step.direction is Direction.FORWARD:
-            expected = (inputs, outputs)
+            consumed, produced = inputs, outputs
         else:
-            expected = (outputs, inputs)
-            skills = tuple(sorted({INVERSION.get(label, label) for label in skills}))
-        if (step.consumed, step.produced) != expected:
-            raise BiPanError("step-mismatch", f"must consume [{', '.join(expected[0])}] "
-                             f"and produce [{', '.join(expected[1])}]")
+            consumed, produced = outputs, inputs
+            skills = inversions[skills]
+        if step.consumed != consumed or step.produced != produced:
+            raise BiPanError("step-mismatch", f"must consume [{', '.join(consumed)}] "
+                             f"and produce [{', '.join(produced)}]")
         if step.required_skills != skills:
             raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
     _effect(present, substitutions, step)
@@ -137,7 +153,7 @@ def apply_step(state: ExecState, step: PlanStep, model: BiPanModel) -> ExecState
     Raises `missing-input`, `double-produce`, `step-mismatch` or `unknown-process`.
     """
     present, substitutions = set(state.present), dict(state.substitutions)
-    _apply(present, substitutions, step, model)
+    _apply(present, substitutions, step, model, _Inversions())
     return ExecState(present, substitutions)
 
 
@@ -155,9 +171,10 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
             f"model '{model.id}' has {digest[:12]}...",
         )
     present, substitutions = set(state.present), dict(state.substitutions)
+    inversions = _Inversions()
     for i, step in enumerate(plan.steps):
         try:
-            _apply(present, substitutions, step, model)
+            _apply(present, substitutions, step, model, inversions)
         except BiPanError as exc:
             raise BiPanError(
                 exc.code,

@@ -250,6 +250,11 @@ class FastensLink(Record):
         _set(self, "fastener", fastener)
         _set(self, "secures", secures)
 
+    def __repr__(self) -> str:
+        """The default repr with ``secures`` sorted: a set's own order follows its history."""
+        secures = f"{{{', '.join(sorted(map(repr, self.secures)))}}}" if self.secures else ""
+        return f"FastensLink(fastener={self.fastener!r}, secures=frozenset({secures}))"
+
 
 class Adjacency(NamedTuple):
     """Read-only neighbour ids, ascending: by process (inputs, outputs, skill ids) or by product."""

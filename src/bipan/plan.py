@@ -52,8 +52,17 @@ INVERSION: Mapping[str, str] = FrozenMap(
 )
 
 
-def _inverted(labels: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted({INVERSION.get(label, label) for label in labels}))
+class _Inversions(dict):
+    """Label tuple -> its inversion, sorted and de-duplicated; each built on first lookup.
+
+    One planner call holds one, so a label set is inverted once a call, not once a step.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, labels: tuple[str, ...]) -> tuple[str, ...]:
+        inverted = self[labels] = tuple(sorted({INVERSION.get(label, label) for label in labels}))
+        return inverted
 
 
 class PlanStep(Record):
@@ -165,14 +174,15 @@ def _forward_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -
     )
 
 
-def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -> PlanStep:
+def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...],
+                  inversions: _Inversions) -> PlanStep:
     """The process undone, producing ``inputs``: its own, or a repair's resolved ones."""
     return PlanStep(
         process=process_id,
         direction=Direction.REVERSE,
         consumed=model.adjacency.outputs[process_id],
         produced=inputs,
-        required_skills=_inverted(model.skill_labels_of(process_id)),
+        required_skills=inversions[model.skill_labels_of(process_id)],
     )
 
 
@@ -187,8 +197,9 @@ def assembly_recipe(model: BiPanModel) -> Plan:
 def full_disassembly(model: BiPanModel) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     validate.ensure_valid(model)
-    inputs = model.adjacency.inputs
-    steps = tuple(_reverse_step(model, pid, inputs[pid]) for pid in reversed(assembly_order(model)))
+    inputs, inversions = model.adjacency.inputs, _Inversions()
+    steps = tuple(_reverse_step(model, pid, inputs[pid], inversions)
+                  for pid in reversed(assembly_order(model)))
     return Plan(model.id, model.digest, steps)
 
 
@@ -206,8 +217,8 @@ def disassembly_to(model: BiPanModel, target: str, mode: DisassemblyMode) -> Pla
     while (parent := _parent(model, chain[-1])) is not None:
         chain.append(parent)
     selected = chain if mode is DisassemblyMode.EXTRACT else chain[1:]
-    inputs = model.adjacency.inputs
-    steps = tuple(_reverse_step(model, pid, inputs[pid]) for pid in reversed(selected))
+    inputs, inversions = model.adjacency.inputs, _Inversions()
+    steps = tuple(_reverse_step(model, pid, inputs[pid], inversions) for pid in reversed(selected))
     return Plan(model.id, model.digest, steps)
 
 
@@ -300,13 +311,16 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
                 steps.append(PlanStep(site, Direction.SWAP, (replacement,), (component,), skills))
                 substitution[component] = replacement
 
-    def resolve(ids: Iterable[str]) -> tuple[str, ...]:
+    def resolve(ids: tuple[str, ...]) -> tuple[str, ...]:
+        """``ids`` under the swaps so far; as given, already sorted, when none renamed one."""
+        if substitution.keys().isdisjoint(ids):
+            return ids
         return tuple(sorted(substitution.get(i, i) for i in ids))
 
-    inputs = model.adjacency.inputs
+    inputs, inversions = model.adjacency.inputs, _Inversions()
     emit_swaps_freed_by(None)
     for process_id in reversal:
-        steps.append(_reverse_step(model, process_id, resolve(inputs[process_id])))
+        steps.append(_reverse_step(model, process_id, resolve(inputs[process_id]), inversions))
         emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
         steps.append(_forward_step(model, process_id, resolve(inputs[process_id])))

@@ -1,9 +1,13 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import bipan.execute
+import bipan.plan
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, apply_step, initial_inventory, run
 from bipan.model import COMPONENT_KINDS, replace
@@ -121,6 +125,41 @@ class TestApplyStep:
         with pytest.raises(BiPanError) as err:
             apply_step(ExecState({"stage1", "boxr"}), swap, no_output)
         assert err.value.code == "missing-input"
+
+    def test_missing_inputs_are_listed_in_needed_order(self, f1):
+        """The ids come in the step's own order, not sorted, and a Swap's site output first."""
+        cases = (
+            (PlanStep("p1", Direction.FORWARD, ("screws1", "box", "cooling"), ("stage1",), ()),
+             {"box"}, ("screws1", "cooling")),
+            (PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), ()), set(), ("stage2", "mod8r")),
+        )
+        for step, present, missing in cases:
+            with pytest.raises(BiPanError) as err:
+                apply_step(ExecState(present), step, f1)
+            assert (err.value.code, err.value.detail, err.value.nodes) == (
+                "missing-input", f"missing inputs: {', '.join(missing)}", missing
+            )
+
+    def test_a_produced_id_the_step_consumes_is_no_clash(self, f1):
+        forged = PlanStep("p1", Direction.FORWARD, P1_INPUTS, ("box", "stage1"), ())
+        with pytest.raises(BiPanError) as err:
+            apply_step(ExecState(P1_INPUTS), forged, f1)
+        assert (err.value.code, err.value.detail, err.value.nodes) == (
+            "step-mismatch", "must consume [box, cooling, screws1] and produce [stage1]", ()
+        )
+        with pytest.raises(BiPanError) as err:
+            apply_step(ExecState({*P1_INPUTS, "stage1"}), forged, f1)
+        assert (err.value.code, err.value.detail, err.value.nodes) == (
+            "double-produce", "already present: stage1", ("stage1",)
+        )
+
+    def test_swap_onto_a_present_target_is_double_produce(self, f1):
+        swap = PlanStep("p2", Direction.SWAP, ("mod8r",), ("mod8",), ())
+        with pytest.raises(BiPanError) as err:
+            apply_step(ExecState({"stage2", "mod8r", "mod8"}), swap, f1)
+        assert (err.value.code, err.value.detail, err.value.nodes) == (
+            "double-produce", "already present: mod8", ("mod8",)
+        )
 
     def test_reverse_undoes_forward(self, f1):
         state = initial_inventory(f1)
@@ -315,3 +354,32 @@ class TestStateIsAValue:
         state = ExecState(frozenset({"a", "b"}), {"x": "y"})
         assert pickle.loads(pickle.dumps(state)) == state
         assert copy.deepcopy(state) == state
+
+
+class TestOracleIndependence:
+    @staticmethod
+    def imports(module):
+        """``(source module, name)`` of every import in the module's source, nested ones too;
+        a relative source is spelled from ``bipan``."""
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module
+                if node.level:  # relative, and so from within the package
+                    source = ".".join(["bipan", *filter(None, [source])])
+                yield from ((source, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names)
+
+    def test_the_oracle_takes_only_the_plan_types_and_the_inversion_from_the_planners(self):
+        taken = {
+            name for source, name in self.imports(bipan.execute)
+            if source == "bipan.plan" or (source, name) == ("bipan", "plan")
+        }
+        assert taken == {"INVERSION", "Direction", "Plan", "PlanStep"}
+
+    def test_the_planners_import_nothing_from_the_oracle(self):
+        assert not [
+            (source, name) for source, name in self.imports(bipan.plan)
+            if source == "bipan.execute" or (source, name) == ("bipan", "execute")
+        ]

@@ -328,6 +328,32 @@ class TestRepair:
         assert reads["inputs"]["ids"] <= 2 * len(model.products)
         assert counts["links"] <= 2 * len(model.products)
 
+    @pytest.mark.parametrize("module", ["plan", "execute"])
+    def test_inversions_are_bounded_by_label_sets_not_steps(self, monkeypatch, module):
+        # The deepest leaf of a 120-process chain broken: about 120 Reverse steps, then
+        # the swap. The planner, or the replay, inverts each distinct label set once.
+        chain = build_random_model(random.Random(1000), max_processes=120, chain=True)
+        assert not chain.diagnostics.has_errors and chain.digest
+        leaf = chain.adjacency.inputs["proc_119"][0]  # the last process feeds on leaves alone
+        lookups = []
+
+        class CountingInversion(dict):
+            def get(self, label, default=None):
+                lookups.append(label)
+                return dict.get(self, label, default)
+
+        monkeypatch.setattr(f"bipan.{module}.INVERSION", CountingInversion(INVERSION))
+        plan = repair_plan(chain, [leaf], {leaf: f"{leaf}.r"})
+        run(plan, ExecState({"final", f"{leaf}.r"}), chain)
+        labels = [chain.skill_labels_of(s.process) for s in plan.steps
+                  if s.direction is Direction.REVERSE]
+        bound = sum(map(len, set(labels)))
+        if module == "plan":  # the swap scope inverts the site's labels and its own
+            (swap,) = (s for s in plan.steps if s.direction is Direction.SWAP)
+            bound += len(chain.skill_labels_of(swap.process)) + len(swap.required_skills)
+        assert len(labels) == 119
+        assert len(lookups) <= bound < sum(map(len, labels))
+
     def test_fastens_narrow_swap_scope(self, f1):
         bolted = replace(
             f1,

@@ -2,7 +2,11 @@
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,34 @@ def test_repr_is_unchanged(cls):
     factory, expected = RECORDS[cls]
     assert repr(factory()) == expected
 
+
+
+#: Prints the reprs of one link built from ids in two orders and of a model holding each.
+_LINK_REPRS = """
+from bipan.model import BiPanModel, FastensLink, ProductKind, ProductNode
+
+ids = ["part_00_2", "part_00_1", "part_00_0", "part_00_3", "part_00_4"]
+products = [ProductNode(i, i, ProductKind.ELEMENTARY) for i in ids]
+products.append(ProductNode("f", "F", ProductKind.FASTENER))
+links = [FastensLink("f", ids), FastensLink("f", sorted(ids))]
+models = [BiPanModel("m", products, fastens=[link]) for link in links]
+assert links[0] == links[1] and models[0] == models[1]
+print(*map(repr, links + models), sep="\\n")
+"""
+
+
+def test_equal_links_print_equally_under_every_hash_seed():
+    """A set's iteration order follows the hash seed and the order its ids were added."""
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    printed = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+               "PYTHONHASHSEED": str(seed)}
+        result = subprocess.run([sys.executable, "-c", _LINK_REPRS], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        link, link_sorted, model, model_sorted = result.stdout.splitlines()
+        assert (link, model) == (link_sorted, model_sorted)
+        printed.add(result.stdout)
+    assert len(printed) == 1
+    assert "secures=frozenset({'part_00_0', 'part_00_1', 'part_00_2', 'part_00_3', " in link
