@@ -95,10 +95,7 @@ def model_bytes(model: BiPanModel) -> bytes:
 
 
 class _Lists(dict):
-    """An id list -> its encoded array, each built on first lookup: one per plan written.
-
-    A repair lists each process's inputs twice, and a few skill lists recur in most steps.
-    """
+    """Id list -> its encoded array, built on first lookup: one per plan, whose lists recur."""
 
     __slots__ = ()
 

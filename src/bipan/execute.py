@@ -72,10 +72,7 @@ def initial_inventory(model: BiPanModel) -> ExecState:
 
 
 class _Inversions(dict):
-    """Label tuple -> its inversion, sorted and de-duplicated; each built on first lookup.
-
-    One replay holds one, so it inverts a label set once, not once a Reverse step.
-    """
+    """Label tuple -> its inversion, sorted, built on first lookup: one per replay."""
 
     __slots__ = ()
 

@@ -53,10 +53,7 @@ INVERSION: Mapping[str, str] = FrozenMap(
 
 
 class _Inversions(dict):
-    """Label tuple -> its inversion, sorted and de-duplicated; each built on first lookup.
-
-    One planner call holds one, so a label set is inverted once a call, not once a step.
-    """
+    """Label tuple -> its inversion, sorted, built on first lookup: one per planner call."""
 
     __slots__ = ()
 
