@@ -284,7 +284,6 @@ def test_repr_is_unchanged(cls):
     assert repr(factory()) == expected
 
 
-
 #: Prints the reprs of one link built from ids in two orders and of a model holding each.
 _LINK_REPRS = """
 from bipan.model import BiPanModel, FastensLink, ProductKind, ProductNode
