@@ -84,7 +84,7 @@ def model_bytes(model: BiPanModel) -> bytes:
     skill_edges = [f'{{{_FIELD}"process": {_escape(pid)},{_FIELD}"skill": {_escape(skill)}{_END}'
                    for pid, skills in skill_ids.items() for skill in skills]
     fastens = [f'{{{_FIELD}"fastener": {_escape(l.fastener)},'
-               f'{_FIELD}"secures": {_strings(sorted(l.secures))}{_END}' for l in model.fastens]
+               f'{_FIELD}"secures": {_strings(l.secures)}{_END}' for l in model.fastens]
     products = [_product(node) for node in model.products]
     return (
         f'{{\n  "fastens": {_array(fastens, "  ")},\n  "flows": {_array(flows, "  ")},'

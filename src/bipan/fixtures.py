@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from bipan.model import (
     BiPanModel,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
 )
 
@@ -69,12 +67,12 @@ def battery_model() -> BiPanModel:
         SkillNode("manipulation", "manipulation"),
         SkillNode("screwing", "screwing"),
     ]
-    flows: list[FlowEdge] = []
-    skill_edges: list[SkillEdge] = []
+    flows: list[tuple[str, str, FlowRole]] = []
+    skill_edges: list[tuple[str, str]] = []
     for pid, inputs, output, skill_ids in _STRUCTURE:
-        flows.extend(FlowEdge(product, pid, FlowRole.INPUT) for product in inputs)
-        flows.append(FlowEdge(output, pid, FlowRole.OUTPUT))
-        skill_edges.extend(SkillEdge(pid, skill) for skill in skill_ids)
+        flows.extend((product, pid, FlowRole.INPUT) for product in inputs)
+        flows.append((output, pid, FlowRole.OUTPUT))
+        skill_edges.extend((pid, skill) for skill in skill_ids)
     return BiPanModel(
         id="ev-battery",
         products=tuple(products),

@@ -65,8 +65,20 @@ class FrozenMap(dict):
     def __reduce__(self):  # the default would unpickle item by item, through __setitem__
         return (type(self), (dict(self),))
 
+    def __repr__(self) -> str:
+        """A dict's repr in key order, so maps equal but built in another order print alike."""
+        return repr(dict(sorted(self.items())))
+
 
 _set = object.__setattr__
+
+
+def _repr(value: object) -> str:
+    """``repr(value)``, but a frozenset's members sorted: a set's own order follows its history
+    and the hash seed."""
+    if type(value) is frozenset and value:
+        return f"frozenset({{{', '.join(sorted(map(repr, value)))}}})"
+    return repr(value)
 
 
 def _frozen(message: str) -> NoReturn:
@@ -80,9 +92,9 @@ class Record:
 
     A record's fields are its ``__init__`` parameters, in order; ``__init__``
     checks them and writes each slot through ``_set``. Equality is by type and
-    every field, and the hash is of every field. Pickling and copying call
-    ``__init__`` again, so its checks rerun. Assigning or deleting an attribute
-    raises ``dataclasses.FrozenInstanceError``.
+    every field, and the hash is of every field; ``repr`` shows a frozenset field's
+    members sorted. Pickling and copying call ``__init__`` again, so its checks
+    rerun. Assigning or deleting an attribute raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ()
@@ -102,7 +114,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple[type, tuple]:
@@ -204,56 +216,23 @@ class SkillNode(Record):
         _set(self, "label", label)
 
 
-class FlowEdge(Record):
-    """Ties a product to a process, as consumed input or produced output.
-
-    It unpacks as ``product, process, role``, and a ``SkillEdge`` as ``process, skill``.
-    """
-
-    __slots__ = ("product", "process", "role")
-
-    def __init__(self, product: str, process: str, role: FlowRole) -> None:
-        if type(role) is not FlowRole:
-            raise BiPanError("invalid-role", f"flow {product!r}-{process!r}: role {role!r} "
-                             "is not a FlowRole")
-        _set(self, "product", product)
-        _set(self, "process", process)
-        _set(self, "role", role)
-
-    def __iter__(self):
-        return iter(self._key(self))
-
-
-class SkillEdge(Record):
-    __slots__ = ("process", "skill")
-
-    def __init__(self, process: str, skill: str) -> None:
-        _set(self, "process", process)
-        _set(self, "skill", skill)
-
-    def __iter__(self):
-        return iter(self._key(self))
-
-
 class FastensLink(Record):
-    """Optional refinement: a fastener product and the sibling inputs it secures."""
+    """Optional refinement: a fastener product and the sibling inputs it secures.
+
+    ``secures`` is held sorted and without duplicates, so equal links print alike.
+    """
 
     __slots__ = ("fastener", "secures")
 
-    def __init__(self, fastener: str, secures: frozenset[str]) -> None:
+    def __init__(self, fastener: str, secures: Iterable[str]) -> None:
         try:
-            secures = frozenset(secures)
-        except TypeError:  # an unhashable id, which ``check_id`` names
+            secures = tuple(sorted(set(secures)))
+        except TypeError:  # an unhashable or unorderable id, which ``check_id`` names
             for node_id in secures:
                 check_id(node_id)
             raise
         _set(self, "fastener", fastener)
         _set(self, "secures", secures)
-
-    def __repr__(self) -> str:
-        """The default repr with ``secures`` sorted: a set's own order follows its history."""
-        secures = f"{{{', '.join(sorted(map(repr, self.secures)))}}}" if self.secures else ""
-        return f"FastensLink(fastener={self.fastener!r}, secures=frozenset({secures}))"
 
 
 class Adjacency(NamedTuple):
@@ -275,18 +254,22 @@ def _first_fault(nodes: Mapping[str, Record], flows: tuple, skill_edges: tuple,
     no string, in the order given, else the first endpoint that names no node, in the
     canonical order a model holds its edges in.
     """
-    flows = [FlowEdge(*flow) for flow in flows]
-    for ids in (*((flow.product, flow.process) for flow in flows), *skill_edges,
+    for product, process, role in flows:
+        if type(role) is not FlowRole:
+            raise BiPanError("invalid-role", f"flow {product!r}-{process!r}: role {role!r} "
+                             "is not a FlowRole")
+    for ids in (*((product, process) for product, process, _ in flows), *skill_edges,
                 *((link.fastener, *link.secures) for link in fastens)):
         for node_id in ids:
             if not isinstance(node_id, str):
                 check_id(node_id)
     for source, ids, families in (
         *(("flow", (product, process), (ProductNode, ProcessNode)) for process, _, product
-          in sorted((f.process, f.role is FlowRole.OUTPUT, f.product) for f in flows)),
+          in sorted((process, role is FlowRole.OUTPUT, product)
+                    for product, process, role in flows)),
         *(("skill edge", ids, (ProcessNode, SkillNode)) for ids in sorted(map(tuple, skill_edges))),
         *(("fastens link", ids, (ProductNode,) * len(ids))
-          for ids in sorted((link.fastener, *sorted(link.secures)) for link in fastens)),
+          for ids in sorted((link.fastener, *link.secures) for link in fastens)),
     ):
         for node_id, family in zip(ids, families):
             if type(nodes.get(node_id)) is not family:
@@ -298,12 +281,13 @@ def _first_fault(nodes: Mapping[str, Record], flows: tuple, skill_edges: tuple,
 class BiPanModel(Record):
     """Immutable bidirectional product-process-resource network.
 
-    Nodes are sorted by id on construction. Edges, as records or plain rows, are checked
-    to resolve and stored as ``adjacency``, the five neighbour maps that validation, the
-    planners and the replay read; ``flows`` and ``skill_edges`` are views built from it
-    on first read, in canonical order, without duplicates. The other derived facts
-    (``digest``, ``diagnostics``, each process's skill labels) are computed on first
-    use and kept for the life of the value.
+    Nodes are sorted by id on construction. Edges, given as plain ``(product, process,
+    role)`` and ``(process, skill)`` rows, are checked to resolve and stored as
+    ``adjacency``, the five neighbour maps that validation, the planners and the replay
+    read; ``flows`` and ``skill_edges`` are those rows rebuilt from it on first read, in
+    canonical order, without duplicates. The other derived facts (``digest``,
+    ``diagnostics``, each process's skill labels) are computed on first use and kept
+    for the life of the value.
     """
 
     __slots__ = ("id", "products", "processes", "skills", "fastens", "_nodes", "_skill_labels",
@@ -311,7 +295,8 @@ class BiPanModel(Record):
 
     def __init__(self, id: str, products: Iterable[ProductNode] = (),
                  processes: Iterable[ProcessNode] = (), skills: Iterable[SkillNode] = (),
-                 flows: Iterable[FlowEdge] = (), skill_edges: Iterable[SkillEdge] = (),
+                 flows: Iterable[tuple[str, str, FlowRole]] = (),
+                 skill_edges: Iterable[tuple[str, str]] = (),
                  fastens: Iterable[FastensLink] = ()) -> None:
         # One id -> node map over all families. Duplicates within a family are
         # reported first, in input order; then the least id a family shares with
@@ -353,7 +338,7 @@ class BiPanModel(Record):
                 elif role is FlowRole.OUTPUT:
                     outputs[process].append(product)
                 else:
-                    FlowEdge(product, process, role)  # raises invalid-role
+                    raise KeyError("role")  # ``_first_fault`` raises invalid-role
             for process, skill in skill_edges:
                 skill_ids[process].append(skill)
             # Each list sorted, without duplicates; the processes ascend, so the lists
@@ -364,7 +349,7 @@ class BiPanModel(Record):
                     by_process[pid] = ids = tuple(sorted(set(ids)) if len(ids) > 1 else ids)
                     for node_id in ids:
                         by_node[node_id].append(pid)
-            keyed = {(link.fastener, tuple(sorted(link.secures))): link for link in fastens}
+            keyed = {(link.fastener, link.secures): link for link in fastens}
             if not producers.keys() >= {pid for key in keyed for pid in (key[0], *key[1])}:
                 raise KeyError("fastens")
         except (KeyError, TypeError, BiPanError):
@@ -381,17 +366,18 @@ class BiPanModel(Record):
         _set(self, "adjacency", Adjacency(*map(FrozenMap, maps)))
 
     @cached_property
-    def flows(self) -> tuple[FlowEdge, ...]:
-        """The flow edges in canonical order: by process, its inputs and then its outputs."""
+    def flows(self) -> tuple[tuple[str, str, FlowRole], ...]:
+        """The ``(product, process, role)`` rows in canonical order: by process, its inputs
+        and then its outputs."""
         inputs, outputs = self.adjacency.inputs, self.adjacency.outputs
-        return tuple(FlowEdge(product, pid, role) for pid in inputs
+        return tuple((product, pid, role) for pid in inputs
                      for role, ids in ((FlowRole.INPUT, inputs), (FlowRole.OUTPUT, outputs))
                      for product in ids[pid])
 
     @cached_property
-    def skill_edges(self) -> tuple[SkillEdge, ...]:
-        """The skill edges in canonical order, by process and skill."""
-        return tuple(SkillEdge(pid, skill)
+    def skill_edges(self) -> tuple[tuple[str, str], ...]:
+        """The ``(process, skill)`` rows in canonical order, by process and skill."""
+        return tuple((pid, skill)
                      for pid, skills in self.adjacency.skill_ids.items() for skill in skills)
 
     # -- facts computed once -------------------------------------------------------

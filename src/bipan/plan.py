@@ -294,7 +294,7 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
     # each an input of the component's one consumer, its swap site.
     securing: dict[str, set[str]] = {}
     for link in model.fastens:
-        for component in link.secures & broken_set:
+        for component in broken_set.intersection(link.secures):
             securing.setdefault(component, set()).add(link.fastener)
 
     substitution: dict[str, str] = {}

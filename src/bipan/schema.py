@@ -6,8 +6,8 @@ callable taking the decoded fields as keywords) from a spec of
 ``field=(converter, default)``: a missing key decodes as its default, and the
 fields are decoded in spec order, which fixes the error a document with one
 fault reports. Each record checks its own values as it is built, and
-``BiPanModel`` alone checks the edge endpoints, once every record is built: a
-model document reports what a Python caller building the same records gets. A
+``BiPanModel`` alone checks the edge rows, once every record is built: a model
+document reports what a Python caller building the same records and rows gets. A
 plan step's swap keys must agree with its lists, which ``PlanStep`` reads them from.
 
 ``bipan.io`` decodes plans, inventory states and registries here, and a model
@@ -24,12 +24,10 @@ from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
 )
 
@@ -147,8 +145,9 @@ model = _record(
     ),
     processes=_records(ProcessNode, **_NODE),
     skills=_records(SkillNode, **_NODE),
-    flows=_records(FlowEdge, product=_STR, process=_STR, role=(_enum(FlowRole), None)),
-    skill_edges=_records(SkillEdge, process=_STR, skill=_STR),
+    flows=_records(lambda product, process, role: (product, process, role),
+                   product=_STR, process=_STR, role=(_enum(FlowRole), None)),
+    skill_edges=_records(lambda process, skill: (process, skill), process=_STR, skill=_STR),
     fastens=_records(FastensLink, fastener=_STR, secures=_STRINGS),
     id=(_string, ""),
 )

@@ -240,7 +240,7 @@ def _check_flow(model: BiPanModel, found: list[Diagnostic]) -> None:
 def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
     consumers = model.adjacency.consumers
     for link in model.fastens:
-        nodes = (link.fastener, *sorted(link.secures))
+        nodes = (link.fastener, *link.secures)
         fastener = model.product(link.fastener)
         if fastener.kind is not ProductKind.FASTENER:
             found.append(
@@ -261,7 +261,7 @@ def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
                 Diagnostic(
                     "V011",
                     nodes,
-                    f"fastens link '{link.fastener}' -> {{{', '.join(sorted(link.secures))}}} "
+                    f"fastens link '{link.fastener}' -> {{{', '.join(link.secures)}}} "
                     "members are not all inputs of one common process",
                 )
             )

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from bipan.model import BiPanModel, FlowEdge, FlowRole, ProductKind, replace
+from bipan.model import BiPanModel, FlowRole, ProductKind, replace
 
 
 def drop_flows(model: BiPanModel, *matches: tuple[str, str, FlowRole]) -> BiPanModel:
     gone = set(matches)
-    flows = tuple(f for f in model.flows if (f.product, f.process, f.role) not in gone)
+    flows = tuple(f for f in model.flows if f not in gone)
     return replace(model, flows=flows)
 
 
 def add_flow(model: BiPanModel, product: str, process: str, role: FlowRole) -> BiPanModel:
-    return replace(model, flows=(*model.flows, FlowEdge(product, process, role)))
+    return replace(model, flows=(*model.flows, (product, process, role)))
 
 
 def rekind(model: BiPanModel, product_id: str, kind: ProductKind) -> BiPanModel:

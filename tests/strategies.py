@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
 )
 
@@ -39,8 +37,8 @@ def build_random_model(
 
     products: list[ProductNode] = [ProductNode("final", "Final assembly", ProductKind.FINAL)]
     processes: list[ProcessNode] = []
-    flows: list[FlowEdge] = []
-    skill_edges: list[SkillEdge] = []
+    flows: list[tuple[str, str, FlowRole]] = []
+    skill_edges: list[tuple[str, str]] = []
     fastens: list[FastensLink] = []
     used_skills: set[str] = set()
 
@@ -50,8 +48,8 @@ def build_random_model(
         output = "final" if i == 0 else f"stage_{i:02d}"
         if i > 0:
             products.append(ProductNode(output, f"Stage {i}", ProductKind.STAGE))
-            flows.append(FlowEdge(output, f"proc_{parent[i]:02d}", FlowRole.INPUT))
-        flows.append(FlowEdge(output, pid, FlowRole.OUTPUT))
+            flows.append((output, f"proc_{parent[i]:02d}", FlowRole.INPUT))
+        flows.append((output, pid, FlowRole.OUTPUT))
 
         min_leaves = 0 if children[i] else 1
         leaf_ids = []
@@ -72,11 +70,11 @@ def build_random_model(
                     attributes=attributes,
                 )
             )
-            flows.append(FlowEdge(leaf_id, pid, FlowRole.INPUT))
+            flows.append((leaf_id, pid, FlowRole.INPUT))
             leaf_ids.append((leaf_id, kind))
 
         for label in rng.sample(SKILL_POOL, rng.randint(0, 3)):
-            skill_edges.append(SkillEdge(pid, label))
+            skill_edges.append((pid, label))
             used_skills.add(label)
 
         fastener_ids = [lid for lid, kind in leaf_ids if kind is ProductKind.FASTENER]

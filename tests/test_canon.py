@@ -34,7 +34,6 @@ from bipan.model import (
     COMPONENT_KINDS,
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
@@ -120,9 +119,11 @@ def model_doc(model: BiPanModel) -> dict:
         "processes": [{"id": p.id, "label": p.label} for p in model.processes],
         "skills": [{"id": s.id, "label": s.label} for s in model.skills],
         "flows": [
-            {"process": f.process, "product": f.product, "role": f.role.value} for f in model.flows
+            {"process": process, "product": product, "role": role.value}
+            for product, process, role in model.flows
         ],
-        "skill_edges": [{"process": e.process, "skill": e.skill} for e in model.skill_edges],
+        "skill_edges": [{"process": process, "skill": skill}
+                        for process, skill in model.skill_edges],
         "fastens": [{"fastener": l.fastener, "secures": sorted(l.secures)} for l in model.fastens],
     }
 
@@ -314,8 +315,8 @@ def swap_site(inputs):
         ),
         (ProcessNode("p", "P"),),
         flows=(
-            *(FlowEdge(i, "p", FlowRole.INPUT) for i in inputs),
-            FlowEdge("out", "p", FlowRole.OUTPUT),
+            *((i, "p", FlowRole.INPUT) for i in inputs),
+            ("out", "p", FlowRole.OUTPUT),
         ),
     )
 

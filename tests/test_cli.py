@@ -71,7 +71,7 @@ class TestValidate:
 
         model = battery_model()
         stripped = replace(
-            model, skill_edges=tuple(e for e in model.skill_edges if e.process != "p4")
+            model, skill_edges=tuple(e for e in model.skill_edges if e[0] != "p4")
         )
         (workdir / "warn.bipan.json").write_bytes(io.save_model(stripped))
         assert main(["validate", str(workdir / "warn.bipan.json")]) == 0

@@ -15,12 +15,10 @@ from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
 )
 
@@ -99,8 +97,8 @@ CORPUS = [
      'parse-error', "flows[0].role: 'Sideways' is not one of Input, Output"),
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "flows": [{"product": "a", "process": "p", "role": "Input"}]}',
      'dangling-reference', "flow references unknown process 'p'"),
-    # Edge records leave their ids to the model: a document reports its structural
-    # faults first, in spec order, then what BiPanModel raises for the same records,
+    # Edge rows and links leave their ids to the model: a document reports its structural
+    # faults first, in spec order, then what BiPanModel raises for the same rows,
     # the first endpoint that names no node in canonical edge order.
     ('model', '{"products": [{"id": "a", "kind": "Elementary", "label": "A"}], "processes": [{"id": "p"}], "flows": [{"product": "a b", "process": "p", "role": "Input"}]}',
      'invalid-id', "node id 'a b' must be a non-empty string matching [A-Za-z0-9_.-]+"),
@@ -284,18 +282,24 @@ def test_single_fault_reports_pinned_error(kind, text, code, detail):
         assert err.value.detail == detail
 
 
+def row(*ids):
+    """An edge as a model takes it: a plain tuple."""
+    return ids
+
+
 @pytest.mark.parametrize(
     "family,edge_cls,fields",
     [
-        ("flows", FlowEdge, ("a b", "q", FlowRole.INPUT)),
-        ("flows", FlowEdge, ("f", "q/r", FlowRole.OUTPUT)),
-        ("skill_edges", SkillEdge, ("q", "")),
+        ("flows", row, ("a b", "q", FlowRole.INPUT)),
+        ("flows", row, ("f", "q/r", FlowRole.OUTPUT)),
+        ("skill_edges", row, ("q", "")),
         ("fastens", FastensLink, ("a b", frozenset())),
         ("fastens", FastensLink, ("f", frozenset({"b c"}))),
     ],
 )
 def test_model_checks_edge_ids_it_cannot_resolve(family, edge_cls, fields):
-    """Edge records hold any id; the model reports one that names no node as ``invalid-id``."""
+    """Edge rows and links hold any id; the model reports one that names no node as
+    ``invalid-id``."""
     products = (ProductNode("f", "F", ProductKind.FINAL),)
     with pytest.raises(BiPanError) as err:
         BiPanModel("m", products, (ProcessNode("q", "Q"),), **{family: (edge_cls(*fields),)})
@@ -331,18 +335,17 @@ def _orderings(edges):
 
 
 def _python_error(edges):
-    """What ``BiPanModel`` raises, built in Python from the records of the document."""
+    """What ``BiPanModel`` raises, built in Python from the rows and links of the document."""
     with pytest.raises(BiPanError) as err:
         BiPanModel(
             "m",
             tuple(ProductNode(i, "", kind) for i, kind in _KINDS.items()),
             (ProcessNode("p", ""),),
             (SkillNode("s", ""),),
-            tuple(FlowEdge(f["product"], f["process"], FlowRole(f["role"]))
+            tuple((f["product"], f["process"], FlowRole(f["role"]))
                   for f in edges.get("flows", ())),
-            tuple(SkillEdge(e["process"], e["skill"]) for e in edges.get("skill_edges", ())),
-            tuple(FastensLink(l["fastener"], frozenset(l["secures"]))
-                  for l in edges.get("fastens", ())),
+            tuple((e["process"], e["skill"]) for e in edges.get("skill_edges", ())),
+            tuple(FastensLink(l["fastener"], l["secures"]) for l in edges.get("fastens", ())),
         )
     return err.value.code, err.value.detail
 
@@ -374,7 +377,7 @@ FIRST_DANGLING = [
 
 @pytest.mark.parametrize("edges,detail", FIRST_DANGLING, ids=range(len(FIRST_DANGLING)))
 def test_documents_and_records_report_the_first_dangling_endpoint(edges, detail):
-    """In every order, a document and the records built from it name the same endpoint."""
+    """In every order, a document and the rows built from it name the same endpoint."""
     nodes = {"products": [{"id": i, "kind": kind.value} for i, kind in _KINDS.items()],
              "processes": [{"id": "p"}], "skills": [{"id": "s"}]}
     for reordered in _orderings(edges):
@@ -385,12 +388,11 @@ def test_documents_and_records_report_the_first_dangling_endpoint(edges, detail)
 
 
 def test_a_role_that_is_no_flow_role_is_invalid_role():
-    """A ``FlowEdge`` refuses one, and so does a model given the flow as a plain row."""
+    """A model given a flow row whose role is no ``FlowRole`` names it, ahead of an earlier
+    row's endpoint that names no node."""
     expected = ("invalid-role", "flow 'a'-'p': role 'Input' is not a FlowRole")
-    with pytest.raises(BiPanError) as err:
-        FlowEdge("a", "p", "Input")
-    assert (err.value.code, err.value.detail) == expected
-    with pytest.raises(BiPanError) as err:
-        BiPanModel("m", (ProductNode("a", "", ProductKind.ELEMENTARY),), (ProcessNode("p", ""),),
-                   flows=[("a", "p", FlowRole.INPUT), ("a", "p", "Input")])
-    assert (err.value.code, err.value.detail) == expected
+    for first in (("a", "p", FlowRole.INPUT), ("a", "q", FlowRole.INPUT)):
+        with pytest.raises(BiPanError) as err:
+            BiPanModel("m", (ProductNode("a", "", ProductKind.ELEMENTARY),),
+                       (ProcessNode("p", ""),), flows=[first, ("a", "p", "Input")])
+        assert (err.value.code, err.value.detail) == expected

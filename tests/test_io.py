@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bipan import canon, exchange, io, schema
 from bipan.errors import BiPanError
 from bipan.fixtures import battery_model
-from bipan.model import COMPONENT_KINDS, BiPanModel, FastensLink, FlowEdge, FlowRole, SkillEdge
+from bipan.model import COMPONENT_KINDS, BiPanModel, FastensLink, FlowRole
 from bipan.pdt import Health, create_instance, set_health
 from bipan.plan import assembly_recipe, full_disassembly, repair_plan
 from bipan.validate import validate
@@ -164,32 +164,28 @@ class TestModelDecodePaths:
     @given(models(), st.randoms(use_true_random=False))
     def test_edge_rows_in_any_order_build_the_model_of_their_records(self, model, rnd):
         """Edge rows shuffled, some repeated: the direct decoder, the field-spec decoder
-        and ``BiPanModel`` built from the rows' records give one model, whose edges
+        and ``BiPanModel`` built from the rows give one model, printed alike, whose edges
         come out sorted and without duplicates.
         """
         doc = json.loads(io.save_model(model))
         for key in ("flows", "skill_edges"):
             doc[key] += rnd.sample(doc[key], rnd.randint(0, len(doc[key])))
             rnd.shuffle(doc[key])
-        records = BiPanModel(
+        rows = BiPanModel(
             model.id, model.products, model.processes, model.skills,
-            [FlowEdge(row["product"], row["process"], FlowRole(row["role"]))
-             for row in doc["flows"]],
-            [SkillEdge(row["process"], row["skill"]) for row in doc["skill_edges"]],
+            [(row["product"], row["process"], FlowRole(row["role"])) for row in doc["flows"]],
+            [(row["process"], row["skill"]) for row in doc["skill_edges"]],
             [FastensLink(row["fastener"], row["secures"]) for row in doc["fastens"]],
         )
         direct = io._direct_model(doc)
         assert io.load_model(json.dumps(doc).encode("utf-8")) == direct
-        for other in (records, schema.model(doc, ""), model):
-            assert direct == other and hash(direct) == hash(other)
+        for other in (rows, schema.model(doc, ""), model):
+            assert direct == other and hash(direct) == hash(other) and repr(direct) == repr(other)
             assert direct.adjacency == other.adjacency and direct.digest == other.digest
             assert io.save_model(direct) == io.save_model(other)
-        # A frozenset's repr follows how it was built, so only models built from the
-        # same rows are shown alike.
-        assert repr(direct) == repr(records) == repr(schema.model(doc, ""))
-        flows = [(f.process, f.role.value, f.product) for f in direct.flows]
-        skill_edges = [(e.process, e.skill) for e in direct.skill_edges]
-        assert flows == sorted(set(flows)) and skill_edges == sorted(set(skill_edges))
+        flows = [(pid, role.value, product) for product, pid, role in direct.flows]
+        assert flows == sorted(set(flows))
+        assert direct.skill_edges == tuple(sorted(set(direct.skill_edges)))
 
 
 def _twin_outcome(decode, data: bytes):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import operator
 import pickle
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bipan import io, schema
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
 from bipan.execute import ExecState
@@ -15,13 +17,11 @@ from bipan.fixtures import battery_model
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     FrozenMap,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
     check_id,
     replace,
@@ -45,9 +45,9 @@ def tiny_model(extra_products=(), extra_flows=()):
         ),
         processes=(ProcessNode("q", "Q"),),
         flows=(
-            FlowEdge("a", "q", FlowRole.INPUT),
-            FlowEdge("b", "q", FlowRole.INPUT),
-            FlowEdge("f", "q", FlowRole.OUTPUT),
+            ("a", "q", FlowRole.INPUT),
+            ("b", "q", FlowRole.INPUT),
+            ("f", "q", FlowRole.OUTPUT),
             *extra_flows,
         ),
     )
@@ -152,12 +152,12 @@ class TestConstruction:
 
     def test_dangling_flow(self):
         with pytest.raises(BiPanError) as err:
-            tiny_model(extra_flows=(FlowEdge("ghost", "q", FlowRole.INPUT),))
+            tiny_model(extra_flows=(("ghost", "q", FlowRole.INPUT),))
         assert err.value.code == "dangling-reference"
 
     def test_first_dangling_endpoint_in_canonical_order_is_named(self):
         """Edges in any order denote one model, so they fail with one detail."""
-        ghosts = (FlowEdge("zeta", "q", FlowRole.INPUT), FlowEdge("alpha", "q", FlowRole.INPUT))
+        ghosts = (("zeta", "q", FlowRole.INPUT), ("alpha", "q", FlowRole.INPUT))
         for extra_flows in (ghosts, tuple(reversed(ghosts))):
             with pytest.raises(BiPanError) as err:
                 tiny_model(extra_flows=extra_flows)
@@ -182,16 +182,16 @@ class TestConstruction:
             assert well_formed
 
     # An id that is no string, as a Python caller may pass against the annotations:
-    # unhashable, or (with the string "b") unsortable.
+    # unhashable, or a number.
     @pytest.mark.parametrize(
         "extra",
         [
-            {"flows": (FlowEdge(["x"], "q", FlowRole.INPUT),)},
-            {"flows": (FlowEdge("a", {}, FlowRole.INPUT),)},
-            {"skill_edges": (SkillEdge("q", ["s"]),)},
-            {"skill_edges": (SkillEdge(["q"], "s"),)},
+            {"flows": ((["x"], "q", FlowRole.INPUT),)},
+            {"flows": (("a", {}, FlowRole.INPUT),)},
+            {"skill_edges": (("q", ["s"]),)},
+            {"skill_edges": ((["q"], "s"),)},
             {"fastens": (FastensLink(["a"], ["b"]),)},
-            {"fastens": (FastensLink("a", ["b", 5]),)},
+            {"fastens": (FastensLink("a", [5]),)},
         ],
     )
     def test_edge_id_that_is_no_string_is_invalid_id(self, extra):
@@ -202,10 +202,12 @@ class TestConstruction:
         assert err.value.code == "invalid-id"
 
     def test_unhashable_secured_id_is_invalid_id(self):
-        with pytest.raises(BiPanError) as err:
-            FastensLink("f", [["x"]])
-        assert err.value.code == "invalid-id"
-        assert "['x']" in err.value.detail
+        """So is one that does not sort with the others: a link holds ``secures`` sorted."""
+        for secures, named in (([["x"]], "['x']"), (["b", 5], "5")):
+            with pytest.raises(BiPanError) as err:
+                FastensLink("f", secures)
+            assert err.value.code == "invalid-id"
+            assert err.value.detail.startswith(f"node id {named} ")
 
     def test_bad_position(self):
         with pytest.raises(BiPanError) as err:
@@ -224,13 +226,13 @@ class TestConstruction:
     )
     def test_each_collection_may_be_a_generator(self, f1, field):
         """Each collection is read once, so a generator builds the model a tuple does."""
-        model = replace(f1, fastens=(FastensLink("bolts1", frozenset({"mod8", "cover"})),))
+        model = replace(f1, fastens=(FastensLink("bolts1", ("mod8", "cover")),))
         fields = {name: getattr(model, name) for name in model._fields}
         built = BiPanModel(**{**fields, field: (item for item in fields[field])})
         assert built == model and getattr(built, field) == fields[field]
 
     def test_duplicate_flows_collapse(self):
-        model = tiny_model(extra_flows=(FlowEdge("a", "q", FlowRole.INPUT),))
+        model = tiny_model(extra_flows=(("a", "q", FlowRole.INPUT),))
         assert model.flows == tiny_model().flows
 
     def test_normalization_is_order_insensitive(self, f1):
@@ -289,17 +291,25 @@ class TestCachedFacts:
         rebuilt["skill_ids"] = {p.id: [] for p in model.processes}
         rebuilt.update({name: {p.id: [] for p in model.products}
                         for name in ("producers", "consumers")})
-        for f in model.flows:
+        for product, process, role in model.flows:
             by_process, by_product = (
-                ("inputs", "consumers") if f.role is FlowRole.INPUT else ("outputs", "producers")
+                ("inputs", "consumers") if role is FlowRole.INPUT else ("outputs", "producers")
             )
-            rebuilt[by_process][f.process].append(f.product)
-            rebuilt[by_product][f.product].append(f.process)
-        for e in model.skill_edges:
-            rebuilt["skill_ids"][e.process].append(e.skill)
+            rebuilt[by_process][process].append(product)
+            rebuilt[by_product][product].append(process)
+        for process, skill in model.skill_edges:
+            rebuilt["skill_ids"][process].append(skill)
         for name, mapping in model.adjacency._asdict().items():
             assert type(mapping) is FrozenMap
             assert mapping == {k: tuple(sorted(ids)) for k, ids in rebuilt[name].items()}
+
+    def test_edge_views_are_plain_rows(self, f1):
+        """Built in Python or loaded from a document by either decoder, a model's edges are
+        tuples, with no record per edge."""
+        data = io.save_model(f1)
+        for model in (f1, io.load_model(data), schema.model(json.loads(data), "")):
+            assert model == f1 and model.flows and model.skill_edges
+            assert all(type(row) is tuple for row in (*model.flows, *model.skill_edges))
 
     def test_facts_computed_once(self, f1):
         assert f1.digest is f1.digest

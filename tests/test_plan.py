@@ -9,12 +9,10 @@ from bipan.model import (
     Adjacency,
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
     replace,
 )
@@ -66,8 +64,8 @@ def counting_adjacency(model):
 
 def root_first_chain(model, product):
     """The processes from the root down to ``product``'s consumer, read off ``model.flows``."""
-    consumer = {f.product: f.process for f in model.flows if f.role is FlowRole.INPUT}
-    output = {f.process: f.product for f in model.flows if f.role is FlowRole.OUTPUT}
+    consumer = {product: pid for product, pid, role in model.flows if role is FlowRole.INPUT}
+    output = {pid: product for product, pid, role in model.flows if role is FlowRole.OUTPUT}
     chain = []
     while product in consumer:
         chain.append(consumer[product])
@@ -86,11 +84,11 @@ def single_process_model():
         processes=(ProcessNode("q", "Q"),),
         skills=(SkillNode("manipulation", "manipulation"),),
         flows=(
-            FlowEdge("a", "q", FlowRole.INPUT),
-            FlowEdge("b", "q", FlowRole.INPUT),
-            FlowEdge("fin", "q", FlowRole.OUTPUT),
+            ("a", "q", FlowRole.INPUT),
+            ("b", "q", FlowRole.INPUT),
+            ("fin", "q", FlowRole.OUTPUT),
         ),
-        skill_edges=(SkillEdge("q", "manipulation"),),
+        skill_edges=(("q", "manipulation"),),
     )
 
 
@@ -119,13 +117,9 @@ class TestAssembly:
             ),
             skills=f1.skills,
             flows=tuple(
-                replace(f, process=renames.get(f.process, f.process))
-                for f in f1.flows
+                (product, renames.get(pid, pid), role) for product, pid, role in f1.flows
             ),
-            skill_edges=tuple(
-                replace(e, process=renames.get(e.process, e.process))
-                for e in f1.skill_edges
-            ),
+            skill_edges=tuple((renames.get(pid, pid), skill) for pid, skill in f1.skill_edges),
         )
         assert assembly_recipe(model).process_sequence() == ("p1", "p2", "p4", "p3", "p5")
 
@@ -179,8 +173,9 @@ class TestDisassembly:
 
     @given(models())
     def test_extract_reverses_the_chain_up_from_the_target(self, model):
-        consumed = {f.product for f in model.flows if f.role is FlowRole.INPUT}
-        outputs = {f.process: (f.product,) for f in model.flows if f.role is FlowRole.OUTPUT}
+        consumed = {product for product, _, role in model.flows if role is FlowRole.INPUT}
+        outputs = {pid: (product,) for product, pid, role in model.flows
+                   if role is FlowRole.OUTPUT}
         for product in sorted(consumed - set(model.final_products())):
             chain = root_first_chain(model, product)
             plan = disassembly_to(model, product, DisassemblyMode.EXTRACT)
@@ -304,10 +299,10 @@ class TestRepair:
             processes=(ProcessNode("q", "Q"),),
             skills=(SkillNode("screwing", "screwing"),),
             flows=(
-                *(FlowEdge(leaf, "q", FlowRole.INPUT) for leaf in leaves),
-                FlowEdge("fin", "q", FlowRole.OUTPUT),
+                *((leaf, "q", FlowRole.INPUT) for leaf in leaves),
+                ("fin", "q", FlowRole.OUTPUT),
             ),
-            skill_edges=(SkillEdge("q", "screwing"),),
+            skill_edges=(("q", "screwing"),),
             fastens=tuple(
                 FastensLink(leaves[i], frozenset(leaves[i + 1 : i + 10])) for i in range(0, 300, 10)
             ),
@@ -384,7 +379,7 @@ class TestRepair:
         clipped = replace(
             f1,
             products=(*f1.products, clips),
-            flows=(*f1.flows, FlowEdge("clips1", "p2", FlowRole.INPUT)),
+            flows=(*f1.flows, ("clips1", "p2", FlowRole.INPUT)),
             fastens=(
                 FastensLink("bolts1", frozenset({"mod8"})),
                 FastensLink("clips1", frozenset({"mod7", "mod8"})),

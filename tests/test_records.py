@@ -17,13 +17,11 @@ from bipan.execute import ExecState, Trace
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     FrozenMap,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
     replace,
 )
@@ -42,8 +40,8 @@ def model():
         (ProductNode("a", "A", ProductKind.ELEMENTARY), ProductNode("f", "F", ProductKind.FINAL)),
         (ProcessNode("p", "P"),),
         (SkillNode("k", "K"),),
-        (FlowEdge("a", "p", FlowRole.INPUT), FlowEdge("f", "p", FlowRole.OUTPUT)),
-        (SkillEdge("p", "k"),),
+        (("a", "p", FlowRole.INPUT), ("f", "p", FlowRole.OUTPUT)),
+        (("p", "k"),),
     )
 
 
@@ -72,9 +70,8 @@ _MODEL = (
     "'Elementary'>, type_ref=None, position=None, attributes={}), ProductNode(id='f', label='F', "
     "kind=<ProductKind.FINAL: 'Final'>, type_ref=None, position=None, attributes={})), "
     "processes=(ProcessNode(id='p', label='P'),), skills=(SkillNode(id='k', label='K'),), "
-    "flows=(FlowEdge(product='a', process='p', role=<FlowRole.INPUT: 'Input'>), "
-    "FlowEdge(product='f', process='p', role=<FlowRole.OUTPUT: 'Output'>)), "
-    "skill_edges=(SkillEdge(process='p', skill='k'),), fastens=())"
+    "flows=(('a', 'p', <FlowRole.INPUT: 'Input'>), ('f', 'p', <FlowRole.OUTPUT: 'Output'>)), "
+    "skill_edges=(('p', 'k'),), fastens=())"
 )
 _STEP = (
     "PlanStep(process='p', direction=<Direction.FORWARD: 'Forward'>, consumed=('a',), "
@@ -85,21 +82,14 @@ _EVENT = "Event(timestamp='2024-05-01T10:00:00Z', kind='note', payload={'k': 'v'
 _DIAGNOSTIC = "Diagnostic(code='V009', nodes=('p',), message='a warning')"
 
 #: A builder of one instance of each record class, and that instance's ``repr``,
-#: recorded when the records were still frozen dataclasses. A ``PlanStep``'s swap
-#: ids are not fields: it reads them from its lists.
+#: recorded when the records were still frozen dataclasses; since then a model's
+#: edges print as plain rows, and a link's ``secures`` as a sorted tuple. A
+#: ``PlanStep``'s swap ids are not fields: it reads them from its lists.
 RECORDS = {
     ProductNode: (node, _NODE),
     ProcessNode: (lambda: ProcessNode("p", "P"), "ProcessNode(id='p', label='P')"),
     SkillNode: (lambda: SkillNode("k", "K"), "SkillNode(id='k', label='K')"),
-    FlowEdge: (
-        lambda: FlowEdge("a", "p", FlowRole.INPUT),
-        "FlowEdge(product='a', process='p', role=<FlowRole.INPUT: 'Input'>)",
-    ),
-    SkillEdge: (lambda: SkillEdge("p", "k"), "SkillEdge(process='p', skill='k')"),
-    FastensLink: (
-        lambda: FastensLink("s", frozenset({"a"})),
-        "FastensLink(fastener='s', secures=frozenset({'a'}))",
-    ),
+    FastensLink: (lambda: FastensLink("s", ("a",)), "FastensLink(fastener='s', secures=('a',))"),
     BiPanModel: (model, _MODEL),
     Diagnostic: (diagnostic, _DIAGNOSTIC),
     Diagnostics: (lambda: Diagnostics((diagnostic(),)), f"Diagnostics(items=({_DIAGNOSTIC},))"),
@@ -149,10 +139,10 @@ REFUSED = [
     (ProductNode, {"position": (1, 2)}, "invalid-position"),
     (ProcessNode, {"id": "a b"}, "invalid-id"),
     (SkillNode, {"id": ""}, "invalid-id"),
-    (FlowEdge, {"role": "Input"}, "invalid-role"),
     (FastensLink, {"secures": [["a"]]}, "invalid-id"),
     (BiPanModel, {"skills": (SkillNode("k", "K"), SkillNode("k", "L"))}, "duplicate-id"),
-    (BiPanModel, {"flows": (FlowEdge("b", "p", FlowRole.INPUT),)}, "dangling-reference"),
+    (BiPanModel, {"flows": (("a", "p", "Input"),)}, "invalid-role"),
+    (BiPanModel, {"flows": (("b", "p", FlowRole.INPUT),)}, "dangling-reference"),
     (Event, {"timestamp": "2024-05-01T10:00:00+02:00"}, "invalid-timestamp"),
     (PlanStep, {"direction": Direction.SWAP, "consumed": ()}, "malformed-step"),
     (PdtInstance, {"instance_id": ""}, "invalid-id"),
@@ -168,6 +158,7 @@ SEQUENCES = {
     PdtInstance: ("events",),
     Diagnostic: ("nodes",),
     Diagnostics: ("items",),
+    FastensLink: ("secures",),
     AmlFragment: ("products", "explicit_kinds"),
 }
 
@@ -284,22 +275,31 @@ def test_repr_is_unchanged(cls):
     assert repr(factory()) == expected
 
 
-#: Prints the reprs of one link built from ids in two orders and of a model holding each.
+#: Prints the reprs of equal links, states and products, and of the models holding the
+#: links and the products, each built from ids in two orders, one pair to two lines.
 _LINK_REPRS = """
+from bipan.execute import ExecState
 from bipan.model import BiPanModel, FastensLink, ProductKind, ProductNode
 
 ids = ["part_00_2", "part_00_1", "part_00_0", "part_00_3", "part_00_4"]
 products = [ProductNode(i, i, ProductKind.ELEMENTARY) for i in ids]
 products.append(ProductNode("f", "F", ProductKind.FASTENER))
-links = [FastensLink("f", ids), FastensLink("f", sorted(ids))]
-models = [BiPanModel("m", products, fastens=[link]) for link in links]
-assert links[0] == links[1] and models[0] == models[1]
-print(*map(repr, links + models), sep="\\n")
+orders = [ids, sorted(ids)]
+links = [FastensLink("f", order) for order in orders]
+states = [ExecState(order, {i: i.upper() for i in order}) for order in orders]
+nodes = [ProductNode("x", "X", ProductKind.ELEMENTARY, attributes={i: "v" for i in order})
+         for order in orders]
+pairs = [links, [BiPanModel("m", products, fastens=[link]) for link in links], states, nodes,
+         [BiPanModel("m", [node]) for node in nodes]]
+for one, other in pairs:
+    assert one == other
+    print(repr(one), repr(other), sep="\\n")
 """
 
 
 def test_equal_links_print_equally_under_every_hash_seed():
-    """A set's iteration order follows the hash seed and the order its ids were added."""
+    """A set's iteration order follows the hash seed and the order its ids were added, and
+    a map's the order its keys were added; equal values print alike all the same."""
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
     printed = set()
     for seed in range(6):
@@ -308,8 +308,12 @@ def test_equal_links_print_equally_under_every_hash_seed():
         result = subprocess.run([sys.executable, "-c", _LINK_REPRS], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        link, link_sorted, model, model_sorted = result.stdout.splitlines()
-        assert (link, model) == (link_sorted, model_sorted)
+        lines = result.stdout.splitlines()
+        assert len(lines) == 10 and lines[::2] == lines[1::2]
         printed.add(result.stdout)
     assert len(printed) == 1
-    assert "secures=frozenset({'part_00_0', 'part_00_1', 'part_00_2', 'part_00_3', " in link
+    link, _, state, node, _ = lines[::2]
+    assert "secures=('part_00_0', 'part_00_1', 'part_00_2', 'part_00_3', " in link
+    assert "present=frozenset({'part_00_0', 'part_00_1', 'part_00_2', " in state
+    assert "substitutions={'part_00_0': 'PART_00_0', 'part_00_1': 'PART_00_1', " in state
+    assert "attributes={'part_00_0': 'v', 'part_00_1': 'v', " in node

@@ -12,12 +12,10 @@ from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
     FastensLink,
-    FlowEdge,
     FlowRole,
     ProcessNode,
     ProductKind,
     ProductNode,
-    SkillEdge,
     SkillNode,
     replace,
 )
@@ -80,7 +78,7 @@ def test_rekinded_final_keeps_reachability_quiet(f1):
 
 
 def test_missing_skills_is_warning_only(f1):
-    stripped = replace(f1, skill_edges=tuple(e for e in f1.skill_edges if e.process != "p4"))
+    stripped = replace(f1, skill_edges=tuple(e for e in f1.skill_edges if e[0] != "p4"))
     diags = validate(stripped)
     assert codes_of(diags) == {"V009"}
     assert not diags.has_errors
@@ -110,7 +108,7 @@ def test_fastens_host_matches_brute_force(f1):
     rng = random.Random(11)
     fasteners = sorted(p.id for p in f1.products if p.kind is ProductKind.FASTENER)
     doubled = replace(
-        f1, flows=(*f1.flows, FlowEdge("screws1", "p2", FlowRole.INPUT))
+        f1, flows=(*f1.flows, ("screws1", "p2", FlowRole.INPUT))
     )
     outcomes = set()
     for model in (f1, doubled):
@@ -181,13 +179,12 @@ def flow_graphs(draw):
     products = tuple(ProductNode(i, i, draw(kinds)) for i in product_ids)
     flows, skill_edges = (), ()
     if process_ids:
-        flow = st.builds(
-            FlowEdge, st.sampled_from(product_ids), st.sampled_from(process_ids),
-            st.sampled_from(FlowRole),
+        flow = st.tuples(
+            st.sampled_from(product_ids), st.sampled_from(process_ids), st.sampled_from(FlowRole),
         )
         flows = tuple(draw(st.lists(flow, min_size=2 * n_processes, max_size=28)))
         if skill_ids:
-            edge = st.builds(SkillEdge, st.sampled_from(process_ids), st.sampled_from(skill_ids))
+            edge = st.tuples(st.sampled_from(process_ids), st.sampled_from(skill_ids))
             skill_edges = tuple(draw(st.lists(edge, max_size=6)))
     return BiPanModel(
         "g",
@@ -204,11 +201,11 @@ def brute_force_v008_v010(model):
     all_ids = [n.id for n in (*model.products, *model.processes, *model.skills)]
     flow_ids = [n.id for n in (*model.products, *model.processes)]
     successors = {node_id: set() for node_id in all_ids}
-    for flow in model.flows:
-        if flow.role is FlowRole.INPUT:
-            successors[flow.product].add(flow.process)
+    for product, process, role in model.flows:
+        if role is FlowRole.INPUT:
+            successors[product].add(process)
         else:
-            successors[flow.process].add(flow.product)
+            successors[process].add(product)
 
     def reach(start, step):
         seen, todo = {start}, [start]
@@ -232,16 +229,16 @@ def brute_force_v008_v010(model):
 
     # Reverse reachability from the finals, or from the sink products without one.
     sources = {node_id: set() for node_id in all_ids}
-    for flow in model.flows:
-        if flow.role is FlowRole.INPUT:
-            sources[flow.process].add(flow.product)
+    for product, process, role in model.flows:
+        if role is FlowRole.INPUT:
+            sources[process].add(product)
         else:
-            sources[flow.product].add(flow.process)
-    for edge in model.skill_edges:
-        sources[edge.process].add(edge.skill)
+            sources[product].add(process)
+    for process, skill in model.skill_edges:
+        sources[process].add(skill)
     roots = [p.id for p in model.products if p.kind is ProductKind.FINAL]
     if not roots:
-        consumed = {f.product for f in model.flows if f.role is FlowRole.INPUT}
+        consumed = {product for product, _, role in model.flows if role is FlowRole.INPUT}
         roots = [p.id for p in model.products if p.id not in consumed]
     visited = set()
     for root in roots:
