@@ -246,8 +246,8 @@ def _cmd_exec(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"step {i}: {step.direction.value} '{step.process}' -> "
-            f"present: {', '.join(sorted(state.present))}"
-            for i, (step, state) in enumerate(zip(trace.steps, trace.entries))
+            f"-: {', '.join(step.consumed)}  +: {', '.join(step.produced)}"
+            for i, step in enumerate(trace.steps)
         ]
         final = trace.final
         lines.append(f"final: {', '.join(sorted(final.present))}")

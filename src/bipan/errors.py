@@ -19,6 +19,7 @@ EXIT_CODES: dict[str, int] = {
     "invalid-timestamp": 2,
     "kind-conflict": 2,
     "label-conflict": 2,
+    "malformed-edge": 2,
     "missing-replacement": 2,
     "non-numeric-position": 2,
     "parse-error": 2,

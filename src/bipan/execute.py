@@ -10,13 +10,13 @@ replacement and its target, one id each, as ``PlanStep`` builds it; it requires 
 swap site's output assembly to be present, a target that is one of the site's inputs
 and a replacement that names no model node; its skills are unchecked. It records the
 broken-to-replacement substitution. A checked step's effect is its own lists, so a
-``Trace`` rebuilds its per-step states from its steps alone, without the model.
+``Trace`` holds only the start state, the steps and the end state: the state after any
+step is the start state with the lists of the steps up to it applied.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import cached_property
 
 from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
@@ -39,27 +39,14 @@ class ExecState(Record):
 
 
 class Trace(Record):
-    """One replay: its start state, the steps it applied, and its end state.
+    """One replay: its start state, the steps it applied, and its end state."""
 
-    ``entries``, the state after each step (step ``i``'s at position ``i``), is
-    rebuilt on first use by applying each step's own lists: ``run`` has checked them.
-    """
-
-    __slots__ = ("initial", "steps", "final", "__dict__")  # a dict for ``entries``
+    __slots__ = ("initial", "steps", "final")
 
     def __init__(self, initial: ExecState, steps: Iterable[PlanStep], final: ExecState) -> None:
         _set(self, "initial", initial)
         _set(self, "steps", tuple(steps))
         _set(self, "final", final)
-
-    @cached_property
-    def entries(self) -> tuple[ExecState, ...]:
-        present, substitutions = set(self.initial.present), dict(self.initial.substitutions)
-        entries = []
-        for step in self.steps:
-            _effect(present, substitutions, step)
-            entries.append(ExecState(present, substitutions))
-        return tuple(entries)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -133,14 +120,9 @@ def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, mod
                              f"and produce [{', '.join(produced)}]")
         if step.required_skills != skills:
             raise BiPanError("step-mismatch", f"must require skills [{', '.join(skills)}]")
-    _effect(present, substitutions, step)
-
-
-def _effect(present: set[str], substitutions: dict[str, str], step: PlanStep) -> None:
-    """Apply a checked step's own lists, and a swap's substitution, in place."""
     present.difference_update(step.consumed)
     present.update(step.produced)
-    if step.direction is Direction.SWAP:
+    if swap:
         substitutions[step.swap_target] = step.swap_replacement
 
 

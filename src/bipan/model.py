@@ -16,7 +16,7 @@ neighbours from; the structural rules beyond that (V-codes) live in
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -250,10 +250,15 @@ _FAMILY = {ProductNode: "product", ProcessNode: "process", SkillNode: "skill"}
 
 def _first_fault(nodes: Mapping[str, Record], flows: tuple, skill_edges: tuple,
                  fastens: tuple[FastensLink, ...]) -> None:
-    """Raise the first fault of these edges: a role that is no ``FlowRole`` or an id that is
-    no string, in the order given, else the first endpoint that names no node, in the
-    canonical order a model holds its edges in.
+    """Raise the first fault of these edges: a row of the wrong shape, a role that is no
+    ``FlowRole`` or an id that is no string, in the order given, else the first endpoint
+    that names no node, in the canonical order a model holds its edges in.
     """
+    for source, rows, width in (("flow", flows, 3), ("skill edge", skill_edges, 2)):
+        for row in rows:
+            if not isinstance(row, Sequence) or len(row) != width:
+                raise BiPanError("malformed-edge",
+                                 f"{source} {row!r} is not a row of {width} items")
     for product, process, role in flows:
         if type(role) is not FlowRole:
             raise BiPanError("invalid-role", f"flow {product!r}-{process!r}: role {role!r} "
@@ -352,7 +357,7 @@ class BiPanModel(Record):
             keyed = {(link.fastener, link.secures): link for link in fastens}
             if not producers.keys() >= {pid for key in keyed for pid in (key[0], *key[1])}:
                 raise KeyError("fastens")
-        except (KeyError, TypeError, BiPanError):
+        except (KeyError, TypeError, ValueError, BiPanError):
             _first_fault(nodes, flows, skill_edges, fastens)
             raise
 

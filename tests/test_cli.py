@@ -2,8 +2,10 @@ import ast
 import errno
 import hashlib
 import json
+import math
 import multiprocessing
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -18,6 +20,7 @@ from bipan.cli import main
 from bipan.fixtures import battery_model
 from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, repair_plan
 from mutations import MUTANTS
+from strategies import build_random_model
 
 T0 = "2024-05-01T10:00:00Z"
 T1 = "2024-05-01T11:00:00Z"
@@ -37,13 +40,13 @@ def model_path(workdir):
     return str(workdir / "f1.bipan.json")
 
 
-def run_cli(args, cwd, **env):
-    """``python -m bipan.cli`` in a fresh interpreter, as a user runs it, with ``env`` added."""
+def run_cli(args, cwd, preexec_fn=None, **env):
+    """``python -m bipan.cli`` in a fresh interpreter, as a user runs it, with ``env`` added
+    and ``preexec_fn`` run in the child before it starts."""
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run(
-        [sys.executable, "-m", "bipan.cli", *args], cwd=cwd, env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, "-m", "bipan.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, preexec_fn=preexec_fn)
 
 
 def assert_one_error(result, code):
@@ -294,13 +297,13 @@ class TestRegistry:
 
 
 REPAIR_REPLAY = """\
-step 0: Reverse 'p5' -> present: cover, mod8r, screws2, stage4
-step 1: Reverse 'p4' -> present: blanket, cover, mod8r, screws2, stage3
-step 2: Reverse 'p3' -> present: blanket, bolts2, brace1, brace2, brace3, brace4, brace5, cover, mod8r, screws2, stage2
-step 3: Swap 'p2' -> present: blanket, bolts2, brace1, brace2, brace3, brace4, brace5, cover, mod8, screws2, stage2
-step 4: Forward 'p3' -> present: blanket, cover, mod8, screws2, stage3
-step 5: Forward 'p4' -> present: cover, mod8, screws2, stage4
-step 6: Forward 'p5' -> present: battery, mod8
+step 0: Reverse 'p5' -> -: battery  +: cover, screws2, stage4
+step 1: Reverse 'p4' -> -: stage4  +: blanket, stage3
+step 2: Reverse 'p3' -> -: stage3  +: bolts2, brace1, brace2, brace3, brace4, brace5, stage2
+step 3: Swap 'p2' -> -: mod8r  +: mod8
+step 4: Forward 'p3' -> -: bolts2, brace1, brace2, brace3, brace4, brace5, stage2  +: stage3
+step 5: Forward 'p4' -> -: blanket, stage3  +: stage4
+step 6: Forward 'p5' -> -: cover, screws2, stage4  +: battery
 final: battery, mod8
 substitutions: mod8->mod8r
 """
@@ -316,17 +319,16 @@ class TestExec:
         "plan, inventory, fmt, sha256",
         [
             ("f1_assembly.plan.json", "initial", "human",
-             "5906c1f35788acf65317d9036f3f575947fa1d6cad293be90351943bebe65a77"),
+             "fe046bec3fdebc41a6b4e5ae5f4c85325e8abf522c6054fad82ab2f132fe3a4f"),
             ("f1_assembly.plan.json", "initial", "json",
-             "773e3c2f1c7a584cbc8da56f4fcb1621dbf4e1fc48dce9eeda2f2414abdcf387"),
+             "491f6b735ab4ce0f98e3d9607de682c26ee79b4970fd65ea11358341fa769934"),
             ("f1_repair_mod8.plan.json", "final", "human",
-             "c386070461c1615820e9355c47892ccb342a4a2377c8fc7f3ea4b1afb690aab1"),
+             "0326f2db5812175b4bfc8cfdf2d576c2eca2997a5cf96499775ff9a6b4850e39"),
             ("f1_repair_mod8.plan.json", "final", "json",
-             "f2703867f52c75221d46ee5fcdbcff3ecbdb185f4bd1539d734b4431bd9d4e7c"),
+             "11ce1fc8f91779f6cd89d0763f7901d31dff7bec70bf116262dea8275dcfb123"),
         ],
     )
     def test_output_bytes_pinned(self, fixtures_dir, capsys, plan, inventory, fmt, sha256):
-        # Recorded from the oracle as it was when it snapshotted the state after every step.
         argv = ["exec", str(fixtures_dir / plan), str(fixtures_dir / "f1.bipan.json"),
                 "--inventory", inventory, "--format", fmt]
         assert main(argv) == 0
@@ -355,7 +357,8 @@ class TestExec:
         assert main(["exec", str(plan), model_path(workdir), "--format", "json"]) == 0
         trace = json.loads(capsys.readouterr().out)
         assert trace["final"]["present"] == ["battery"]
-        assert len(trace["steps"]) == 5
+        assert sorted(trace) == ["final", "initial"]
+        assert len(trace["initial"]["present"]) == 23
 
     def test_state_file_inventory(self, workdir, capsys):
         plan = workdir / "dis.plan.json"
@@ -421,6 +424,46 @@ class TestExec:
         where = (f"step {index} ({direction} '{step['process']}'): must "
                  if code == "step-mismatch" else f"steps[{index}]: swap_replacement and ")
         assert captured.err.startswith(f"error: {code}: {where}")
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """(plan, model) file paths of assembly plans of chains of about 2k and 16k nodes,
+    by node count."""
+    root = tmp_path_factory.mktemp("chains")
+    files = {}
+    for processes in (570, 4560):
+        model = build_random_model(random.Random(processes), max_processes=processes, chain=True)
+        model_file, plan_file = root / f"{processes}.bipan.json", root / f"{processes}.plan.json"
+        model_file.write_bytes(io.save_model(model))
+        plan_file.write_bytes(io.save_plan(assembly_recipe(model)))
+        nodes = len(model.products) + len(model.processes) + len(model.skills)
+        files[nodes] = (str(plan_file), str(model_file))
+    return files
+
+
+class TestExecOutputGrowsWithThePlan:
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_output_bytes_are_linear_in_the_chain(self, chains, capsys, fmt):
+        sizes = {}
+        for nodes, (plan, model) in chains.items():
+            assert main(["exec", plan, model, "--format", fmt]) == 0
+            sizes[nodes] = len(capsys.readouterr().out.encode("utf-8"))
+        (small, small_bytes), (large, large_bytes) = sorted(sizes.items())
+        assert math.log(large_bytes / small_bytes) / math.log(large / small) <= 1.1, sizes
+
+    def test_16k_node_chain_replays_under_1_gib(self, chains, tmp_path):
+        """The JSON trace of the 16k-node chain, with the address space of the child
+        process alone limited to 1 GiB."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        plan, model = chains[max(chains)]
+        result = run_cli(["exec", plan, model, "--format", "json"], tmp_path, preexec_fn=limit)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["final"]["present"] == ["final"]
 
 
 class TestAmlAndDot:
@@ -1108,6 +1151,7 @@ def test_stdout_is_byte_identical_across_hash_seeds(workdir, fixtures_dir):
     commands = [
         ["plan", "repair", "f1.bipan.json", "--broken", "mod8", "--replace", "mod8=mod8r"],
         ["exec", plan, "f1.bipan.json", "--inventory", "final", "--format", "json"],
+        ["exec", plan, "f1.bipan.json", "--inventory", "final"],
         ["export-dot", "f1.bipan.json", "--plan", plan],
         ["validate", "bad.bipan.json", "--format", "json"],
     ]

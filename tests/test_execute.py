@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from hypothesis import given
 
 import bipan.execute
 import bipan.plan
+from bipan import io
+from bipan.canon import trace_bytes
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, apply_step, initial_inventory, run
 from bipan.model import COMPONENT_KINDS, replace
@@ -250,26 +253,26 @@ class TestRun:
         assert "step 1" in err.value.detail
 
     def test_trace_snapshots_every_step(self, f1):
-        trace = run(assembly_recipe(f1), initial_inventory(f1), f1)
-        assert len(trace.entries) == 5
-        assert "stage1" in trace.entries[0].present
+        """The trace keeps the start state and every step, so each step's state follows."""
+        plan, start = assembly_recipe(f1), initial_inventory(f1)
+        trace = run(plan, start, f1)
+        assert (trace.initial, trace.steps, len(trace)) == (start, plan.steps, 5)
+        assert "stage1" in apply_step(trace.initial, trace.steps[0], f1).present
+        assert not hasattr(trace, "__dict__")
 
 
 def fold(plan, state, model):
-    """The trace entries ``run`` must give: ``apply_step`` folded over the plan."""
-    entries = []
+    """The end state ``run`` must give: ``apply_step`` folded over the plan."""
     for step in plan.steps:
         state = apply_step(state, step, model)
-        entries.append(state)
-    return tuple(entries)
+    return state
 
 
 def assert_trace_is_fold(plan, start, model):
     trace = run(plan, start, model)
-    entries = fold(plan, start, model)
-    assert trace.entries == entries
-    assert trace.final == (entries[-1] if entries else start)
-    assert len(trace) == len(entries)
+    assert trace.initial == start and trace.steps == plan.steps
+    assert trace.final == fold(plan, start, model)
+    assert len(trace) == len(plan.steps)
 
 
 class TestTraceEntries:
@@ -288,6 +291,22 @@ class TestTraceEntries:
             for _, plan, start, _ in cases:
                 assert_trace_is_fold(plan, start, model)
 
+    def test_json_trace_is_the_fold_of_the_plan_file(self):
+        """The JSON trace holds no state per step: each plan file's own lists, folded over
+        the trace's start state, reach its end state."""
+        for model, (_, cases) in zip(corpus(), planned()):
+            for _, plan, start, _ in cases:
+                trace = json.loads(trace_bytes(run(plan, start, model)))
+                present = set(trace["initial"]["present"])
+                substitutions = trace["initial"]["substitutions"]
+                for step in json.loads(io.save_plan(plan))["steps"]:
+                    present.difference_update(step["consumed"])
+                    present.update(step["produced"])
+                    if step["direction"] == "Swap":
+                        substitutions[step["swap_target"]] = step["swap_replacement"]
+                assert trace["final"] == {"present": sorted(present),
+                                          "substitutions": substitutions}
+
     def test_run_builds_few_states(self, monkeypatch):
         chain = build_random_model(random.Random(7), max_processes=1000, chain=True)
         plan, start = assembly_recipe(chain), initial_inventory(chain)
@@ -300,7 +319,7 @@ class TestTraceEntries:
         trace = run(plan, start, chain)
         assert len(built) <= 2
         assert trace.final.present == frozenset(chain.final_products())
-        assert len(trace.entries) == 1000
+        assert len(trace) == 1000
 
 
 class TestStateInvariants:

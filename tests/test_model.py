@@ -201,6 +201,28 @@ class TestConstruction:
             BiPanModel("tiny", tiny.products, tiny.processes, skills, **{"flows": (), **extra})
         assert err.value.code == "invalid-id"
 
+    # A row of the wrong shape, as a Python caller may pass against the annotations.
+    @pytest.mark.parametrize(
+        "extra,detail",
+        [
+            ({"flows": (("a", "q"),)}, "flow ('a', 'q') is not a row of 3 items"),
+            ({"flows": (("a", "q", FlowRole.INPUT, "x"),)},
+             "flow ('a', 'q', <FlowRole.INPUT: 'Input'>, 'x') is not a row of 3 items"),
+            ({"flows": (5,)}, "flow 5 is not a row of 3 items"),
+            ({"skill_edges": (("q",),)}, "skill edge ('q',) is not a row of 2 items"),
+            ({"skill_edges": (("q", "s", "t"),)},
+             "skill edge ('q', 's', 't') is not a row of 2 items"),
+            ({"skill_edges": (None,)}, "skill edge None is not a row of 2 items"),
+        ],
+    )
+    def test_edge_row_of_the_wrong_shape_is_malformed_edge(self, extra, detail):
+        tiny = tiny_model()
+        skills = (SkillNode("s", "screwing"),)
+        fields = {"flows": tiny.flows, **extra}
+        with pytest.raises(BiPanError) as err:
+            BiPanModel("tiny", tiny.products, tiny.processes, skills, **fields)
+        assert (err.value.code, err.value.detail) == ("malformed-edge", detail)
+
     def test_unhashable_secured_id_is_invalid_id(self):
         """So is one that does not sort with the others: a link holds ``secures`` sorted."""
         for secures, named in (([["x"]], "['x']"), (["b", 5], "5")):
