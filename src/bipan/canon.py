@@ -7,14 +7,13 @@ import math
 from json.encoder import encode_basestring as _escape  # the C escaper when _json is built
 from typing import TYPE_CHECKING, Any
 
-from bipan.model import BiPanModel, ProductNode
+from bipan.model import BiPanModel, Plan, ProductNode
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Collection, Iterable, Mapping
 
     from bipan.execute import ExecState, Trace
     from bipan.pdt import Event, PdtInstance
-    from bipan.plan import Plan
 
 
 def canonical_bytes(obj: Any) -> bytes:

@@ -15,13 +15,11 @@ from typing import TYPE_CHECKING
 
 from bipan.canon import model_bytes
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, ProductKind, ProductNode, Record, _set, replace
+from bipan.model import BiPanModel, Direction, Plan, ProductKind, ProductNode, Record, _set, replace
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
     from xml.etree import ElementTree
-
-    from bipan.plan import Plan
 
 __all__ = ["AmlFragment", "export_dot", "import_aml", "merge"]
 
@@ -274,7 +272,6 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
         lines.extend(_dot_edge(pid, skill, "style=dashed, color=goldenrod") for skill in skills)
 
     if plan is not None:
-        from bipan.plan import Direction
         foreign = {s.swap_replacement for s in plan.steps
                    if s.direction is Direction.SWAP and not model.has_node(s.swap_replacement)}
         for node_id in sorted(foreign):

@@ -5,7 +5,7 @@ applies a step's declared consumed/produced effect and knows nothing about how
 plans are derived. It checks each step against the model's flows: Forward
 consumes the process's inputs (under the substitutions so far), produces its
 output and requires the process's skill labels, and Reverse is the converse,
-requiring those labels inverted through ``plan.INVERSION``. A Swap's lists are its
+requiring those labels inverted through ``model.INVERSION``. A Swap's lists are its
 replacement and its target, one id each, as ``PlanStep`` builds it; it requires the
 swap site's output assembly to be present, a target that is one of the site's inputs
 and a replacement that names no model node; its skills are unchecked. It records the
@@ -20,8 +20,7 @@ from collections.abc import Iterable, Mapping
 
 from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, FrozenMap, Record, _set
-from bipan.plan import INVERSION, Direction, Plan, PlanStep
+from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record, _set
 
 
 class ExecState(Record):

@@ -23,6 +23,7 @@ from bipan.model import (
     BiPanModel,
     FastensLink,
     FlowRole,
+    Plan,
     ProcessNode,
     ProductKind,
     ProductNode,
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
 
     from bipan.execute import ExecState
     from bipan.pdt import PdtInstance
-    from bipan.plan import Plan
 
 __all__ = [
     "instance_lock",

@@ -11,6 +11,10 @@ Construction enforces referential integrity (unique ids, resolvable edge
 endpoints) and builds ``adjacency``, the one place every module reads a node's
 neighbours from; the structural rules beyond that (V-codes) live in
 :mod:`bipan.validate`.
+
+A plan is a model value too: a ``Plan`` of ``PlanStep`` records, each in one ``Direction``,
+and ``INVERSION`` relabels assembly skills as disassembly skills. The planners
+(:mod:`bipan.plan`) and the replay (:mod:`bipan.execute`) read them here, not from each other.
 """
 
 from __future__ import annotations
@@ -436,3 +440,72 @@ class BiPanModel(Record):
     def leaf_products(self) -> tuple[str, ...]:
         """Products with no producer, ascending id."""
         return tuple(p.id for p in self.products if not self.adjacency.producers[p.id])
+
+
+class Direction(Enum):
+    FORWARD = "Forward"
+    REVERSE = "Reverse"
+    SWAP = "Swap"
+
+
+#: The assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
+#: Read-only, as every planner and the replay oracle read it.
+INVERSION: Mapping[str, str] = FrozenMap(
+    {
+        "screwing": "unscrewing",
+        "connecting-cables": "disconnecting-cables",
+        "manipulation": "manipulation",
+    }
+)
+
+
+class PlanStep(Record):
+    """One directed process application with resolved inventory effect and skills.
+
+    A Swap consumes one id, its ``swap_replacement``, and produces one, its
+    ``swap_target`` (``malformed-step`` otherwise); both are None on other steps.
+    """
+
+    __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
+                 "swap_replacement")
+
+    def __init__(self, process: str, direction: Direction, consumed: Iterable[str],
+                 produced: Iterable[str], required_skills: Iterable[str]) -> None:
+        consumed, produced = tuple(consumed), tuple(produced)
+        swap = direction is Direction.SWAP
+        if swap and (len(consumed), len(produced)) != (1, 1):
+            raise BiPanError(
+                "malformed-step", f"swap step at '{process}' must consume one id and produce one"
+            )
+        _set(self, "process", process)
+        _set(self, "direction", direction)
+        _set(self, "consumed", consumed)
+        _set(self, "produced", produced)
+        _set(self, "required_skills", tuple(required_skills))
+        _set(self, "swap_target", produced[0] if swap else None)
+        _set(self, "swap_replacement", consumed[0] if swap else None)
+
+
+class Plan(Record):
+    """Ordered steps bound to one model version via its digest."""
+
+    __slots__ = ("model_id", "model_digest", "steps")
+
+    def __init__(self, model_id: str, model_digest: str, steps: Iterable[PlanStep]) -> None:
+        _set(self, "model_id", model_id)
+        _set(self, "model_digest", model_digest)
+        _set(self, "steps", tuple(steps))
+
+    def process_sequence(self) -> tuple[str, ...]:
+        return tuple(step.process for step in self.steps)
+
+    def replacement_ids(self) -> tuple[str, ...]:
+        return tuple(
+            sorted(
+                {
+                    step.swap_replacement
+                    for step in self.steps
+                    if step.swap_replacement is not None
+                }
+            )
+        )

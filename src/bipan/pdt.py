@@ -12,13 +12,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from datetime import datetime, timezone
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, Record, _set, check_id, replace
-
-if TYPE_CHECKING:
-    from bipan.plan import Plan
+from bipan.model import (COMPONENT_KINDS, BiPanModel, FrozenMap, Plan, Record, _set, check_id,
+                         replace)
 
 
 class Health(Enum):

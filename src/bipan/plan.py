@@ -27,29 +27,13 @@ from enum import Enum
 
 from bipan import validate  # registered unloaded; runs only when a planner validates a model
 from bipan.errors import BiPanError
-from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, ProductKind, Record, _set, check_id
-
-
-class Direction(Enum):
-    FORWARD = "Forward"
-    REVERSE = "Reverse"
-    SWAP = "Swap"
+from bipan.model import (COMPONENT_KINDS, INVERSION, BiPanModel, Direction, Plan, PlanStep,
+                         ProductKind, check_id)
 
 
 class DisassemblyMode(Enum):
     EXPOSE = "Expose"
     EXTRACT = "Extract"
-
-
-#: The assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
-#: Read-only, as every planner and the replay oracle read it.
-INVERSION: Mapping[str, str] = FrozenMap(
-    {
-        "screwing": "unscrewing",
-        "connecting-cables": "disconnecting-cables",
-        "manipulation": "manipulation",
-    }
-)
 
 
 class _Inversions(dict):
@@ -60,58 +44,6 @@ class _Inversions(dict):
     def __missing__(self, labels: tuple[str, ...]) -> tuple[str, ...]:
         inverted = self[labels] = tuple(sorted({INVERSION.get(label, label) for label in labels}))
         return inverted
-
-
-class PlanStep(Record):
-    """One directed process application with resolved inventory effect and skills.
-
-    A Swap consumes one id, its ``swap_replacement``, and produces one, its
-    ``swap_target`` (``malformed-step`` otherwise); both are None on other steps.
-    """
-
-    __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
-                 "swap_replacement")
-
-    def __init__(self, process: str, direction: Direction, consumed: Iterable[str],
-                 produced: Iterable[str], required_skills: Iterable[str]) -> None:
-        consumed, produced = tuple(consumed), tuple(produced)
-        swap = direction is Direction.SWAP
-        if swap and (len(consumed), len(produced)) != (1, 1):
-            raise BiPanError(
-                "malformed-step", f"swap step at '{process}' must consume one id and produce one"
-            )
-        _set(self, "process", process)
-        _set(self, "direction", direction)
-        _set(self, "consumed", consumed)
-        _set(self, "produced", produced)
-        _set(self, "required_skills", tuple(required_skills))
-        _set(self, "swap_target", produced[0] if swap else None)
-        _set(self, "swap_replacement", consumed[0] if swap else None)
-
-
-class Plan(Record):
-    """Ordered steps bound to one model version via its digest."""
-
-    __slots__ = ("model_id", "model_digest", "steps")
-
-    def __init__(self, model_id: str, model_digest: str, steps: Iterable[PlanStep]) -> None:
-        _set(self, "model_id", model_id)
-        _set(self, "model_digest", model_digest)
-        _set(self, "steps", tuple(steps))
-
-    def process_sequence(self) -> tuple[str, ...]:
-        return tuple(step.process for step in self.steps)
-
-    def replacement_ids(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                {
-                    step.swap_replacement
-                    for step in self.steps
-                    if step.swap_replacement is not None
-                }
-            )
-        )
 
 
 # -- plan extraction ---------------------------------------------------------

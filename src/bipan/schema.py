@@ -23,8 +23,11 @@ from typing import Any
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
+    Direction,
     FastensLink,
     FlowRole,
+    Plan,
+    PlanStep,
     ProcessNode,
     ProductKind,
     ProductNode,
@@ -153,30 +156,29 @@ model = _record(
 )
 
 
-@_on_first_use
-def plan() -> Converter:
-    from bipan.plan import Direction, Plan, PlanStep
-    step_fields = _record(
-        dict,
-        direction=(_enum(Direction), None),
-        **dict.fromkeys(("swap_target", "swap_replacement"), (_optional(_string), None)),
-        process=_STR,
-        consumed=_STRINGS,
-        produced=_STRINGS,
-        required_skills=_STRINGS,
-    )
+_step_fields = _record(
+    dict,
+    direction=(_enum(Direction), None),
+    **dict.fromkeys(("swap_target", "swap_replacement"), (_optional(_string), None)),
+    process=_STR,
+    consumed=_STRINGS,
+    produced=_STRINGS,
+    required_skills=_STRINGS,
+)
 
-    def decode_step(value: Any, path: str) -> PlanStep:
-        fields = step_fields(value, path)
-        ids = ((fields.pop("swap_replacement"),), (fields.pop("swap_target"),))
-        swap = fields["direction"] is Direction.SWAP
-        if ids != ((fields["consumed"], fields["produced"]) if swap else ((None,), (None,))):
-            raise BiPanError("parse-error", f"{path}: swap_replacement and swap_target must be a "
-                             "Swap's one consumed and one produced id, and null on other steps")
-        return PlanStep(**fields)
 
-    steps = (_list_of(decode_step), None)
-    return _record(Plan, model_id=(_string, ""), model_digest=(_string, ""), steps=steps)
+def _step(value: Any, path: str) -> PlanStep:
+    fields = _step_fields(value, path)
+    ids = ((fields.pop("swap_replacement"),), (fields.pop("swap_target"),))
+    swap = fields["direction"] is Direction.SWAP
+    if ids != ((fields["consumed"], fields["produced"]) if swap else ((None,), (None,))):
+        raise BiPanError("parse-error", f"{path}: swap_replacement and swap_target must be a "
+                         "Swap's one consumed and one produced id, and null on other steps")
+    return PlanStep(**fields)
+
+
+plan = _record(Plan, model_id=(_string, ""), model_digest=(_string, ""),
+               steps=(_list_of(_step), None))
 
 
 @_on_first_use

@@ -10,10 +10,9 @@ import time
 from bipan import exchange, io
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.fixtures import battery_model
-from bipan.model import ProductKind
+from bipan.model import Direction, ProductKind
 from bipan.pdt import Health, create_instance, plan_repair_for, set_health
 from bipan.plan import (
-    Direction,
     DisassemblyMode,
     assembly_recipe,
     check_feasibility,

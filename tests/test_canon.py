@@ -33,18 +33,18 @@ from bipan.execute import ExecState, Trace, initial_inventory, run
 from bipan.model import (
     COMPONENT_KINDS,
     BiPanModel,
+    Direction,
     FastensLink,
     FlowRole,
+    Plan,
+    PlanStep,
     ProcessNode,
     ProductKind,
     ProductNode,
 )
 from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import (
-    Direction,
     DisassemblyMode,
-    Plan,
-    PlanStep,
     assembly_recipe,
     disassembly_to,
     full_disassembly,

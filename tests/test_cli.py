@@ -18,7 +18,8 @@ import pytest
 from bipan import io
 from bipan.cli import main
 from bipan.fixtures import battery_model
-from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, repair_plan
+from bipan.model import Direction, Plan, PlanStep
+from bipan.plan import assembly_recipe, repair_plan
 from mutations import MUTANTS
 from strategies import build_random_model
 
@@ -968,9 +969,10 @@ LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", 
 # The ``bipan`` submodules whose code each command runs; the others stay registered
 # unloaded. Valid model and twin documents never run the field-spec decoders in
 # ``schema``; plans and registries have no other decoder. Only ``import-aml`` and
-# ``export-dot`` run ``exchange``. Replaying or drawing a plan validates nothing.
-PLANS = "canon cli errors io model plan"
-PLANNING = f"{PLANS} validate"
+# ``export-dot`` run ``exchange``. Replaying or drawing a plan validates nothing and
+# runs no planner.
+PLANS = "canon cli errors io model"
+PLANNING = f"{PLANS} plan validate"
 COMMAND_MODULES = {
     "validate": (["validate", "f1.bipan.json"], "canon cli errors io model validate"),
     "plan-assemble": (["plan", "assemble", "f1.bipan.json"], PLANNING),

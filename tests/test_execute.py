@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 
 import bipan.execute
-import bipan.plan
 from bipan import io
 from bipan.canon import trace_bytes
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, apply_step, initial_inventory, run
-from bipan.model import COMPONENT_KINDS, replace
-from bipan.plan import Direction, Plan, PlanStep, assembly_recipe, full_disassembly, repair_plan
+from bipan.model import COMPONENT_KINDS, Direction, Plan, PlanStep, replace
+from bipan.plan import assembly_recipe, full_disassembly, repair_plan
 from mutations import MUTANTS
 from strategies import build_random_model, models
 from test_plan_corpus import corpus, planned
@@ -376,11 +375,13 @@ class TestStateIsAValue:
 
 
 class TestOracleIndependence:
+    SRC = Path(bipan.execute.__file__).parent
+
     @staticmethod
-    def imports(module):
-        """``(source module, name)`` of every import in the module's source, nested ones too;
-        a relative source is spelled from ``bipan``."""
-        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    def imports(path):
+        """``(source module, name)`` of every import in the source at ``path``, nested ones
+        too; a relative source is spelled from ``bipan``."""
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 source = node.module
@@ -390,15 +391,18 @@ class TestOracleIndependence:
             elif isinstance(node, ast.Import):
                 yield from ((alias.name, None) for alias in node.names)
 
-    def test_the_oracle_takes_only_the_plan_types_and_the_inversion_from_the_planners(self):
-        taken = {
-            name for source, name in self.imports(bipan.execute)
-            if source == "bipan.plan" or (source, name) == ("bipan", "plan")
-        }
-        assert taken == {"INVERSION", "Direction", "Plan", "PlanStep"}
+    @classmethod
+    def takes(cls, path, module):
+        """Whether the source at ``path`` imports ``bipan.<module>`` or anything from it."""
+        return any(source == f"bipan.{module}" or (source, name) == ("bipan", module)
+                   for source, name in cls.imports(path))
+
+    def test_the_oracle_imports_nothing_from_the_planners(self):
+        assert not self.takes(self.SRC / "execute.py", "plan")
 
     def test_the_planners_import_nothing_from_the_oracle(self):
-        assert not [
-            (source, name) for source, name in self.imports(bipan.plan)
-            if source == "bipan.execute" or (source, name) == ("bipan", "execute")
-        ]
+        assert not self.takes(self.SRC / "plan.py", "execute")
+
+    def test_only_the_cli_and_the_twin_import_the_planners(self):
+        importers = {path.stem for path in self.SRC.glob("*.py") if self.takes(path, "plan")}
+        assert importers == {"cli", "pdt"}

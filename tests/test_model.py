@@ -15,6 +15,7 @@ from bipan.errors import BiPanError
 from bipan.execute import ExecState
 from bipan.fixtures import battery_model
 from bipan.model import (
+    INVERSION,
     BiPanModel,
     FastensLink,
     FlowRole,
@@ -27,7 +28,7 @@ from bipan.model import (
     replace,
 )
 from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import INVERSION, DisassemblyMode, disassembly_to
+from bipan.plan import DisassemblyMode, disassembly_to
 from bipan.validate import ensure_valid, validate
 from mutations import MUTANTS
 from strategies import models

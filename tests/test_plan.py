@@ -6,8 +6,10 @@ from hypothesis import given
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, initial_inventory, run
 from bipan.model import (
+    INVERSION,
     Adjacency,
     BiPanModel,
+    Direction,
     FastensLink,
     FlowRole,
     ProcessNode,
@@ -17,8 +19,6 @@ from bipan.model import (
     replace,
 )
 from bipan.plan import (
-    INVERSION,
-    Direction,
     DisassemblyMode,
     assembly_recipe,
     check_feasibility,

@@ -16,9 +16,12 @@ from bipan.exchange import AmlFragment
 from bipan.execute import ExecState, Trace
 from bipan.model import (
     BiPanModel,
+    Direction,
     FastensLink,
     FlowRole,
     FrozenMap,
+    Plan,
+    PlanStep,
     ProcessNode,
     ProductKind,
     ProductNode,
@@ -26,7 +29,6 @@ from bipan.model import (
     replace,
 )
 from bipan.pdt import Event, Health, PdtInstance
-from bipan.plan import Direction, Plan, PlanStep
 from bipan.validate import Diagnostic, Diagnostics
 
 
