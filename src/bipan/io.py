@@ -68,9 +68,11 @@ def _parse_json(data: bytes) -> Any:
     try:
         text = data.decode("utf-8")
         obj = json.loads(text)
-        if "\\ud" in text or "\\uD" in text:
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
             # A \ud800-\udfff escape without its pair decodes to a string that no
-            # UTF-8 output (plan, digest, twin file) can hold.
+            # UTF-8 output (plan, digest, twin file) can hold. A one-character search
+            # is a memchr; the two-character ones scan far slower, so they run only
+            # on text that escapes something.
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         return obj
     except UnicodeDecodeError as exc:

@@ -20,6 +20,7 @@ and ``INVERSION`` relabels assembly skills as disassembly skills. The planners
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
@@ -95,19 +96,25 @@ class Record:
     """Base of the immutable value records: slotted, and compared, hashed and shown by field.
 
     A record's fields are its ``__init__`` parameters, in order; ``__init__``
-    checks them and writes each slot through ``_set``. Equality is by type and
-    every field, and the hash is of every field; ``repr`` shows a frozenset field's
-    members sorted. Pickling and copying call ``__init__`` again, so its checks
-    rerun. Assigning or deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    checks them and writes each slot. A record built a number of times that grows
+    with the model or the log (``ProductNode``, ``ProcessNode``, ``SkillNode``,
+    ``PlanStep``, ``Event``) writes through its slots' own ``__set__``, held in
+    ``_stores`` in ``__slots__`` order, at about half the cost of ``_set``, which
+    the others use. Equality is by type and every field, and the hash is of every
+    field; ``repr`` shows a frozenset field's members sorted. Pickling and copying
+    call ``__init__`` again, so its checks rerun. Assigning or deleting an
+    attribute raises ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _stores: tuple
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -191,12 +198,13 @@ class ProductNode(Record):
                     "invalid-position",
                     f"product '{id}': position must have exactly three components",
                 )
-        _set(self, "id", id)
-        _set(self, "label", label)
-        _set(self, "kind", kind)
-        _set(self, "type_ref", type_ref)
-        _set(self, "position", position)
-        _set(self, "attributes", FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES)
+        set_id, set_label, set_kind, set_type_ref, set_position, set_attributes = self._stores
+        set_id(self, id)
+        set_label(self, label)
+        set_kind(self, kind)
+        set_type_ref(self, type_ref)
+        set_position(self, position)
+        set_attributes(self, FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES)
 
     def has_finite_position(self) -> bool:
         return self.position is None or all(math.isfinite(c) for c in self.position)
@@ -206,8 +214,9 @@ class ProcessNode(Record):
     __slots__ = ("id", "label")
 
     def __init__(self, id: str, label: str) -> None:
-        _set(self, "id", check_id(id))
-        _set(self, "label", label)
+        set_id, set_label = self._stores
+        set_id(self, check_id(id))
+        set_label(self, label)
 
 
 class SkillNode(Record):
@@ -216,8 +225,9 @@ class SkillNode(Record):
     __slots__ = ("id", "label")
 
     def __init__(self, id: str, label: str) -> None:
-        _set(self, "id", check_id(id))
-        _set(self, "label", label)
+        set_id, set_label = self._stores
+        set_id(self, check_id(id))
+        set_label(self, label)
 
 
 class FastensLink(Record):
@@ -336,10 +346,9 @@ class BiPanModel(Record):
         # One pass files each edge in maps keyed by one node family each, so an endpoint
         # that names no such node fails to index its map; ``_first_fault`` names it.
         flows, skill_edges, fastens = tuple(flows), tuple(skill_edges), tuple(fastens)
-        inputs, outputs, skill_ids, producers, consumers, users = (
-            {node.id: [] for node in family}
-            for family in (*(self.processes,) * 3, self.products, self.products, self.skills)
-        )
+        inputs, outputs, skill_ids = ({node.id: [] for node in self.processes} for _ in range(3))
+        product_ids = [node.id for node in self.products]
+        producers, consumers = dict.fromkeys(product_ids, ()), dict.fromkeys(product_ids, ())
         try:
             for product, process, role in flows:
                 if role is FlowRole.INPUT:
@@ -350,14 +359,24 @@ class BiPanModel(Record):
                     raise KeyError("role")  # ``_first_fault`` raises invalid-role
             for process, skill in skill_edges:
                 skill_ids[process].append(skill)
-            # Each list sorted, without duplicates; the processes ascend, so the lists
-            # by product and by skill come out ascending too.
-            for by_process, by_node in ((inputs, consumers), (outputs, producers),
-                                        (skill_ids, users)):
+            if not {node.id for node in self.skills}.issuperset([s for _, s in skill_edges]):
+                raise KeyError("skill")
+            # Each list sorted, without duplicates; the processes ascend, so the tuples by
+            # product come out ascending too. A product's first process is filed as a
+            # 1-tuple, any later ones in one list, joined to it once.
+            for by_process, by_product in ((inputs, consumers), (outputs, producers)):
+                later: defaultdict[str, list[str]] = defaultdict(list)
                 for pid, ids in by_process.items():
                     by_process[pid] = ids = tuple(sorted(set(ids)) if len(ids) > 1 else ids)
-                    for node_id in ids:
-                        by_node[node_id].append(pid)
+                    for product in ids:
+                        if by_product[product]:
+                            later[product].append(pid)
+                        else:
+                            by_product[product] = (pid,)
+                for product, pids in later.items():
+                    by_product[product] += (*pids,)
+            for pid, ids in skill_ids.items():
+                skill_ids[pid] = tuple(sorted(set(ids)) if len(ids) > 1 else ids)
             keyed = {(link.fastener, link.secures): link for link in fastens}
             if not producers.keys() >= {pid for key in keyed for pid in (key[0], *key[1])}:
                 raise KeyError("fastens")
@@ -368,9 +387,6 @@ class BiPanModel(Record):
         _set(self, "fastens", tuple(keyed[k] for k in sorted(keyed)))
         _set(self, "_nodes", nodes)
         _set(self, "_skill_labels", {})
-        producers, consumers = (
-            {node_id: tuple(ids) for node_id, ids in m.items()} for m in (producers, consumers)
-        )
         maps = (inputs, outputs, producers, consumers, skill_ids)
         _set(self, "adjacency", Adjacency(*map(FrozenMap, maps)))
 
@@ -477,13 +493,15 @@ class PlanStep(Record):
             raise BiPanError(
                 "malformed-step", f"swap step at '{process}' must consume one id and produce one"
             )
-        _set(self, "process", process)
-        _set(self, "direction", direction)
-        _set(self, "consumed", consumed)
-        _set(self, "produced", produced)
-        _set(self, "required_skills", tuple(required_skills))
-        _set(self, "swap_target", produced[0] if swap else None)
-        _set(self, "swap_replacement", consumed[0] if swap else None)
+        (set_process, set_direction, set_consumed, set_produced, set_required_skills,
+         set_swap_target, set_swap_replacement) = self._stores
+        set_process(self, process)
+        set_direction(self, direction)
+        set_consumed(self, consumed)
+        set_produced(self, produced)
+        set_required_skills(self, tuple(required_skills))
+        set_swap_target(self, produced[0] if swap else None)
+        set_swap_replacement(self, consumed[0] if swap else None)
 
 
 class Plan(Record):

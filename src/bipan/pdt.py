@@ -52,10 +52,11 @@ class Event(Record):
 
     def __init__(self, timestamp: str, kind: str,
                  payload: Mapping[str, str] = FrozenMap()) -> None:
-        _set(self, "when", parse_timestamp(timestamp))
-        _set(self, "timestamp", timestamp)
-        _set(self, "kind", kind)
-        _set(self, "payload", FrozenMap(payload))
+        set_timestamp, set_kind, set_payload, set_when = self._stores
+        set_when(self, parse_timestamp(timestamp))
+        set_timestamp(self, timestamp)
+        set_kind(self, kind)
+        set_payload(self, FrozenMap(payload))
 
 
 class PdtInstance(Record):

@@ -33,6 +33,8 @@ LOADERS = {
 SWAP_KEYS = ("steps[0]: swap_replacement and swap_target must be a Swap's one consumed and "
              "one produced id, and null on other steps")
 
+SURROGATE = "document escapes an unpaired UTF-16 surrogate"
+
 # (kind, document text, code, detail or None)
 CORPUS = [
     ('model', '[]',
@@ -268,6 +270,19 @@ CORPUS = [
     # comes first in canonical edge order, so it is the one reported.
     ('model', '{"processes": [{"id": "p"}], "skills": [{"id": "s"}], "skill_edges": [{"process": "q", "skill": "s"}], "flows": [{"product": "z", "process": "p", "role": "Input"}]}',
      'dangling-reference', "flow references unknown product 'z'"),
+    # An escape of half a UTF-16 surrogate pair, in either case, alone or after another escape.
+    ('model', '{"id": "m", "products": [{"id": "a", "kind": "Final", "label": "\\ud800"}]}',
+     'parse-error', SURROGATE),
+    ('model', '{"id": "m\\n", "products": [{"id": "a", "kind": "Final", "label": "\\uDC00"}]}',
+     'parse-error', SURROGATE),
+    ('plan', '{"model_id": "m\\n", "model_digest": "\\ud800", "steps": []}',
+     'parse-error', SURROGATE),
+    ('twin', '{"instance_id": "V", "events": [{"timestamp": "2024-05-01T10:00:00Z", "kind": "\\uDC00"}]}',
+     'parse-error', SURROGATE),
+    ('twin', '{"instance_id": "V", "model_id": "\\n", "model_digest": "\\ud800"}',
+     'parse-error', SURROGATE),
+    ('state', '{"present": ["\\n", "\\uDC00"]}',
+     'parse-error', SURROGATE),
 ]
 
 
@@ -280,6 +295,27 @@ def test_single_fault_reports_pinned_error(kind, text, code, detail):
     assert err.value.code == code
     if detail is not None:
         assert err.value.detail == detail
+
+
+#: Per kind, a document with one free string in it, and where the loaded value holds it.
+STRING_SLOTS = {
+    "model": ('{"id": "m", "products": [{"id": "a", "kind": "Final", "label": "%s"}]}',
+              lambda model: model.products[0].label),
+    "plan": ('{"model_id": "%s", "steps": []}', lambda plan: plan.model_id),
+    "twin": ('{"instance_id": "V", "model_id": "%s"}', lambda twin: twin.model_id),
+    "state": ('{"present": ["%s"]}', lambda state: next(iter(state.present))),
+}
+
+
+@pytest.mark.parametrize("kind", STRING_SLOTS)
+@pytest.mark.parametrize("escaped,loaded", [
+    ("\\ud83d\\ude00", "\U0001F600"),  # a whole pair
+    ("\\\\ud800", "\\ud800"),  # an escaped backslash, then the text ud800
+    ("\\n\\uD83D\\uDE00", "\n\U0001F600"),
+])
+def test_what_only_looks_like_an_unpaired_surrogate_loads(kind, escaped, loaded):
+    template, read = STRING_SLOTS[kind]
+    assert read(LOADERS[kind]((template % escaped).encode("utf-8"))) == loaded
 
 
 def row(*ids):

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import json
 import operator
 import pickle
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -29,7 +31,7 @@ from bipan.model import (
 )
 from bipan.pdt import Event, Health, PdtInstance
 from bipan.plan import DisassemblyMode, disassembly_to
-from bipan.validate import ensure_valid, validate
+from bipan.validate import Diagnostic, ensure_valid, validate
 from mutations import MUTANTS
 from strategies import models
 
@@ -268,6 +270,46 @@ class TestConstruction:
             skill_edges=tuple(reversed(f1.skill_edges)),
         )
         assert shuffled == f1
+
+    @staticmethod
+    def _fan(width):
+        """The nodes and flows of ``width`` processes that all consume ``a`` and produce ``f``."""
+        pids = [f"p{i:05d}" for i in range(width)]
+        products = (ProductNode("a", "A", ProductKind.ELEMENTARY),
+                    ProductNode("f", "F", ProductKind.FINAL))
+        flows = [(node, pid, role) for pid in reversed(pids)
+                 for node, role in (("a", FlowRole.INPUT), ("f", FlowRole.OUTPUT))]
+        return pids, products, [ProcessNode(pid, pid) for pid in pids], flows
+
+    def test_a_product_of_many_processes_is_filed_in_linear_time(self):
+        """A product named by many processes is filed in time linear in them (8 times the
+        processes take about 8 times as long), ascending, and V003 still names them all.
+
+        The cyclic GC is off while a model is built: its full collections scan the whole
+        test process, whose size does not grow with the model.
+        """
+        walls = []
+        for width in (5_000, 40_000):
+            pids, products, processes, flows = self._fan(width)
+            times = []
+            for _ in range(3):
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.perf_counter()
+                    model = BiPanModel("fan", products, processes, flows=flows)
+                    times.append(time.perf_counter() - start)
+                finally:
+                    gc.enable()
+            walls.append(min(times))
+            assert model.adjacency.consumers["a"] == model.adjacency.producers["f"] == tuple(pids)
+        assert walls[1] / walls[0] < 16, walls
+        v003 = [d for d in validate(model).items if d.code == "V003"]
+        listed = ", ".join(pids)
+        assert v003 == [
+            Diagnostic("V003", ("a", *pids), f"product 'a' has {width} consumers ({listed})"),
+            Diagnostic("V003", ("f", *pids), f"product 'f' has {width} producers ({listed})"),
+        ]
 
 
 class TestInvariants:

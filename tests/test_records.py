@@ -25,6 +25,7 @@ from bipan.model import (
     ProcessNode,
     ProductKind,
     ProductNode,
+    Record,
     SkillNode,
     replace,
 )
@@ -220,18 +221,30 @@ def test_copies_are_equal_and_keep_frozen_maps(cls, copy_of):
             assert type(mapping) is FrozenMap and mapping == original
 
 
+def test_every_record_class_is_covered():
+    """The per-class tests below run on every record class, wherever it is defined."""
+    pending, found = [Record], set()
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            found.add(sub)
+            pending.append(sub)
+    assert found == set(RECORDS)
+
+
 @classes
 def test_assignment_raises(cls):
+    """Every slot stays read-only, whichever way ``__init__`` wrote it."""
     record = build(cls)
-    name = cls.__slots__[0]
-    before = getattr(record, name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(record, name, "other")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        delattr(record, name)
+    for name in cls.__slots__:
+        before = getattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "other")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is before
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.no_such_field = 1
-    assert getattr(record, name) is before and not hasattr(record, "no_such_field")
+    assert not hasattr(record, "no_such_field") and record == build(cls)
 
 
 @classes
