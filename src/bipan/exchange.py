@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from bipan.canon import model_bytes
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, Direction, Plan, ProductKind, ProductNode, Record, _set, replace
+from bipan.model import BiPanModel, Direction, Plan, ProductKind, ProductNode, Record, replace
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -38,8 +38,9 @@ class AmlFragment(Record):
 
     def __init__(self, products: Iterable[ProductNode],
                  explicit_kinds: Iterable[str] = frozenset()) -> None:
-        _set(self, "products", tuple(products))
-        _set(self, "explicit_kinds", frozenset(explicit_kinds))
+        set_products, set_explicit_kinds = self._stores
+        set_products(self, tuple(products))
+        set_explicit_kinds(self, frozenset(explicit_kinds))
 
     def to_bytes(self) -> bytes:
         return model_bytes(BiPanModel("aml-fragment", self.products))

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Mapping
 
 from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
-from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record, _set
+from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record
 
 
 class ExecState(Record):
@@ -33,8 +33,9 @@ class ExecState(Record):
 
     def __init__(self, present: frozenset[str],
                  substitutions: Mapping[str, str] = FrozenMap()) -> None:
-        _set(self, "present", frozenset(present))
-        _set(self, "substitutions", FrozenMap(substitutions))
+        set_present, set_substitutions = self._stores
+        set_present(self, frozenset(present))
+        set_substitutions(self, FrozenMap(substitutions))
 
 
 class Trace(Record):
@@ -43,9 +44,10 @@ class Trace(Record):
     __slots__ = ("initial", "steps", "final")
 
     def __init__(self, initial: ExecState, steps: Iterable[PlanStep], final: ExecState) -> None:
-        _set(self, "initial", initial)
-        _set(self, "steps", tuple(steps))
-        _set(self, "final", final)
+        set_initial, set_steps, set_final = self._stores
+        set_initial(self, initial)
+        set_steps(self, tuple(steps))
+        set_final(self, final)
 
     def __len__(self) -> int:
         return len(self.steps)

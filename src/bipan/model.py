@@ -75,9 +75,6 @@ class FrozenMap(dict):
         return repr(dict(sorted(self.items())))
 
 
-_set = object.__setattr__
-
-
 def _repr(value: object) -> str:
     """``repr(value)``, but a frozenset's members sorted: a set's own order follows its history
     and the hash seed."""
@@ -96,11 +93,9 @@ class Record:
     """Base of the immutable value records: slotted, and compared, hashed and shown by field.
 
     A record's fields are its ``__init__`` parameters, in order; ``__init__``
-    checks them and writes each slot. A record built a number of times that grows
-    with the model or the log (``ProductNode``, ``ProcessNode``, ``SkillNode``,
-    ``PlanStep``, ``Event``) writes through its slots' own ``__set__``, held in
-    ``_stores`` in ``__slots__`` order, at about half the cost of ``_set``, which
-    the others use. Equality is by type and every field, and the hash is of every
+    checks them and writes each slot through the slot's own ``__set__``, held in
+    ``_stores`` in ``__slots__`` order (less ``__dict__``), which skips the frozen
+    ``__setattr__``. Equality is by type and every field, and the hash is of every
     field; ``repr`` shows a frozenset field's members sorted. Pickling and copying
     call ``__init__`` again, so its checks rerun. Assigning or deleting an
     attribute raises ``dataclasses.FrozenInstanceError``.
@@ -114,7 +109,8 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
-        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__
+                            if name != "__dict__")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -245,8 +241,9 @@ class FastensLink(Record):
             for node_id in secures:
                 check_id(node_id)
             raise
-        _set(self, "fastener", fastener)
-        _set(self, "secures", secures)
+        set_fastener, set_secures = self._stores
+        set_fastener(self, fastener)
+        set_secures(self, secures)
 
 
 class Adjacency(NamedTuple):
@@ -338,10 +335,12 @@ class BiPanModel(Record):
             raise BiPanError("duplicate-id", min(shared)[2])
 
         by_id = attrgetter("id")
-        _set(self, "id", id)
-        _set(self, "products", tuple(sorted(products, key=by_id)))
-        _set(self, "processes", tuple(sorted(processes, key=by_id)))
-        _set(self, "skills", tuple(sorted(skills, key=by_id)))
+        (set_id, set_products, set_processes, set_skills, set_fastens, set_nodes,
+         set_skill_labels, set_adjacency) = self._stores
+        set_id(self, id)
+        set_products(self, tuple(sorted(products, key=by_id)))
+        set_processes(self, tuple(sorted(processes, key=by_id)))
+        set_skills(self, tuple(sorted(skills, key=by_id)))
 
         # One pass files each edge in maps keyed by one node family each, so an endpoint
         # that names no such node fails to index its map; ``_first_fault`` names it.
@@ -384,11 +383,11 @@ class BiPanModel(Record):
             _first_fault(nodes, flows, skill_edges, fastens)
             raise
 
-        _set(self, "fastens", tuple(keyed[k] for k in sorted(keyed)))
-        _set(self, "_nodes", nodes)
-        _set(self, "_skill_labels", {})
+        set_fastens(self, tuple(keyed[k] for k in sorted(keyed)))
+        set_nodes(self, nodes)
+        set_skill_labels(self, {})
         maps = (inputs, outputs, producers, consumers, skill_ids)
-        _set(self, "adjacency", Adjacency(*map(FrozenMap, maps)))
+        set_adjacency(self, Adjacency(*map(FrozenMap, maps)))
 
     @cached_property
     def flows(self) -> tuple[tuple[str, str, FlowRole], ...]:
@@ -510,9 +509,10 @@ class Plan(Record):
     __slots__ = ("model_id", "model_digest", "steps")
 
     def __init__(self, model_id: str, model_digest: str, steps: Iterable[PlanStep]) -> None:
-        _set(self, "model_id", model_id)
-        _set(self, "model_digest", model_digest)
-        _set(self, "steps", tuple(steps))
+        set_model_id, set_model_digest, set_steps = self._stores
+        set_model_id(self, model_id)
+        set_model_digest(self, model_digest)
+        set_steps(self, tuple(steps))
 
     def process_sequence(self) -> tuple[str, ...]:
         return tuple(step.process for step in self.steps)

@@ -14,8 +14,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from bipan.errors import BiPanError
-from bipan.model import (COMPONENT_KINDS, BiPanModel, FrozenMap, Plan, Record, _set, check_id,
-                         replace)
+from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, Plan, Record, check_id, replace
 
 
 class Health(Enum):
@@ -78,11 +77,12 @@ class PdtInstance(Record):
                     "time-regression",
                     f"event log timestamps decrease at {event.timestamp!r}",
                 )
-        _set(self, "instance_id", instance_id)
-        _set(self, "model_id", model_id)
-        _set(self, "model_digest", model_digest)
-        _set(self, "health", health)
-        _set(self, "events", events)
+        set_instance_id, set_model_id, set_model_digest, set_health, set_events = self._stores
+        set_instance_id(self, instance_id)
+        set_model_id(self, model_id)
+        set_model_digest(self, model_digest)
+        set_health(self, health)
+        set_events(self, events)
 
     def broken_components(self) -> tuple[str, ...]:
         return tuple(sorted(c for c, h in self.health.items() if h is Health.BROKEN))

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Any
 
 from bipan.errors import BiPanError
-from bipan.model import BiPanModel, ProductKind, Record, _set
+from bipan.model import BiPanModel, ProductKind, Record
 
 
 class Severity(Enum):
@@ -24,9 +24,10 @@ class Diagnostic(Record):
     __slots__ = ("code", "nodes", "message")
 
     def __init__(self, code: str, nodes: Iterable[str], message: str) -> None:
-        _set(self, "code", code)
-        _set(self, "nodes", tuple(nodes))
-        _set(self, "message", message)
+        set_code, set_nodes, set_message = self._stores
+        set_code(self, code)
+        set_nodes(self, tuple(nodes))
+        set_message(self, message)
 
     @property
     def severity(self) -> Severity:
@@ -39,7 +40,8 @@ class Diagnostics(Record):
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable[Diagnostic]) -> None:
-        _set(self, "items", tuple(items))
+        (set_items,) = self._stores
+        set_items(self, tuple(items))
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:

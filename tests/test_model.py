@@ -282,14 +282,16 @@ class TestConstruction:
         return pids, products, [ProcessNode(pid, pid) for pid in pids], flows
 
     def test_a_product_of_many_processes_is_filed_in_linear_time(self):
-        """A product named by many processes is filed in time linear in them (8 times the
-        processes take about 8 times as long), ascending, and V003 still names them all.
+        """A product named by many processes is filed in time linear in them, ascending, and
+        V003 still names them all. 16 times the processes took 19 to 25 times as long; a
+        per-edge ``tuple +=`` took about 260 times as long. The bound of 80 is about 3 times
+        from both.
 
         The cyclic GC is off while a model is built: its full collections scan the whole
         test process, whose size does not grow with the model.
         """
         walls = []
-        for width in (5_000, 40_000):
+        for width in (2_500, 40_000):
             pids, products, processes, flows = self._fan(width)
             times = []
             for _ in range(3):
@@ -303,7 +305,7 @@ class TestConstruction:
                     gc.enable()
             walls.append(min(times))
             assert model.adjacency.consumers["a"] == model.adjacency.producers["f"] == tuple(pids)
-        assert walls[1] / walls[0] < 16, walls
+        assert walls[1] / walls[0] < 80, walls
         v003 = [d for d in validate(model).items if d.code == "V003"]
         listed = ", ".join(pids)
         assert v003 == [

@@ -233,7 +233,7 @@ def test_every_record_class_is_covered():
 
 @classes
 def test_assignment_raises(cls):
-    """Every slot stays read-only, whichever way ``__init__`` wrote it."""
+    """Every slot stays read-only, though ``__init__`` writes it past ``__setattr__``."""
     record = build(cls)
     for name in cls.__slots__:
         before = getattr(record, name)
