@@ -2,11 +2,12 @@
 """Time model ingest stage by stage, against ``json.loads`` of the same bytes.
 
 Ingest is what every command that reads a model pays: ``io.load_model`` (that is
-``json.loads``, then decoding the document into nodes and adjacency maps with
-``io._direct_model``), validation and the digest. Each stage, and the whole, is
-timed in this process, best of ``--repeat`` runs, with the cyclic GC on as the
-library runs it. The models come from ``bench/gen.py``, named ``<shape>-<nodes>``;
-times are in milliseconds, and the last column is whole ingest over ``json.loads``.
+``json.loads``, then ``io._model_from``, the model decoder, which checks every field
+and key and builds the nodes and adjacency maps), validation and the digest. Each
+stage, and the whole, is timed in this process, best of ``--repeat`` runs, with the
+cyclic GC on as the library runs it. The models come from ``bench/gen.py``, named
+``<shape>-<nodes>``; times are in milliseconds, and the last column is whole ingest
+over ``json.loads``.
 
 Run with: python scripts/ingest_table.py [MODEL ...] [--repeat K]
 """
@@ -56,7 +57,7 @@ def row(name: str, repeat: int) -> str:
     doc, model = json.loads(data), io.load_model(data)
     times = [
         best_ms(lambda: json.loads(data), repeat),
-        best_ms(lambda: io._direct_model(doc), repeat),
+        best_ms(lambda: io._model_from(doc), repeat),
         best_ms(lambda: validate(model), repeat),
         best_ms(lambda: model_digest(model), repeat),
         best_ms(lambda: ingest(data), repeat),

@@ -17,7 +17,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 from bipan.errors import BiPanError
 
 __version__ = "0.1.0"
-_LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", "validate")
+_LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "validate")
 __all__ = ["BiPanError", *_LAZY]
 
 for _name in _LAZY:

@@ -28,6 +28,8 @@ if TYPE_CHECKING:
 
 #: Each character ``str.splitlines`` breaks at, mapped to its escape.
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+#: Built before any work starts: once memory runs out there may be none left to build it.
+_OUT_OF_MEMORY = b"error: out-of-memory: the command needs more memory than it may use\n"
 
 
 def _one_line(text: str) -> str:
@@ -409,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc)
     except OSError as exc:
         return _fail(BiPanError("io-error", str(exc)))
+    except MemoryError:
+        pass  # printed once the handler lets go of the frames its traceback holds
+    _put(sys.stderr, _OUT_OF_MEMORY)
+    return EXIT_CODES["out-of-memory"]
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ EXIT_CODES: dict[str, int] = {
     "io-error": 3,
     "malformed-step": 3,
     "missing-input": 3,
+    "out-of-memory": 3,
     "step-mismatch": 3,
     "unknown-process": 3,
 }

@@ -2,10 +2,11 @@
 
 Native documents are canonical JSON: sorted keys, two-space indent, UTF-8, LF,
 trailing newline. Loading is lenient about ordering and formatting but strict
-about structure; saving always re-emits canonical bytes, so save(load(x))
-normalizes any equivalent document. The field-spec decoders are in
-:mod:`bipan.schema`; the CAEX import and the DOT export are in
-:mod:`bipan.exchange`.
+about structure: each document kind has one decoder here, which checks every
+field in one pass, names the first fault it meets, and refuses a key that
+:data:`KEYS` does not list. Saving always re-emits canonical bytes, so
+save(load(x)) normalizes any equivalent document. The CAEX import and the DOT
+export are in :mod:`bipan.exchange`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from bipan import schema  # registered unloaded; runs only when a decoder needs a spec
 from bipan.canon import model_bytes, plan_bytes, state_bytes, twin_bytes
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
+    Direction,
     FastensLink,
     FlowRole,
     Plan,
+    PlanStep,
     ProcessNode,
     ProductKind,
     ProductNode,
@@ -32,12 +34,13 @@ from bipan.model import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Iterator
 
     from bipan.execute import ExecState
     from bipan.pdt import PdtInstance
 
 __all__ = [
+    "KEYS",
     "instance_lock",
     "instance_path",
     "load_instance",
@@ -64,7 +67,8 @@ def read_file(path: str | Path) -> bytes:
         raise BiPanError("unreadable", f"{path}: {exc}") from exc
 
 
-def _parse_json(data: bytes) -> Any:
+def _parse_json(data: bytes) -> dict[str, Any]:
+    """The object a document holds; every native document is one."""
     try:
         text = data.decode("utf-8")
         obj = json.loads(text)
@@ -74,7 +78,6 @@ def _parse_json(data: bytes) -> Any:
             # is a memchr; the two-character ones scan far slower, so they run only
             # on text that escapes something.
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        return obj
     except UnicodeDecodeError as exc:
         raise BiPanError("parse-error", f"document is not UTF-8: {exc}") from exc
     except UnicodeEncodeError as exc:
@@ -87,117 +90,150 @@ def _parse_json(data: bytes) -> Any:
         raise BiPanError("parse-error", str(exc)) from exc
     except RecursionError as exc:
         raise BiPanError("parse-error", "document nests too deeply") from exc
+    if type(obj) is not dict:
+        raise _fault("document", "must be an object")
+    return obj
 
 # -- native documents ----------------------------------------------------------------
+#
+# A decoder checks an array and each of its rows to be objects, then a row's fields in
+# one fixed order, its keys and its record. Records check their own values, so a document
+# reports what a Python caller building the same records and rows gets.
 
+#: The keys each object of a native document may hold: each kind's root and each kind
+#: of row in its arrays. The ``canon`` templates write exactly these.
+KEYS: dict[str, frozenset[str]] = {
+    "model": frozenset({"id", "products", "processes", "skills", "flows", "skill_edges",
+                        "fastens"}),
+    "product": frozenset({"id", "label", "kind", "type_ref", "position", "attributes"}),
+    "process": frozenset({"id", "label"}),
+    "skill": frozenset({"id", "label"}),
+    "flow": frozenset({"product", "process", "role"}),
+    "skill_edge": frozenset({"process", "skill"}),
+    "fastens": frozenset({"fastener", "secures"}),
+    "plan": frozenset({"model_id", "model_digest", "steps"}),
+    "step": frozenset({"process", "direction", "consumed", "produced", "required_skills",
+                       "swap_target", "swap_replacement"}),
+    "twin": frozenset({"instance_id", "model_id", "model_digest", "health", "events"}),
+    "event": frozenset({"timestamp", "kind", "payload"}),
+    "state": frozenset({"present", "substitutions"}),
+    "registry": frozenset({"resources"}),
+    "resource": frozenset({"id", "skills"}),
+}
 
 _KINDS = {kind.value: kind for kind in ProductKind}
 _ROLES = {role.value: role for role in FlowRole}
+_DIRECTIONS = {direction.value: direction for direction in Direction}
+_DICT, _NUMBERS, _STR = frozenset({dict}), frozenset({int, float}), frozenset({str})
+_NO_ROWS: list[Any] = []  # an array left out; never changed
+_NO_MAP: dict[str, Any] = {}  # an object left out; never changed
 
 
-def _rows(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
-    """The array under ``key``; a row that is not an object fails at its first key lookup."""
-    rows = doc.get(key, [])
-    if not isinstance(rows, list):
-        raise ValueError(key)
+def _fault(path: str, what: str) -> BiPanError:
+    return BiPanError("parse-error", f"{path} {what}")
+
+
+def _fault_of(obj: dict[str, Any], level: str, where: str,
+              **fields: tuple[Any, Any]) -> BiPanError | None:
+    """The fault of ``obj``, a ``level`` object at ``where``: the first of ``fields``, in the
+    order given, whose value is not of its form, else its least key outside ``KEYS[level]``
+    (``_NO_MAP`` has none). A form is ``str``; ``None``, a string or null; ``list``, an array
+    of strings; ``dict``, an object of strings; or an enum's members by value. Rows come by
+    the thousand, so each is tested inline first, and this runs only on one that fails.
+    """
+    for name, (value, form) in fields.items():
+        path = f"{where}.{name}" if where else name
+        if form is list or form is dict:
+            if type(value) is not form:
+                return _fault(path, "must be an array" if form is list else "must be an object")
+            bad = [i for i, item in enumerate(value if form is list else value.values())
+                   if type(item) is not str]
+            if bad:
+                return _fault(f"{path}[{bad[0]}]" if form is list else path,
+                              "must be a string" if form is list else "must map strings to strings")
+        elif type(value) is not str and (form is not None or value is not None):
+            return _fault(path, "must be a string")
+        elif type(form) is dict and value not in form:
+            return BiPanError("parse-error", f"{path}: {value!r} is not one of {', '.join(form)}")
+    unknown = obj.keys() - KEYS[level]
+    return _fault(f"{where or 'document'}:", f"unknown key {min(unknown)!r}") if unknown else None
+
+
+def _rows(doc: dict[str, Any], key: str, default: Any = _NO_ROWS) -> list[dict[str, Any]]:
+    """The array under ``key``, or ``default`` if it is left out, once each row is an object."""
+    rows = doc.get(key, default)
+    if type(rows) is not list:
+        raise _fault(key, "must be an array")
+    if not _DICT.issuperset(map(type, rows)):
+        raise _fault(f"{key}[{next(i for i, row in enumerate(rows) if type(row) is not dict)}]",
+                     "must be an object")
     return rows
 
 
-def _label(row: dict[str, Any]) -> str:
-    label = row.get("label", "")
-    if not isinstance(label, str):
-        raise ValueError("label")
-    return label
-
-
-def _direct_model(doc: Any) -> BiPanModel:
-    """The model of a well-formed document, built without per-field paths.
-
-    It accepts only what ``schema.model`` accepts and builds an equal model. Node ids
-    are checked by the node constructors, which take only strings; edges go to the
-    model as plain rows, and it resolves each endpoint to a node. Any fault raises,
-    and :func:`load_model` then decodes the document again with ``schema.model``,
-    which names it.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("document")
-    products = []
-    for row in _rows(doc, "products"):
-        type_ref, position = row.get("type_ref"), row.get("position")
-        attributes = row.get("attributes", {})
-        if type_ref is not None and not isinstance(type_ref, str):
-            raise ValueError("type_ref")
-        if position is not None:
-            if not isinstance(position, list) or len(position) != 3 or not all(
-                type(c) in (int, float) for c in position
-            ):
-                raise ValueError("position")
-        if not isinstance(attributes, dict) or (
-            attributes and not all(isinstance(v, str) for v in attributes.values())
-        ):
-            raise ValueError("attributes")
-        kind = _KINDS[row["kind"]]
-        products.append(ProductNode(row["id"], _label(row), kind, type_ref, position, attributes))
-    fastens = []
-    for row in _rows(doc, "fastens"):
-        secures = row.get("secures", [])
-        if not isinstance(secures, list):
-            raise ValueError("secures")
-        fastens.append(FastensLink(row["fastener"], secures))
+def _model_from(doc: dict[str, Any]) -> BiPanModel:
+    """The model of a parsed document. Edge rows go to it as plain rows, their ids checked
+    to be strings, and it resolves each endpoint to a node."""
+    products, keys = [], KEYS["product"]
+    for i, row in enumerate(_rows(doc, "products")):
+        position = row.get("position")
+        if position is not None and (type(position) is not list or len(position) != 3
+                                     or not _NUMBERS.issuperset(map(type, position))):
+            raise _fault(f"products[{i}].position", "must be an array"
+                         if type(position) is not list else "must be three numbers")
+        node_id, label, kind = row.get("id"), row.get("label", ""), row.get("kind")
+        type_ref, attributes = row.get("type_ref"), row.get("attributes", _NO_MAP)
+        member = _KINDS.get(kind) if type(kind) is str else None
+        if (type(node_id) is not str or type(label) is not str or member is None
+                or type_ref is not None and type(type_ref) is not str
+                or attributes is not _NO_MAP and type(attributes) is not dict
+                or attributes and not _STR.issuperset(map(type, attributes.values()))
+                or not keys.issuperset(row)):
+            raise _fault_of(row, "product", f"products[{i}]", id=(node_id, str),
+                            label=(label, str), kind=(kind, _KINDS), type_ref=(type_ref, None),
+                            attributes=(attributes, dict))
+        products.append(ProductNode(node_id, label, member, type_ref, position, attributes))
+    nodes: dict[str, list[Any]] = {}
+    for key, level, node in (("processes", "process", ProcessNode), ("skills", "skill", SkillNode)):
+        nodes[key], keys = [], KEYS[level]
+        for i, row in enumerate(_rows(doc, key)):
+            node_id, label = row.get("id"), row.get("label", "")
+            if type(node_id) is not str or type(label) is not str or not keys.issuperset(row):
+                raise _fault_of(row, level, f"{key}[{i}]", id=(node_id, str), label=(label, str))
+            nodes[key].append(node(node_id, label))
+    flows = []
+    for i, row in enumerate(_rows(doc, "flows")):
+        product, process, role = row.get("product"), row.get("process"), row.get("role")
+        member = _ROLES.get(role) if type(role) is str else None
+        # Once all three are strings, all three keys are there.
+        if type(product) is not str or type(process) is not str or member is None or len(row) != 3:
+            raise _fault_of(row, "flow", f"flows[{i}]", product=(product, str),
+                            process=(process, str), role=(role, _ROLES))
+        flows.append((product, process, member))
+    skill_edges = []
+    for i, row in enumerate(_rows(doc, "skill_edges")):
+        process, skill = row.get("process"), row.get("skill")
+        if type(process) is not str or type(skill) is not str or len(row) != 2:
+            raise _fault_of(row, "skill_edge", f"skill_edges[{i}]", process=(process, str),
+                            skill=(skill, str))
+        skill_edges.append((process, skill))
+    fastens, keys = [], KEYS["fastens"]
+    for i, row in enumerate(_rows(doc, "fastens")):
+        fastener, secures = row.get("fastener"), row.get("secures", _NO_ROWS)
+        if (type(fastener) is not str or type(secures) is not list
+                or not _STR.issuperset(map(type, secures)) or not keys.issuperset(row)):
+            raise _fault_of(row, "fastens", f"fastens[{i}]", fastener=(fastener, str),
+                            secures=(secures, list))
+        fastens.append(FastensLink(fastener, secures))
     model_id = doc.get("id", "")
-    if not isinstance(model_id, str):
-        raise ValueError("id")
-    return BiPanModel(
-        model_id,
-        products,
-        [ProcessNode(row["id"], _label(row)) for row in _rows(doc, "processes")],
-        [SkillNode(row["id"], _label(row)) for row in _rows(doc, "skills")],
-        [(row["product"], row["process"], _ROLES[row["role"]]) for row in _rows(doc, "flows")],
-        [(row["process"], row["skill"]) for row in _rows(doc, "skill_edges")],
-        fastens,
-    )
-
-
-def _direct_instance(doc: Any) -> PdtInstance:
-    """The twin of a well-formed document, built without per-field paths.
-
-    It accepts only what ``schema.instance`` accepts and builds an equal twin. Some
-    faults fail where the value is used: a health map or payload that is not an
-    object has no items or values, a timestamp that is not a string fails in
-    ``parse_timestamp``, and a bad instance id in ``PdtInstance``.
-    """
-    from bipan.pdt import Event, Health, PdtInstance
-    ids = (doc["instance_id"], doc.get("model_id", ""), doc.get("model_digest", ""))
-    if not all(isinstance(value, str) for value in ids):
-        raise ValueError("id")
-    events = []
-    for row in _rows(doc, "events"):
-        kind, payload = row["kind"], row.get("payload", {})
-        if not isinstance(kind, str) or not all(isinstance(v, str) for v in payload.values()):
-            raise ValueError("event")
-        events.append(Event(row["timestamp"], kind, payload))
-    states = {health.value: health for health in Health}
-    health = {c: states[h] for c, h in doc.get("health", {}).items()}
-    return PdtInstance(*ids, health, events)
-
-
-def _decode(data: bytes, direct: Callable[[Any], Any], spec: str) -> Any:
-    """Parse ``data`` and build it with ``direct``; on any fault, decode it with ``schema.<spec>``.
-
-    ``direct`` accepts only what that field-spec decoder accepts and builds an
-    equal value, so it decides only what succeeds: the spec stays the one
-    source of every error, code and detail. Only this fallback loads the specs.
-    """
-    doc = _parse_json(data)
-    try:
-        return direct(doc)
-    except Exception:  # whatever the fault, the spec reports it, or builds the value
-        return getattr(schema, spec)(doc, "")
+    if fault := _fault_of(doc, "model", "", id=(model_id, str)):
+        raise fault
+    return BiPanModel(model_id, products, nodes["processes"], nodes["skills"], flows, skill_edges,
+                      fastens)
 
 
 def load_model(data: bytes) -> BiPanModel:
     """Parse and reference-check a model document; structural validation is separate."""
-    return _decode(data, _direct_model, "model")
+    return _model_from(_parse_json(data))
 
 
 def save_model(model: BiPanModel) -> bytes:
@@ -205,7 +241,40 @@ def save_model(model: BiPanModel) -> bytes:
 
 
 def load_plan(data: bytes) -> Plan:
-    return schema.plan(_parse_json(data), "")
+    """The plan a document holds. A step's swap keys must agree with its lists, which
+    ``PlanStep`` reads them from."""
+    doc = _parse_json(data)
+    model_id, digest = doc.get("model_id", ""), doc.get("model_digest", "")
+    if fault := _fault_of(_NO_MAP, "plan", "", model_id=(model_id, str),
+                          model_digest=(digest, str)):
+        raise fault
+    steps, keys, swap = [], KEYS["step"], Direction.SWAP  # a member read from its class is a call
+    for i, row in enumerate(_rows(doc, "steps", None)):
+        direction, process = row.get("direction"), row.get("process")
+        target, replacement = row.get("swap_target"), row.get("swap_replacement")
+        consumed, produced = row.get("consumed", _NO_ROWS), row.get("produced", _NO_ROWS)
+        skills = row.get("required_skills", _NO_ROWS)
+        member = _DIRECTIONS.get(direction) if type(direction) is str else None
+        if (member is None or type(process) is not str
+                or target is not None and type(target) is not str
+                or replacement is not None and type(replacement) is not str
+                or type(consumed) is not list or type(produced) is not list
+                or type(skills) is not list
+                or not _STR.issuperset(map(type, [*consumed, *produced, *skills]))):
+            raise _fault_of(row, "step", f"steps[{i}]", direction=(direction, _DIRECTIONS),
+                            swap_target=(target, None), swap_replacement=(replacement, None),
+                            process=(process, str), consumed=(consumed, list),
+                            produced=(produced, list), required_skills=(skills, list))
+        if ((consumed != [replacement] or produced != [target]) if member is swap
+                else target is not None or replacement is not None):
+            raise _fault(f"steps[{i}]:", "swap_replacement and swap_target must be a Swap's one "
+                         "consumed and one produced id, and null on other steps")
+        if not keys.issuperset(row):
+            raise _fault_of(row, "step", f"steps[{i}]")
+        steps.append(PlanStep(process, member, consumed, produced, skills))
+    if fault := _fault_of(doc, "plan", ""):
+        raise fault
+    return Plan(model_id, digest, steps)
 
 
 def save_plan(plan: Plan) -> bytes:
@@ -213,12 +282,53 @@ def save_plan(plan: Plan) -> bytes:
 
 
 def load_registry(data: bytes) -> frozenset[str]:
-    """The skills a registry document's resources pool: a plan checks against their union."""
-    return schema.registry(_parse_json(data), "")
+    """The skills a registry's resources pool; a resource id given twice is ``duplicate-id``."""
+    doc = _parse_json(data)
+    ids, skills, keys = [], set(), KEYS["resource"]
+    for i, row in enumerate(_rows(doc, "resources", None)):
+        resource, pooled = row.get("id"), row.get("skills", _NO_ROWS)
+        if (type(resource) is not str or type(pooled) is not list
+                or not _STR.issuperset(map(type, pooled)) or not keys.issuperset(row)):
+            raise _fault_of(row, "resource", f"resources[{i}]", id=(resource, str),
+                            skills=(pooled, list))
+        ids.append(resource)
+        skills.update(pooled)
+    if fault := _fault_of(doc, "registry", ""):
+        raise fault
+    seen: set[str] = set()
+    for resource in ids:
+        if resource in seen:
+            raise BiPanError("duplicate-id", f"duplicate resource id '{resource}'")
+        seen.add(resource)
+    return frozenset(skills)
 
 
 def load_instance(data: bytes) -> PdtInstance:
-    return _decode(data, _direct_instance, "instance")
+    """The twin a document holds; each event parses its timestamp as it is built."""
+    from bipan.pdt import Event, Health, PdtInstance  # only the twin commands run ``pdt``
+    doc = _parse_json(data)
+    states, health = {state.value: state for state in Health}, doc.get("health", _NO_MAP)
+    if type(health) is not dict:
+        raise _fault("health", "must be an object")
+    for component, state in health.items():
+        if type(state) is not str or state not in states:
+            raise _fault_of(_NO_MAP, "twin", "", **{f"health[{component}]": (state, states)})
+    events, keys = [], KEYS["event"]
+    for i, row in enumerate(_rows(doc, "events")):
+        timestamp, kind = row.get("timestamp"), row.get("kind")
+        payload = row.get("payload", _NO_MAP)
+        if (type(timestamp) is not str or type(kind) is not str or type(payload) is not dict
+                or not _STR.issuperset(map(type, payload.values())) or not keys.issuperset(row)):
+            raise _fault_of(row, "event", f"events[{i}]", timestamp=(timestamp, str),
+                            kind=(kind, str), payload=(payload, dict))
+        events.append(Event(timestamp, kind, payload))
+    instance_id, model_id = doc.get("instance_id"), doc.get("model_id", "")
+    digest = doc.get("model_digest", "")
+    if fault := _fault_of(doc, "twin", "", instance_id=(instance_id, str),
+                          model_id=(model_id, str), model_digest=(digest, str)):
+        raise fault
+    return PdtInstance(instance_id, model_id, digest,
+                       {component: states[state] for component, state in health.items()}, events)
 
 
 def save_instance(pdt: PdtInstance) -> bytes:
@@ -236,10 +346,12 @@ def instance_lock(directory: str | Path, instance_id: str) -> Iterator[None]:
 
     A caller that reads a twin, changes it and writes it back holds the lock
     throughout, so a concurrent writer waits and then reads the new twin. The
-    twin file cannot carry the lock: each write replaces it with a new file.
+    twin file cannot carry the lock: each write replaces it with a new file. A lock
+    file that is a symbolic link is refused, so nothing outside ``directory`` is made.
     """
     import fcntl  # only the commands that change twins lock
-    with open(instance_path(directory, instance_id).with_suffix(".lock"), "ab") as handle:
+    path = instance_path(directory, instance_id).with_suffix(".lock")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW, 0o666), "wb") as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
         yield
 
@@ -299,10 +411,14 @@ def read_instance_file(directory: str | Path, instance_id: str) -> PdtInstance:
 
 
 def load_state(data: bytes) -> ExecState:
-    return schema.state(_parse_json(data), "")
+    from bipan.execute import ExecState  # only ``exec`` reads a state
+    doc = _parse_json(data)
+    substitutions, present = doc.get("substitutions", _NO_MAP), doc.get("present")
+    if fault := _fault_of(doc, "state", "", substitutions=(substitutions, dict),
+                          present=(present, list)):
+        raise fault
+    return ExecState(frozenset(present), substitutions)
 
 
 def save_state(state: ExecState) -> bytes:
     return state_bytes(state)
-
-

@@ -348,11 +348,12 @@ class BiPanModel(Record):
         inputs, outputs, skill_ids = ({node.id: [] for node in self.processes} for _ in range(3))
         product_ids = [node.id for node in self.products]
         producers, consumers = dict.fromkeys(product_ids, ()), dict.fromkeys(product_ids, ())
+        input_role, output_role = FlowRole.INPUT, FlowRole.OUTPUT  # each class read is a call
         try:
             for product, process, role in flows:
-                if role is FlowRole.INPUT:
+                if role is input_role:
                     inputs[process].append(product)
-                elif role is FlowRole.OUTPUT:
+                elif role is output_role:
                     outputs[process].append(product)
                 else:
                     raise KeyError("role")  # ``_first_fault`` raises invalid-role

@@ -1,6 +1,6 @@
 import pytest
 
-from bipan import exchange
+from bipan import exchange, io
 from bipan.errors import BiPanError
 from bipan.model import ProductKind
 
@@ -26,6 +26,12 @@ class TestImport:
         assert by_id["cables"].kind is ProductKind.ELEMENTARY
         assert "cables" not in fragment.explicit_kinds
         assert "bms" in fragment.explicit_kinds
+
+    def test_the_emitted_fragment_loads_as_a_model(self, fixtures_dir):
+        """``import-aml`` writes a model document whose every key the model decoder allows,
+        and which loads back to the same bytes."""
+        data = exchange.import_aml((fixtures_dir / "battery.aml").read_bytes()).to_bytes()
+        assert io.save_model(io.load_model(data)) == data
 
     def test_empty_system_unit_class(self):
         fragment = exchange.import_aml(caex(""))

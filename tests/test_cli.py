@@ -640,6 +640,27 @@ class TestPdt:
         assert main(["pdt", "new", "VIN-003", model_path(workdir), "--dir", d]) == 3
         assert capsys.readouterr().err.startswith("error: io-error:")
 
+    @pytest.mark.parametrize("args", [
+        ["pdt", "new", "VIN-9", "MODEL"],
+        ["pdt", "set-health", "VIN-9", "mod8", "broken", "--at", T0],
+    ], ids=["new", "set-health"])
+    def test_a_symlinked_lock_file_is_refused(self, workdir, tmp_path_factory, capsys, args):
+        """A lock file planted as a link to a missing path outside ``--dir``: the command
+        ends in one ``io-error`` line and makes nothing outside ``--dir``."""
+        d, outside = workdir / "twins", tmp_path_factory.mktemp("outside") / "planted"
+        d.mkdir()
+        if args[1] == "set-health":
+            assert main(["pdt", "new", "VIN-9", model_path(workdir), "--dir", str(d)]) == 0
+            (d / "VIN-9.pdt.lock").unlink()
+        (d / "VIN-9.pdt.lock").symlink_to(outside)
+        before = sorted(d.iterdir())
+        capsys.readouterr()
+        argv = [model_path(workdir) if arg == "MODEL" else arg for arg in args]
+        assert main([*argv, "--dir", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: io-error: ") and err.count("\n") == 1, err
+        assert not os.path.lexists(outside) and sorted(d.iterdir()) == before
+
     @pytest.mark.parametrize("where, message", [
         ("missing/r.plan.json", "[Errno 2] No such file or directory"),
         (".", "[Errno 21] Is a directory"),
@@ -823,6 +844,36 @@ class TestUsageBeforeFiles:
         assert len(lines) == 1 and lines[0].startswith("error: usage: "), lines
 
 
+class TestHostileEnvironments:
+    @pytest.fixture(scope="class")
+    def large_model(self, tmp_path_factory):
+        """The bushy model of about 16k nodes (3.6 MB) that ``bench/gen.py`` makes from seed 1."""
+        code = "import sys, gen; sys.stdout.buffer.write(gen.generate('bushy', 1, 16_000).data)"
+        path = tmp_path_factory.mktemp("large") / "bushy.bipan.json"
+        path.write_bytes(subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1] / "bench",
+                                        capture_output=True, check=True).stdout)
+        return str(path)
+
+    @pytest.mark.parametrize("args", [["validate"], ["plan", "assemble"]])
+    def test_a_memory_cap_ends_in_one_error_line(self, large_model, tmp_path, args):
+        """Under address-space caps set in the child process alone, the command succeeds or
+        prints one ``out-of-memory`` line and exits 3, with no traceback; the lowest cap
+        is too low for it."""
+        import resource
+
+        statuses = []
+        for mib in (32, 48, 64):
+            def limit(mib=mib):
+                resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+            result = run_cli([*args, large_model], tmp_path, preexec_fn=limit)
+            errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+            assert result.returncode in (0, 3) and "Traceback" not in result.stderr, result.stderr
+            assert [e.split(": ")[1] for e in errors] == ["out-of-memory"] * (result.returncode == 3)
+            statuses.append(result.returncode)
+        assert statuses[0] == 3
+
+
 class TestHostileInput:
     def test_deeply_nested_json(self, workdir):
         (workdir / "deep.json").write_text("[" * 100_000)
@@ -964,11 +1015,10 @@ CLI_IMPORTS = frozenset("""
 """.split())
 ONLY_ON_DEMAND = ("xml.etree", "hashlib")  # imported by import-aml and by digests alone
 NEVER_LOADED = ("dataclasses", "inspect")  # records are built without ``dataclasses``
-LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "schema", "validate")
+LAZY = ("canon", "exchange", "execute", "io", "model", "pdt", "plan", "validate")
 
 # The ``bipan`` submodules whose code each command runs; the others stay registered
-# unloaded. Valid model and twin documents never run the field-spec decoders in
-# ``schema``; plans and registries have no other decoder. Only ``import-aml`` and
+# unloaded. Every native document is decoded in ``io``. Only ``import-aml`` and
 # ``export-dot`` run ``exchange``. Replaying or drawing a plan validates nothing and
 # runs no planner.
 PLANS = "canon cli errors io model"
@@ -978,16 +1028,16 @@ COMMAND_MODULES = {
     "plan-assemble": (["plan", "assemble", "f1.bipan.json"], PLANNING),
     "plan-registry": (
         ["plan", "assemble", "f1.bipan.json", "--registry", "registry_full.json"],
-        f"{PLANNING} schema",
+        PLANNING,
     ),
     "exec": (
         ["exec", "f1_repair_mod8.plan.json", "f1.bipan.json", "--inventory", "final"],
-        f"{PLANS} execute schema",
+        f"{PLANS} execute",
     ),
     "export-dot": (["export-dot", "f1.bipan.json"], "canon cli errors exchange io model"),
     "export-dot-plan": (
         ["export-dot", "f1.bipan.json", "--plan", "f1_repair_mod8.plan.json"],
-        f"{PLANS} exchange schema",
+        f"{PLANS} exchange",
     ),
     "import-aml": (["import-aml", "battery.aml"], "canon cli errors exchange io model"),
     "import-aml-merge": (
@@ -1102,21 +1152,24 @@ class TestStartup:
         assert loaded.split() == ["loaded:"]
 
     @pytest.mark.parametrize(
-        "name,doc,args",
+        "name,doc,command",
         [
-            ("f1.bipan.json", '{"id": 5}', ["validate", "f1.bipan.json"]),
-            ("VIN-1.pdt.json", '{"instance_id": "VIN-1", "events": 5}', ["pdt", "log", "VIN-1"]),
+            ("f1.bipan.json", '{"id": 5}', "validate"),
+            ("VIN-1.pdt.json", '{"instance_id": "VIN-1", "events": 5}', "pdt-log"),
         ],
         ids=["model", "twin"],
     )
-    def test_a_faulty_document_runs_the_field_specs(self, workdir, name, doc, args):
-        """The direct decoder refuses it, so ``schema`` runs to report the fault."""
+    def test_a_faulty_document_runs_no_module_a_valid_one_does_not(self, workdir, name, doc,
+                                                                    command):
+        """The decoder that builds a valid document names the fault of a faulty one."""
         (workdir / name).write_text(doc)
+        args, expected = COMMAND_MODULES[command]
         code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
         result = run_bare(code + "sys.exit(status)\n", args, workdir)
         assert result.returncode == 2
         assert "error: parse-error: " in result.stderr
-        assert "schema" in result.stdout.splitlines()[-1].split()
+        ran = result.stdout.splitlines()[-1].split()
+        assert ran[0] == "ran:" and set(ran[1:]) <= set(expected.split()), ran
 
     @pytest.mark.skipif(
         sys.version_info[:2] != (3, 11),

@@ -3,8 +3,8 @@
 Hypothesis mutates each kind of document the CLI reads (model, plan, twin,
 inventory state, registry): it truncates it, nests a value deeply, swaps a
 value for one of another type, writes ``NaN``/``Infinity`` or huge numbers,
-inserts bytes that are not UTF-8, drops a key, or puts an odd id in place of a
-string, some holding line breaks. Whatever the input, ``bipan`` must exit 0, 1,
+inserts bytes that are not UTF-8, drops a key, inserts a key into an object, or
+puts an odd id in place of a string, some holding line breaks. Whatever the input, ``bipan`` must exit 0, 1,
 2 or 3 without an exception escaping ``main``; a failure prints exactly one
 ``error:`` line, last on stderr, whose code is in the error table and maps to
 the exit status.
@@ -96,6 +96,12 @@ def value_paths(value, path=()):
             yield from value_paths(item, (*path, index))
 
 
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def with_value(doc, path, new):
     if not path:
         return new
@@ -108,13 +114,19 @@ def with_value(doc, path, new):
 
 @st.composite
 def mutated(draw, data: bytes) -> bytes:
-    how = draw(st.sampled_from(["truncate", "bytes", "drop", "replace"]))
+    how = draw(st.sampled_from(["truncate", "bytes", "drop", "insert", "replace"]))
     if how == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
     if how == "bytes":
         at = draw(st.integers(0, len(data)))
         return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
     doc = json.loads(data)
+    if how == "insert":
+        objects = [path for path in value_paths(doc) if isinstance(value_at(doc, path), dict)]
+        key = draw(st.sampled_from(["junk", "prodcts", "colour", ""]) | st.text(max_size=8))
+        value_at(doc, draw(st.sampled_from(objects)))[key] = draw(
+            st.sampled_from([None, 1, "x", "Ok", [], {}]))
+        return json.dumps(doc).encode("utf-8")
     path = draw(st.sampled_from(list(value_paths(doc))))
     if how == "drop":
         if not path:

@@ -12,6 +12,8 @@ import pytest
 
 from bipan import io
 from bipan.errors import BiPanError
+from bipan.execute import ExecState
+from bipan.fixtures import battery_model
 from bipan.model import (
     BiPanModel,
     FastensLink,
@@ -20,7 +22,10 @@ from bipan.model import (
     ProductKind,
     ProductNode,
     SkillNode,
+    replace,
 )
+from bipan.pdt import Health, create_instance, set_health
+from bipan.plan import repair_plan
 
 LOADERS = {
     "model": io.load_model,
@@ -283,6 +288,49 @@ CORPUS = [
      'parse-error', SURROGATE),
     ('state', '{"present": ["\\n", "\\uDC00"]}',
      'parse-error', SURROGATE),
+    # A key that its object's kind does not define, at each level of each document kind:
+    # named after every known field of its object, and before its record is built.
+    ('model', '{"id": "m", "junk": 1}',
+     'parse-error', "document: unknown key 'junk'"),
+    ('model', '{"prodcts": [{"id": "a", "kind": "Final"}], "flows": [{"product": "a", "process": "p", "role": "Input"}]}',
+     'parse-error', "document: unknown key 'prodcts'"),
+    ('model', '{"products": [{"id": "a", "kind": "Final", "colour": "red"}]}',
+     'parse-error', "products[0]: unknown key 'colour'"),
+    ('model', '{"products": [{"id": "a/b", "kind": "Final", "": 0}]}',
+     'parse-error', "products[0]: unknown key ''"),
+    ('model', '{"processes": [{"id": "p", "labels": "P"}]}',
+     'parse-error', "processes[0]: unknown key 'labels'"),
+    ('model', '{"skills": [{"id": "s", "level": 2}]}',
+     'parse-error', "skills[0]: unknown key 'level'"),
+    ('model', '{"flows": [{"product": "a", "process": "p", "role": "Input", "rate": 1}]}',
+     'parse-error', "flows[0]: unknown key 'rate'"),
+    ('model', '{"skill_edges": [{"process": "p", "skill": "s", "resource": "r"}]}',
+     'parse-error', "skill_edges[0]: unknown key 'resource'"),
+    ('model', '{"fastens": [{"fastener": "f", "secures": [], "torque": "5"}]}',
+     'parse-error', "fastens[0]: unknown key 'torque'"),
+    ('plan', '{"steps": [], "junk": null}',
+     'parse-error', "document: unknown key 'junk'"),
+    ('plan', '{"steps": [{"process": "p", "direction": "Forward", "note": "x"}]}',
+     'parse-error', "steps[0]: unknown key 'note'"),
+    ('twin', '{"instance_id": "V", "owner": "x"}',
+     'parse-error', "document: unknown key 'owner'"),
+    ('twin', '{"instance_id": "V", "events": [{"timestamp": "2024-05-01T10:00:00Z", "kind": "k", "by": "x"}]}',
+     'parse-error', "events[0]: unknown key 'by'"),
+    ('state', '{"present": [], "absent": []}',
+     'parse-error', "document: unknown key 'absent'"),
+    ('registry', '{"resources": [], "site": "x"}',
+     'parse-error', "document: unknown key 'site'"),
+    ('registry', '{"resources": [{"id": "r", "skill": ["s"]}]}',
+     'parse-error', "resources[0]: unknown key 'skill'"),
+    # An enum value of a type that cannot be looked up in a table: an array or an object.
+    ('model', '{"products": [{"id": "a", "kind": []}]}',
+     'parse-error', 'products[0].kind must be a string'),
+    ('model', '{"flows": [{"product": "a", "process": "p", "role": {}}]}',
+     'parse-error', 'flows[0].role must be a string'),
+    ('plan', '{"steps": [{"process": "p", "direction": []}]}',
+     'parse-error', 'steps[0].direction must be a string'),
+    ('twin', '{"instance_id": "V", "health": {"a": []}}',
+     'parse-error', 'health[a] must be a string'),
 ]
 
 
@@ -295,6 +343,31 @@ def test_single_fault_reports_pinned_error(kind, text, code, detail):
     assert err.value.code == code
     if detail is not None:
         assert err.value.detail == detail
+
+
+def test_canon_templates_write_exactly_the_keys_each_level_allows(fixtures_dir):
+    """Over documents that fill every optional field, the keys the ``canon`` templates write
+    at each object level are the keys ``io.KEYS`` allows there; the registry, which no
+    template writes, is the shipped fixture."""
+    model = battery_model()
+    extra = ProductNode("x", "X", ProductKind.ELEMENTARY, "t", (1.0, 2.0, 3.0), {"k": "v"})
+    doc = json.loads(io.save_model(replace(model, products=(*model.products, extra),
+                                           fastens=(FastensLink("x", ["mod8"]),))))
+    plan = json.loads(io.save_plan(repair_plan(model, ["mod8"], {"mod8": "mod8r"})))
+    twin = json.loads(io.save_instance(
+        set_health(create_instance("V", model), "mod8", Health.BROKEN, "2024-05-01T10:00:00Z")))
+    state = json.loads(io.save_state(ExecState(frozenset({"a"}), {"b": "c"})))
+    registry = json.loads((fixtures_dir / "registry_full.json").read_bytes())
+    written = {
+        "model": [doc], "product": doc["products"], "process": doc["processes"],
+        "skill": doc["skills"], "flow": doc["flows"], "skill_edge": doc["skill_edges"],
+        "fastens": doc["fastens"], "plan": [plan], "step": plan["steps"], "twin": [twin],
+        "event": twin["events"], "state": [state], "registry": [registry],
+        "resource": registry["resources"],
+    }
+    assert written.keys() == io.KEYS.keys()
+    for level, objects in written.items():
+        assert set().union(*objects) == io.KEYS[level], level
 
 
 #: Per kind, a document with one free string in it, and where the loaded value holds it.

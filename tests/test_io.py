@@ -1,19 +1,35 @@
+import ast
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipan import canon, exchange, io, schema
+from bipan import canon, exchange, io
 from bipan.errors import BiPanError
+from bipan.execute import ExecState
 from bipan.fixtures import battery_model
-from bipan.model import COMPONENT_KINDS, BiPanModel, FastensLink, FlowRole
-from bipan.pdt import Health, create_instance, set_health
+from bipan.model import (
+    COMPONENT_KINDS,
+    BiPanModel,
+    Direction,
+    FastensLink,
+    FlowRole,
+    Plan,
+    PlanStep,
+    ProcessNode,
+    ProductKind,
+    ProductNode,
+    SkillNode,
+)
+from bipan.pdt import Event, Health, PdtInstance, create_instance, set_health
 from bipan.plan import assembly_recipe, full_disassembly, repair_plan
 from bipan.validate import validate
 from strategies import models
-from test_cli_contract import mutated
+from test_cli_contract import TARGETS, mutated
+from test_decoders import LOADERS
 
 
 class TestModelDocuments:
@@ -76,16 +92,82 @@ class TestModelDocuments:
         assert canon.model_digest(f1) == digest
 
 
-def _outcome(decode, data: bytes):
-    """The saved bytes of the decoded model, or the code and detail of its error."""
+#: Per document kind, the value a Python caller builds from a parsed document's records
+#: and rows, each left-out key given the default its format states.
+PYTHON_BUILDS = {
+    "model": lambda doc: BiPanModel(
+        doc.get("id", ""),
+        [ProductNode(row["id"], row.get("label", ""), ProductKind(row["kind"]),
+                     row.get("type_ref"), row.get("position"), row.get("attributes", {}))
+         for row in doc.get("products", [])],
+        [ProcessNode(row["id"], row.get("label", "")) for row in doc.get("processes", [])],
+        [SkillNode(row["id"], row.get("label", "")) for row in doc.get("skills", [])],
+        [(row["product"], row["process"], FlowRole(row["role"])) for row in doc.get("flows", [])],
+        [(row["process"], row["skill"]) for row in doc.get("skill_edges", [])],
+        [FastensLink(row["fastener"], row.get("secures", [])) for row in doc.get("fastens", [])],
+    ),
+    "plan": lambda doc: Plan(
+        doc.get("model_id", ""), doc.get("model_digest", ""),
+        [PlanStep(row["process"], Direction(row["direction"]), row.get("consumed", []),
+                  row.get("produced", []), row.get("required_skills", [])) for row in doc["steps"]],
+    ),
+    "twin": lambda doc: PdtInstance(
+        doc["instance_id"], doc.get("model_id", ""), doc.get("model_digest", ""),
+        {component: Health(state) for component, state in doc.get("health", {}).items()},
+        [Event(row["timestamp"], row["kind"], row.get("payload", {}))
+         for row in doc.get("events", [])],
+    ),
+    "state": lambda doc: ExecState(frozenset(doc["present"]), doc.get("substitutions", {})),
+    "registry": lambda doc: frozenset().union(*(row.get("skills", []) for row in doc["resources"])),
+}
+
+#: Per document kind but the registry, which no template writes, its encoder.
+SAVERS = {"model": io.save_model, "plan": io.save_plan, "twin": io.save_instance,
+          "state": io.save_state}
+
+
+#: A parse-error's path: names and indices up to the first space or colon of its detail.
+PATH_STEPS = re.compile(r"\[([^\]]*)\]|\.?([^.\[]+)")
+
+
+def _locates(doc, detail: str) -> bool:
+    """Whether the path a ``parse-error`` detail names resolves in ``doc``: every step but
+    the last to a value, and the last to a value or a key its object does not hold. An
+    unknown key is named after the path of its object, which must hold it."""
+    path, _, rest = re.split("([ :])", detail, maxsplit=1)
+    if rest.startswith(" unknown key "):
+        obj = doc if path == "document" else _resolve(doc, PATH_STEPS.findall(path))
+        return type(obj) is dict and ast.literal_eval(rest[len(" unknown key "):]) in obj
+    *steps, (index, name) = PATH_STEPS.findall(path)
+    value = _resolve(doc, steps)
+    if type(value) is list:
+        return int(index) < len(value)
+    return type(value) is dict and (bool(name) or index in value)
+
+
+def _resolve(doc, steps):
+    for index, name in steps:
+        doc = doc[int(index)] if type(doc) is list else doc[index or name]
+    return doc
+
+
+def _loads_as_python_builds(kind: str, document: bytes) -> None:
+    """``document`` loads to what a Python caller builds from its records and rows, printed
+    alike, or raises ``BiPanError`` and nothing else; a ``parse-error`` that the decoder,
+    not the JSON codec, finds has a path into the document."""
     try:
-        return io.save_model(decode(data))
+        loaded = LOADERS[kind](document)
     except BiPanError as exc:
-        return exc.code, exc.detail
-
-
-def _spec_decode(data: bytes):
-    return schema.model(io._parse_json(data), "")
+        try:
+            doc = io._parse_json(document)
+        except BiPanError:
+            return  # a fault of the bytes or of the JSON text, which no path names
+        assert exc.code != "parse-error" or _locates(doc, exc.detail), exc.detail
+        return
+    built = PYTHON_BUILDS[kind](json.loads(document))
+    assert loaded == built
+    if kind in SAVERS:
+        assert SAVERS[kind](loaded) == SAVERS[kind](built)
 
 
 def _shuffled(value, rnd):
@@ -104,48 +186,61 @@ def _shuffled(value, rnd):
     return value
 
 
-class TestModelDecodePaths:
-    """``load_model`` decodes well-formed documents directly and every other one
-    with the field-spec decoder; both must give the same model or the same error.
-    """
+class TestDecodersAgreeWithPythonCallers:
+    """Each document kind's one decoder builds what a Python caller builds from the same
+    records and rows, and names a fault it cannot build by a path into the document."""
+
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    @given(data=st.data())
+    def test_mutated_documents_load_as_python_builds_them(self, kind, data):
+        _loads_as_python_builds(kind, data.draw(mutated(TARGETS[kind][0]), label="document"))
 
     @given(st.data())
-    def test_mutated_documents_decode_alike(self, data):
+    def test_mutated_models_load_as_python_builds_them(self, data):
         source = data.draw(st.just(battery_model()) | models(), label="model")
-        document = data.draw(mutated(io.save_model(source)), label="document")
-        assert _outcome(io.load_model, document) == _outcome(_spec_decode, document)
+        _loads_as_python_builds("model", data.draw(mutated(io.save_model(source)), label="document"))
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields,detail",
         [
-            '"products": {}',
-            '"products": {"a": {}}',
-            '"flows": {}',
-            '"id": 7',
-            '"products": [{"id": "a", "kind": "Fastener", "label": 1}]',
-            '"products": [{"id": "a", "kind": ["Fastener"]}]',
-            '"products": [{"id": "a", "kind": "Fastener", "type_ref": 1}]',
-            '"products": [{"id": "a", "kind": "Fastener", "position": "123"}]',
-            '"products": [{"id": "a", "kind": "Fastener", "position": {"1": 0, "2": 0, "3": 0}}]',
-            '"products": [{"id": "a", "kind": "Fastener", "position": [0, "2", 0]}]',
-            '"products": [{"id": "a", "kind": "Fastener", "attributes": [["k", "v"]]}]',
-            '"products": [{"id": "a", "kind": "Fastener", "attributes": {"k": 1}}]',
-            '"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
-            '"fastens": [{"fastener": "a", "secures": "b"}]',
-            '"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
-            '"fastens": [{"fastener": "a", "secures": {"b": 1}}]',
-            '"products": [{"id": "a", "kind": "Fastener"}], "processes": [{"id": "p"}], '
-            '"flows": [{"product": "a", "process": "p", "role": ["Input"]}]',
+            ('"products": {}', "products must be an array"),
+            ('"products": {"a": {}}', "products must be an array"),
+            ('"flows": {}', "flows must be an array"),
+            ('"id": 7', "id must be a string"),
+            ('"products": [{"id": "a", "kind": "Fastener", "label": 1}]',
+             "products[0].label must be a string"),
+            ('"products": [{"id": "a", "kind": ["Fastener"]}]', "products[0].kind must be a string"),
+            ('"products": [{"id": "a", "kind": "Fastener", "type_ref": 1}]',
+             "products[0].type_ref must be a string"),
+            ('"products": [{"id": "a", "kind": "Fastener", "position": "123"}]',
+             "products[0].position must be an array"),
+            ('"products": [{"id": "a", "kind": "Fastener", "position": {"1": 0, "2": 0, "3": 0}}]',
+             "products[0].position must be an array"),
+            ('"products": [{"id": "a", "kind": "Fastener", "position": [0, "2", 0]}]',
+             "products[0].position must be three numbers"),
+            ('"products": [{"id": "a", "kind": "Fastener", "attributes": [["k", "v"]]}]',
+             "products[0].attributes must be an object"),
+            ('"products": [{"id": "a", "kind": "Fastener", "attributes": {"k": 1}}]',
+             "products[0].attributes must map strings to strings"),
+            ('"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
+             '"fastens": [{"fastener": "a", "secures": "b"}]', "fastens[0].secures must be an array"),
+            ('"products": [{"id": "a", "kind": "Fastener"}, {"id": "b", "kind": "Elementary"}], '
+             '"fastens": [{"fastener": "a", "secures": {"b": 1}}]',
+             "fastens[0].secures must be an array"),
+            ('"products": [{"id": "a", "kind": "Fastener"}], "processes": [{"id": "p"}], '
+             '"flows": [{"product": "a", "process": "p", "role": ["Input"]}]',
+             "flows[0].role must be a string"),
         ],
     )
-    def test_near_valid_documents_decode_alike(self, fields):
-        """Faults a direct decoder could miss: a container of the wrong kind whose
-        iteration still yields valid ids or numbers, and a value of the wrong type.
+    def test_near_valid_models_name_their_fault(self, fields, detail):
+        """Faults a lax decoder could miss: a container of the wrong kind whose iteration
+        still yields valid ids or numbers, and a value of the wrong type.
         """
         document = ('{"id": "m", ' + fields + "}").encode("utf-8")
-        outcome = _outcome(io.load_model, document)
-        assert outcome == _outcome(_spec_decode, document)
-        assert isinstance(outcome, tuple)
+        with pytest.raises(BiPanError) as err:
+            io.load_model(document)
+        assert (err.value.code, err.value.detail) == ("parse-error", detail)
+        assert _locates(json.loads(document), detail)
 
     @given(models(), st.randoms(use_true_random=False))
     def test_shuffled_document_gives_same_digest_and_plans(self, model, rnd):
@@ -160,45 +255,26 @@ class TestModelDecodePaths:
             repair_plan(model, broken, replacements)
         )
 
-
     @given(models(), st.randoms(use_true_random=False))
     def test_edge_rows_in_any_order_build_the_model_of_their_records(self, model, rnd):
-        """Edge rows shuffled, some repeated: the direct decoder, the field-spec decoder
-        and ``BiPanModel`` built from the rows give one model, printed alike, whose edges
-        come out sorted and without duplicates.
+        """Edge rows shuffled, some repeated: the decoder and ``BiPanModel`` built from the
+        rows give one model, printed alike, whose edges come out sorted and without
+        duplicates.
         """
         doc = json.loads(io.save_model(model))
         for key in ("flows", "skill_edges"):
             doc[key] += rnd.sample(doc[key], rnd.randint(0, len(doc[key])))
             rnd.shuffle(doc[key])
-        rows = BiPanModel(
-            model.id, model.products, model.processes, model.skills,
-            [(row["product"], row["process"], FlowRole(row["role"])) for row in doc["flows"]],
-            [(row["process"], row["skill"]) for row in doc["skill_edges"]],
-            [FastensLink(row["fastener"], row["secures"]) for row in doc["fastens"]],
-        )
-        direct = io._direct_model(doc)
-        assert io.load_model(json.dumps(doc).encode("utf-8")) == direct
-        for other in (rows, schema.model(doc, ""), model):
-            assert direct == other and hash(direct) == hash(other) and repr(direct) == repr(other)
-            assert direct.adjacency == other.adjacency and direct.digest == other.digest
-            assert io.save_model(direct) == io.save_model(other)
-        flows = [(pid, role.value, product) for product, pid, role in direct.flows]
+        decoded = io._model_from(doc)
+        assert io.load_model(json.dumps(doc).encode("utf-8")) == decoded
+        for other in (PYTHON_BUILDS["model"](doc), model):
+            assert decoded == other and hash(decoded) == hash(other)
+            assert repr(decoded) == repr(other)
+            assert decoded.adjacency == other.adjacency and decoded.digest == other.digest
+            assert io.save_model(decoded) == io.save_model(other)
+        flows = [(pid, role.value, product) for product, pid, role in decoded.flows]
         assert flows == sorted(set(flows))
-        assert direct.skill_edges == tuple(sorted(set(direct.skill_edges)))
-
-
-def _twin_outcome(decode, data: bytes):
-    """The decoded twin and its saved bytes, or the code and detail of its error."""
-    try:
-        twin = decode(data)
-    except BiPanError as exc:
-        return exc.code, exc.detail
-    return twin, io.save_instance(twin)
-
-
-def _spec_decode_twin(data: bytes):
-    return schema.instance(io._parse_json(data), "")
+        assert decoded.skill_edges == tuple(sorted(set(decoded.skill_edges)))
 
 
 @st.composite
@@ -218,57 +294,53 @@ EVENT = '{"timestamp": "2024-05-01T10:00:00Z", "kind": "k"}'
 STAMPED = '"events": [{"timestamp": "2024-05-01T10:00:00Z", '
 
 
-class TestInstanceDecodePaths:
-    """``load_instance`` decodes well-formed twin documents directly and every
-    other one with the field-spec decoder; both must give the same twin or the
-    same error.
-    """
-
+class TestInstanceDocuments:
     @given(st.data())
-    def test_mutated_documents_decode_alike(self, data):
+    def test_mutated_twins_load_as_python_builds_them(self, data):
         twin = data.draw(twins(), label="twin")
-        document = data.draw(mutated(io.save_instance(twin)), label="document")
-        outcome = _twin_outcome(io.load_instance, document)
-        assert outcome == _twin_outcome(_spec_decode_twin, document)
+        _loads_as_python_builds("twin", data.draw(mutated(io.save_instance(twin)), label="document"))
 
     @given(twins())
-    def test_well_formed_documents_decode_alike(self, twin):
+    def test_well_formed_documents_load_to_their_twin(self, twin):
         document = io.save_instance(twin)
-        assert _twin_outcome(io.load_instance, document) == (twin, document)
-        assert _twin_outcome(_spec_decode_twin, document) == (twin, document)
+        loaded = io.load_instance(document)
+        assert loaded == twin and io.save_instance(loaded) == document
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields,detail",
         [
-            '"events": {"0": ' + EVENT + "}",
-            '"events": {}',
-            '"events": ""',
-            '"events": [["2024-05-01T10:00:00Z", "k"]]',
-            '"health": [["a", "Ok"]]',
-            '"health": {"a": ["Ok"]}',
-            '"health": {"a": "ok"}',
-            STAMPED + '"kind": "k", "payload": [["k", "v"]]}]',
-            STAMPED + '"kind": "k", "payload": null}]',
-            STAMPED + '"kind": "k", "payload": {"k": 1}}]',
-            '"events": [{"timestamp": 1, "kind": "k"}]',
-            STAMPED + '"kind": 1}]',
-            '"model_id": null',
-            '"model_digest": 1',
-            '"instance_id": 7',
-            '"events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": 1}, ' + EVENT + "]",
-            '"model_id": null, "events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": "k"}, '
-            + EVENT + "]",
+            ('"events": {"0": ' + EVENT + "}", "events must be an array"),
+            ('"events": {}', "events must be an array"),
+            ('"events": ""', "events must be an array"),
+            ('"events": [["2024-05-01T10:00:00Z", "k"]]', "events[0] must be an object"),
+            ('"health": [["a", "Ok"]]', "health must be an object"),
+            ('"health": {"a": ["Ok"]}', "health[a] must be a string"),
+            ('"health": {"a": "ok"}', "health[a]: 'ok' is not one of Ok, Degraded, Broken, Unknown"),
+            (STAMPED + '"kind": "k", "payload": [["k", "v"]]}]', "events[0].payload must be an object"),
+            (STAMPED + '"kind": "k", "payload": null}]', "events[0].payload must be an object"),
+            (STAMPED + '"kind": "k", "payload": {"k": 1}}]',
+             "events[0].payload must map strings to strings"),
+            ('"events": [{"timestamp": 1, "kind": "k"}]', "events[0].timestamp must be a string"),
+            (STAMPED + '"kind": 1}]', "events[0].kind must be a string"),
+            ('"model_id": null', "model_id must be a string"),
+            ('"model_digest": 1', "model_digest must be a string"),
+            ('"instance_id": 7', "instance_id must be a string"),
+            ('"events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": 1}, ' + EVENT + "]",
+             "events[0].kind must be a string"),
+            ('"model_id": null, "events": [{"timestamp": "2024-05-01T11:00:00Z", "kind": "k"}, '
+             + EVENT + "]", "model_id must be a string"),
         ],
     )
-    def test_near_valid_documents_decode_alike(self, fields):
-        """Faults a direct decoder could miss: a container of the wrong kind whose
-        iteration or conversion still succeeds, a value of the wrong type, and a
-        time regression after an earlier fault.
+    def test_near_valid_documents_name_their_fault(self, fields, detail):
+        """Faults a lax decoder could miss: a container of the wrong kind whose iteration or
+        conversion still succeeds, a value of the wrong type, and a time regression after an
+        earlier fault.
         """
         document = ('{"instance_id": "V", ' + fields + "}").encode("utf-8")
-        outcome = _twin_outcome(io.load_instance, document)
-        assert outcome == _twin_outcome(_spec_decode_twin, document)
-        assert isinstance(outcome[0], str)
+        with pytest.raises(BiPanError) as err:
+            io.load_instance(document)
+        assert (err.value.code, err.value.detail) == ("parse-error", detail)
+        assert _locates(json.loads(document), detail)
 
 
 class TestPlanDocuments:

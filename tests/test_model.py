@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bipan import io, schema
+from bipan import io
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
 from bipan.execute import ExecState
@@ -371,10 +371,10 @@ class TestCachedFacts:
             assert mapping == {k: tuple(sorted(ids)) for k, ids in rebuilt[name].items()}
 
     def test_edge_views_are_plain_rows(self, f1):
-        """Built in Python or loaded from a document by either decoder, a model's edges are
-        tuples, with no record per edge."""
+        """Built in Python, loaded from a document or decoded from its parsed object, a
+        model's edges are tuples, with no record per edge."""
         data = io.save_model(f1)
-        for model in (f1, io.load_model(data), schema.model(json.loads(data), "")):
+        for model in (f1, io.load_model(data), io._model_from(json.loads(data))):
             assert model == f1 and model.flows and model.skill_edges
             assert all(type(row) is tuple for row in (*model.flows, *model.skill_edges))
 
