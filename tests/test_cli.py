@@ -857,12 +857,12 @@ class TestHostileEnvironments:
     @pytest.mark.parametrize("args", [["validate"], ["plan", "assemble"]])
     def test_a_memory_cap_ends_in_one_error_line(self, large_model, tmp_path, args):
         """Under address-space caps set in the child process alone, the command succeeds or
-        prints one ``out-of-memory`` line and exits 3, with no traceback; the lowest cap
-        is too low for it."""
+        prints one ``out-of-memory`` line and exits 3, with no traceback; some cap is too
+        low for it, and each leaves room for the interpreter to start."""
         import resource
 
         statuses = []
-        for mib in (32, 48, 64):
+        for mib in (32, 40, 64):
             def limit(mib=mib):
                 resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
@@ -871,7 +871,7 @@ class TestHostileEnvironments:
             assert result.returncode in (0, 3) and "Traceback" not in result.stderr, result.stderr
             assert [e.split(": ")[1] for e in errors] == ["out-of-memory"] * (result.returncode == 3)
             statuses.append(result.returncode)
-        assert statuses[0] == 3
+        assert 3 in statuses, statuses
 
 
 class TestHostileInput:
