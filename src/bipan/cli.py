@@ -232,14 +232,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:
-    from bipan.execute import ExecState, initial_inventory, run
+    from bipan.execute import final_inventory, initial_inventory, run
     plan = io.load_plan(io.read_file(args.plan))
     model = _load_model(args.model)
     if args.inventory == "initial":
         state = initial_inventory(model)
     elif args.inventory == "final":
-        finals = model.final_products()
-        state = ExecState((*finals, *plan.replacement_ids()))
+        state = final_inventory(model, plan)
     else:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)

@@ -146,8 +146,9 @@ def import_aml(data: bytes) -> AmlFragment:
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
-        line, column = exc.position
-        raise BiPanError("xml-parse-error", f"line {line}, column {column}: {exc.msg}") from exc
+        line, column = exc.position  # ``msg`` ends with them too
+        reason = exc.msg.removesuffix(f": line {line}, column {column}")
+        raise BiPanError("xml-parse-error", f"line {line}, column {column}: {reason}") from exc
     if _local_name(root.tag) != "CAEXFile":
         raise BiPanError(
             "unsupported-root", f"expected CAEXFile root element, found '{_local_name(root.tag)}'"
@@ -279,18 +280,18 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
             lines.append(_dot_node(node_id, "shape=circle, style=dashed, color=red", node_id))
         for number, step in enumerate(plan.steps, start=1):
             where = f"step {number - 1} ({step.direction.value} '{step.process}')"
-            if not model.has_process(step.process):
+            made = outputs.get(step.process)  # the process maps' keys are the processes
+            if made is None:
                 raise BiPanError("unknown-process",
                                  f"{where}: no process '{step.process}' in model '{model.id}'")
-            outputs = model.adjacency.outputs[step.process]
             if step.direction is Direction.SWAP:
                 tail, head = step.swap_replacement, step.process
-            elif not outputs:
+            elif not made:
                 raise BiPanError("malformed-step", f"{where}: its process has no output to draw")
             elif step.direction is Direction.FORWARD:
-                tail, head = step.process, outputs[0]
+                tail, head = step.process, made[0]
             else:
-                tail, head = outputs[0], step.process
+                tail, head = made[0], step.process
             attrs = f'color=red, fontcolor=red, label="{number}", penwidth=2.0, constraint=false'
             lines.append(_dot_edge(tail, head, attrs))
     lines.append("}")

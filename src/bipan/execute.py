@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from bipan import validate  # registered unloaded; runs only when a start state is validated
 from bipan.errors import BiPanError
 from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record
+
+_SWAP, _FORWARD = Direction.SWAP, Direction.FORWARD  # a member read from its class is a call
 
 
 class ExecState(Record):
@@ -55,8 +56,14 @@ class Trace(Record):
 
 def initial_inventory(model: BiPanModel) -> ExecState:
     """All leaf products (no producer) free, nothing substituted."""
-    validate.ensure_valid(model)
+    model.ensure_valid()
     return ExecState(model.leaf_products())
+
+
+def final_inventory(model: BiPanModel, plan: Plan) -> ExecState:
+    """The final products plus every replacement the plan swaps in, nothing substituted."""
+    replacements = (step.swap_replacement for step in plan.steps if step.direction is _SWAP)
+    return ExecState((*model.final_products(), *replacements))
 
 
 class _Inversions(dict):
@@ -80,7 +87,7 @@ def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, mod
     outputs = adjacency.outputs.get(step.process)  # the process maps' keys are the processes
     if outputs is None:
         raise BiPanError("unknown-process", f"no process '{step.process}' in model '{model.id}'")
-    swap = step.direction is Direction.SWAP
+    swap = step.direction is _SWAP
     if swap:
         if len(outputs) != 1:
             raise BiPanError(
@@ -111,7 +118,7 @@ def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, mod
         if substitutions and not substitutions.keys().isdisjoint(inputs):  # a swap renamed one
             inputs = tuple(sorted(substitutions.get(i, i) for i in inputs))
         skills = model.skill_labels_of(step.process)
-        if step.direction is Direction.FORWARD:
+        if step.direction is _FORWARD:
             consumed, produced = inputs, outputs
         else:
             consumed, produced = outputs, inputs
@@ -143,13 +150,7 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
     The plan must have been extracted from exactly this model version
     (``digest-mismatch`` otherwise). Step errors are re-raised with their index.
     """
-    digest = model.digest
-    if plan.model_digest != digest:
-        raise BiPanError(
-            "digest-mismatch",
-            f"plan was built for digest {plan.model_digest[:12]}..., "
-            f"model '{model.id}' has {digest[:12]}...",
-        )
+    model.ensure_digest(plan.model_digest, "plan was built for")
     present, substitutions = set(state.present), dict(state.substitutions)
     inversions = _Inversions()
     for i, step in enumerate(plan.steps):

@@ -421,6 +421,20 @@ class BiPanModel(Record):
 
         return validate(self)
 
+    def ensure_valid(self) -> None:
+        """Raise ``invalid-model`` if :attr:`diagnostics` holds any Error finding."""
+        errors = self.diagnostics.errors
+        if errors:
+            codes = ", ".join(sorted({d.code for d in errors}))
+            raise BiPanError("invalid-model", f"model '{self.id}' fails validation: {codes}")
+
+    def ensure_digest(self, expected: str, holder: str) -> None:
+        """Raise ``digest-mismatch`` unless ``expected`` is ours; ``holder`` is what binds it."""
+        digest = self.digest
+        if expected != digest:
+            raise BiPanError("digest-mismatch", f"{holder} digest {expected[:12]}..., "
+                             f"model '{self.id}' has {digest[:12]}...")
+
     # -- lookups ---------------------------------------------------------------
 
     def _unknown(self, family: str, node_id: str) -> BiPanError:
@@ -431,9 +445,6 @@ class BiPanModel(Record):
         if not isinstance(node, ProductNode):
             raise self._unknown("product", product_id)
         return node
-
-    def has_process(self, process_id: str) -> bool:
-        return isinstance(self._nodes.get(process_id), ProcessNode)
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -464,6 +475,8 @@ class Direction(Enum):
     SWAP = "Swap"
 
 
+_SWAP = Direction.SWAP  # a member read from its class is a call; this is read once per step
+
 #: The assembly-to-disassembly skill relabeling; unmapped labels invert to themselves.
 #: Read-only, as every planner and the replay oracle read it.
 INVERSION: Mapping[str, str] = FrozenMap(
@@ -488,7 +501,7 @@ class PlanStep(Record):
     def __init__(self, process: str, direction: Direction, consumed: Iterable[str],
                  produced: Iterable[str], required_skills: Iterable[str]) -> None:
         consumed, produced = tuple(consumed), tuple(produced)
-        swap = direction is Direction.SWAP
+        swap = direction is _SWAP
         if swap and (len(consumed), len(produced)) != (1, 1):
             raise BiPanError(
                 "malformed-step", f"swap step at '{process}' must consume one id and produce one"
@@ -517,14 +530,3 @@ class Plan(Record):
 
     def process_sequence(self) -> tuple[str, ...]:
         return tuple(step.process for step in self.steps)
-
-    def replacement_ids(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                {
-                    step.swap_replacement
-                    for step in self.steps
-                    if step.swap_replacement is not None
-                }
-            )
-        )

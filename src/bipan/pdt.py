@@ -90,8 +90,7 @@ class PdtInstance(Record):
 
 def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     """Fresh twin: every replaceable component Unknown, event log empty."""
-    from bipan.validate import ensure_valid  # twin reads and appends need no validation
-    ensure_valid(model)
+    model.ensure_valid()
     health = {p.id: Health.UNKNOWN for p in model.products if p.kind in COMPONENT_KINDS}
     return PdtInstance(
         instance_id=instance_id,
@@ -130,13 +129,7 @@ def plan_repair_for(
     for an id the twin does not track is ``unknown-component``.
     """
     from bipan.plan import repair_plan  # only this twin operation plans
-    digest = model.digest
-    if digest != pdt.model_digest:
-        raise BiPanError(
-            "digest-mismatch",
-            f"instance '{pdt.instance_id}' is bound to digest {pdt.model_digest[:12]}..., "
-            f"model '{model.id}' has {digest[:12]}...",
-        )
+    model.ensure_digest(pdt.model_digest, f"instance '{pdt.instance_id}' is bound to")
     for component in replacements:
         _check_tracked(pdt, component)
     broken = pdt.broken_components()

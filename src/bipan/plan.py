@@ -25,7 +25,6 @@ import heapq
 from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
 
-from bipan import validate  # registered unloaded; runs only when a planner validates a model
 from bipan.errors import BiPanError
 from bipan.model import (COMPONENT_KINDS, INVERSION, BiPanModel, Direction, Plan, PlanStep,
                          ProductKind, check_id)
@@ -117,7 +116,7 @@ def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...],
 
 def assembly_recipe(model: BiPanModel) -> Plan:
     """Forward steps over all processes, in assembly topological order."""
-    validate.ensure_valid(model)
+    model.ensure_valid()
     inputs = model.adjacency.inputs
     steps = tuple(_forward_step(model, pid, inputs[pid]) for pid in assembly_order(model))
     return Plan(model.id, model.digest, steps)
@@ -125,7 +124,7 @@ def assembly_recipe(model: BiPanModel) -> Plan:
 
 def full_disassembly(model: BiPanModel) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
-    validate.ensure_valid(model)
+    model.ensure_valid()
     inputs, inversions = model.adjacency.inputs, _Inversions()
     steps = tuple(_reverse_step(model, pid, inputs[pid], inversions)
                   for pid in reversed(assembly_order(model)))
@@ -139,7 +138,7 @@ def disassembly_to(model: BiPanModel, target: str, mode: DisassemblyMode) -> Pla
     process, so the stage containing the target becomes a free inventory item;
     Extract additionally reverses that process, freeing the target itself.
     """
-    validate.ensure_valid(model)
+    model.ensure_valid()
     if model.product(target).kind is ProductKind.FINAL:
         raise BiPanError("target-is-final", f"cannot plan disassembly to final product '{target}'")
     chain = [_site(model, target)]
@@ -175,7 +174,7 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
     reversed processes forward again. Swap steps consume the replacement and
     produce the broken component as a free, removed item.
     """
-    validate.ensure_valid(model)
+    model.ensure_valid()
     broken_set = set(broken)
     broken_ids = sorted(broken_set)
 

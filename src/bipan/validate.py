@@ -11,7 +11,6 @@ from collections.abc import Iterable
 from enum import Enum
 from typing import Any
 
-from bipan.errors import BiPanError
 from bipan.model import BiPanModel, ProductKind, Record
 
 
@@ -279,13 +278,3 @@ def validate(model: BiPanModel) -> Diagnostics:
     found.sort(key=lambda d: (d.code, d.nodes[0] if d.nodes else "", d.message))
     return Diagnostics(found)
 
-
-def ensure_valid(model: BiPanModel) -> None:
-    """Raise ``invalid-model`` if validation reports any Error findings."""
-    diags = model.diagnostics
-    if diags.has_errors:
-        codes = sorted({d.code for d in diags.errors})
-        raise BiPanError(
-            "invalid-model",
-            f"model '{model.id}' fails validation: {', '.join(codes)}",
-        )

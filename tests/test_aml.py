@@ -59,7 +59,19 @@ class TestImport:
         with pytest.raises(BiPanError) as err:
             exchange.import_aml(b"<CAEXFile><oops></CAEXFile>")
         assert err.value.code == "xml-parse-error"
-        assert "line" in err.value.detail
+        assert err.value.detail == "line 1, column 18: mismatched tag"
+
+    @pytest.mark.parametrize("data, detail", [
+        (b"<a><b></a>", "line 1, column 8: mismatched tag"),
+        (b"", "line 1, column 0: no element found"),
+        (b'<!DOCTYPE a SYSTEM "x.dtd"><a>&foo;</a>', "line 1, column 30: undefined entity &foo;"),
+    ], ids=["mismatched", "empty", "undefined-entity"])
+    def test_xml_parse_error_names_its_position_once(self, data, detail):
+        """The position comes once, first, as in a JSON ``parse-error``; the reason keeps
+        what the parser says, such as the name of an undefined entity."""
+        with pytest.raises(BiPanError) as err:
+            exchange.import_aml(data)
+        assert (err.value.code, err.value.detail) == ("xml-parse-error", detail)
 
     def test_duplicate_ids(self):
         body = '<InternalElement ID="a" Name="A"/><InternalElement ID="a" Name="B"/>'

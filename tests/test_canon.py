@@ -29,7 +29,7 @@ from bipan.canon import (
     trace_bytes,
     twin_bytes,
 )
-from bipan.execute import ExecState, Trace, initial_inventory, run
+from bipan.execute import ExecState, Trace, final_inventory, initial_inventory, run
 from bipan.model import (
     COMPONENT_KINDS,
     BiPanModel,
@@ -255,7 +255,7 @@ def every_trace(model: BiPanModel):
     assembly, *others = every_plan(model)
     yield run(assembly, initial_inventory(model), model)
     for plan in others:
-        yield run(plan, ExecState({*model.final_products(), *plan.replacement_ids()}), model)
+        yield run(plan, final_inventory(model, plan), model)
 
 
 @given(models())

@@ -6,11 +6,16 @@ import math
 import multiprocessing
 import os
 import random
+import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -605,6 +610,46 @@ class TestStderrIsUtf8:
         assert lines == [b"created M\xc3\xb3dulo-<encoding>/VIN-7.pdt.json\n"] * 3
 
 
+class TestTextStreams:
+    """A library caller's ``redirect_stdout`` and ``redirect_stderr`` give streams with no
+    bytes beneath them; each payload and line is written to them decoded."""
+
+    def test_payload_is_written_decoded(self, workdir, capsysbinary):
+        argv = ["validate", model_path(workdir), "--format", "json"]
+        assert main(argv) == 0
+        payload = capsysbinary.readouterr().out
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+        assert payload.startswith(b"{")
+        assert (out.getvalue(), err.getvalue()) == (payload.decode("utf-8"), "")
+
+    def test_error_line_is_written_decoded(self, workdir):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["validate", str(workdir / "absent.json")]) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: unreadable: ") and err.getvalue().count("\n") == 1
+
+
+#: Runs ``pdt set-health`` on twin ``VIN-9`` in ``argv[1]``, from index ``argv[2]`` on, each
+#: ``--at`` its index in seconds after 10:00, and prints each index and ``--at`` once ``main``
+#: has returned 0.
+SET_HEALTH_LOOP = """
+import itertools, sys
+from datetime import datetime, timedelta, timezone
+from bipan.cli import main
+directory, start = sys.argv[1], int(sys.argv[2])
+for i in itertools.count(start):
+    at = (datetime(2024, 5, 1, 10, tzinfo=timezone.utc) + timedelta(seconds=i)).strftime(
+        "%Y-%m-%dT%H:%M:%SZ")
+    component, health = ("mod7", "mod8")[i % 2], ("ok", "degraded", "broken")[i % 3]
+    if main(["pdt", "set-health", "VIN-9", component, health, "--at", at, "--dir", directory]):
+        sys.exit(1)
+    print(i, at, flush=True)
+"""
+
+
 def set_health_after(barrier, args):
     """Wait at ``barrier``, then run ``pdt set-health`` and exit with its status."""
     barrier.wait()
@@ -660,6 +705,55 @@ class TestPdt:
         err = capsys.readouterr().err
         assert err.startswith("error: io-error: ") and err.count("\n") == 1, err
         assert not os.path.lexists(outside) and sorted(d.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["new", "set-health", "plan-repair"])
+    def test_a_symlinked_twin_file_leaves_its_target_alone(self, workdir, tmp_path_factory,
+                                                          command):
+        """A twin file planted as a link to a path outside ``--dir`` (dangling for ``new``):
+        the command makes nothing outside ``--dir`` and leaves the target's bytes as they were."""
+        d, outside = workdir / "twins", tmp_path_factory.mktemp("outside")
+        d.mkdir()
+        if command != "new":  # a twin outside, with a Broken component to plan for
+            for args in (["new", "VIN-9", model_path(workdir)],
+                         ["set-health", "VIN-9", "mod8", "broken", "--at", T0]):
+                assert main(["pdt", *args, "--dir", str(outside)]) == 0
+        (d / "VIN-9.pdt.json").symlink_to(outside / "VIN-9.pdt.json")
+        before = {path.name: path.read_bytes() for path in outside.iterdir()}
+        args = {
+            "new": ["new", "VIN-9", model_path(workdir)],
+            "set-health": ["set-health", "VIN-9", "mod7", "degraded", "--at", T1],
+            "plan-repair": ["plan-repair", "VIN-9", "--model", model_path(workdir), "--replace",
+                            "mod8=mod8r", "--at", T1, "--out", str(d / "r.plan.json")],
+        }[command]
+        main(["pdt", *args, "--dir", str(d)])
+        assert {path.name: path.read_bytes() for path in outside.iterdir()} == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the lock is POSIX-only")
+    def test_a_killed_writer_loses_no_acknowledged_event(self, workdir):
+        """A writer killed at seeded random moments, and restarted each time: the twin still
+        loads and holds every event a ``set-health`` returned 0 for, in order."""
+        d, rng = workdir / "twins", random.Random(0)
+        d.mkdir()
+        assert main(["pdt", "new", "VIN-9", model_path(workdir), "--dir", str(d)]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+        acknowledged: list[list[str]] = []  # [index, --at] of each write that returned 0
+        for _ in range(rng.randint(3, 5)):
+            start = int(acknowledged[-1][0]) + 1 if acknowledged else 0
+            with subprocess.Popen([sys.executable, "-c", SET_HEALTH_LOOP, str(d), str(start)],
+                                  env=env, stdout=subprocess.PIPE, text=True) as writer:
+                try:
+                    ready = select.select([writer.stdout], [], [], 60)[0]  # the first line, or none
+                    first = writer.stdout.readline() if ready else ""
+                    time.sleep(rng.uniform(0.0, 0.3))
+                finally:
+                    writer.kill()
+                    writer.wait()
+                lines = (first + writer.stdout.read()).splitlines()
+            acknowledged += [line.split() for line in lines]
+            assert writer.returncode == -signal.SIGKILL and first, "the writer acknowledged nothing"
+        stamps = iter(event.timestamp for event in io.read_instance_file(d, "VIN-9").events)
+        assert all(stamp in stamps for _, stamp in acknowledged)  # each after the one before
 
     @pytest.mark.parametrize("where, message", [
         ("missing/r.plan.json", "[Errno 2] No such file or directory"),

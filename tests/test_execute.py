@@ -406,3 +406,8 @@ class TestOracleIndependence:
     def test_only_the_cli_and_the_twin_import_the_planners(self):
         importers = {path.stem for path in self.SRC.glob("*.py") if self.takes(path, "plan")}
         assert importers == {"cli", "pdt"}
+
+    def test_only_the_model_imports_the_validator(self):
+        """Everything else asks ``BiPanModel.ensure_valid`` or reads ``model.diagnostics``."""
+        importers = {path.stem for path in self.SRC.glob("*.py") if self.takes(path, "validate")}
+        assert importers == {"model"}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bipan import io
 from bipan.canon import model_digest
 from bipan.errors import BiPanError
-from bipan.execute import ExecState
+from bipan.execute import ExecState, run
 from bipan.fixtures import battery_model
 from bipan.model import (
     INVERSION,
@@ -29,9 +29,9 @@ from bipan.model import (
     check_id,
     replace,
 )
-from bipan.pdt import Event, Health, PdtInstance
+from bipan.pdt import Event, Health, PdtInstance, create_instance, plan_repair_for, set_health
 from bipan.plan import DisassemblyMode, disassembly_to
-from bipan.validate import Diagnostic, ensure_valid, validate
+from bipan.validate import Diagnostic, validate
 from mutations import MUTANTS
 from strategies import models
 
@@ -424,8 +424,24 @@ class TestCachedFacts:
         broken = MUTANTS["V004"][0](f1)
         for _ in range(3):
             with pytest.raises(BiPanError) as err:
-                ensure_valid(broken)
+                broken.ensure_valid()
             assert err.value.code == "invalid-model"
+
+    def test_a_digest_mismatch_names_what_is_bound(self, f1):
+        """The replay and the twin each bind to a digest, and each names its holder."""
+        other = replace(f1, id="other-model")
+        plan = disassembly_to(f1, "mod8", DisassemblyMode.EXTRACT)
+        with pytest.raises(BiPanError) as err:
+            run(plan, ExecState({"battery"}), other)
+        assert (err.value.code, err.value.detail) == ("digest-mismatch", (
+            "plan was built for digest de67af255579..., model 'other-model' has 23b3081fcd24..."))
+        t0, t1 = "2024-05-01T10:00:00Z", "2024-05-01T11:00:00Z"
+        twin = set_health(create_instance("VIN-1", f1), "mod8", Health.BROKEN, t0)
+        with pytest.raises(BiPanError) as err:
+            plan_repair_for(twin, other, {"mod8": "mod8r"}, t1)
+        assert (err.value.code, err.value.detail) == ("digest-mismatch", (
+            "instance 'VIN-1' is bound to digest de67af255579..., "
+            "model 'other-model' has 23b3081fcd24..."))
 
 
 #: One record of each kind that holds a mapping, by the name of that mapping's field.

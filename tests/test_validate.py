@@ -19,7 +19,7 @@ from bipan.model import (
     SkillNode,
     replace,
 )
-from bipan.validate import Diagnostic, Severity, ensure_valid, validate
+from bipan.validate import Diagnostic, Severity, validate
 from mutations import MUTANTS, drop_flows
 from strategies import models
 
@@ -153,7 +153,7 @@ def test_items_sorted_by_code_then_node(f1):
 
 def test_ensure_valid_raises_summary(f1):
     with pytest.raises(BiPanError) as err:
-        ensure_valid(MUTANTS["V004"][0](f1))
+        MUTANTS["V004"][0](f1).ensure_valid()
     assert err.value.code == "invalid-model"
     assert "V004" in err.value.detail
 
