@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from json.encoder import encode_basestring as _escape  # the C escaper when _json is built
 from typing import TYPE_CHECKING, Any
 
@@ -93,24 +94,14 @@ def model_bytes(model: BiPanModel) -> bytes:
     ).encode("utf-8")
 
 
-class _Lists(dict):
-    """Id list -> its encoded array, built on first lookup: one per plan, whose lists recur."""
-
-    __slots__ = ()
-
-    def __missing__(self, values: tuple[str, ...]) -> str:
-        text = self[values] = _strings(values)
-        return text
-
-
 def plan_bytes(plan: Plan) -> bytes:
     """:func:`canonical_bytes` of the plan's document; a swap step adds the two ids it names."""
-    lists, steps = _Lists(), []
+    lists, steps = cache(_strings), []  # a plan's id lists recur: each is encoded once per call
     for step in plan.steps:
-        text = (f'{{{_FIELD}"consumed": {lists[step.consumed]},'
+        text = (f'{{{_FIELD}"consumed": {lists(step.consumed)},'
                 f'{_FIELD}"direction": "{step.direction._value_}",{_FIELD}"process": '
-                f'{_escape(step.process)},{_FIELD}"produced": {lists[step.produced]},'
-                f'{_FIELD}"required_skills": {lists[step.required_skills]}')
+                f'{_escape(step.process)},{_FIELD}"produced": {lists(step.produced)},'
+                f'{_FIELD}"required_skills": {lists(step.required_skills)}')
         if step.swap_target is not None:
             text += (f',{_FIELD}"swap_replacement": {_escape(step.swap_replacement)},'
                      f'{_FIELD}"swap_target": {_escape(step.swap_target)}')

@@ -5,7 +5,8 @@ applies a step's declared consumed/produced effect and knows nothing about how
 plans are derived. It checks each step against the model's flows: Forward
 consumes the process's inputs (under the substitutions so far), produces its
 output and requires the process's skill labels, and Reverse is the converse,
-requiring those labels inverted through ``model.INVERSION``. A Swap's lists are its
+requiring those labels inverted through ``model.INVERSION`` (each label set once per
+replay, through a ``functools.cache`` made for that replay). A Swap's lists are its
 replacement and its target, one id each, as ``PlanStep`` builds it; it requires the
 swap site's output assembly to be present, a target that is one of the site's inputs
 and a replacement that names no model node; its skills are unchecked. It records the
@@ -16,7 +17,8 @@ step is the start state with the lists of the steps up to it applied.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from functools import cache
 
 from bipan.errors import BiPanError
 from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record
@@ -66,18 +68,13 @@ def final_inventory(model: BiPanModel, plan: Plan) -> ExecState:
     return ExecState((*model.final_products(), *replacements))
 
 
-class _Inversions(dict):
-    """Label tuple -> its inversion, sorted, built on first lookup: one per replay."""
-
-    __slots__ = ()
-
-    def __missing__(self, labels: tuple[str, ...]) -> tuple[str, ...]:
-        inverted = self[labels] = tuple(sorted({INVERSION.get(label, label) for label in labels}))
-        return inverted
+def _inverted(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``labels`` inverted, sorted; each replay memoizes it in a ``cache`` of its own."""
+    return tuple(sorted({INVERSION.get(label, label) for label in labels}))
 
 
 def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, model: BiPanModel,
-           inversions: _Inversions) -> None:
+           invert: Callable[[tuple[str, ...]], tuple[str, ...]]) -> None:
     """Check one step against the working set, then apply it in place.
 
     Raises as :func:`apply_step` does, before changing anything. A check that passes
@@ -122,7 +119,7 @@ def _apply(present: set[str], substitutions: dict[str, str], step: PlanStep, mod
             consumed, produced = inputs, outputs
         else:
             consumed, produced = outputs, inputs
-            skills = inversions[skills]
+            skills = invert(skills)
         if step.consumed != consumed or step.produced != produced:
             raise BiPanError("step-mismatch", f"must consume [{', '.join(consumed)}] "
                              f"and produce [{', '.join(produced)}]")
@@ -140,7 +137,7 @@ def apply_step(state: ExecState, step: PlanStep, model: BiPanModel) -> ExecState
     Raises `missing-input`, `double-produce`, `step-mismatch` or `unknown-process`.
     """
     present, substitutions = set(state.present), dict(state.substitutions)
-    _apply(present, substitutions, step, model, _Inversions())
+    _apply(present, substitutions, step, model, _inverted)
     return ExecState(present, substitutions)
 
 
@@ -152,10 +149,10 @@ def run(plan: Plan, state: ExecState, model: BiPanModel) -> Trace:
     """
     model.ensure_digest(plan.model_digest, "plan was built for")
     present, substitutions = set(state.present), dict(state.substitutions)
-    inversions = _Inversions()
+    invert = cache(_inverted)
     for i, step in enumerate(plan.steps):
         try:
-            _apply(present, substitutions, step, model, inversions)
+            _apply(present, substitutions, step, model, invert)
         except BiPanError as exc:
             raise BiPanError(
                 exc.code,

@@ -235,6 +235,7 @@ class FastensLink(Record):
     __slots__ = ("fastener", "secures")
 
     def __init__(self, fastener: str, secures: Iterable[str]) -> None:
+        secures = tuple(secures)  # read once: the fallback below walks it again
         try:
             secures = tuple(sorted(set(secures)))
         except TypeError:  # an unhashable or unorderable id, which ``check_id`` names

@@ -22,8 +22,9 @@ each scoped skill contributes both its forward and its inverted label.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from enum import Enum
+from functools import cache
 
 from bipan.errors import BiPanError
 from bipan.model import (COMPONENT_KINDS, INVERSION, BiPanModel, Direction, Plan, PlanStep,
@@ -35,14 +36,9 @@ class DisassemblyMode(Enum):
     EXTRACT = "Extract"
 
 
-class _Inversions(dict):
-    """Label tuple -> its inversion, sorted, built on first lookup: one per planner call."""
-
-    __slots__ = ()
-
-    def __missing__(self, labels: tuple[str, ...]) -> tuple[str, ...]:
-        inverted = self[labels] = tuple(sorted({INVERSION.get(label, label) for label in labels}))
-        return inverted
+def _inverted(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``labels`` inverted, sorted; each planner call memoizes it in a ``cache`` of its own."""
+    return tuple(sorted({INVERSION.get(label, label) for label in labels}))
 
 
 # -- plan extraction ---------------------------------------------------------
@@ -68,26 +64,23 @@ def _parent(model: BiPanModel, process_id: str) -> str | None:
 def assembly_order(model: BiPanModel) -> tuple[str, ...]:
     """Topological order of processes in assembly direction, least id first among ready.
 
-    Every process is ordered: callers validate first, and V008 rejects every cycle.
+    Callers validate first, so the processes form an in-tree: each process has one output
+    (V001), each product at most one producer and one consumer (V003), and V008 rejects
+    every cycle. So a process waits on its inputs that have a producer, and running it
+    frees at most its parent: every process is ordered.
     """
-    adjacency = model.adjacency
-    dependents: dict[str, list[str]] = {p.id: [] for p in model.processes}
-    indegree: dict[str, int] = {p.id: 0 for p in model.processes}
-    for proc in model.processes:
-        for inp in adjacency.inputs[proc.id]:
-            for upstream in adjacency.producers[inp]:
-                dependents[upstream].append(proc.id)
-                indegree[proc.id] += 1
-    ready = [pid for pid, deg in sorted(indegree.items()) if deg == 0]
+    inputs, producers = model.adjacency.inputs, model.adjacency.producers
+    waits = {pid: sum(1 for inp in ids if producers[inp]) for pid, ids in inputs.items()}
+    ready = [pid for pid, count in waits.items() if not count]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         pid = heapq.heappop(ready)
         order.append(pid)
-        for follower in dependents[pid]:
-            indegree[follower] -= 1
-            if indegree[follower] == 0:
-                heapq.heappush(ready, follower)
+        if (parent := _parent(model, pid)) is not None:
+            waits[parent] -= 1
+            if not waits[parent]:
+                heapq.heappush(ready, parent)
     return tuple(order)
 
 
@@ -103,14 +96,14 @@ def _forward_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...]) -
 
 
 def _reverse_step(model: BiPanModel, process_id: str, inputs: tuple[str, ...],
-                  inversions: _Inversions) -> PlanStep:
+                  invert: Callable[[tuple[str, ...]], tuple[str, ...]]) -> PlanStep:
     """The process undone, producing ``inputs``: its own, or a repair's resolved ones."""
     return PlanStep(
         process=process_id,
         direction=Direction.REVERSE,
         consumed=model.adjacency.outputs[process_id],
         produced=inputs,
-        required_skills=inversions[model.skill_labels_of(process_id)],
+        required_skills=invert(model.skill_labels_of(process_id)),
     )
 
 
@@ -125,8 +118,8 @@ def assembly_recipe(model: BiPanModel) -> Plan:
 def full_disassembly(model: BiPanModel) -> Plan:
     """Reverse steps over all processes: assembly order backwards, skills inverted."""
     model.ensure_valid()
-    inputs, inversions = model.adjacency.inputs, _Inversions()
-    steps = tuple(_reverse_step(model, pid, inputs[pid], inversions)
+    inputs, invert = model.adjacency.inputs, cache(_inverted)
+    steps = tuple(_reverse_step(model, pid, inputs[pid], invert)
                   for pid in reversed(assembly_order(model)))
     return Plan(model.id, model.digest, steps)
 
@@ -145,8 +138,8 @@ def disassembly_to(model: BiPanModel, target: str, mode: DisassemblyMode) -> Pla
     while (parent := _parent(model, chain[-1])) is not None:
         chain.append(parent)
     selected = chain if mode is DisassemblyMode.EXTRACT else chain[1:]
-    inputs, inversions = model.adjacency.inputs, _Inversions()
-    steps = tuple(_reverse_step(model, pid, inputs[pid], inversions) for pid in reversed(selected))
+    inputs, invert = model.adjacency.inputs, cache(_inverted)
+    steps = tuple(_reverse_step(model, pid, inputs[pid], invert) for pid in reversed(selected))
     return Plan(model.id, model.digest, steps)
 
 
@@ -245,10 +238,10 @@ def repair_plan(model: BiPanModel, broken: Iterable[str], replacements: Mapping[
             return ids
         return tuple(sorted(substitution.get(i, i) for i in ids))
 
-    inputs, inversions = model.adjacency.inputs, _Inversions()
+    inputs, invert = model.adjacency.inputs, cache(_inverted)
     emit_swaps_freed_by(None)
     for process_id in reversal:
-        steps.append(_reverse_step(model, process_id, resolve(inputs[process_id]), inversions))
+        steps.append(_reverse_step(model, process_id, resolve(inputs[process_id]), invert))
         emit_swaps_freed_by(process_id)
     for process_id in reversed(reversal):
         steps.append(_forward_step(model, process_id, resolve(inputs[process_id])))

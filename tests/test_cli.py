@@ -948,19 +948,28 @@ class TestHostileEnvironments:
                                         capture_output=True, check=True).stdout)
         return str(path)
 
-    @pytest.mark.parametrize("args", [["validate"], ["plan", "assemble"]])
-    def test_a_memory_cap_ends_in_one_error_line(self, large_model, tmp_path, args):
+    @pytest.fixture(scope="class")
+    def large_plan(self, large_model):
+        """The large model's assembly plan, built once."""
+        path = Path(large_model).with_name("bushy.plan.json")
+        path.write_bytes(io.save_plan(assembly_recipe(io.load_model(io.read_file(large_model)))))
+        return str(path)
+
+    @pytest.mark.parametrize("args", [["validate", "MODEL"], ["plan", "assemble", "MODEL"],
+                                      ["exec", "PLAN", "MODEL"]])
+    def test_a_memory_cap_ends_in_one_error_line(self, large_model, large_plan, tmp_path, args):
         """Under address-space caps set in the child process alone, the command succeeds or
         prints one ``out-of-memory`` line and exits 3, with no traceback; some cap is too
         low for it, and each leaves room for the interpreter to start."""
         import resource
 
+        args = [{"MODEL": large_model, "PLAN": large_plan}.get(arg, arg) for arg in args]
         statuses = []
         for mib in (32, 40, 64):
             def limit(mib=mib):
                 resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
-            result = run_cli([*args, large_model], tmp_path, preexec_fn=limit)
+            result = run_cli(args, tmp_path, preexec_fn=limit)
             errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
             assert result.returncode in (0, 3) and "Traceback" not in result.stderr, result.stderr
             assert [e.split(": ")[1] for e in errors] == ["out-of-memory"] * (result.returncode == 3)

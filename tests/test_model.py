@@ -234,6 +234,14 @@ class TestConstruction:
             assert err.value.code == "invalid-id"
             assert err.value.detail.startswith(f"node id {named} ")
 
+    def test_secured_ids_from_a_generator_are_read_once(self):
+        """The failed sort must not use up the ids that ``check_id`` then names."""
+        with pytest.raises(BiPanError) as err:
+            FastensLink("f", (node_id for node_id in [1, "a"]))
+        assert err.value.code == "invalid-id"
+        assert err.value.detail.startswith("node id 1 ")
+        assert FastensLink("f", (node_id for node_id in "ba")).secures == ("a", "b")
+
     def test_bad_position(self):
         with pytest.raises(BiPanError) as err:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=(1.0, 2.0))

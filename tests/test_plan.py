@@ -26,7 +26,7 @@ from bipan.plan import (
     full_disassembly,
     repair_plan,
 )
-from bipan import io
+from bipan import canon, io
 from mutations import MUTANTS
 from strategies import build_random_model, models
 
@@ -348,6 +348,25 @@ class TestRepair:
             bound += len(chain.skill_labels_of(swap.process)) + len(swap.required_skills)
         assert len(labels) == 119
         assert len(lookups) <= bound < sum(map(len, labels))
+
+    def test_plan_encoder_encodes_each_distinct_id_list_once(self, monkeypatch):
+        # The same chain repair: its Reverse and Forward steps repeat skill lists, and
+        # each step's produced list is the next one's consumed list.
+        chain = build_random_model(random.Random(1000), max_processes=120, chain=True)
+        leaf = chain.adjacency.inputs["proc_119"][0]
+        plan = repair_plan(chain, [leaf], {leaf: f"{leaf}.r"})
+        expected = canon.plan_bytes(plan)
+        encoded = []
+
+        def counting_strings(values, *args):
+            encoded.append(values)
+            return strings(values, *args)
+
+        strings = canon._strings
+        monkeypatch.setattr(canon, "_strings", counting_strings)
+        assert canon.plan_bytes(plan) == expected
+        lists = {ids for s in plan.steps for ids in (s.consumed, s.produced, s.required_skills)}
+        assert len(encoded) <= len(lists) and len(encoded) < 3 * len(plan.steps)
 
     def test_fastens_narrow_swap_scope(self, f1):
         bolted = replace(
