@@ -4,10 +4,12 @@
 Ingest is what every command that reads a model pays: ``io.load_model`` (that is
 ``json.loads``, then ``io._model_from``, the model decoder, which checks every field
 and key and builds the nodes and adjacency maps), validation and the digest. Each
-stage, and the whole, is timed in this process, best of ``--repeat`` runs, with the
-cyclic GC on as the library runs it. The models come from ``bench/gen.py``, named
-``<shape>-<nodes>``; times are in milliseconds, and the last column is whole ingest
-over ``json.loads``.
+stage, and the whole, is timed in this process, best of ``--repeat`` runs, each run
+after a full collection. The decode-and-build, validate and digest columns are timed
+with the cyclic GC paused, so a stage's figure does not move with where a collection
+lands; ``json.loads``, the whole ingest and their ratio are timed with the GC on, as
+the CLI runs them. The models come from ``bench/gen.py``, named ``<shape>-<nodes>``;
+times are in milliseconds, and the last column is whole ingest over ``json.loads``.
 
 Run with: python scripts/ingest_table.py [MODEL ...] [--repeat K]
 """
@@ -31,17 +33,26 @@ from gen import generate  # noqa: E402  (bench/ is no package)
 MODELS = ("chain-1500", "bushy-2000", "bushy-16000")
 
 
-def best_ms(run, repeat: int) -> float:
+def best_ms(run, repeat: int, *, paused: bool = False) -> float:
     """The least wall time of ``repeat`` calls of ``run``, in milliseconds.
 
     Each call starts after a full collection, so none pays for garbage the last one left.
+    With ``paused`` the cyclic GC is off during each call and back in its prior state
+    after it, even when the call raises.
     """
     times = []
     for _ in range(repeat):
         gc.collect()
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
+        enabled = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        finally:
+            if enabled:
+                gc.enable()
     return min(times) * 1e3
 
 
@@ -57,9 +68,9 @@ def row(name: str, repeat: int) -> str:
     doc, model = json.loads(data), io.load_model(data)
     times = [
         best_ms(lambda: json.loads(data), repeat),
-        best_ms(lambda: io._model_from(doc), repeat),
-        best_ms(lambda: validate(model), repeat),
-        best_ms(lambda: model_digest(model), repeat),
+        best_ms(lambda: io._model_from(doc), repeat, paused=True),
+        best_ms(lambda: validate(model), repeat, paused=True),
+        best_ms(lambda: model_digest(model), repeat, paused=True),
         best_ms(lambda: ingest(data), repeat),
     ]
     cells = " | ".join(f"{t:.1f}" for t in times)
@@ -72,8 +83,8 @@ def main() -> None:
                         help="<shape>-<nodes>, e.g. bushy-2000")
     parser.add_argument("--repeat", type=int, default=9, help="runs per stage; the best is kept")
     args = parser.parse_args()
-    print("| model | `json.loads` | decode and build | validate | digest | ingest "
-          "| ingest ÷ loads |")
+    print("| model | `json.loads` | decode and build, GC paused | validate, GC paused "
+          "| digest, GC paused | ingest | ingest ÷ loads |")
     print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
     for name in args.models:
         print(row(name, args.repeat))

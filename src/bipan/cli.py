@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 validation errors or an infeasible result, 2 usage or
 parse errors, 3 runtime failures (I/O, digest mismatch, replay failure); each
-error code's status is in :data:`bipan.errors.EXIT_CODES`. Every error path
-prints one machine-parsable line to stderr, ``error: <code>: <detail>``, with
-line breaks in the detail escaped. Payloads go to stdout and diagnostics to
-stderr, both as UTF-8 bytes whatever the locale, and nothing ever reads the clock:
-twin mutations require an explicit ``--at`` timestamp.
+error code's status is in :data:`bipan.errors.EXIT_CODES`. A command fails only
+by raising, once it has written what it owes, and :func:`main` alone turns the
+error into its exit status and one machine-parsable line on stderr,
+``error: <code>: <detail>``, with line breaks in the detail escaped. Payloads go
+to stdout and diagnostics to stderr, both as UTF-8 bytes whatever the locale, and
+nothing ever reads the clock: twin mutations require an explicit ``--at`` timestamp.
 """
 
 from __future__ import annotations
@@ -36,19 +37,9 @@ def _one_line(text: str) -> str:
     return text.translate(_LINE_BREAKS)
 
 
-def _fail(exc: BiPanError) -> int:
-    """Print ``exc`` as the one ``error: <code>: <detail>`` line; return its exit status."""
-    _note(f"error: {exc.code}: {_one_line(exc.detail)}")
-    return EXIT_CODES[exc.code]
-
-
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise BiPanError("usage", message)
 
 
 def _load_model(path: str) -> BiPanModel:
@@ -161,7 +152,7 @@ def _parse_replacements(text: str) -> dict[str, str]:
 # -- commands ---------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     diags = _load_model(args.model).diagnostics
     if args.format == "json":
         _emit(canon.canonical_bytes(diags.to_obj()))
@@ -174,11 +165,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                      f"({len(diags.errors)} errors, {len(diags.warnings)} warnings)")
         _write_lines(lines)
     if diags.has_errors:
-        return _fail(BiPanError("invalid-model", f"{len(diags.errors)} validation errors"))
-    return 0
+        raise BiPanError("invalid-model", f"{len(diags.errors)} validation errors")
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+def _cmd_plan(args: argparse.Namespace) -> None:
     from bipan.plan import DisassemblyMode, assembly_recipe, check_feasibility, disassembly_to
     from bipan.plan import full_disassembly, repair_plan
     # A usage error comes before any file is read, as does an option the action ignores.
@@ -213,7 +203,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     _emit(io.save_plan(plan), args.out)
     if skills is None:
-        return 0
+        return
     missing = check_feasibility(plan, skills)
     if args.out is not None:
         report = {
@@ -221,17 +211,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "per_step": [{"index": i, "missing_skills": list(m)} for i, m in enumerate(missing)],
         }
         _emit(canon.canonical_bytes(report))
-    if not any(missing):
-        return 0
-    for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
-        if step_missing:
-            _note(_one_line(f"step {i} ({step.direction.value} '{step.process}'): "
-                            f"missing {', '.join(step_missing)}"))
-    gaps = ", ".join(sorted(set().union(*missing)))
-    return _fail(BiPanError("infeasible", f"missing skills: {gaps}"))
+    if any(missing):
+        for i, (step, step_missing) in enumerate(zip(plan.steps, missing)):
+            if step_missing:
+                _note(_one_line(f"step {i} ({step.direction.value} '{step.process}'): "
+                                f"missing {', '.join(step_missing)}"))
+        gaps = ", ".join(sorted(set().union(*missing)))
+        raise BiPanError("infeasible", f"missing skills: {gaps}")
 
 
-def _cmd_exec(args: argparse.Namespace) -> int:
+def _cmd_exec(args: argparse.Namespace) -> None:
     from bipan.execute import final_inventory, initial_inventory, run
     plan = io.load_plan(io.read_file(args.plan))
     model = _load_model(args.model)
@@ -256,27 +245,24 @@ def _cmd_exec(args: argparse.Namespace) -> int:
             subs = ", ".join(f"{k}->{v}" for k, v in sorted(final.substitutions.items()))
             lines.append(f"substitutions: {subs}")
         _write_lines(lines)
-    return 0
 
 
-def _cmd_import_aml(args: argparse.Namespace) -> int:
+def _cmd_import_aml(args: argparse.Namespace) -> None:
     fragment = exchange.import_aml(io.read_file(args.aml))
     if args.merge is not None:
         model = exchange.merge(fragment, _load_model(args.merge))
         _emit(io.save_model(model), args.out)
     else:
         _emit(fragment.to_bytes(), args.out)
-    return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace) -> None:
     model = _load_model(args.model)
     plan = io.load_plan(io.read_file(args.plan)) if args.plan is not None else None
     _emit(exchange.export_dot(model, plan).encode("utf-8"), args.out)
-    return 0
 
 
-def _cmd_pdt_new(args: argparse.Namespace) -> int:
+def _cmd_pdt_new(args: argparse.Namespace) -> None:
     from bipan.pdt import create_instance
     model = _load_model(args.model)
     pdt = create_instance(args.instance_id, model)
@@ -286,10 +272,9 @@ def _cmd_pdt_new(args: argparse.Namespace) -> int:
             raise BiPanError("io-error", f"instance file already exists: {target}")
         path = io.write_instance_file(pdt, args.dir)
     _note(f"created {path}")
-    return 0
 
 
-def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
+def _cmd_pdt_set_health(args: argparse.Namespace) -> None:
     from bipan.pdt import Health, set_health
     try:  # a usage error comes before the twin is locked or read
         health = Health(args.health.capitalize())
@@ -300,10 +285,9 @@ def _cmd_pdt_set_health(args: argparse.Namespace) -> int:
         pdt = io.read_instance_file(args.dir, args.instance_id)
         updated = set_health(pdt, args.component, health, args.at)
         io.write_instance_file(updated, args.dir)
-    return 0
 
 
-def _cmd_pdt_log(args: argparse.Namespace) -> int:
+def _cmd_pdt_log(args: argparse.Namespace) -> None:
     pdt = io.read_instance_file(args.dir, args.instance_id)
     if args.format == "json":
         _emit(canon.events_bytes(pdt.events))
@@ -313,10 +297,9 @@ def _cmd_pdt_log(args: argparse.Namespace) -> int:
             payload = " ".join(f"{k}={v}" for k, v in sorted(event.payload.items()))
             lines.append(f"{event.timestamp} {event.kind} {payload}".rstrip())
         _write_lines(lines)
-    return 0
 
 
-def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
+def _cmd_pdt_plan_repair(args: argparse.Namespace) -> None:
     from bipan.pdt import plan_repair_for
     replacements = _parse_replacements(args.replace)  # before the twin is locked or read
     with io.instance_lock(args.dir, args.instance_id):
@@ -326,7 +309,6 @@ def _cmd_pdt_plan_repair(args: argparse.Namespace) -> int:
         # --out is opened or staged before the twin logs the plan, so a bad --out logs nothing.
         with _output(args.out, io.save_plan(plan)):
             io.write_instance_file(updated, args.dir)
-    return 0
 
 
 _FORMAT = {"choices": ["human", "json"], "default": "human"}
@@ -334,7 +316,7 @@ _DIR = {"default": "."}
 _AT = {"required": True, "help": "ISO-8601 UTC timestamp"}
 
 #: Each ``pdt`` subcommand's help, function and arguments (name: ``add_argument`` keywords).
-_PDT_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], dict]] = {
+_PDT_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], dict]] = {
     "new": ("create an instance file for a model", _cmd_pdt_new,
             {"instance_id": {}, "model": {}, "--dir": _DIR}),
     "set-health": ("record a component health state", _cmd_pdt_set_health,
@@ -350,7 +332,7 @@ _PDT_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], dict]] 
 }
 
 #: Each command's help, function and arguments; ``pdt`` has a table of subcommands instead.
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int] | None, dict]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None] | None, dict]] = {
     "validate": ("check a model's structural rules", _cmd_validate,
                  {"model": {}, "--format": _FORMAT}),
     "plan": ("extract a directional plan", _cmd_plan, {
@@ -399,21 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names; print its error, if it raises one, and return the status."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _fail(BiPanError("usage", str(exc)))
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        return 0
     except BiPanError as exc:
-        return _fail(exc)
+        code, detail = exc.code, exc.detail
     except OSError as exc:
-        return _fail(BiPanError("io-error", str(exc)))
+        code, detail = "io-error", str(exc)
     except MemoryError:
-        pass  # printed once the handler lets go of the frames its traceback holds
-    _put(sys.stderr, _OUT_OF_MEMORY)
-    return EXIT_CODES["out-of-memory"]
+        code, detail = "out-of-memory", None  # printed once the handler lets go of the frames
+    if detail is None:
+        _put(sys.stderr, _OUT_OF_MEMORY)
+    else:
+        _note(f"error: {code}: {_one_line(detail)}")
+    return EXIT_CODES[code]
 
 
 if __name__ == "__main__":

@@ -463,7 +463,8 @@ class BiPanModel(Record):
         return labels
 
     def final_products(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.products if p.kind is ProductKind.FINAL)
+        final = ProductKind.FINAL  # each class read is a call
+        return tuple(p.id for p in self.products if p.kind is final)
 
     def leaf_products(self) -> tuple[str, ...]:
         """Products with no producer, ascending id."""

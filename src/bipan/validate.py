@@ -94,6 +94,7 @@ def _check_processes(model: BiPanModel, found: list[Diagnostic]) -> None:
 
 def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
     adjacency = model.adjacency
+    final, stage = ProductKind.FINAL, ProductKind.STAGE  # each class read is a call
     for prod in model.products:
         producers = adjacency.producers[prod.id]
         consumers = adjacency.consumers[prod.id]
@@ -115,7 +116,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                 )
             )
 
-        if prod.kind is ProductKind.FINAL:
+        if prod.kind is final:
             issues = []
             if consumers:
                 issues.append(f"has a consumer ('{consumers[0]}')")
@@ -129,7 +130,7 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                         f"final product '{prod.id}' " + " and ".join(issues),
                     )
                 )
-        elif prod.kind is ProductKind.STAGE:
+        elif prod.kind is stage:
             issues = []
             if not producers:
                 issues.append("has no producer")
@@ -239,11 +240,11 @@ def _check_flow(model: BiPanModel, found: list[Diagnostic]) -> None:
 
 
 def _check_fastens(model: BiPanModel, found: list[Diagnostic]) -> None:
-    consumers = model.adjacency.consumers
+    consumers, fastener_kind = model.adjacency.consumers, ProductKind.FASTENER
     for link in model.fastens:
         nodes = (link.fastener, *link.secures)
         fastener = model.product(link.fastener)
-        if fastener.kind is not ProductKind.FASTENER:
+        if fastener.kind is not fastener_kind:
             found.append(
                 Diagnostic(
                     "V011",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from bipan import io
+from bipan import cli, io
 from bipan.cli import main
 from bipan.fixtures import battery_model
 from bipan.model import Direction, Plan, PlanStep
@@ -976,6 +976,17 @@ class TestHostileEnvironments:
             statuses.append(result.returncode)
         assert 3 in statuses, statuses
 
+    def test_a_memory_error_while_the_parser_is_built_ends_in_one_error_line(self, monkeypatch,
+                                                                              capsys):
+        def exhausted():
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_parser", exhausted)
+        assert main(["validate", "x.json"]) == 3
+        assert capsys.readouterr().err == (
+            "error: out-of-memory: the command needs more memory than it may use\n"
+        )
+
 
 class TestHostileInput:
     def test_deeply_nested_json(self, workdir):
@@ -1253,6 +1264,16 @@ class TestStartup:
         *_, ran, loaded = result.stdout.splitlines()
         assert ran.split() == ["ran:", *sorted(expected.split())]
         assert loaded.split() == ["loaded:"]
+
+    @pytest.mark.parametrize("args", [["frobnicate"], ["plan", "assemble"]],
+                             ids=["unknown-command", "missing-model"])
+    def test_a_usage_error_from_the_parser_runs_only_cli_and_errors(self, tmp_path, args):
+        code = "import sys\nfrom bipan.cli import main\nstatus = main(sys.argv[1:])\n" + PRINT_RAN
+        result = run_bare(code + "sys.exit(status)\n", args, tmp_path)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage: "), result.stderr
+        assert result.stdout.splitlines() == ["ran: cli errors"]
 
     @pytest.mark.parametrize(
         "name,doc,command",

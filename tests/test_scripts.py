@@ -52,6 +52,23 @@ def test_ingest_table_prints_a_row_per_model():
     assert all(row.endswith("× |") and row.count("|") == 8 for row in rows)
 
 
+def test_ingest_table_pauses_the_gc_and_turns_it_back_on_after_a_stage_that_raises():
+    code = (
+        "import gc, sys\n"
+        "sys.path.insert(0, 'scripts')\n"
+        "from ingest_table import best_ms\n"
+        "try:\n"
+        "    best_ms(lambda: print(gc.isenabled()) or 1 / 0, 1, paused=True)\n"
+        "except ZeroDivisionError:\n"
+        "    print(gc.isenabled())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Library in five lines\n", 1)[1].split("```python\n", 1)[1]
