@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time model ingest stage by stage, against ``json.loads`` of the same bytes.
+"""Time model ingest and twin round trips stage by stage, against ``json.loads`` of the same bytes.
 
 Ingest is what every command that reads a model pays: ``io.load_model`` (that is
 ``json.loads``, then ``io._model_from``, the model decoder, which checks every field
@@ -11,7 +11,14 @@ lands; ``json.loads``, the whole ingest and their ratio are timed with the GC on
 the CLI runs them. The models come from ``bench/gen.py``, named ``<shape>-<nodes>``;
 times are in milliseconds, and the last column is whole ingest over ``json.loads``.
 
-Run with: python scripts/ingest_table.py [MODEL ...] [--repeat K]
+A row named ``twin-<events>`` goes to a second table: a twin of that many seeded
+``health-update`` events on the bushy model of 400 nodes from ``bench/gen.py`` (seed 1),
+as ``pdt set-health`` reads, appends to and writes it. Its stages are decode
+(``io.load_instance`` less ``json.loads``), append (``pdt.set_health``) and encode
+(``canon.twin_bytes``), each timed with the GC paused; the whole read
+(``io.load_instance``) and its ratio to ``json.loads`` are timed with the GC on.
+
+Run with: python scripts/ingest_table.py [MODEL | twin-EVENTS ...] [--repeat K]
 """
 
 from __future__ import annotations
@@ -19,12 +26,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import random
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from bipan import io
-from bipan.canon import model_digest
+from bipan import io, pdt
+from bipan.canon import model_digest, twin_bytes
+from bipan.model import replace
 from bipan.validate import validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -77,17 +87,59 @@ def row(name: str, repeat: int) -> str:
     return f"| {shape}-{generated.nodes} | {cells} | {times[-1] / times[0]:.1f}× |"
 
 
+def twin_data(events: int) -> bytes:
+    """The canonical bytes of a twin of ``events`` seeded ``health-update`` events, a minute
+    apart, on the bushy model of 400 nodes."""
+    twin = pdt.create_instance("T", io.load_model(generate("bushy", 1, 400).data))
+    rng, components = random.Random(f"twin-{events}"), sorted(twin.health)
+    start, healths = datetime(2024, 1, 1, tzinfo=timezone.utc), [h.value for h in pdt.Health]
+    log = [pdt.Event((start + timedelta(minutes=i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+                     "health-update", {"component": rng.choice(components),
+                                       "health": rng.choice(healths)})
+           for i in range(events)]
+    return io.save_instance(replace(twin, events=log))
+
+
+def twin_row(name: str, repeat: int) -> str:
+    events = int(name.rsplit("-", 1)[1])
+    data = twin_data(events)
+    twin, at = io.load_instance(data), "2100-01-01T00:00:00Z"
+    component = min(twin.health)
+    loads = best_ms(lambda: json.loads(data), repeat)
+    times = [
+        loads,
+        best_ms(lambda: io.load_instance(data), repeat, paused=True)
+        - best_ms(lambda: json.loads(data), repeat, paused=True),
+        best_ms(lambda: pdt.set_health(twin, component, pdt.Health.OK, at), repeat, paused=True),
+        best_ms(lambda: twin_bytes(twin), repeat, paused=True),
+        best_ms(lambda: io.load_instance(data), repeat),
+    ]
+    cells = " | ".join(f"{t:.1f}" for t in times)
+    return f"| twin-{events} | {cells} | {times[-1] / loads:.1f}× |"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("models", nargs="*", default=MODELS,
-                        help="<shape>-<nodes>, e.g. bushy-2000")
+                        help="<shape>-<nodes>, e.g. bushy-2000, or twin-<events>, e.g. twin-2000")
     parser.add_argument("--repeat", type=int, default=9, help="runs per stage; the best is kept")
     args = parser.parse_args()
-    print("| model | `json.loads` | decode and build, GC paused | validate, GC paused "
-          "| digest, GC paused | ingest | ingest ÷ loads |")
-    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
-    for name in args.models:
-        print(row(name, args.repeat))
+    models = [name for name in args.models if not name.startswith("twin-")]
+    twins = [name for name in args.models if name.startswith("twin-")]
+    if models:
+        print("| model | `json.loads` | decode and build, GC paused | validate, GC paused "
+              "| digest, GC paused | ingest | ingest ÷ loads |")
+        print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+        for name in models:
+            print(row(name, args.repeat))
+    if twins:
+        if models:
+            print()
+        print("| twin | `json.loads` | decode, GC paused | append, GC paused "
+              "| encode, GC paused | read | read ÷ loads |")
+        print("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+        for name in twins:
+            print(twin_row(name, args.repeat))
 
 
 if __name__ == "__main__":

@@ -112,28 +112,36 @@ def plan_bytes(plan: Plan) -> bytes:
     ).encode("utf-8")
 
 
-def _events(events: Iterable[Event], indent: str) -> str:
-    """A JSON array of twin events in log order, its closing bracket at ``indent``."""
-    inner, field, end = indent + "    ", f"\n{indent}    ", f"\n{indent}  }}"
-    return _array([f'{{{field}"kind": {_escape(e.kind)},{field}"payload": '
-                   f'{_object(e.payload, inner)},{field}"timestamp": {_escape(e.timestamp)}{end}'
-                   for e in events], indent)
+def _events(events: Iterable[Event], indent: str, before: str, after: str) -> bytes:
+    """UTF-8 of ``before``, a JSON array of twin events in log order (its closing bracket at
+    ``indent``) and ``after``. A log runs to thousands of events, so each event's text, its
+    payload written in place, is one item of a list, which is joined and encoded once."""
+    field, line, close = f"\n{indent}    ", f"\n{indent}      ", f"\n{indent}    }}"
+    start, then, sep, pieces = f"[\n  {indent}{{", f",\n  {indent}{{", "," + line, [before]
+    for event in events:
+        text = f'{start}{field}"kind": {_escape(event.kind)},{field}"payload": {{'
+        start, lead = then, line
+        for key, value in sorted(event.payload.items()):
+            text += f"{lead}{_escape(key)}: {_escape(value)}"
+            lead = sep  # a payload with members closes on a line of its own
+        pieces.append(f'{text}{close if lead is sep else "}"},{field}"timestamp": '
+                      f'{_escape(event.timestamp)}\n{indent}  }}')
+    pieces.append(f"\n{indent}]{after}" if start is then else f"[]{after}")  # no event: []
+    return "".join(pieces).encode("utf-8")
 
 
 def events_bytes(events: Iterable[Event]) -> bytes:
     """:func:`canonical_bytes` of a list of twin events, as ``pdt log --format json`` prints it."""
-    return (_events(events, "") + "\n").encode("utf-8")
+    return _events(events, "", "", "\n")
 
 
 def twin_bytes(twin: PdtInstance) -> bytes:
     """:func:`canonical_bytes` of the twin's document: its events in log order, then its health."""
     health = _object(twin.health, "  ", lambda h: f'"{h._value_}"')
-    return (
-        f'{{\n  "events": {_events(twin.events, "  ")},\n  "health": {health},'
-        f'\n  "instance_id": {_escape(twin.instance_id)},'
-        f'\n  "model_digest": {_escape(twin.model_digest)},'
-        f'\n  "model_id": {_escape(twin.model_id)}\n}}\n'
-    ).encode("utf-8")
+    return _events(twin.events, "  ", '{\n  "events": ',
+                   f',\n  "health": {health},\n  "instance_id": {_escape(twin.instance_id)},'
+                   f'\n  "model_digest": {_escape(twin.model_digest)},'
+                   f'\n  "model_id": {_escape(twin.model_id)}\n}}\n')
 
 
 def _state(state: ExecState, indent: str) -> str:

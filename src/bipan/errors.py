@@ -12,6 +12,7 @@ EXIT_CODES: dict[str, int] = {
     "dangling-reference": 2,
     "detached-node": 2,
     "duplicate-id": 2,
+    "invalid-health": 2,
     "invalid-id": 2,
     "invalid-kind": 2,
     "invalid-position": 2,

@@ -83,9 +83,8 @@ def _parse_json(data: bytes) -> dict[str, Any]:
     except UnicodeEncodeError as exc:
         raise BiPanError("parse-error", "document escapes an unpaired UTF-16 surrogate") from exc
     except json.JSONDecodeError as exc:
-        raise BiPanError(
-            "parse-error", f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise BiPanError("parse-error",
+                         f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise BiPanError("parse-error", str(exc)) from exc
     except RecursionError as exc:
@@ -313,13 +312,15 @@ def load_instance(data: bytes) -> PdtInstance:
     for component, state in health.items():
         if type(state) is not str or state not in states:
             raise _fault_of(_NO_MAP, "twin", "", **{f"health[{component}]": (state, states)})
-    events, keys = [], KEYS["event"]
-    for i, row in enumerate(_rows(doc, "events")):
+    events = []
+    for row in _rows(doc, "events"):
         timestamp, kind = row.get("timestamp"), row.get("kind")
         payload = row.get("payload", _NO_MAP)
+        # Once all three have their types, the row's length tells whether it has another key.
         if (type(timestamp) is not str or type(kind) is not str or type(payload) is not dict
-                or not _STR.issuperset(map(type, payload.values())) or not keys.issuperset(row)):
-            raise _fault_of(row, "event", f"events[{i}]", timestamp=(timestamp, str),
+                or not _STR.issuperset(map(type, payload.values()))
+                or len(row) != 3 - (payload is _NO_MAP)):
+            raise _fault_of(row, "event", f"events[{len(events)}]", timestamp=(timestamp, str),
                             kind=(kind, str), payload=(payload, dict))
         events.append(Event(timestamp, kind, payload))
     instance_id, model_id = doc.get("instance_id"), doc.get("model_id", "")
@@ -404,9 +405,8 @@ def read_instance_file(directory: str | Path, instance_id: str) -> PdtInstance:
     path = instance_path(directory, instance_id)
     pdt = load_instance(read_file(path))
     if pdt.instance_id != instance_id:
-        raise BiPanError(
-            "instance-mismatch", f"{path}: stores instance '{pdt.instance_id}', not '{instance_id}'"
-        )
+        raise BiPanError("instance-mismatch",
+                         f"{path}: stores instance '{pdt.instance_id}', not '{instance_id}'")
     return pdt
 
 

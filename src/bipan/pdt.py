@@ -17,6 +17,9 @@ from bipan.errors import BiPanError
 from bipan.model import COMPONENT_KINDS, BiPanModel, FrozenMap, Plan, Record, check_id, replace
 
 
+_fromisoformat, _UTC = datetime.fromisoformat, timezone.utc  # read once, not per event
+
+
 class Health(Enum):
     OK = "Ok"
     DEGRADED = "Degraded"
@@ -25,18 +28,18 @@ class Health(Enum):
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Strict ISO-8601 UTC timestamp ('...Z' or '...+00:00').
+    """Strict ISO-8601 UTC timestamp ('...Z' or '...+00:00'); anything else, a value that is
+    not a string too, is ``invalid-timestamp``.
 
     ``fromisoformat`` gives every zero offset the ``timezone.utc`` singleton,
     so an identity test is the whole UTC check: it rejects naive times and
     every non-zero offset.
     """
-    text = value[:-1] + "+00:00" if value.endswith("Z") else value
     try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError as exc:
+        parsed = _fromisoformat(value[:-1] + "+00:00" if value[-1:] == "Z" else value)
+    except (TypeError, ValueError) as exc:
         raise BiPanError("invalid-timestamp", f"not an ISO-8601 timestamp: {value!r}") from exc
-    if parsed.tzinfo is not timezone.utc:
+    if parsed.tzinfo is not _UTC:
         raise BiPanError("invalid-timestamp", f"timestamp must be UTC: {value!r}")
     return parsed
 
@@ -71,12 +74,14 @@ class PdtInstance(Record):
         # The id names the twin's file, so it must not carry a path separator.
         check_id(instance_id)
         health, events = FrozenMap(health), tuple(events)
+        if not {Health}.issuperset(map(type, health.values())):
+            component = next(c for c, state in health.items() if type(state) is not Health)
+            raise BiPanError("invalid-health", f"component '{component}': health "
+                             f"{health[component]!r} is not a Health")
         for earlier, event in zip(events, events[1:]):
             if event.when < earlier.when:
-                raise BiPanError(
-                    "time-regression",
-                    f"event log timestamps decrease at {event.timestamp!r}",
-                )
+                raise BiPanError("time-regression",
+                                 f"event log timestamps decrease at {event.timestamp!r}")
         set_instance_id, set_model_id, set_model_digest, set_health, set_events = self._stores
         set_instance_id(self, instance_id)
         set_model_id(self, model_id)
@@ -92,21 +97,13 @@ def create_instance(instance_id: str, model: BiPanModel) -> PdtInstance:
     """Fresh twin: every replaceable component Unknown, event log empty."""
     model.ensure_valid()
     health = {p.id: Health.UNKNOWN for p in model.products if p.kind in COMPONENT_KINDS}
-    return PdtInstance(
-        instance_id=instance_id,
-        model_id=model.id,
-        model_digest=model.digest,
-        health=health,
-        events=(),
-    )
+    return PdtInstance(instance_id, model.id, model.digest, health)
 
 
 def _check_tracked(pdt: PdtInstance, component: str) -> None:
     if component not in pdt.health:
-        raise BiPanError(
-            "unknown-component",
-            f"'{component}' is not a tracked component of instance '{pdt.instance_id}'",
-        )
+        raise BiPanError("unknown-component", f"'{component}' is not a tracked component of "
+                         f"instance '{pdt.instance_id}'")
 
 
 def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str) -> PdtInstance:
@@ -116,12 +113,8 @@ def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str)
     return replace(pdt, health={**pdt.health, component: health}, events=(*pdt.events, event))
 
 
-def plan_repair_for(
-    pdt: PdtInstance,
-    model: BiPanModel,
-    replacements: dict[str, str],
-    timestamp: str,
-) -> tuple[PdtInstance, Plan]:
+def plan_repair_for(pdt: PdtInstance, model: BiPanModel, replacements: dict[str, str],
+                    timestamp: str) -> tuple[PdtInstance, Plan]:
     """Repair plan for all currently Broken components; logs a plan-created event.
 
     Returns the updated instance together with the plan (instances are values,
@@ -136,10 +129,8 @@ def plan_repair_for(
     if not broken:
         raise BiPanError("nothing-broken", f"instance '{pdt.instance_id}' has no Broken component")
     plan = repair_plan(model, broken, replacements)
-    payload = {
-        "broken": ",".join(broken),
-        "replacements": ",".join(f"{b}={replacements[b]}" for b in broken),
-        "steps": str(len(plan.steps)),
-    }
+    payload = {"broken": ",".join(broken),
+               "replacements": ",".join(f"{b}={replacements[b]}" for b in broken),
+               "steps": str(len(plan.steps))}
     event = Event(timestamp, "plan-created", payload)
     return replace(pdt, events=(*pdt.events, event)), plan

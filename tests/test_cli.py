@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta, timezone
 from io import StringIO
 from pathlib import Path
 
@@ -23,7 +24,8 @@ import pytest
 from bipan import cli, io
 from bipan.cli import main
 from bipan.fixtures import battery_model
-from bipan.model import Direction, Plan, PlanStep
+from bipan.model import Direction, Plan, PlanStep, replace
+from bipan.pdt import Event, create_instance
 from bipan.plan import assembly_recipe, repair_plan
 from mutations import MUTANTS
 from strategies import build_random_model
@@ -76,8 +78,6 @@ class TestValidate:
         assert captured.err.startswith("error: invalid-model:")
 
     def test_warnings_alone_exit_0(self, workdir, capsys):
-        from bipan.model import replace
-
         model = battery_model()
         stripped = replace(
             model, skill_edges=tuple(e for e in model.skill_edges if e[0] != "p4")
@@ -955,25 +955,60 @@ class TestHostileEnvironments:
         path.write_bytes(io.save_plan(assembly_recipe(io.load_model(io.read_file(large_model)))))
         return str(path)
 
+    @pytest.fixture(scope="class")
+    def long_twin(self, tmp_path_factory):
+        """A twin of 40 000 events (6.8 MB) on the bushy model of 400 nodes that
+        ``bench/gen.py`` makes from seed 1, in a directory of its own."""
+        code = "import sys, gen; sys.stdout.buffer.write(gen.generate('bushy', 1, 400).data)"
+        model = io.load_model(subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1]
+                                             / "bench", capture_output=True, check=True).stdout)
+        twin = create_instance("LONG", model)
+        components, start = sorted(twin.health), datetime(2024, 1, 1, tzinfo=timezone.utc)
+        events = [Event((start + timedelta(minutes=i)).isoformat(), "health-update",
+                        {"component": components[i % len(components)], "health": "Ok"})
+                  for i in range(40_000)]
+        directory = tmp_path_factory.mktemp("twin")
+        io.write_instance_file(replace(twin, events=events), directory)
+        return directory, components[0]
+
+    @staticmethod
+    def run_capped(args, cwd, mib):
+        """``run_cli`` under an address-space cap of ``mib`` MiB, set in the child process
+        alone; it succeeds or prints one ``out-of-memory`` line and exits 3, with no traceback."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+        result = run_cli(args, cwd, preexec_fn=limit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert result.returncode in (0, 3) and "Traceback" not in result.stderr, result.stderr
+        assert [e.split(": ")[1] for e in errors] == ["out-of-memory"] * (result.returncode == 3)
+        return result.returncode
+
     @pytest.mark.parametrize("args", [["validate", "MODEL"], ["plan", "assemble", "MODEL"],
                                       ["exec", "PLAN", "MODEL"]])
     def test_a_memory_cap_ends_in_one_error_line(self, large_model, large_plan, tmp_path, args):
-        """Under address-space caps set in the child process alone, the command succeeds or
-        prints one ``out-of-memory`` line and exits 3, with no traceback; some cap is too
-        low for it, and each leaves room for the interpreter to start."""
-        import resource
-
+        """Some cap is too low for the command, and each leaves room for the interpreter to
+        start."""
         args = [{"MODEL": large_model, "PLAN": large_plan}.get(arg, arg) for arg in args]
-        statuses = []
-        for mib in (32, 40, 64):
-            def limit(mib=mib):
-                resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+        statuses = [self.run_capped(args, tmp_path, mib) for mib in (32, 40, 64)]
+        assert 3 in statuses, statuses
 
-            result = run_cli(args, tmp_path, preexec_fn=limit)
-            errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
-            assert result.returncode in (0, 3) and "Traceback" not in result.stderr, result.stderr
-            assert [e.split(": ")[1] for e in errors] == ["out-of-memory"] * (result.returncode == 3)
-            statuses.append(result.returncode)
+    def test_a_memory_cap_on_a_long_twin_leaves_it_whole(self, long_twin):
+        """``pdt set-health`` reads, appends to and rewrites the whole log: a cap that stops
+        it, in the read or in the write, leaves the twin file's bytes and no temp file."""
+        directory, component = long_twin
+        path = directory / "LONG.pdt.json"
+        statuses = []
+        for mib in (48, 64, 96):
+            before = path.read_bytes()
+            statuses.append(self.run_capped(["pdt", "set-health", "LONG", component, "ok", "--at",
+                                             "2030-01-01T00:00:00Z", "--dir", "."], directory, mib))
+            if statuses[-1] == 3:
+                assert path.read_bytes() == before
+            assert sorted(p.name for p in directory.iterdir()) == ["LONG.pdt.json",
+                                                                   "LONG.pdt.lock"]
         assert 3 in statuses, statuses
 
     def test_a_memory_error_while_the_parser_is_built_ends_in_one_error_line(self, monkeypatch,

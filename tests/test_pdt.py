@@ -78,6 +78,13 @@ class TestSetHealth:
             assert err.value.code == "invalid-timestamp"
         assert parse_timestamp(T2).hour == 9
 
+    def test_a_timestamp_that_is_no_string_is_invalid_timestamp(self):
+        for bad in (5, None, b"2024-05-01T10:00:00Z", ["Z"]):
+            with pytest.raises(BiPanError) as err:
+                pdt.Event(bad, "k")
+            assert (err.value.code, err.value.detail) == (
+                "invalid-timestamp", f"not an ISO-8601 timestamp: {bad!r}")
+
 
     def test_each_timestamp_is_parsed_once(self, f1, monkeypatch):
         parsed = []
@@ -242,6 +249,43 @@ class TestPersistence:
         assert err.value.code == "time-regression"
 
 
+#: A few instants, each written both ways: equal instants, differently spelled, are no decrease.
+INSTANTS = ["2024-05-01T09:59:59.999999", "2024-05-01T10:00:00", "2024-05-01T10:00:00.500000",
+            "2024-05-02T00:00:00"]
+STAMPS = {f"{instant}{offset}": rank for rank, instant in enumerate(INSTANTS)
+          for offset in ("Z", "+00:00")}
+
+
+def _first_decrease(stamps: list[str]) -> str | None:
+    """The oracle: the timestamp of the first event earlier than the one before it."""
+    for i in range(1, len(stamps)):
+        if STAMPS[stamps[i]] < STAMPS[stamps[i - 1]]:
+            return stamps[i]
+    return None
+
+
+class TestLogOrder:
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(sorted(STAMPS)), max_size=60))
+    def test_time_regression_names_the_first_decrease(self, stamps):
+        """Built in Python or loaded from a document, a log is refused exactly when some event
+        is earlier than the one before it, and the first such event is named."""
+        rows = [{"kind": "note", "payload": {}, "timestamp": stamp} for stamp in stamps]
+        doc = {"events": rows, "health": {}, "instance_id": "V", "model_digest": "d",
+               "model_id": "m"}
+        expected = _first_decrease(stamps)
+        for build in (lambda: pdt.PdtInstance("V", "m", "d", {}, [pdt.Event(s, "note")
+                                                                   for s in stamps]),
+                      lambda: io.load_instance(json.dumps(doc).encode())):
+            if expected is None:
+                assert [event.timestamp for event in build().events] == stamps
+                continue
+            with pytest.raises(BiPanError) as err:
+                build()
+            assert (err.value.code, err.value.detail) == (
+                "time-regression", f"event log timestamps decrease at {expected!r}")
+
+
 class TestTwinIsAValue:
     def test_equal_twins_and_events_hash_equal(self, f1):
         twin = set_health(create_instance("VIN-004", f1), "mod8", Health.BROKEN, T0)
@@ -264,6 +308,12 @@ class TestTwinIsAValue:
         twin = pdt.PdtInstance("VIN-5", "m", "d", health, (event,))
         health["a"], payload["k"] = Health.BROKEN, "w"
         assert twin.health == {"a": Health.OK} and event.payload == {"k": "v"}
+
+    def test_a_health_value_that_is_no_health_is_invalid_health(self):
+        with pytest.raises(BiPanError) as err:
+            pdt.PdtInstance("V", "m", "d", {"a": Health.OK, "b": "Ok"})
+        assert (err.value.code, err.value.detail) == (
+            "invalid-health", "component 'b': health 'Ok' is not a Health")
 
     def test_pickles_and_copies(self, f1):
         import copy

@@ -52,6 +52,16 @@ def test_ingest_table_prints_a_row_per_model():
     assert all(row.endswith("× |") and row.count("|") == 8 for row in rows)
 
 
+def test_ingest_table_prints_a_twin_row_in_a_table_of_its_own():
+    result = run_script(ROOT, "ingest_table.py", "chain-30", "twin-40", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    models, twins = result.stdout.split("\n\n")
+    assert [line.split(" |")[0] for line in models.splitlines()] == ["| model", "| ---", "| chain-35"]
+    header, rule, row = twins.splitlines()
+    assert header.startswith("| twin | `json.loads` | decode, GC paused |") and rule.startswith("| --- |")
+    assert row.startswith("| twin-40 | ") and row.endswith("× |") and row.count("|") == 8
+
+
 def test_ingest_table_pauses_the_gc_and_turns_it_back_on_after_a_stage_that_raises():
     code = (
         "import gc, sys\n"
