@@ -938,14 +938,20 @@ class TestUsageBeforeFiles:
         assert len(lines) == 1 and lines[0].startswith("error: usage: "), lines
 
 
+def bushy(nodes):
+    """The bytes of the bushy model of about ``nodes`` nodes that ``bench/gen.py`` makes from
+    seed 1."""
+    code = f"import sys, gen; sys.stdout.buffer.write(gen.generate('bushy', 1, {nodes}).data)"
+    return subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1] / "bench",
+                          capture_output=True, check=True).stdout
+
+
 class TestHostileEnvironments:
     @pytest.fixture(scope="class")
     def large_model(self, tmp_path_factory):
-        """The bushy model of about 16k nodes (3.6 MB) that ``bench/gen.py`` makes from seed 1."""
-        code = "import sys, gen; sys.stdout.buffer.write(gen.generate('bushy', 1, 16_000).data)"
+        """The bushy model of about 16k nodes (3.6 MB)."""
         path = tmp_path_factory.mktemp("large") / "bushy.bipan.json"
-        path.write_bytes(subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1] / "bench",
-                                        capture_output=True, check=True).stdout)
+        path.write_bytes(bushy(16_000))
         return str(path)
 
     @pytest.fixture(scope="class")
@@ -957,12 +963,9 @@ class TestHostileEnvironments:
 
     @pytest.fixture(scope="class")
     def long_twin(self, tmp_path_factory):
-        """A twin of 40 000 events (6.8 MB) on the bushy model of 400 nodes that
-        ``bench/gen.py`` makes from seed 1, in a directory of its own."""
-        code = "import sys, gen; sys.stdout.buffer.write(gen.generate('bushy', 1, 400).data)"
-        model = io.load_model(subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1]
-                                             / "bench", capture_output=True, check=True).stdout)
-        twin = create_instance("LONG", model)
+        """A twin of 40 000 events (6.8 MB) on the bushy model of 400 nodes, in a directory of
+        its own."""
+        twin = create_instance("LONG", io.load_model(bushy(400)))
         components, start = sorted(twin.health), datetime(2024, 1, 1, tzinfo=timezone.utc)
         events = [Event((start + timedelta(minutes=i)).isoformat(), "health-update",
                         {"component": components[i % len(components)], "health": "Ok"})

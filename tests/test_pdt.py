@@ -85,7 +85,6 @@ class TestSetHealth:
             assert (err.value.code, err.value.detail) == (
                 "invalid-timestamp", f"not an ISO-8601 timestamp: {bad!r}")
 
-
     def test_each_timestamp_is_parsed_once(self, f1, monkeypatch):
         parsed = []
         real = pdt.parse_timestamp
