@@ -89,15 +89,18 @@ def row(name: str, repeat: int) -> str:
 
 def twin_data(events: int) -> bytes:
     """The canonical bytes of a twin of ``events`` seeded ``health-update`` events, a minute
-    apart, on the bushy model of 400 nodes."""
+    apart, on the bushy model of 400 nodes, its health map the fold of its log, as
+    ``pdt set-health`` writes it."""
     twin = pdt.create_instance("T", io.load_model(generate("bushy", 1, 400).data))
     rng, components = random.Random(f"twin-{events}"), sorted(twin.health)
-    start, healths = datetime(2024, 1, 1, tzinfo=timezone.utc), [h.value for h in pdt.Health]
-    log = [pdt.Event((start + timedelta(minutes=i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
-                     "health-update", {"component": rng.choice(components),
-                                       "health": rng.choice(healths)})
-           for i in range(events)]
-    return io.save_instance(replace(twin, events=log))
+    start, states = datetime(2024, 1, 1, tzinfo=timezone.utc), list(pdt.Health)
+    health, log = dict(twin.health), []
+    for i in range(events):
+        component, state = rng.choice(components), rng.choice(states)
+        health[component] = state
+        log.append(pdt.Event((start + timedelta(minutes=i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+                             "health-update", {"component": component, "health": state.value}))
+    return io.save_instance(replace(twin, health=health, events=log))
 
 
 def twin_row(name: str, repeat: int) -> str:

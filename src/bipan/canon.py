@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from functools import cache
 from json.encoder import encode_basestring as _escape  # the C escaper when _json is built
 from typing import TYPE_CHECKING, Any
@@ -43,11 +42,6 @@ def _object(mapping: Mapping[str, Any], indent: str, encode: Callable[[Any], str
     return f"{{\n  {indent}" + f",\n  {indent}".join(items) + f"\n{indent}}}" if items else "{}"
 
 
-def _number(x: float) -> str:
-    """``float.__repr__`` of a finite float, as ``json`` writes it; ``json.dumps`` of the rest."""
-    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
-
-
 def _strings(values: Collection[str], indent: str = "      ") -> str:
     return _array([*map(_escape, values)], indent)
 
@@ -58,8 +52,8 @@ def _product(node: ProductNode) -> str:
         text += f'{_FIELD}"attributes": {_object(node.attributes, "      ")},'
     text += (f'{_FIELD}"id": {_escape(node.id)},{_FIELD}"kind": "{node.kind._value_}",'
              f'{_FIELD}"label": {_escape(node.label)}')
-    if node.position is not None:
-        text += f',{_FIELD}"position": {_array([*map(_number, node.position)], "      ")}'
+    if node.position is not None:  # three finite floats, which ``json`` writes by ``repr``
+        text += f',{_FIELD}"position": {_array([*map(float.__repr__, node.position)], "      ")}'
     if node.type_ref is not None:
         text += f',{_FIELD}"type_ref": {_escape(node.type_ref)}'
     return text + _END

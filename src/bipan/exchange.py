@@ -10,7 +10,6 @@ Versions 2.x and 3.x are both accepted; namespaces are matched by local name.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from bipan.canon import model_bytes
@@ -61,29 +60,21 @@ def _attribute_value(element: ElementTree.Element) -> str:
     return (values[0].text or "").strip()
 
 
-def _parse_position(attr: ElementTree.Element, path: str) -> tuple[float, float, float]:
-    components = {}
-    for sub in _children(attr, "Attribute"):
-        components[sub.get("Name", "")] = _attribute_value(sub)
+def _parse_position(attr: ElementTree.Element, path: str) -> tuple[float, ...]:
+    """The x, y and z of a CAEX ``Position``; ``ProductNode`` checks that they are finite."""
+    components = {sub.get("Name", ""): _attribute_value(sub)
+                  for sub in _children(attr, "Attribute")}
     values = []
     for axis in ("x", "y", "z"):
         raw = components.get(axis)
         if raw is None:
-            raise BiPanError(
-                "non-numeric-position", f"{path}: Position lacks component '{axis}'"
-            )
+            raise BiPanError("non-numeric-position", f"{path}: Position lacks component '{axis}'")
         try:
-            value = float(raw)
+            values.append(float(raw))
         except ValueError:
-            raise BiPanError(
-                "non-numeric-position", f"{path}: Position {axis}={raw!r} is not numeric"
-            ) from None
-        if not math.isfinite(value):
-            raise BiPanError(
-                "non-numeric-position", f"{path}: Position {axis}={raw!r} is not finite"
-            )
-        values.append(value)
-    return (values[0], values[1], values[2])
+            raise BiPanError("non-numeric-position",
+                             f"{path}: Position {axis}={raw!r} is not numeric") from None
+    return tuple(values)
 
 
 def _parse_internal_element(

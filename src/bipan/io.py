@@ -123,7 +123,7 @@ KEYS: dict[str, frozenset[str]] = {
 _KINDS = {kind.value: kind for kind in ProductKind}
 _ROLES = {role.value: role for role in FlowRole}
 _DIRECTIONS = {direction.value: direction for direction in Direction}
-_DICT, _NUMBERS, _STR = frozenset({dict}), frozenset({int, float}), frozenset({str})
+_DICT, _STR = frozenset({dict}), frozenset({str})
 _NO_ROWS: list[Any] = []  # an array left out; never changed
 _NO_MAP: dict[str, Any] = {}  # an object left out; never changed
 
@@ -174,11 +174,6 @@ def _model_from(doc: dict[str, Any]) -> BiPanModel:
     to be strings, and it resolves each endpoint to a node."""
     products, keys = [], KEYS["product"]
     for i, row in enumerate(_rows(doc, "products")):
-        position = row.get("position")
-        if position is not None and (type(position) is not list or len(position) != 3
-                                     or not _NUMBERS.issuperset(map(type, position))):
-            raise _fault(f"products[{i}].position", "must be an array"
-                         if type(position) is not list else "must be three numbers")
         node_id, label, kind = row.get("id"), row.get("label", ""), row.get("kind")
         type_ref, attributes = row.get("type_ref"), row.get("attributes", _NO_MAP)
         member = _KINDS.get(kind) if type(kind) is str else None
@@ -190,7 +185,8 @@ def _model_from(doc: dict[str, Any]) -> BiPanModel:
             raise _fault_of(row, "product", f"products[{i}]", id=(node_id, str),
                             label=(label, str), kind=(kind, _KINDS), type_ref=(type_ref, None),
                             attributes=(attributes, dict))
-        products.append(ProductNode(node_id, label, member, type_ref, position, attributes))
+        products.append(ProductNode(node_id, label, member, type_ref, row.get("position"),
+                                    attributes))
     nodes: dict[str, list[Any]] = {}
     for key, level, node in (("processes", "process", ProcessNode), ("skills", "skill", SkillNode)):
         nodes[key], keys = [], KEYS[level]

@@ -19,11 +19,11 @@ and ``INVERSION`` relabels assembly skills as disassembly skills. The planners
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, TypeVar
 
@@ -162,11 +162,16 @@ class FlowRole(Enum):
     OUTPUT = "Output"
 
 
+_SEQUENCES, _COORDINATES = (list, tuple), frozenset({int, float})
+
+
 class ProductNode(Record):
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
-    ``attributes`` is a read-only copy of the mapping given, so a model's cached
-    digest and diagnostics cannot go stale; products without any share one empty map.
+    ``position``, if given, is a list or tuple of three ints or floats (no bool, no str),
+    each finite as a float, and is held as a tuple of floats. ``attributes`` is a read-only
+    copy of the mapping given, so a model's cached digest and diagnostics cannot go stale;
+    products without any share one empty map.
     """
 
     __slots__ = ("id", "label", "kind", "type_ref", "position", "attributes")
@@ -179,21 +184,16 @@ class ProductNode(Record):
         if type(kind) is not ProductKind:
             raise BiPanError("invalid-kind", f"product '{id}': kind {kind!r} is not a ProductKind")
         if position is not None:
-            try:
-                position = tuple(float(c) for c in position)
-            except OverflowError as exc:
-                raise BiPanError(
-                    "invalid-position", f"product '{id}': position component is too large"
-                ) from exc
-            except (TypeError, ValueError) as exc:
-                raise BiPanError(
-                    "invalid-position", f"product '{id}': position components must be numbers"
-                ) from exc
-            if len(position) != 3:
-                raise BiPanError(
-                    "invalid-position",
-                    f"product '{id}': position must have exactly three components",
-                )
+            try:  # ``isfinite`` of an int past the float range raises OverflowError
+                valid = (type(position) in _SEQUENCES and len(position) == 3
+                         and _COORDINATES.issuperset(map(type, position))
+                         and all(map(isfinite, position)))
+            except OverflowError:
+                valid = False
+            if not valid:
+                raise BiPanError("invalid-position",
+                                 f"product '{id}': position must be three finite numbers")
+            position = tuple(map(float, position))
         set_id, set_label, set_kind, set_type_ref, set_position, set_attributes = self._stores
         set_id(self, id)
         set_label(self, label)
@@ -201,9 +201,6 @@ class ProductNode(Record):
         set_type_ref(self, type_ref)
         set_position(self, position)
         set_attributes(self, FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES)
-
-    def has_finite_position(self) -> bool:
-        return self.position is None or all(math.isfinite(c) for c in self.position)
 
 
 class ProcessNode(Record):

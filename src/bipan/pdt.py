@@ -44,6 +44,10 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
+def _not_a_health(component: str, state: object) -> BiPanError:
+    return BiPanError("invalid-health", f"component '{component}': health {state!r} is not a Health")
+
+
 class Event(Record):
     """One log entry; ``when`` is ``timestamp`` parsed once, at construction.
 
@@ -56,6 +60,8 @@ class Event(Record):
                  payload: Mapping[str, str] = FrozenMap()) -> None:
         set_timestamp, set_kind, set_payload, set_when = self._stores
         set_when(self, parse_timestamp(timestamp))
+        if not isinstance(kind, str):
+            raise BiPanError("parse-error", f"event kind {kind!r} is not a string")
         set_timestamp(self, timestamp)
         set_kind(self, kind)
         set_payload(self, FrozenMap(payload))
@@ -73,11 +79,17 @@ class PdtInstance(Record):
                  health: Mapping[str, Health], events: Iterable[Event] = ()) -> None:
         # The id names the twin's file, so it must not carry a path separator.
         check_id(instance_id)
+        for name, value in (("model_id", model_id), ("model_digest", model_digest)):
+            if not isinstance(value, str):
+                raise BiPanError("parse-error", f"{name} must be a string")
         health, events = FrozenMap(health), tuple(events)
+        if not {str}.issuperset(map(type, health)):  # ``check_id`` names the offender
+            for component in health:
+                if not isinstance(component, str):
+                    check_id(component)
         if not {Health}.issuperset(map(type, health.values())):
             component = next(c for c, state in health.items() if type(state) is not Health)
-            raise BiPanError("invalid-health", f"component '{component}': health "
-                             f"{health[component]!r} is not a Health")
+            raise _not_a_health(component, health[component])
         for earlier, event in zip(events, events[1:]):
             if event.when < earlier.when:
                 raise BiPanError("time-regression",
@@ -109,6 +121,8 @@ def _check_tracked(pdt: PdtInstance, component: str) -> None:
 def set_health(pdt: PdtInstance, component: str, health: Health, timestamp: str) -> PdtInstance:
     """Record a component health observation; always appends to the audit log."""
     _check_tracked(pdt, component)
+    if type(health) is not Health:
+        raise _not_a_health(component, health)
     event = Event(timestamp, "health-update", {"component": component, "health": health.value})
     return replace(pdt, health={**pdt.health, component: health}, events=(*pdt.events, event))
 

@@ -1,7 +1,7 @@
 """Structural well-formedness checking with coded, machine-readable diagnostics.
 
 ``validate`` never raises: findings are the result. The check list is fixed
-(V001-V012); V009 and V010 are warnings, everything else is an error. Cascading
+(V001-V011); V009 and V010 are warnings, everything else is an error. Cascading
 findings are reported, not suppressed, and the output order is deterministic.
 """
 
@@ -151,15 +151,6 @@ def _check_products(model: BiPanModel, found: list[Diagnostic]) -> None:
                     (prod.id, *producers),
                     f"{prod.kind.value} product '{prod.id}' must not have a producer "
                     f"(produced by '{producers[0]}')",
-                )
-            )
-
-        if not prod.has_finite_position():
-            found.append(
-                Diagnostic(
-                    "V012",
-                    (prod.id,),
-                    f"product '{prod.id}' has a non-finite position component",
                 )
             )
 

@@ -79,8 +79,11 @@ class TestImport:
             exchange.import_aml(caex(body))
         assert err.value.code == "duplicate-id"
 
-    @pytest.mark.parametrize("bad", ["three", "NaN", "inf"])
-    def test_non_numeric_position(self, bad):
+    # A number that is not finite is refused by ``ProductNode``, as from any source.
+    @pytest.mark.parametrize("bad,code", [
+        ("three", "non-numeric-position"), ("NaN", "invalid-position"), ("inf", "invalid-position"),
+    ], ids=["three", "NaN", "inf"])
+    def test_non_numeric_position(self, bad, code):
         body = (
             '<InternalElement ID="a" Name="A"><Attribute Name="Position">'
             f'<Attribute Name="x"><Value>{bad}</Value></Attribute>'
@@ -90,7 +93,7 @@ class TestImport:
         )
         with pytest.raises(BiPanError) as err:
             exchange.import_aml(caex(body))
-        assert err.value.code == "non-numeric-position"
+        assert err.value.code == code
 
     def test_missing_position_axis(self):
         body = (

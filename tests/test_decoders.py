@@ -51,13 +51,13 @@ CORPUS = [
     ('model', '{"products": [7]}',
      'parse-error', 'products[0] must be an object'),
     ('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": 1}]}',
-     'parse-error', 'products[0].position must be an array'),
+     'invalid-position', "product 'a': position must be three finite numbers"),
     ('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": [1, 2]}]}',
-     'parse-error', 'products[0].position must be three numbers'),
+     'invalid-position', "product 'a': position must be three finite numbers"),
     ('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": [1, "2", 3]}]}',
-     'parse-error', 'products[0].position must be three numbers'),
+     'invalid-position', "product 'a': position must be three finite numbers"),
     ('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": [1, null, 3]}]}',
-     'parse-error', 'products[0].position must be three numbers'),
+     'invalid-position', "product 'a': position must be three finite numbers"),
     ('model', '{"id": "m", "products": [{"kind": "Elementary"}]}',
      'parse-error', 'products[0].id must be a string'),
     ('model', '{"id": "m", "products": [{"id": 5, "kind": "Elementary"}]}',
@@ -252,7 +252,7 @@ CORPUS = [
     ('registry', '{"resources": [{"id": "r"}, {"id": "r", "skills": [1]}]}',
      'parse-error', 'resources[1].skills[0] must be a string'),
     ('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": [1, true, 3]}]}',
-     'parse-error', 'products[0].position must be three numbers'),
+     'invalid-position', "product 'a': position must be three finite numbers"),
     ('plan', '{}',
      'parse-error', 'steps must be an array'),
     ('plan', '{"model_id": "m", "model_digest": "d"}',
@@ -331,6 +331,10 @@ CORPUS = [
      'parse-error', 'steps[0].direction must be a string'),
     ('twin', '{"instance_id": "V", "health": {"a": []}}',
      'parse-error', 'health[a] must be a string'),
+    # Numbers that parse but are not finite as a float: ``ProductNode`` refuses them.
+    *(('model', '{"id": "m", "products": [{"id": "a", "kind": "Elementary", "label": "A", "position": [%s, 0, 0]}]}' % number,
+       'invalid-position', "product 'a': position must be three finite numbers")
+      for number in ("NaN", "Infinity", "1e400", "1" + "0" * 399)),
 ]
 
 

@@ -212,12 +212,6 @@ class TestDecodersAgreeWithPythonCallers:
             ('"products": [{"id": "a", "kind": ["Fastener"]}]', "products[0].kind must be a string"),
             ('"products": [{"id": "a", "kind": "Fastener", "type_ref": 1}]',
              "products[0].type_ref must be a string"),
-            ('"products": [{"id": "a", "kind": "Fastener", "position": "123"}]',
-             "products[0].position must be an array"),
-            ('"products": [{"id": "a", "kind": "Fastener", "position": {"1": 0, "2": 0, "3": 0}}]',
-             "products[0].position must be an array"),
-            ('"products": [{"id": "a", "kind": "Fastener", "position": [0, "2", 0]}]',
-             "products[0].position must be three numbers"),
             ('"products": [{"id": "a", "kind": "Fastener", "attributes": [["k", "v"]]}]',
              "products[0].attributes must be an object"),
             ('"products": [{"id": "a", "kind": "Fastener", "attributes": {"k": 1}}]',
@@ -241,6 +235,17 @@ class TestDecodersAgreeWithPythonCallers:
             io.load_model(document)
         assert (err.value.code, err.value.detail) == ("parse-error", detail)
         assert _locates(json.loads(document), detail)
+
+    @pytest.mark.parametrize("position", ['"123"', '{"1": 0, "2": 0, "3": 0}', '[0, "2", 0]'])
+    def test_near_valid_positions_are_refused_by_the_product(self, position):
+        """A string or an object that iterates to three numbers, or a numeric string among
+        numbers, is no position; ``ProductNode`` says so, as to a Python caller."""
+        document = ('{"id": "m", "products": [{"id": "a", "kind": "Fastener", "position": '
+                    + position + "}]}").encode("utf-8")
+        with pytest.raises(BiPanError) as err:
+            io.load_model(document)
+        assert (err.value.code, err.value.detail) == (
+            "invalid-position", "product 'a': position must be three finite numbers")
 
     @given(models(), st.randoms(use_true_random=False))
     def test_shuffled_document_gives_same_digest_and_plans(self, model, rnd):

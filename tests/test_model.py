@@ -2,10 +2,13 @@ import copy
 import dataclasses
 import gc
 import json
+import math
 import operator
 import pickle
 import re
 import time
+from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given
@@ -251,7 +254,7 @@ class TestConstruction:
         with pytest.raises(BiPanError) as err:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=("a", 1, 2))
         assert (err.value.code, err.value.detail) == (
-            "invalid-position", "product 'a': position components must be numbers"
+            "invalid-position", "product 'a': position must be three finite numbers"
         )
 
     @pytest.mark.parametrize(
@@ -320,6 +323,74 @@ class TestConstruction:
             Diagnostic("V003", ("a", *pids), f"product 'a' has {width} consumers ({listed})"),
             Diagnostic("V003", ("f", *pids), f"product 'f' has {width} producers ({listed})"),
         ]
+
+
+def _finite(value):
+    try:
+        return type(value) in (int, float) and abs(float(value)) < math.inf
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def is_position(value):
+    """The position rule, stated apart from ``ProductNode``: a list or tuple of three ints
+    or floats (no bool, no str), each finite as a float."""
+    return type(value) in (list, tuple) and len(value) == 3 and all(map(_finite, value))
+
+
+COORDINATES = (
+    st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308])
+    | st.booleans() | st.sampled_from(["1", "-2.5", "1e400", "nan"])
+)
+FINITE = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+SEQUENCES = (st.lists(COORDINATES, max_size=4) | st.lists(COORDINATES, min_size=3, max_size=3)
+             | st.lists(FINITE, min_size=3, max_size=3))
+POSITIONS = (
+    st.none() | SEQUENCES | SEQUENCES.map(tuple)
+    | st.sampled_from(["123", {"x": 1.0, "y": 2.0, "z": 3.0}])
+    | st.builds(lambda: (c for c in (1.0, 2.0, 3.0)))
+)
+POSITION_DETAIL = "product 'a': position must be three finite numbers"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is no RFC 8259 JSON")
+
+
+class TestPositionRule:
+    """``ProductNode`` alone states the position rule, and every source of a product,
+    a Python caller or a model document, meets it there."""
+
+    @given(POSITIONS)
+    def test_invalid_position_exactly_when_not_three_finite_numbers(self, position):
+        valid = position is None or is_position(position)  # reads no generator
+        document = None if isinstance(position, GeneratorType) else json.dumps(
+            {"id": "m", "products": [{"id": "a", "kind": "Final", "label": "A",
+                                     "position": position}]}).encode("utf-8")
+        try:
+            node = ProductNode("a", "A", ProductKind.FINAL, position=position)
+        except BiPanError as exc:
+            assert not valid, position
+            assert (exc.code, exc.detail) == ("invalid-position", POSITION_DETAIL)
+            if document is not None:
+                with pytest.raises(BiPanError) as err:
+                    io.load_model(document)
+                assert (err.value.code, err.value.detail) == (exc.code, exc.detail)
+            return
+        assert valid, position
+        model = BiPanModel("m", (node,))
+        data = io.save_model(model)
+        assert io.load_model(data) == model
+        json.loads(data, parse_constant=_refuse)
+        assert io.load_model(document) == model
+
+    def test_the_rule_is_stated_once(self):
+        """Only ``model`` tests finiteness: no other module re-checks a position or writes
+        one that is not finite."""
+        source = Path(io.__file__).parent
+        assert [path.name for path in sorted(source.glob("*.py"))
+                if "isfinite" in path.read_text(encoding="utf-8")] == ["model.py"]
 
 
 class TestInvariants:

@@ -314,6 +314,35 @@ class TestTwinIsAValue:
         assert (err.value.code, err.value.detail) == (
             "invalid-health", "component 'b': health 'Ok' is not a Health")
 
+    # A twin record refuses a value ``canon.twin_bytes`` could not write, with the code a
+    # document holding it would give.
+    def test_set_health_with_a_value_that_is_no_health_is_invalid_health(self, f1):
+        twin = create_instance("VIN-004", f1)
+        with pytest.raises(BiPanError) as err:
+            set_health(twin, "mod8", "Ok", T0)
+        assert (err.value.code, err.value.detail) == (
+            "invalid-health", "component 'mod8': health 'Ok' is not a Health")
+
+    def test_a_component_id_that_is_no_string_is_invalid_id(self):
+        with pytest.raises(BiPanError) as err:
+            pdt.PdtInstance("V", "m", "d", {"a": Health.OK, 5: Health.OK})
+        assert err.value.code == "invalid-id"
+        assert err.value.detail.startswith("node id 5 ")
+
+    @pytest.mark.parametrize("model_id,digest,name", [
+        (7, "d", "model_id"), ("m", None, "model_digest"), (b"m", b"d", "model_id"),
+    ])
+    def test_a_model_id_or_digest_that_is_no_string_is_a_parse_error(self, model_id, digest,
+                                                                      name):
+        with pytest.raises(BiPanError) as err:
+            pdt.PdtInstance("V", model_id, digest, {})
+        assert (err.value.code, err.value.detail) == ("parse-error", f"{name} must be a string")
+
+    def test_an_event_kind_that_is_no_string_is_a_parse_error(self):
+        with pytest.raises(BiPanError) as err:
+            pdt.Event(T0, 5)
+        assert (err.value.code, err.value.detail) == ("parse-error", "event kind 5 is not a string")
+
     def test_pickles_and_copies(self, f1):
         import copy
         import pickle

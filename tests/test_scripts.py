@@ -60,6 +60,24 @@ def test_ingest_table_prints_a_twin_row_in_a_table_of_its_own():
     header, rule, row = twins.splitlines()
     assert header.startswith("| twin | `json.loads` | decode, GC paused |") and rule.startswith("| --- |")
     assert row.startswith("| twin-40 | ") and row.endswith("× |") and row.count("|") == 8
+    # The twin it times is one ``pdt set-health`` could have written: its health map is
+    # every tracked component Unknown, then each event's health in log order.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, 'scripts')\n"
+        "from bipan import io, pdt\n"
+        "from ingest_table import twin_data\n"
+        "twin = io.load_instance(twin_data(40))\n"
+        "fold = dict.fromkeys(twin.health, pdt.Health.UNKNOWN)\n"
+        "for event in twin.events:\n"
+        "    fold[event.payload['component']] = pdt.Health(event.payload['health'])\n"
+        "print(len(twin.events), fold == twin.health, len(set(fold.values())))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["40", "True", "4"]
 
 
 def test_ingest_table_pauses_the_gc_and_turns_it_back_on_after_a_stage_that_raises():

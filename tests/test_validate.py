@@ -136,12 +136,12 @@ def test_fastens_valid_link_is_quiet(f1):
 
 
 def test_non_finite_position(f1):
-    products = tuple(
-        replace(p, position=(math.nan, 0.0, 0.0)) if p.id == "mod1" else p
-        for p in f1.products
+    """A non-finite position is no finding: a product holding one cannot be built."""
+    with pytest.raises(BiPanError) as err:
+        replace(f1.product("mod1"), position=(math.nan, 0.0, 0.0))
+    assert (err.value.code, err.value.detail) == (
+        "invalid-position", "product 'mod1': position must be three finite numbers"
     )
-    diags = validate(replace(f1, products=products))
-    assert codes_of(diags) == {"V012"}
 
 
 def test_items_sorted_by_code_then_node(f1):
@@ -265,6 +265,6 @@ def test_readme_table_matches():
     rows = re.findall(r"^\| (V\d{3}) \| (error|warning) \|", section, re.MULTILINE)
     source = (root / "src" / "bipan" / "validate.py").read_text(encoding="utf-8")
     assert {code for code, _ in rows} == set(re.findall(r'"(V0\d\d)"', source))
-    assert len(rows) == 12
+    assert len(rows) == 11
     for code, severity in rows:
         assert Diagnostic(code, (), "").severity.value.lower() == severity, code
