@@ -232,7 +232,7 @@ def _cmd_exec(args: argparse.Namespace) -> None:
         state = io.load_state(io.read_file(args.inventory))
     trace = run(plan, state, model)
     if args.format == "json":
-        _emit(canon.trace_bytes(trace))
+        _emit(canon.canonical_bytes(trace.to_obj()))
     else:
         lines = [
             f"step {i}: {step.direction.value} '{step.process}' -> "

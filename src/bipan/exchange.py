@@ -236,10 +236,11 @@ def _dot_edge(tail: str, head: str, attrs: str) -> str:
 def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
     """Deterministic Graphviz text; a plan overlays one numbered red edge per step.
 
-    An overlay edge is read from the model: from a Forward step's process to its
-    output, back for a Reverse step, and from a Swap's replacement to its site.
-    Every id and label is quoted and escaped, so no text from a model or plan
-    can end its quotes and add statements.
+    The plan must have been extracted from this model version (``digest-mismatch``
+    otherwise). An overlay edge is read from the model: from a Forward step's process to
+    its output, back for a Reverse step, and from a Swap's replacement to its site. Every
+    id and label is quoted and escaped, so no text from a model or plan can end its quotes
+    and add statements.
     """
     lines = [
         "digraph bipan {",
@@ -265,6 +266,7 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
         lines.extend(_dot_edge(pid, skill, "style=dashed, color=goldenrod") for skill in skills)
 
     if plan is not None:
+        model.ensure_digest(plan.model_digest, "plan was built for")
         foreign = {s.swap_replacement for s in plan.steps
                    if s.direction is Direction.SWAP and not model.has_node(s.swap_replacement)}
         for node_id in sorted(foreign):

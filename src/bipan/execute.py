@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from functools import cache
+from typing import Any
 
 from bipan.errors import BiPanError
 from bipan.model import INVERSION, BiPanModel, Direction, FrozenMap, Plan, PlanStep, Record
@@ -40,6 +41,9 @@ class ExecState(Record):
         set_present(self, frozenset(present))
         set_substitutions(self, FrozenMap(substitutions))
 
+    def to_obj(self) -> dict[str, Any]:
+        return {"present": sorted(self.present), "substitutions": dict(self.substitutions)}
+
 
 class Trace(Record):
     """One replay: its start state, the steps it applied, and its end state."""
@@ -54,6 +58,9 @@ class Trace(Record):
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def to_obj(self) -> dict[str, Any]:
+        return {"final": self.final.to_obj(), "initial": self.initial.to_obj()}
 
 
 def initial_inventory(model: BiPanModel) -> ExecState:

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from bipan.canon import model_bytes, plan_bytes, state_bytes, twin_bytes
+from bipan.canon import canonical_bytes, model_bytes, plan_bytes, twin_bytes
 from bipan.errors import BiPanError
 from bipan.model import (
     BiPanModel,
@@ -100,7 +100,7 @@ def _parse_json(data: bytes) -> dict[str, Any]:
 # reports what a Python caller building the same records and rows gets.
 
 #: The keys each object of a native document may hold: each kind's root and each kind
-#: of row in its arrays. The ``canon`` templates write exactly these.
+#: of row in its arrays. The ``canon`` writers write exactly these.
 KEYS: dict[str, frozenset[str]] = {
     "model": frozenset({"id", "products", "processes", "skills", "flows", "skill_edges",
                         "fastens"}),
@@ -138,7 +138,7 @@ def _fault_of(obj: dict[str, Any], level: str, where: str,
     order given, whose value is not of its form, else its least key outside ``KEYS[level]``
     (``_NO_MAP`` has none). A form is ``str``; ``None``, a string or null; ``list``, an array
     of strings; ``dict``, an object of strings; or an enum's members by value. Rows come by
-    the thousand, so each is tested inline first, and this runs only on one that fails.
+    the thousand, so each is tested inline first; a registry's few rows call this alone.
     """
     for name, (value, form) in fields.items():
         path = f"{where}.{name}" if where else name
@@ -279,13 +279,12 @@ def save_plan(plan: Plan) -> bytes:
 def load_registry(data: bytes) -> frozenset[str]:
     """The skills a registry's resources pool; a resource id given twice is ``duplicate-id``."""
     doc = _parse_json(data)
-    ids, skills, keys = [], set(), KEYS["resource"]
+    ids, skills = [], set()
     for i, row in enumerate(_rows(doc, "resources", None)):
         resource, pooled = row.get("id"), row.get("skills", _NO_ROWS)
-        if (type(resource) is not str or type(pooled) is not list
-                or not _STR.issuperset(map(type, pooled)) or not keys.issuperset(row)):
-            raise _fault_of(row, "resource", f"resources[{i}]", id=(resource, str),
-                            skills=(pooled, list))
+        if fault := _fault_of(row, "resource", f"resources[{i}]", id=(resource, str),
+                              skills=(pooled, list)):
+            raise fault
         ids.append(resource)
         skills.update(pooled)
     if fault := _fault_of(doc, "registry", ""):
@@ -417,4 +416,4 @@ def load_state(data: bytes) -> ExecState:
 
 
 def save_state(state: ExecState) -> bytes:
-    return state_bytes(state)
+    return canonical_bytes(state.to_obj())

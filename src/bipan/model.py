@@ -499,6 +499,10 @@ class PlanStep(Record):
 
     def __init__(self, process: str, direction: Direction, consumed: Iterable[str],
                  produced: Iterable[str], required_skills: Iterable[str]) -> None:
+        if type(process) is not str:
+            raise BiPanError("parse-error", f"step process {process!r} is not a string")
+        if type(direction) is not Direction:
+            raise BiPanError("parse-error", f"step direction {direction!r} is not a Direction")
         consumed, produced = tuple(consumed), tuple(produced)
         swap = direction is _SWAP
         if swap and (len(consumed), len(produced)) != (1, 1):
@@ -522,6 +526,9 @@ class Plan(Record):
     __slots__ = ("model_id", "model_digest", "steps")
 
     def __init__(self, model_id: str, model_digest: str, steps: Iterable[PlanStep]) -> None:
+        for name, value in (("model_id", model_id), ("model_digest", model_digest)):
+            if type(value) is not str:
+                raise BiPanError("parse-error", f"{name} must be a string")
         set_model_id, set_model_digest, set_steps = self._stores
         set_model_id(self, model_id)
         set_model_digest(self, model_digest)

@@ -523,7 +523,7 @@ class TestAmlAndDot:
 
     def test_export_dot_step_at_unknown_process(self, workdir, capsys):
         plan = workdir / "ghost.plan.json"
-        plan.write_bytes(io.save_plan(Plan("m", "d", (
+        plan.write_bytes(io.save_plan(Plan("m", battery_model().digest, (
             PlanStep("ghost", Direction.REVERSE, ("battery",), (), ()),
         ))))
         assert main(["export-dot", model_path(workdir), "--plan", str(plan)]) == 3
@@ -532,6 +532,24 @@ class TestAmlAndDot:
         assert captured.err == (
             "error: unknown-process: step 0 (Reverse 'ghost'): no process 'ghost' in model "
             f"'{battery_model().id}'\n"
+        )
+
+    def test_export_dot_of_a_plan_for_another_model_is_digest_mismatch(self, workdir, capsys):
+        """``export-dot --plan`` checks the plan's model digest as ``exec`` does."""
+        doc = json.loads(io.save_plan(assembly_recipe(battery_model())))
+        doc["model_digest"] = "0" * 64
+        plan = workdir / "foreign.plan.json"
+        plan.write_text(json.dumps(doc))
+        errors = []
+        for argv in (["export-dot", model_path(workdir), "--plan", str(plan)],
+                     ["exec", str(plan), model_path(workdir)]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == (
+            f"error: digest-mismatch: plan was built for digest {'0' * 12}..., "
+            f"model '{battery_model().id}' has {battery_model().digest[:12]}...\n"
         )
 
 
@@ -1096,7 +1114,7 @@ class TestHostileInput:
         """A step at a process with no output (a V001 mutant) has no edge to draw."""
         mutant = MUTANTS["V001"][0](battery_model())  # p1 lost its output stage1
         (workdir / "mutant.bipan.json").write_bytes(io.save_model(mutant))
-        plan = assembly_recipe(battery_model())
+        plan = replace(assembly_recipe(battery_model()), model_digest=mutant.digest)
         (workdir / "asm.plan.json").write_bytes(io.save_plan(plan))
         index = plan.process_sequence().index("p1")
         result = run_cli(["export-dot", "mutant.bipan.json", "--plan", "asm.plan.json"], workdir)

@@ -9,7 +9,7 @@ from hypothesis import given
 
 import bipan.execute
 from bipan import io
-from bipan.canon import trace_bytes
+from bipan.canon import canonical_bytes
 from bipan.errors import BiPanError
 from bipan.execute import ExecState, apply_step, initial_inventory, run
 from bipan.model import COMPONENT_KINDS, Direction, Plan, PlanStep, replace
@@ -111,6 +111,24 @@ class TestApplyStep:
             assert (err.value.code, err.value.detail) == (
                 "malformed-step", "swap step at 'p2' must consume one id and produce one"
             )
+
+    @pytest.mark.parametrize("process,direction,detail", [
+        ("p2", "Forward", "step direction 'Forward' is not a Direction"),
+        (7, Direction.FORWARD, "step process 7 is not a string"),
+    ])
+    def test_a_step_refuses_what_its_plan_cannot_write(self, process, direction, detail):
+        """``io.save_plan`` writes a direction by its enum value and a process as a string."""
+        with pytest.raises(BiPanError) as err:
+            PlanStep(process, direction, ("mod8r",), ("mod8",), ())
+        assert (err.value.code, err.value.detail) == ("parse-error", detail)
+
+    @pytest.mark.parametrize("model_id,digest,name", [(7, "d", "model_id"),
+                                                      ("m", None, "model_digest")])
+    def test_a_plan_model_id_or_digest_that_is_no_string_is_a_parse_error(self, model_id,
+                                                                           digest, name):
+        with pytest.raises(BiPanError) as err:
+            Plan(model_id, digest, ())
+        assert (err.value.code, err.value.detail) == ("parse-error", f"{name} must be a string")
 
     def test_swap_ids_are_its_lists(self):
         """A Swap's ids are read from its lists; every other step names none."""
@@ -295,7 +313,7 @@ class TestTraceEntries:
         the trace's start state, reach its end state."""
         for model, (_, cases) in zip(corpus(), planned()):
             for _, plan, start, _ in cases:
-                trace = json.loads(trace_bytes(run(plan, start, model)))
+                trace = json.loads(canonical_bytes(run(plan, start, model).to_obj()))
                 present = set(trace["initial"]["present"])
                 substitutions = trace["initial"]["substitutions"]
                 for step in json.loads(io.save_plan(plan))["steps"]:

@@ -24,10 +24,6 @@ from mutations import MUTANTS, drop_flows
 from strategies import models
 
 
-def codes_of(diags):
-    return {d.code for d in diags.items}
-
-
 def test_battery_fixture_is_clean(f1):
     assert validate(f1).items == ()
 
@@ -44,25 +40,25 @@ def test_each_mutation_triggers_its_code(f1, code):
     mutate, node = MUTANTS[code]
     diags = validate(mutate(f1))
     assert diags.items, "mutation must never yield zero findings"
-    assert code in codes_of(diags)
+    assert code in diags.codes()
     hits = [d for d in diags.items if d.code == code]
     if node is not None:
         assert any(node in d.nodes for d in hits)
 
 
 def test_exact_sets_for_local_mutations(f1):
-    assert codes_of(validate(MUTANTS["V003"][0](f1))) == {"V003"}
-    assert codes_of(validate(MUTANTS["V004"][0](f1))) == {"V004", "V006"}
-    assert codes_of(validate(MUTANTS["V005"][0](f1))) == {"V004", "V005"}
-    assert codes_of(validate(MUTANTS["V007"][0](f1))) == {"V007"}
-    assert codes_of(validate(MUTANTS["V008"][0](f1))) == {"V005", "V008"}
+    assert validate(MUTANTS["V003"][0](f1)).codes() == ("V003",)
+    assert validate(MUTANTS["V004"][0](f1)).codes() == ("V004", "V006")
+    assert validate(MUTANTS["V005"][0](f1)).codes() == ("V004", "V005")
+    assert validate(MUTANTS["V007"][0](f1)).codes() == ("V007",)
+    assert validate(MUTANTS["V008"][0](f1)).codes() == ("V005", "V008")
 
 
 def test_dropped_stage_edge_details(f1):
     diags = validate(drop_flows(f1, ("stage4", "p5", FlowRole.INPUT)))
     v006 = [d for d in diags.items if d.code == "V006"]
     assert [d.nodes[0] for d in v006] == ["stage4"]
-    assert "V002" not in codes_of(diags)
+    assert "V002" not in diags.codes()
     unreachable = {d.nodes[0] for d in diags.items if d.code == "V010"}
     assert "p1" in unreachable and "mod5" in unreachable
     assert "screws2" not in unreachable
@@ -74,13 +70,13 @@ def test_dropped_stage_edge_details(f1):
 def test_rekinded_final_keeps_reachability_quiet(f1):
     # With no Final product the sink product anchors reachability instead.
     diags = validate(MUTANTS["V004"][0](f1))
-    assert "V010" not in codes_of(diags)
+    assert "V010" not in diags.codes()
 
 
 def test_missing_skills_is_warning_only(f1):
     stripped = replace(f1, skill_edges=tuple(e for e in f1.skill_edges if e[0] != "p4"))
     diags = validate(stripped)
-    assert codes_of(diags) == {"V009"}
+    assert diags.codes() == ("V009",)
     assert not diags.has_errors
     assert diags.items[0].severity is Severity.WARNING
 
@@ -90,7 +86,7 @@ def test_detached_node_is_warning_only(f1):
         f1, products=(*f1.products, ProductNode("spare", "Spare part", ProductKind.ELEMENTARY))
     )
     diags = validate(extra)
-    assert codes_of(diags) == {"V010"}
+    assert diags.codes() == ("V010",)
     assert not diags.has_errors
 
 
@@ -98,7 +94,7 @@ def test_fastens_not_co_inputs(f1):
     # screws1 feeds p1 but mod8 feeds p2: no common process hosts both.
     bad = replace(f1, fastens=(FastensLink("screws1", frozenset({"mod8"})),))
     diags = validate(bad)
-    assert codes_of(diags) == {"V011"}
+    assert diags.codes() == ("V011",)
 
 
 def test_fastens_host_matches_brute_force(f1):
@@ -120,14 +116,14 @@ def test_fastens_host_matches_brute_force(f1):
             members = {link.fastener, *link.secures}
             hosted = any(members <= set(model.adjacency.inputs[p.id]) for p in model.processes)
             diags = validate(replace(model, fastens=(link,)))
-            assert ("V011" in codes_of(diags)) is not hosted
+            assert ("V011" in diags.codes()) is not hosted
             outcomes.add(hosted)
     assert outcomes == {True, False}
 
 
 def test_fastens_wrong_kind(f1):
     bad = replace(f1, fastens=(FastensLink("box", frozenset({"cooling"})),))
-    assert codes_of(validate(bad)) == {"V011"}
+    assert validate(bad).codes() == ("V011",)
 
 
 def test_fastens_valid_link_is_quiet(f1):
