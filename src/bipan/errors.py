@@ -1,4 +1,8 @@
-"""Single exception type for the package; every failure carries a stable kebab-case code."""
+"""Single exception type for the package; every failure carries a stable kebab-case code.
+
+A code names a fault class, not the caller or the format: a value of the wrong type or shape
+is ``parse-error`` from a document or a Python caller, and CAEX gets a JSON document's codes.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +16,12 @@ EXIT_CODES: dict[str, int] = {
     "dangling-reference": 2,
     "detached-node": 2,
     "duplicate-id": 2,
-    "invalid-health": 2,
     "invalid-id": 2,
-    "invalid-kind": 2,
     "invalid-position": 2,
-    "invalid-role": 2,
     "invalid-timestamp": 2,
     "kind-conflict": 2,
     "label-conflict": 2,
-    "malformed-edge": 2,
     "missing-replacement": 2,
-    "non-numeric-position": 2,
     "parse-error": 2,
     "replacement-exists": 2,
     "target-is-final": 2,
@@ -30,9 +29,7 @@ EXIT_CODES: dict[str, int] = {
     "unknown-component": 2,
     "unknown-node": 2,
     "unreadable": 2,
-    "unsupported-root": 2,
     "usage": 2,
-    "xml-parse-error": 2,
     "infeasible": 1,
     "invalid-model": 1,
     "nothing-broken": 1,
@@ -40,7 +37,6 @@ EXIT_CODES: dict[str, int] = {
     "double-produce": 3,
     "instance-mismatch": 3,
     "io-error": 3,
-    "malformed-step": 3,
     "missing-input": 3,
     "out-of-memory": 3,
     "step-mismatch": 3,

@@ -68,11 +68,11 @@ def _parse_position(attr: ElementTree.Element, path: str) -> tuple[float, ...]:
     for axis in ("x", "y", "z"):
         raw = components.get(axis)
         if raw is None:
-            raise BiPanError("non-numeric-position", f"{path}: Position lacks component '{axis}'")
+            raise BiPanError("invalid-position", f"{path}: Position lacks component '{axis}'")
         try:
             values.append(float(raw))
         except ValueError:
-            raise BiPanError("non-numeric-position",
+            raise BiPanError("invalid-position",
                              f"{path}: Position {axis}={raw!r} is not numeric") from None
     return tuple(values)
 
@@ -91,7 +91,7 @@ def _parse_internal_element(
     label = f"'{name}'" if name else "(unnamed)"
     here = f"{path}/InternalElement {label}"
     if not element_id:
-        raise BiPanError("xml-parse-error", f"{here}: missing ID attribute")
+        raise BiPanError("parse-error", f"{here}: missing ID attribute")
     if element_id in seen:
         raise BiPanError("duplicate-id", f"{here}: duplicate id '{element_id}'")
     seen.add(element_id)
@@ -104,7 +104,7 @@ def _parse_internal_element(
     for attr in _children(element, "Attribute"):
         attr_name = attr.get("Name")
         if attr_name is None:
-            raise BiPanError("xml-parse-error", f"{here}: Attribute lacks a Name")
+            raise BiPanError("parse-error", f"{here}: Attribute lacks a Name")
         if attr_name == "Position":
             position = _parse_position(attr, here)
         elif attr_name == "BiPanKind":
@@ -113,7 +113,7 @@ def _parse_internal_element(
                 kind = ProductKind(raw)
             except ValueError:
                 raise BiPanError(
-                    "xml-parse-error", f"{here}: BiPanKind {raw!r} is not a product kind"
+                    "parse-error", f"{here}: BiPanKind {raw!r} is not a product kind"
                 ) from None
             explicit.add(element_id)
         else:
@@ -139,10 +139,10 @@ def import_aml(data: bytes) -> AmlFragment:
     except ElementTree.ParseError as exc:
         line, column = exc.position  # ``msg`` ends with them too
         reason = exc.msg.removesuffix(f": line {line}, column {column}")
-        raise BiPanError("xml-parse-error", f"line {line}, column {column}: {reason}") from exc
+        raise BiPanError("parse-error", f"line {line}, column {column}: {reason}") from exc
     if _local_name(root.tag) != "CAEXFile":
         raise BiPanError(
-            "unsupported-root", f"expected CAEXFile root element, found '{_local_name(root.tag)}'"
+            "parse-error", f"expected CAEXFile root element, found '{_local_name(root.tag)}'"
         )
     products: list[ProductNode] = []
     explicit: set[str] = set()
@@ -280,7 +280,7 @@ def export_dot(model: BiPanModel, plan: Plan | None = None) -> str:
             if step.direction is Direction.SWAP:
                 tail, head = step.swap_replacement, step.process
             elif not made:
-                raise BiPanError("malformed-step", f"{where}: its process has no output to draw")
+                raise BiPanError("step-mismatch", f"{where}: its process has no output to draw")
             elif step.direction is Direction.FORWARD:
                 tail, head = step.process, made[0]
             else:

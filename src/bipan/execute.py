@@ -30,16 +30,22 @@ _SWAP, _FORWARD = Direction.SWAP, Direction.FORWARD  # a member read from its cl
 class ExecState(Record):
     """Free items and topmost assemblies, plus substitutions applied so far.
 
-    ``substitutions`` is a read-only copy of the mapping given.
+    ``substitutions`` is a read-only copy of the mapping given. Every id is a string
+    (``parse-error`` otherwise), as a state document holds it.
     """
 
     __slots__ = ("present", "substitutions")
 
     def __init__(self, present: frozenset[str],
                  substitutions: Mapping[str, str] = FrozenMap()) -> None:
+        present, substitutions = frozenset(present), FrozenMap(substitutions)
+        if not {str}.issuperset(map(type, present)):
+            raise BiPanError("parse-error", "present must hold strings only")
+        if not {str}.issuperset(map(type, (*substitutions, *substitutions.values()))):
+            raise BiPanError("parse-error", "substitutions must map strings to strings")
         set_present, set_substitutions = self._stores
-        set_present(self, frozenset(present))
-        set_substitutions(self, FrozenMap(substitutions))
+        set_present(self, present)
+        set_substitutions(self, substitutions)
 
     def to_obj(self) -> dict[str, Any]:
         return {"present": sorted(self.present), "substitutions": dict(self.substitutions)}

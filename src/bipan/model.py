@@ -36,16 +36,15 @@ _ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01234
 
 
 def check_id(value: object) -> str:
-    """Return ``value`` if it is a well-formed node id, else raise ``invalid-id``.
+    """Return ``value`` if it is a well-formed node id, else raise ``invalid-id``
+    (``parse-error`` if it is not a string).
 
     A well-formed id is a non-empty string over ``[A-Za-z0-9_.-]``. A set test
     states that as directly as a regex, and runs in about half the time.
     """
     if not isinstance(value, str) or not value or not _ID_CHARS.issuperset(value):
-        raise BiPanError(
-            "invalid-id",
-            f"node id {value!r} must be a non-empty string matching [A-Za-z0-9_.-]+",
-        )
+        raise BiPanError("invalid-id" if isinstance(value, str) else "parse-error",
+                         f"node id {value!r} must be a non-empty string matching [A-Za-z0-9_.-]+")
     return value
 
 
@@ -162,16 +161,17 @@ class FlowRole(Enum):
     OUTPUT = "Output"
 
 
-_SEQUENCES, _COORDINATES = (list, tuple), frozenset({int, float})
+_SEQUENCES, _COORDINATES, _STRINGS = (list, tuple), frozenset({int, float}), frozenset({str})
 
 
 class ProductNode(Record):
     """A concrete product instance (not a part type; shared types go in ``type_ref``).
 
-    ``position``, if given, is a list or tuple of three ints or floats (no bool, no str),
-    each finite as a float, and is held as a tuple of floats. ``attributes`` is a read-only
-    copy of the mapping given, so a model's cached digest and diagnostics cannot go stale;
-    products without any share one empty map.
+    ``label``, ``type_ref`` unless None, and each key and value of ``attributes`` are
+    strings (``parse-error`` otherwise). ``position``, if given, is a list or tuple of three
+    ints or floats (no bool, no str), each finite as a float, and is held as a tuple of
+    floats. ``attributes`` is a read-only copy of the mapping given, so a model's cached
+    digest and diagnostics cannot go stale; products without any share one empty map.
     """
 
     __slots__ = ("id", "label", "kind", "type_ref", "position", "attributes")
@@ -182,7 +182,14 @@ class ProductNode(Record):
                  attributes: Mapping[str, str] = _NO_ATTRIBUTES) -> None:
         check_id(id)
         if type(kind) is not ProductKind:
-            raise BiPanError("invalid-kind", f"product '{id}': kind {kind!r} is not a ProductKind")
+            raise BiPanError("parse-error", f"product '{id}': kind {kind!r} is not a ProductKind")
+        if type(label) is not str or type_ref is not None and type(type_ref) is not str:
+            field, value = ("label", label) if type(label) is not str else ("type_ref", type_ref)
+            raise BiPanError("parse-error", f"product '{id}': {field} {value!r} is not a string")
+        attributes = FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES
+        if attributes and not _STRINGS.issuperset(map(type, (*attributes, *attributes.values()))):
+            raise BiPanError("parse-error",
+                             f"product '{id}': attributes must map strings to strings")
         if position is not None:
             try:  # ``isfinite`` of an int past the float range raises OverflowError
                 valid = (type(position) in _SEQUENCES and len(position) == 3
@@ -200,7 +207,7 @@ class ProductNode(Record):
         set_kind(self, kind)
         set_type_ref(self, type_ref)
         set_position(self, position)
-        set_attributes(self, FrozenMap(attributes) if attributes else self._NO_ATTRIBUTES)
+        set_attributes(self, attributes)
 
 
 class ProcessNode(Record):
@@ -209,6 +216,8 @@ class ProcessNode(Record):
     def __init__(self, id: str, label: str) -> None:
         set_id, set_label = self._stores
         set_id(self, check_id(id))
+        if type(label) is not str:
+            raise BiPanError("parse-error", f"process '{id}': label {label!r} is not a string")
         set_label(self, label)
 
 
@@ -220,6 +229,8 @@ class SkillNode(Record):
     def __init__(self, id: str, label: str) -> None:
         set_id, set_label = self._stores
         set_id(self, check_id(id))
+        if type(label) is not str:
+            raise BiPanError("parse-error", f"skill '{id}': label {label!r} is not a string")
         set_label(self, label)
 
 
@@ -266,11 +277,10 @@ def _first_fault(nodes: Mapping[str, Record], flows: tuple, skill_edges: tuple,
     for source, rows, width in (("flow", flows, 3), ("skill edge", skill_edges, 2)):
         for row in rows:
             if not isinstance(row, Sequence) or len(row) != width:
-                raise BiPanError("malformed-edge",
-                                 f"{source} {row!r} is not a row of {width} items")
+                raise BiPanError("parse-error", f"{source} {row!r} is not a row of {width} items")
     for product, process, role in flows:
         if type(role) is not FlowRole:
-            raise BiPanError("invalid-role", f"flow {product!r}-{process!r}: role {role!r} "
+            raise BiPanError("parse-error", f"flow {product!r}-{process!r}: role {role!r} "
                              "is not a FlowRole")
     for ids in (*((product, process) for product, process, _ in flows), *skill_edges,
                 *((link.fastener, *link.secures) for link in fastens)):
@@ -312,6 +322,8 @@ class BiPanModel(Record):
                  flows: Iterable[tuple[str, str, FlowRole]] = (),
                  skill_edges: Iterable[tuple[str, str]] = (),
                  fastens: Iterable[FastensLink] = ()) -> None:
+        if type(id) is not str:
+            raise BiPanError("parse-error", f"model id {id!r} is not a string")
         # One id -> node map over all families. Duplicates within a family are
         # reported first, in input order; then the least id a family shares with
         # an earlier one.
@@ -354,7 +366,7 @@ class BiPanModel(Record):
                 elif role is output_role:
                     outputs[process].append(product)
                 else:
-                    raise KeyError("role")  # ``_first_fault`` raises invalid-role
+                    raise KeyError("role")  # ``_first_fault`` names the role
             for process, skill in skill_edges:
                 skill_ids[process].append(skill)
             if not {node.id for node in self.skills}.issuperset([s for _, s in skill_edges]):
@@ -491,7 +503,7 @@ class PlanStep(Record):
     """One directed process application with resolved inventory effect and skills.
 
     A Swap consumes one id, its ``swap_replacement``, and produces one, its
-    ``swap_target`` (``malformed-step`` otherwise); both are None on other steps.
+    ``swap_target`` (``parse-error`` otherwise); both are None on other steps.
     """
 
     __slots__ = ("process", "direction", "consumed", "produced", "required_skills", "swap_target",
@@ -507,7 +519,7 @@ class PlanStep(Record):
         swap = direction is _SWAP
         if swap and (len(consumed), len(produced)) != (1, 1):
             raise BiPanError(
-                "malformed-step", f"swap step at '{process}' must consume one id and produce one"
+                "parse-error", f"swap step at '{process}' must consume one id and produce one"
             )
         (set_process, set_direction, set_consumed, set_produced, set_required_skills,
          set_swap_target, set_swap_replacement) = self._stores

@@ -28,8 +28,8 @@ class Health(Enum):
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Strict ISO-8601 UTC timestamp ('...Z' or '...+00:00'); anything else, a value that is
-    not a string too, is ``invalid-timestamp``.
+    """Strict ISO-8601 UTC timestamp ('...Z' or '...+00:00'); any other string is
+    ``invalid-timestamp``, and a value that is not a string ``parse-error``.
 
     ``fromisoformat`` gives every zero offset the ``timezone.utc`` singleton,
     so an identity test is the whole UTC check: it rejects naive times and
@@ -38,14 +38,15 @@ def parse_timestamp(value: str) -> datetime:
     try:
         parsed = _fromisoformat(value[:-1] + "+00:00" if value[-1:] == "Z" else value)
     except (TypeError, ValueError) as exc:
-        raise BiPanError("invalid-timestamp", f"not an ISO-8601 timestamp: {value!r}") from exc
+        raise BiPanError("invalid-timestamp" if isinstance(value, str) else "parse-error",
+                         f"not an ISO-8601 timestamp: {value!r}") from exc
     if parsed.tzinfo is not _UTC:
         raise BiPanError("invalid-timestamp", f"timestamp must be UTC: {value!r}")
     return parsed
 
 
 def _not_a_health(component: str, state: object) -> BiPanError:
-    return BiPanError("invalid-health", f"component '{component}': health {state!r} is not a Health")
+    return BiPanError("parse-error", f"component '{component}': health {state!r} is not a Health")
 
 
 class Event(Record):

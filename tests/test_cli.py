@@ -1058,7 +1058,7 @@ class TestHostileInput:
             f"{body}</SystemUnitClass></SystemUnitClassLib></CAEXFile>"
         )
         result = run_cli(["import-aml", "deep.aml"], workdir)
-        assert_one_error(result, "xml-parse-error")
+        assert_one_error(result, "parse-error")
         assert result.stderr.rstrip().endswith(
             f"/InternalElement 'n{depth - 1}'/InternalElement (unnamed): missing ID attribute"
         )
@@ -1119,7 +1119,7 @@ class TestHostileInput:
         index = plan.process_sequence().index("p1")
         result = run_cli(["export-dot", "mutant.bipan.json", "--plan", "asm.plan.json"], workdir)
         assert result.returncode == 3 and "Traceback" not in result.stderr
-        assert result.stderr.startswith(f"error: malformed-step: step {index} (Forward 'p1')")
+        assert result.stderr.startswith(f"error: step-mismatch: step {index} (Forward 'p1')")
         assert len(result.stderr.splitlines()) == 1
 
     def test_dot_overlay_of_a_model_is_parse_error(self, workdir):

@@ -500,10 +500,10 @@ def test_documents_and_records_report_the_first_dangling_endpoint(edges, detail)
         assert (err.value.code, err.value.detail) == ("dangling-reference", detail), reordered
 
 
-def test_a_role_that_is_no_flow_role_is_invalid_role():
+def test_a_role_that_is_no_flow_role_is_a_parse_error():
     """A model given a flow row whose role is no ``FlowRole`` names it, ahead of an earlier
     row's endpoint that names no node."""
-    expected = ("invalid-role", "flow 'a'-'p': role 'Input' is not a FlowRole")
+    expected = ("parse-error", "flow 'a'-'p': role 'Input' is not a FlowRole")
     for first in (("a", "p", FlowRole.INPUT), ("a", "q", FlowRole.INPUT)):
         with pytest.raises(BiPanError) as err:
             BiPanModel("m", (ProductNode("a", "", ProductKind.ELEMENTARY),),

@@ -100,7 +100,7 @@ class TestApplyStep:
         assert (err.value.code, err.value.nodes) == ("double-produce", ("mod8",))
         assert err.value.detail.startswith("step 0 (Swap 'p2'): ")
 
-    def test_swap_without_target_or_replacement_is_malformed(self):
+    def test_swap_without_target_or_replacement_is_a_parse_error(self):
         """A Swap consumes one id and produces one; no other swap step can be built."""
         lists = ((), ("mod8r",), ("mod8r", "bogus"), ["mod8r", "mod8"])
         for consumed, produced in itertools.product(lists, repeat=2):
@@ -109,7 +109,7 @@ class TestApplyStep:
             with pytest.raises(BiPanError) as err:
                 PlanStep("p2", Direction.SWAP, consumed, produced, ())
             assert (err.value.code, err.value.detail) == (
-                "malformed-step", "swap step at 'p2' must consume one id and produce one"
+                "parse-error", "swap step at 'p2' must consume one id and produce one"
             )
 
     @pytest.mark.parametrize("process,direction,detail", [

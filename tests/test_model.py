@@ -200,12 +200,12 @@ class TestConstruction:
             {"fastens": (FastensLink("a", [5]),)},
         ],
     )
-    def test_edge_id_that_is_no_string_is_invalid_id(self, extra):
+    def test_edge_id_that_is_no_string_is_a_parse_error(self, extra):
         tiny = tiny_model()
         skills = (SkillNode("s", "screwing"),)
         with pytest.raises(BiPanError) as err:
             BiPanModel("tiny", tiny.products, tiny.processes, skills, **{"flows": (), **extra})
-        assert err.value.code == "invalid-id"
+        assert err.value.code == "parse-error"
 
     # A row of the wrong shape, as a Python caller may pass against the annotations.
     @pytest.mark.parametrize(
@@ -221,27 +221,27 @@ class TestConstruction:
             ({"skill_edges": (None,)}, "skill edge None is not a row of 2 items"),
         ],
     )
-    def test_edge_row_of_the_wrong_shape_is_malformed_edge(self, extra, detail):
+    def test_edge_row_of_the_wrong_shape_is_a_parse_error(self, extra, detail):
         tiny = tiny_model()
         skills = (SkillNode("s", "screwing"),)
         fields = {"flows": tiny.flows, **extra}
         with pytest.raises(BiPanError) as err:
             BiPanModel("tiny", tiny.products, tiny.processes, skills, **fields)
-        assert (err.value.code, err.value.detail) == ("malformed-edge", detail)
+        assert (err.value.code, err.value.detail) == ("parse-error", detail)
 
-    def test_unhashable_secured_id_is_invalid_id(self):
+    def test_unhashable_secured_id_is_a_parse_error(self):
         """So is one that does not sort with the others: a link holds ``secures`` sorted."""
         for secures, named in (([["x"]], "['x']"), (["b", 5], "5")):
             with pytest.raises(BiPanError) as err:
                 FastensLink("f", secures)
-            assert err.value.code == "invalid-id"
+            assert err.value.code == "parse-error"
             assert err.value.detail.startswith(f"node id {named} ")
 
     def test_secured_ids_from_a_generator_are_read_once(self):
         """The failed sort must not use up the ids that ``check_id`` then names."""
         with pytest.raises(BiPanError) as err:
             FastensLink("f", (node_id for node_id in [1, "a"]))
-        assert err.value.code == "invalid-id"
+        assert err.value.code == "parse-error"
         assert err.value.detail.startswith("node id 1 ")
         assert FastensLink("f", (node_id for node_id in "ba")).secures == ("a", "b")
 
@@ -250,7 +250,7 @@ class TestConstruction:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=(1.0, 2.0))
         assert err.value.code == "invalid-position"
 
-    def test_non_numeric_position(self):
+    def test_a_position_that_is_no_number_is_invalid_position(self):
         with pytest.raises(BiPanError) as err:
             ProductNode("a", "x", ProductKind.ELEMENTARY, position=("a", 1, 2))
         assert (err.value.code, err.value.detail) == (

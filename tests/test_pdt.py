@@ -78,12 +78,12 @@ class TestSetHealth:
             assert err.value.code == "invalid-timestamp"
         assert parse_timestamp(T2).hour == 9
 
-    def test_a_timestamp_that_is_no_string_is_invalid_timestamp(self):
+    def test_a_timestamp_that_is_no_string_is_a_parse_error(self):
         for bad in (5, None, b"2024-05-01T10:00:00Z", ["Z"]):
             with pytest.raises(BiPanError) as err:
                 pdt.Event(bad, "k")
             assert (err.value.code, err.value.detail) == (
-                "invalid-timestamp", f"not an ISO-8601 timestamp: {bad!r}")
+                "parse-error", f"not an ISO-8601 timestamp: {bad!r}")
 
     def test_each_timestamp_is_parsed_once(self, f1, monkeypatch):
         parsed = []
@@ -308,25 +308,25 @@ class TestTwinIsAValue:
         health["a"], payload["k"] = Health.BROKEN, "w"
         assert twin.health == {"a": Health.OK} and event.payload == {"k": "v"}
 
-    def test_a_health_value_that_is_no_health_is_invalid_health(self):
+    def test_a_health_value_that_is_no_health_is_a_parse_error(self):
         with pytest.raises(BiPanError) as err:
             pdt.PdtInstance("V", "m", "d", {"a": Health.OK, "b": "Ok"})
         assert (err.value.code, err.value.detail) == (
-            "invalid-health", "component 'b': health 'Ok' is not a Health")
+            "parse-error", "component 'b': health 'Ok' is not a Health")
 
     # A twin record refuses a value ``canon.twin_bytes`` could not write, with the code a
     # document holding it would give.
-    def test_set_health_with_a_value_that_is_no_health_is_invalid_health(self, f1):
+    def test_set_health_with_a_value_that_is_no_health_is_a_parse_error(self, f1):
         twin = create_instance("VIN-004", f1)
         with pytest.raises(BiPanError) as err:
             set_health(twin, "mod8", "Ok", T0)
         assert (err.value.code, err.value.detail) == (
-            "invalid-health", "component 'mod8': health 'Ok' is not a Health")
+            "parse-error", "component 'mod8': health 'Ok' is not a Health")
 
-    def test_a_component_id_that_is_no_string_is_invalid_id(self):
+    def test_a_component_id_that_is_no_string_is_a_parse_error(self):
         with pytest.raises(BiPanError) as err:
             pdt.PdtInstance("V", "m", "d", {"a": Health.OK, 5: Health.OK})
-        assert err.value.code == "invalid-id"
+        assert err.value.code == "parse-error"
         assert err.value.detail.startswith("node id 5 ")
 
     @pytest.mark.parametrize("model_id,digest,name", [

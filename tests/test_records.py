@@ -138,16 +138,16 @@ CHANGED_MAPS = {
 #: A change to a record that its checks refuse, and the code they refuse it with.
 REFUSED = [
     (ProductNode, {"id": "a b"}, "invalid-id"),
-    (ProductNode, {"kind": "Elementary"}, "invalid-kind"),
+    (ProductNode, {"kind": "Elementary"}, "parse-error"),
     (ProductNode, {"position": (1, 2)}, "invalid-position"),
     (ProcessNode, {"id": "a b"}, "invalid-id"),
     (SkillNode, {"id": ""}, "invalid-id"),
-    (FastensLink, {"secures": [["a"]]}, "invalid-id"),
+    (FastensLink, {"secures": [["a"]]}, "parse-error"),
     (BiPanModel, {"skills": (SkillNode("k", "K"), SkillNode("k", "L"))}, "duplicate-id"),
-    (BiPanModel, {"flows": (("a", "p", "Input"),)}, "invalid-role"),
+    (BiPanModel, {"flows": (("a", "p", "Input"),)}, "parse-error"),
     (BiPanModel, {"flows": (("b", "p", FlowRole.INPUT),)}, "dangling-reference"),
     (Event, {"timestamp": "2024-05-01T10:00:00+02:00"}, "invalid-timestamp"),
-    (PlanStep, {"direction": Direction.SWAP, "consumed": ()}, "malformed-step"),
+    (PlanStep, {"direction": Direction.SWAP, "consumed": ()}, "parse-error"),
     (PdtInstance, {"instance_id": ""}, "invalid-id"),
     (PdtInstance, {"events": (event(), replace(event(), timestamp="2024-04-01T10:00:00Z"))},
      "time-regression"),
